@@ -51,6 +51,7 @@ from .function_space import (
     GridFunction,
     constant_function,
     fourier_basis,
+    fourier_function,
     from_callable,
     inner_product,
     norm,

@@ -38,9 +38,10 @@ from .estimators import (
     pinsker_weights,
     power_lambda_profile,
     sample_theta,
+    sharp_risk_constant,
     _active_count,
 )
-from .function_space import GridFunction, norm, _cached_fourier_matrix
+from .function_space import fourier_function, norm
 from .risk import delta56_study, mise_monte_carlo, two_route_draws, two_sample_equivalence_test
 from .serialize import (
     design_spec_payload,
@@ -167,11 +168,6 @@ def _theta_for(cfg: ExperimentConfig, n: int) -> np.ndarray:
     )
 
 
-def _theta_grid(theta: np.ndarray, grid_size: int) -> GridFunction:
-    basis = _cached_fourier_matrix(max(theta.size, 2), grid_size)
-    return GridFunction(theta @ basis[: theta.size])
-
-
 def _require_flr(cfg: ExperimentConfig, command: str) -> None:
     if cfg.model.kind != "flr":
         raise ConfigError(f"{command} needs model.kind = flr", cfg.source_path)
@@ -182,8 +178,8 @@ def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     n = cfg.model.n_grid[0]
     sample = sample_design(cfg.model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n)
-    theta_grid = _theta_grid(theta, cfg.model.design.grid_size)
-    y = simulate_flr_responses(sample, theta_grid, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
+    theta_grid = fourier_function(theta, cfg.model.design.grid_size)
+    y = simulate_flr_responses(sample, theta, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
     write_design_sample(ws.path("designs.csv"), sample, ws.path("designs.json"))
     write_responses(ws.path("responses.csv"), y)
     write_grid_function(ws.path("theta.csv"), theta_grid)
@@ -204,8 +200,7 @@ def _cmd_transform(cfg: ExperimentConfig, ws: _Workspace) -> None:
     n = cfg.model.n_grid[0]
     sample = sample_design(cfg.model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n)
-    theta_grid = _theta_grid(theta, cfg.model.design.grid_size)
-    y = simulate_flr_responses(sample, theta_grid, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
+    y = simulate_flr_responses(sample, theta, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
     cov = empirical_covariance(sample)
     transform = build_gram_transform(sample, cov)
     wn = flr_to_whitenoise(y, transform, cfg.model.sigma)
@@ -227,8 +222,8 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     model, est = cfg.model, cfg.estimator
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n)
-    theta_grid = _theta_grid(theta, model.design.grid_size)
-    y = simulate_flr_responses(sample, theta_grid, model.sigma, derive_rng(cfg.seed, "noise"))
+    theta_grid = fourier_function(theta, model.design.grid_size)
+    y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
     rho = est.rho
     lam = power_lambda_profile(model.alpha)
@@ -236,7 +231,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     if est.kind == "pinsker-data-driven":
         sel = data_driven_gamma(sample, y, model.theta_class, model.sigma, rho, alpha=model.alpha)
         gamma = sel.gamma_hat
-        fit_sample, fit_y = sample.subset(np.arange(sel.split_m)), y[: sel.split_m]
+        fit_sample, fit_y = sample.subset(slice(sel.split_m)), y[: sel.split_m]
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
     elif est.kind in ("pinsker-oracle", "pinsker-fixed"):
         gamma = est.gamma if est.gamma is not None else pinsker_gamma_oracle(
@@ -248,8 +243,6 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     weights = pinsker_weights(gamma, model.theta_class, support)
     fit = flr_pinsker_fit(fit_sample, fit_y, weights, rho, alpha=model.alpha)
     err = norm(fit.estimate - theta_grid, 2) ** 2
-
-    from .estimators import sharp_risk_constant
 
     plan.update(
         gamma=gamma,

@@ -24,7 +24,9 @@ from .function_space import (
     Basis,
     GridFunction,
     _cached_fourier_matrix,
+    fourier_function,
     grid_nodes,
+    pad_coefficients,
     pairwise_inner,
     trapezoid_weights,
 )
@@ -38,7 +40,9 @@ KIND_GAUSSIAN = "integrated-gaussian"
 
 @dataclass(frozen=True)
 class CoefficientLaw:
-    """A centered, unit-variance law with compact support for the G_j."""
+    """A centered, unit-variance law with compact support for the G_j.
+    ``sampler(rng, shape)`` returns a fresh, writeable float64 array of that
+    shape, which the caller may scale in place."""
 
     name: str
     variance: float
@@ -57,12 +61,15 @@ class CoefficientLaw:
 def uniform_coefficient_law() -> CoefficientLaw:
     """Uniform on [-sqrt3, sqrt3]: mean 0, variance 1, compact support."""
     r = math.sqrt(3.0)
-    return CoefficientLaw(
-        name="uniform",
-        variance=1.0,
-        support_radius=r,
-        sampler=lambda rng, shape: rng.uniform(-r, r, size=shape),
-    )
+
+    def sampler(rng, shape):
+        # Same bits as rng.uniform(-r, r, shape), without its temporaries.
+        u = rng.random(shape)
+        u *= 2.0 * r
+        u += -r
+        return u
+
+    return CoefficientLaw(name="uniform", variance=1.0, support_radius=r, sampler=sampler)
 
 
 @dataclass(frozen=True)
@@ -111,9 +118,9 @@ class DesignSpec:
 class DesignSample:
     """n i.i.d. design functions on one shared grid.
 
-    Basis-expansion samples keep their generating coefficient matrix; the
-    grid values are materialized lazily, which keeps large Monte Carlo
-    studies in coefficient space.
+    Basis-expansion samples live in their generating coefficients, which every
+    computation uses; ``values`` (n x D, built on first access) is for
+    rendering and for grid-only designs.
     """
 
     def __init__(
@@ -155,23 +162,35 @@ class DesignSample:
     def function(self, i: int) -> GridFunction:
         return GridFunction(self.values[i])
 
-    def functions(self) -> list[GridFunction]:
-        return [GridFunction(row) for row in self.values]
+    def inner_products(self, theta) -> np.ndarray:
+        """<X_j, theta> for every design; theta is a GridFunction or a vector
+        of Fourier coefficients. Samples with coefficients never build the
+        grid: a GridFunction is projected once on the expansion basis, equal to
+        the grid result up to rounding since trapezoid quadrature is linear."""
+        c = self._coeffs
+        if not isinstance(theta, GridFunction):
+            theta = np.asarray(theta, dtype=float)
+            if c is not None:
+                return c @ pad_coefficients(theta, c.shape[1])
+            theta = fourier_function(theta, self.grid_size)
+        w = trapezoid_weights(self.grid_size)
+        if c is None:
+            return self.values @ (w * theta.values)
+        return c @ (self._basis_matrix @ (w * theta.values))
 
-    def subset(self, indices) -> "DesignSample":
-        idx = np.asarray(indices)
+    def subset(self, rows) -> "DesignSample":
+        """Designs at ``rows``: an index array, or a slice (views, no copy)."""
+        coeffs = None if self._coeffs is None else self._coeffs[rows]
+        values = None if self._values is None else self._values[rows]
         return DesignSample(
-            n=idx.size,
+            n=(coeffs if coeffs is not None else values).shape[0],
             grid_size=self.grid_size,
             spec=self.spec,
             seed=None,
-            values=None if self._values is None else self._values[idx],
-            coeffs=None if self._coeffs is None else self._coeffs[idx],
+            values=values,
+            coeffs=coeffs,
             basis_matrix=self._basis_matrix,
         )
-
-    def mean_function(self) -> GridFunction:
-        return GridFunction(self.values.mean(axis=0))
 
 
 def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
@@ -183,9 +202,8 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
     rng = as_generator(seed)
     j = spec.resolved_truncation(n)
     basis = _cached_fourier_matrix(j, spec.grid_size)
-    g = spec.coefficient_law.sampler(rng, (n, j))
-    scales = np.arange(1, j + 1, dtype=float) ** (-spec.alpha / 2.0)
-    coeffs = g * scales
+    coeffs = spec.coefficient_law.sampler(rng, (n, j))
+    coeffs *= np.arange(1, j + 1, dtype=float) ** (-spec.alpha / 2.0)
     return DesignSample(
         n=n,
         grid_size=spec.grid_size,
@@ -296,28 +314,36 @@ def verify_condition_x(spec: DesignSpec, sample: DesignSample) -> ConditionXRepo
     """Report empirical tail frequencies, centering, and the Gram-matrix rank.
 
     Purely diagnostic: a finite truncation J < n necessarily caps the rank at
-    J, which is flagged rather than raised.
+    J, which is flagged rather than raised. With coefficients C (n x J)
+    nothing touches the grid: the basis is orthonormal under the quadrature,
+    so the Gram matrix is C C^T with eigenvalues the squared singular values.
     """
     if sample.n < 100:
         raise ValueError("diagnostics need n >= 100")
-    w = trapezoid_weights(sample.grid_size)
-    sq_norms = np.einsum("ij,j,ij->i", sample.values, w, sample.values)
+    c = sample.coeffs
+    if c is not None:
+        sq_norms = np.einsum("ij,ij->i", c, c)
+        mean_sq = float(np.sum(c.mean(axis=0) ** 2))
+        eig = np.linalg.svd(c, compute_uv=False) ** 2
+    else:
+        x = sample.values
+        w = trapezoid_weights(sample.grid_size)
+        sq_norms = np.einsum("ij,j,ij->i", x, w, x)
+        mean_vals = x.mean(axis=0)
+        mean_sq = float(np.dot(w * mean_vals, mean_vals))
+        eig = np.linalg.eigvalsh(pairwise_inner(x, x))
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
     xs = np.linspace(0.0, float(np.max(norms)) * 1.05 + 1e-12, 20)
     freq = np.array([np.mean(norms >= x) for x in xs])
 
-    mean_vals = sample.values.mean(axis=0)
-    mean_norm = float(np.sqrt(max(np.dot(w * mean_vals, mean_vals), 0.0)))
+    mean_norm = float(np.sqrt(max(mean_sq, 0.0)))
     scale = float(np.mean(norms)) / math.sqrt(sample.n)
-
-    gram = pairwise_inner(sample.values, sample.values)
-    eig = np.linalg.eigvalsh(gram)
-    rank = int(np.sum(eig > 1e-10 * max(eig[-1], 0.0)))
+    rank = int(np.sum(eig > 1e-10 * max(eig.max(), 0.0)))
 
     truncated = False
     notes = []
     if spec.kind == KIND_BASIS:
-        j = sample.coeffs.shape[1] if sample.coeffs is not None else spec.resolved_truncation(sample.n)
+        j = c.shape[1] if c is not None else spec.resolved_truncation(sample.n)
         if j < sample.n:
             truncated = True
             notes.append(

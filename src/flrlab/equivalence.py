@@ -102,12 +102,11 @@ def whitenoise_to_flr(z, transform: GramTransform) -> np.ndarray:
     return transform.a @ zv
 
 
-def simulate_flr_responses(sample, theta: GridFunction, sigma: float, seed) -> np.ndarray:
-    """Y_j = <X_j, theta> + sigma eps_j with fresh standard normal errors."""
+def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
+    """Y_j = <X_j, theta> + sigma eps_j with fresh standard normal errors;
+    theta is a GridFunction or a vector of Fourier coefficients."""
     rng = as_generator(seed)
-    w = trapezoid_weights(sample.grid_size)
-    means = sample.values @ (w * theta.values)
-    return means + sigma * rng.standard_normal(sample.n)
+    return sample.inner_products(theta) + sigma * rng.standard_normal(sample.n)
 
 
 def simulate_empirical_wn(
@@ -131,16 +130,15 @@ def simulate_empirical_wn(
     return WnCoefficients(z=drift + sigma * rng.standard_normal(n), sigma=sigma)
 
 
-def conditional_loglik(y: np.ndarray, sample, theta: GridFunction, sigma: float) -> float:
-    """Gaussian log-density of the responses given the designs."""
+def conditional_loglik(y: np.ndarray, sample, theta, sigma: float) -> float:
+    """Gaussian log-density of the responses given the designs; theta as in
+    simulate_flr_responses."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     y = np.asarray(y, dtype=float)
     if y.shape != (sample.n,):
         raise DimensionError(f"expected {sample.n} responses, got {y.shape}")
-    w = trapezoid_weights(sample.grid_size)
-    means = sample.values @ (w * theta.values)
-    resid = y - means
+    resid = y - sample.inner_products(theta)
     n = sample.n
     return float(-0.5 * n * math.log(2.0 * math.pi) - n * math.log(sigma)
                  - float(resid @ resid) / (2.0 * sigma**2))

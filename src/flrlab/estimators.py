@@ -402,15 +402,18 @@ def data_driven_gamma(
     The estimation half keeps the first m = ceil(n (1 - 1/log n)) pairs; the
     training remainder yields empirical eigenvalues, floored at n^-rho, whose
     balance equation is solved for gamma-tilde. The final selector is the
-    median of gamma-tilde and the two deterministic guard rails.
+    median of gamma-tilde and the two deterministic guard rails. It uses only
+    the training designs: ``responses`` is checked for shape and never read.
     """
     validate_rho(rho, alpha)
     n = sample.n
+    if np.shape(responses) != (n,):
+        raise ValueError(f"expected {n} responses, got {np.shape(responses)}")
     if n < 8:
         raise ValueError("need n >= 8 so both split halves are nonempty")
     m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
     m = min(max(m, 1), n - 1)
-    train = sample.subset(np.arange(m, n))
+    train = sample.subset(slice(m, n))
     train_cov = empirical_covariance(train)
 
     floor = float(n) ** (-rho)

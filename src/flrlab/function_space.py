@@ -193,6 +193,19 @@ def _cached_fourier_matrix(count: int, grid_size: int) -> np.ndarray:
     return fourier_basis(count, grid_size).functions
 
 
+def pad_coefficients(coefficients: np.ndarray, width: int) -> np.ndarray:
+    """The first ``width`` coefficients, zero-padded to that length."""
+    out = np.zeros(width)
+    out[: min(coefficients.size, width)] = coefficients[:width]
+    return out
+
+
+def fourier_function(coefficients, grid_size: int = DEFAULT_GRID_SIZE) -> GridFunction:
+    """sum_k c_k phi_k over the Fourier basis, rendered on the grid."""
+    c = np.asarray(coefficients, dtype=float)
+    return GridFunction(c @ _cached_fourier_matrix(max(c.size, 2), grid_size)[: c.size])
+
+
 def project(f: GridFunction, basis: Basis, count: int | None = None) -> np.ndarray:
     """Coefficients (<f, phi_1>, ..., <f, phi_J>) of f against the basis."""
     j = basis.count if count is None else int(count)

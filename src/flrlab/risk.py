@@ -23,6 +23,7 @@ from .estimators import (
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
+    default_rho,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
     pinsker_weights,
@@ -31,8 +32,9 @@ from .estimators import (
     select_cutoff,
     sharp_risk_constant,
     _active_count,
+    _eigen_overlap,
 )
-from .function_space import GridFunction, norm, _cached_fourier_matrix
+from .function_space import fourier_function, norm, pad_coefficients
 from .streams import derive_rng
 from .whitenoise import default_frequency_budget
 
@@ -249,12 +251,6 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _theta_in_basis_coeffs(theta: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros(width)
-    out[: min(theta.size, width)] = theta[:width]
-    return out
-
-
 def _make_rep_context(model, estimator, n, master_seed, rep):
     """One replication's data, closed over so every test function reuses it."""
     if estimator.kind == "zero":
@@ -281,7 +277,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
         eps = sigma / math.sqrt(m)
 
         def run(theta):
-            th = _theta_in_basis_coeffs(theta, budget)
+            th = pad_coefficients(theta, budget)
             y = sqrt_lam[:k] * th[:k] + eps * xi[:k]
             est = y / sqrt_lam[:k]
             return float(np.sum((est - th[:k]) ** 2)) + _tail_sq(th, k)
@@ -296,7 +292,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
         eps = sigma / math.sqrt(n)
 
         def run(theta):
-            th = _theta_in_basis_coeffs(theta, budget)
+            th = pad_coefficients(theta, budget)
             y = sqrt_lam * th + eps * xi
             est = w * y / sqrt_lam
             return float(np.sum((est - th) ** 2))
@@ -319,8 +315,6 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
         k = select_cutoff(m, alpha, tc.beta, constant=estimator.cutoff_constant)
         true_cov = true_covariance(spec, max(k, 1))
         r = emp.rank
-        from .estimators import _eigen_overlap
-
         overlap = _eigen_overlap(emp, true_cov, r, k)             # (r, k)
         weighted = np.sqrt(emp.eigenvalues[:r])[:, None] * overlap
         scale = math.sqrt(m) * true_cov.eigenvalues[:k]
@@ -328,10 +322,10 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
 
         def run(theta):
             if phi_hat_coeffs is not None:
-                th = _theta_in_basis_coeffs(theta, phi_hat_coeffs.shape[0])
+                th = pad_coefficients(theta, phi_hat_coeffs.shape[0])
                 f = phi_hat_coeffs[:, :r].T @ th
             else:
-                f = emp.eigen_coefficients(_render_theta(theta, spec), count=r)
+                f = emp.eigen_coefficients(fourier_function(theta, spec.grid_size), count=r)
             z = math.sqrt(m) * np.sqrt(emp.eigenvalues[:r]) * f + sigma * noise[:r]
             est = (z @ weighted) / scale
             return float(np.sum((est - theta[:k]) ** 2)) + _tail_sq(theta, k)
@@ -339,22 +333,16 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
         return run
 
     if estimator.kind in ("pinsker-oracle", "pinsker-fixed", "pinsker-data-driven"):
-        rho = estimator.rho if estimator.rho is not None else _default_rho_for(alpha)
+        rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
         sample = sample_design(spec, n, rng)
         noise = rng.standard_normal(n)
 
         def run(theta):
-            theta_grid = _render_theta(theta, spec)
-            if sample.coeffs is not None:
-                th = _theta_in_basis_coeffs(theta, sample.coeffs.shape[1])
-                y = sample.coeffs @ th + sigma * noise
-            else:
-                w_quad = _quad_weights(spec.grid_size)
-                y = sample.values @ (w_quad * theta_grid.values) + sigma * noise
+            y = sample.inner_products(theta) + sigma * noise
             if estimator.kind == "pinsker-data-driven":
                 sel = data_driven_gamma(sample, y, tc, sigma, rho, alpha=alpha)
                 gamma = sel.gamma_hat
-                fit_sample = sample.subset(np.arange(sel.split_m))
+                fit_sample = sample.subset(slice(sel.split_m))
                 fit_y = y[: sel.split_m]
             else:
                 gamma = estimator.gamma
@@ -364,29 +352,12 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
             support = _active_count(gamma, tc.beta, None) if gamma > 0 else model.coeff_budget
             w = pinsker_weights(gamma, tc, max(support, 1))
             fit = flr_pinsker_fit(fit_sample, fit_y, w, rho, alpha=alpha)
-            diff = fit.estimate - theta_grid
+            diff = fit.estimate - fourier_function(theta, spec.grid_size)
             return norm(diff, 2) ** 2
 
         return run
 
     raise ValueError(f"estimator {estimator.kind!r} is not defined in the flr model")
-
-
-def _quad_weights(grid_size: int) -> np.ndarray:
-    from .function_space import trapezoid_weights
-
-    return trapezoid_weights(grid_size)
-
-
-def _default_rho_for(alpha: float) -> float:
-    from .estimators import default_rho
-
-    return default_rho(alpha)
-
-
-def _render_theta(theta: np.ndarray, spec: DesignSpec) -> GridFunction:
-    basis = _cached_fourier_matrix(max(theta.size, 2), spec.grid_size)
-    return GridFunction(theta @ basis[: theta.size])
 
 
 # ----------------------------------------------------------------------------
@@ -418,12 +389,11 @@ def gamma_consistency_study(
     for n in n_grid:
         gamma_n = pinsker_gamma_oracle(lam, theta_class, sigma, n)
         theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
-        theta_grid = _render_theta(theta, spec)
         errs = np.empty(reps)
         for rep in range(reps):
             rng = derive_rng(seed, f"gamma-n{n}", rep)
             sample = sample_design(spec, n, rng)
-            y = simulate_flr_responses(sample, theta_grid, sigma, rng)
+            y = simulate_flr_responses(sample, theta, sigma, rng)
             sel = data_driven_gamma(sample, y, theta_class, sigma, rho, alpha=spec.alpha)
             errs[rep] = abs(sel.gamma_hat - gamma_n) / gamma_n
         medians.append(float(np.median(errs)))
@@ -475,7 +445,7 @@ def delta56_study(
     theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
                          power_lambda_profile(alpha), sigma, max(n_grid), 0,
                          count=model.coeff_budget, vertex_index=model.vertex_index)
-    theta_grid = _render_theta(theta, spec)
+    theta_grid = fourier_function(theta, spec.grid_size)
     true_cov = true_covariance(spec, model.coeff_budget)
 
     means, ses, tvs = [], [], []
@@ -495,7 +465,7 @@ def delta56_study(
                 emp1 = empirical_covariance(s1)
                 z1 = simulate_empirical_wn(theta_grid, s1, emp1, sigma, rng)
                 theta1 = cutoff_estimator(z1, true_cov, k, m, emp_cov=emp1)
-            g = theta_grid - _render_theta(theta1, spec)
+            g = theta_grid - fourier_function(theta1, spec.grid_size)
             if force_true_cov2:
                 cov2 = true_cov
             else:
@@ -570,7 +540,7 @@ def two_route_draws(spec: DesignSpec, theta_class: ThetaClass, sigma: float,
     cov = empirical_covariance(sample)
     transform = build_gram_transform(sample, cov)
     theta = sample_theta(theta_class, "boundary", power_lambda_profile(spec.alpha), sigma, n, 0)
-    theta_grid = _render_theta(theta, spec)
+    theta_grid = fourier_function(theta, spec.grid_size)
 
     a = np.empty((draws, n))
     for i in range(draws):
@@ -630,17 +600,13 @@ def pinsker_decomposition_draws(
     support = max(_active_count(gamma, theta_class.beta, None), 1)
     weights = pinsker_weights(gamma, theta_class, support)
     theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
-    theta_grid = _render_theta(theta, spec)
+    theta_grid = fourier_function(theta, spec.grid_size)
 
     lhs, rhs = np.empty(reps), np.empty(reps)
     for rep in range(reps):
         rng = derive_rng(seed, "sh2", rep)
         sample = sample_design(spec, n, rng)
-        if sample.coeffs is not None:
-            th = _theta_in_basis_coeffs(theta, sample.coeffs.shape[1])
-            y = sample.coeffs @ th + sigma * rng.standard_normal(n)
-        else:
-            y = simulate_flr_responses(sample, theta_grid, sigma, rng)
+        y = simulate_flr_responses(sample, theta, sigma, rng)
         cov = empirical_covariance(sample)
         fit = flr_pinsker_fit(sample, y, weights, rho, alpha=alpha, cov=cov)
         diff = fit.estimate - theta_grid

@@ -5,6 +5,7 @@ import pytest
 
 from flrlab import (
     CoefficientLaw,
+    DesignSample,
     DesignSpec,
     SpecValidationError,
     constant_function,
@@ -14,6 +15,7 @@ from flrlab import (
     sample_basis_design,
     sample_gaussian_design,
     true_covariance,
+    uniform_coefficient_law,
     verify_condition_x,
 )
 from flrlab.function_space import grid_nodes, trapezoid_weights
@@ -72,6 +74,34 @@ class TestBasisDesign:
         s = sample_basis_design(small_spec, 5, 1)
         rebuilt = s.coeffs @ s.basis_matrix
         assert np.array_equal(s.values, rebuilt)
+
+
+    def test_uniform_sampler_matches_rng_uniform_bits(self):
+        r = math.sqrt(3.0)
+        sampler = uniform_coefficient_law().sampler
+        for shape in [(7,), (50, 128), (3, 4, 5)]:
+            rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+            a = sampler(rng_a, shape)
+            b = rng_b.uniform(-r, r, shape)
+            assert a.dtype == np.float64 and a.flags.writeable and a.shape == shape
+            assert a.tobytes() == b.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+    def test_slice_subset_is_a_view(self, small_spec):
+        s = sample_basis_design(small_spec, 40, 3)
+        view, copy = s.subset(slice(10, 30)), s.subset(np.arange(10, 30))
+        assert view.n == copy.n == 20
+        assert np.shares_memory(view.coeffs, s.coeffs)
+        assert not np.shares_memory(copy.coeffs, s.coeffs)
+        assert np.array_equal(view.coeffs, copy.coeffs)
+        assert np.array_equal(view.values, copy.values)
+
+    def test_slice_subset_of_grid_designs_is_a_view(self):
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=128)
+        s = sample_gaussian_design(spec, 30, 4)
+        view, copy = s.subset(slice(0, 12)), s.subset(np.arange(12))
+        assert view.n == 12 and np.shares_memory(view.values, s.values)
+        assert np.array_equal(view.values, copy.values)
 
 
 class TestGaussianDesign:
@@ -151,6 +181,24 @@ class TestConditionX:
         s = sample_basis_design(spec, 120, 13)
         rep = verify_condition_x(spec, s)
         assert rep.gram_rank == 32 and not rep.full_rank and rep.truncation_limited
+
+    @pytest.mark.parametrize("j_truncation, n, seed", [(128, 100, 12), (32, 120, 13),
+                                                       (None, 300, 14), (256, 200, 15)])
+    def test_coefficient_route_matches_grid_route(self, j_truncation, n, seed):
+        grid_size = 512 if j_truncation == 256 else 256
+        spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=j_truncation,
+                          grid_size=grid_size)
+        s = sample_basis_design(spec, n, seed)
+        rep = verify_condition_x(spec, s)
+        assert s._values is None          # the coefficient route never builds the grid
+        grid_only = DesignSample(n=n, grid_size=grid_size, spec=spec, seed=None,
+                                 values=s.coeffs @ s.basis_matrix)
+        ref = verify_condition_x(spec, grid_only)
+        assert (rep.gram_rank, rep.full_rank, rep.truncation_limited) \
+            == (ref.gram_rank, ref.full_rank, ref.truncation_limited)
+        assert rep.mean_norm == pytest.approx(ref.mean_norm, rel=1e-12)
+        assert rep.mean_norm_scale == pytest.approx(ref.mean_norm_scale, rel=1e-12)
+        assert np.allclose(rep.tail_x, ref.tail_x, rtol=1e-12, atol=0.0)
 
     def test_centering_is_clt_scale(self, small_spec):
         # mean-function norm below 5 E||X|| / sqrt(n) in at least 99% of seeds

@@ -5,6 +5,7 @@ import pytest
 
 from flrlab import (
     DegenerateDesignError,
+    DesignSample,
     DesignSpec,
     GridFunction,
     build_gram_transform,
@@ -20,7 +21,7 @@ from flrlab import (
     whitenoise_to_flr,
 )
 from flrlab.equivalence import render_coefficient_path
-from flrlab.function_space import trapezoid_weights
+from flrlab.function_space import fourier_function, trapezoid_weights
 
 
 def random_theta(grid_size, seed, count=12, scale=0.4):
@@ -131,6 +132,49 @@ class TestDirectSimulation:
 
         drift = sqrt_apply(cov, theta)
         assert abs(np.dot(w * g, drift.values)) <= 1e-10
+
+
+class TestCoefficientRoute:
+    """Responses for basis-expansion designs come from the coefficients."""
+
+    @staticmethod
+    def _pair(seed, n=300):
+        s = sample_basis_design(DesignSpec(kind="basis-expansion", alpha=2.0), n, seed)
+        grid_only = DesignSample(n=n, grid_size=s.grid_size, spec=s.spec, seed=None,
+                                 values=s.coeffs @ s.basis_matrix)
+        return s, grid_only
+
+    def test_matches_grid_route_without_building_it(self, monkeypatch):
+        s, grid_only = self._pair(41)
+        theta = random_theta(s.grid_size, 42, count=40, scale=0.6)
+        y_grid = simulate_flr_responses(grid_only, theta, 0.5, 9)
+        ll_grid = conditional_loglik(y_grid, grid_only, theta, 0.5)
+        monkeypatch.setattr(DesignSample, "values",
+                            property(lambda self: pytest.fail("grid materialized")))
+        y = simulate_flr_responses(s, theta, 0.5, 9)
+        assert np.linalg.norm(y - y_grid) <= 1e-12 * np.linalg.norm(y_grid)
+        assert conditional_loglik(y, s, theta, 0.5) == pytest.approx(ll_grid, rel=1e-12)
+
+    def test_fourier_coefficients_are_exact(self, monkeypatch):
+        s, grid_only = self._pair(43)
+        w = trapezoid_weights(s.grid_size)
+        for count in (5, 64, 200):       # shorter and longer than the expansion (J = 128)
+            coeffs = np.random.default_rng(count).standard_normal(count)
+            padded = np.zeros(s.coeffs.shape[1])
+            padded[: min(count, padded.size)] = coeffs[: padded.size]
+            rendered = fourier_function(coeffs, s.grid_size)
+            y_grid = simulate_flr_responses(grid_only, coeffs, 0.3, 5)
+            assert np.array_equal(
+                y_grid, grid_only.values @ (w * rendered.values)
+                + 0.3 * np.random.default_rng(5).standard_normal(s.n))
+            with monkeypatch.context() as m:
+                m.setattr(DesignSample, "values",
+                          property(lambda self: pytest.fail("grid materialized")))
+                y = simulate_flr_responses(s, coeffs, 0.3, 5)
+                assert np.array_equal(
+                    y, s.coeffs @ padded + 0.3 * np.random.default_rng(5).standard_normal(s.n))
+            # modes beyond the expansion are orthogonal to every design
+            assert np.linalg.norm(y - y_grid) <= 1e-12 * np.linalg.norm(y_grid)
 
 
 class TestConditionalLikelihood:

@@ -301,6 +301,12 @@ class TestDataDrivenGamma:
         with pytest.raises(ValueError):
             data_driven_gamma(s.subset(np.arange(4)), y[:4], tc, 1.0, default_rho(2.0))
 
+    def test_wrong_response_count_rejected(self):
+        tc, s, y = self._dataset(200, 1.0)
+        for bad in (y[:-1], np.append(y, 0.0), y.reshape(20, 10)):
+            with pytest.raises(ValueError, match="expected 200 responses"):
+                data_driven_gamma(s, bad, tc, 1.0, default_rho(2.0), alpha=2.0)
+
     def test_training_half_is_held_out(self):
         tc, s, y = self._dataset(200, 8.0)
         sel = data_driven_gamma(s, y, tc, 8.0, default_rho(2.0), alpha=2.0)

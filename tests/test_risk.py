@@ -78,7 +78,8 @@ class TestMiseMonteCarlo:
             true_covariance,
         )
         from flrlab.equivalence import WnCoefficients
-        from flrlab.risk import _make_rep_context, _render_theta
+        from flrlab.function_space import fourier_function
+        from flrlab.risk import _make_rep_context
         from flrlab.streams import derive_rng
 
         model = flr_model(n_grid=(64,))
@@ -93,7 +94,7 @@ class TestMiseMonteCarlo:
         noise = rng.standard_normal(m)
         k = select_cutoff(m, 2.0, 2.0)
         truth = true_covariance(SPEC, k)
-        theta_grid = _render_theta(theta, SPEC)
+        theta_grid = fourier_function(theta, SPEC.grid_size)
         r = emp.rank
         drift = np.sqrt(m * emp.eigenvalues[:r]) * emp.eigen_coefficients(theta_grid, count=r)
         z = np.zeros(m)
