@@ -1,5 +1,6 @@
 """Functional linear regression, its white-noise twin, and sharp-minimax estimation."""
 
+from .config import EstimatorConfig, ModelConfig
 from .covariance import CovOperator, empirical_covariance, eigen_gap_check, hs_distance, sqrt_apply
 from .designs import (
     CoefficientLaw,
@@ -30,7 +31,6 @@ from .errors import (
     SpecValidationError,
 )
 from .estimators import (
-    PinskerPlan,
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
@@ -38,7 +38,6 @@ from .estimators import (
     flr_pinsker_estimator,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
-    pinsker_plan,
     pinsker_sequence_estimator,
     pinsker_weights,
     power_lambda_profile,
@@ -60,9 +59,7 @@ from .function_space import (
 )
 from .risk import (
     Delta56Report,
-    EstimatorConfig,
     KsReport,
-    ModelConfig,
     RiskReport,
     classifier_tv_proxy,
     delta56_study,

@@ -39,7 +39,6 @@ from .estimators import (
     power_lambda_profile,
     sample_theta,
     sharp_risk_constant,
-    _active_count,
 )
 from .function_space import fourier_function, norm
 from .risk import delta56_study, mise_monte_carlo, two_route_draws, two_sample_equivalence_test
@@ -229,7 +228,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     lam = power_lambda_profile(model.alpha)
     plan: dict = {"estimator": est.kind, "rho": rho}
     if est.kind == "pinsker-data-driven":
-        sel = data_driven_gamma(sample, y, model.theta_class, model.sigma, rho, alpha=model.alpha)
+        sel = data_driven_gamma(sample, model.theta_class, model.sigma, rho, alpha=model.alpha)
         gamma = sel.gamma_hat
         fit_sample, fit_y = sample.subset(slice(sel.split_m)), y[: sel.split_m]
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
@@ -239,8 +238,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
         fit_sample, fit_y = sample, y
     else:
         raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
-    support = max(_active_count(gamma, model.theta_class.beta, None), 1)
-    weights = pinsker_weights(gamma, model.theta_class, support)
+    weights = pinsker_weights(gamma, model.theta_class)
     fit = flr_pinsker_fit(fit_sample, fit_y, weights, rho, alpha=model.alpha)
     err = norm(fit.estimate - theta_grid, 2) ** 2
 

@@ -3,7 +3,8 @@
 The format is a plain text file of ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment. The parser keeps line numbers so validation
 errors can point at the offending line, and unknown sections or keys are
-rejected outright.
+rejected outright. The model and estimator records the Monte Carlo harness
+consumes are defined here too, with their own validation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,63 @@ from pathlib import Path
 from .designs import DesignSpec
 from .errors import SpecValidationError
 from .estimators import ThetaClass, default_rho
-from .risk import ESTIMATOR_KINDS, EstimatorConfig, ModelConfig
+
+ESTIMATOR_KINDS = (
+    "zero",
+    "oracle",
+    "cutoff",
+    "pinsker-oracle",
+    "pinsker-fixed",
+    "pinsker-data-driven",
+)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Data-generating side of a risk study."""
+
+    kind: str                      # "sequence" | "flr"
+    alpha: float
+    theta_class: ThetaClass
+    theta_mode: str                # boundary|random|least-favorable|vertex|worst-case
+    sigma: float
+    n_grid: tuple
+    design: DesignSpec | None = None
+    coeff_budget: int = 64
+    vertex_index: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("sequence", "flr"):
+            raise SpecValidationError(f"unknown model kind {self.kind!r}")
+        if self.kind == "flr" and self.design is None:
+            raise SpecValidationError("flr models need a design spec")
+        if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
+            raise SpecValidationError("n_grid must hold sample sizes >= 2")
+        if self.sigma < 0:
+            raise SpecValidationError("sigma must be >= 0")
+
+
+@dataclass(frozen=True)
+class EstimatorConfig:
+    """Estimator side of a risk study; ``gamma`` belongs to pinsker-fixed
+    alone, which requires a positive one."""
+
+    kind: str
+    rho: float | None = None
+    gamma: float | None = None
+    cutoff_constant: float = 1.0
+    split_for_cutoff: bool = True     # cutoff estimator consumes m = n//2 draws
+
+    def __post_init__(self):
+        if self.kind not in ESTIMATOR_KINDS:
+            raise SpecValidationError(
+                f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}"
+            )
+        if self.kind != "pinsker-fixed":
+            if self.gamma is not None:
+                raise SpecValidationError(f"gamma is set only for pinsker-fixed, not {self.kind}")
+        elif self.gamma is None or not self.gamma > 0:
+            raise SpecValidationError(f"pinsker-fixed needs a gamma > 0, got {self.gamma}")
 
 
 class ConfigError(ValueError):
@@ -176,6 +233,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         else:
             alpha = get("design", "alpha", 2.0)
         theta_class = ThetaClass(beta=get("theta", "beta"), c_theta=get("theta", "c_theta"))
+        est_kind = get("estimator", "kind", "pinsker-oracle")
+        theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
         theta_mode = get("theta", "mode", "boundary")
         if theta_mode not in _THETA_MODES:
             raise SpecValidationError(f"unknown theta mode {theta_mode!r}")
@@ -189,11 +248,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
             design=design,
             coeff_budget=get("model", "coeff_budget", 64),
         )
-        est_kind = get("estimator", "kind", "pinsker-oracle")
-        if est_kind not in ESTIMATOR_KINDS:
-            raise SpecValidationError(
-                f"unknown estimator kind {est_kind!r}; choose from {ESTIMATOR_KINDS}"
-            )
         rho = get("estimator", "rho")
         if rho is None and est_kind.startswith("pinsker"):
             rho = default_rho(alpha)

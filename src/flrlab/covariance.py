@@ -28,16 +28,27 @@ from .function_space import (
     Basis,
     GridFunction,
     _cached_fourier_matrix,
+    fourier_function,
+    pad_coefficients,
     pairwise_inner,
     trapezoid_weights,
 )
 
 RANK_TOL = 1e-12          # eigenvalues below RANK_TOL * lambda_1 count as zero
 SIGN_REFERENCE_COUNT = 64  # Fourier coefficients consulted by the sign convention
+DUAL_LIMIT = 1200          # grid-only samples up to this size use the n x n dual route
 
 
 class CovOperator:
-    """A positive self-adjoint operator given by sorted eigenpairs and a kernel."""
+    """A positive self-adjoint operator given by sorted eigenpairs and a kernel.
+
+    Operators built from basis-expansion designs (and their analytic truth)
+    also carry a coefficient view: ``coeff_basis`` is the (J, D) Fourier
+    matrix of the expansion and ``coeff_vectors`` the (J, r) eigenvectors in
+    that basis, so phi_k = coeff_vectors[:, k] @ coeff_basis. Inner products
+    with design samples and with Fourier-coefficient vectors use this view
+    instead of the grid.
+    """
 
     def __init__(
         self,
@@ -64,8 +75,18 @@ class CovOperator:
         self.kind = kind
         self.n_samples = n_samples
         self._kernel = kernel
-        self._coeff_basis = coeff_basis
-        self._coeff_vectors = coeff_vectors
+        self._basis = coeff_basis
+        self._vectors = coeff_vectors
+
+    @property
+    def coeff_basis(self) -> np.ndarray | None:
+        """(J, D) Fourier matrix the coefficient view refers to, if any."""
+        return self._basis
+
+    @property
+    def coeff_vectors(self) -> np.ndarray | None:
+        """(J, r) eigenvectors in ``coeff_basis``, if any."""
+        return self._vectors
 
     @property
     def grid_size(self) -> int:
@@ -85,13 +106,29 @@ class CovOperator:
             self._kernel = phi.T @ (self.eigenvalues[:, None] * phi)
         return self._kernel
 
-    def eigen_coefficients(self, f: GridFunction, count: int | None = None) -> np.ndarray:
-        """(<f, phi_1>, ..., <f, phi_K>) against the eigenfunctions."""
+    def eigen_coefficients(self, f, count: int | None = None) -> np.ndarray:
+        """(<f, phi_1>, ..., <f, phi_K>) against the eigenfunctions; f is a
+        GridFunction or a vector of Fourier coefficients. With a coefficient
+        view the latter is exact, coeff_vectors^T pad(f), and builds no grid."""
         k = self.eigenvalues.size if count is None else int(count)
         if k > self.eigenvalues.size:
             raise ValueError("not enough retained eigenpairs")
+        if not isinstance(f, GridFunction):
+            f = np.asarray(f, dtype=float)
+            if self._vectors is not None:
+                return self._vectors[:, :k].T @ pad_coefficients(f, self._vectors.shape[0])
+            f = fourier_function(f, self.grid_size)
         w = trapezoid_weights(self.grid_size)
         return (self.eigenfunctions.functions[:k] * w) @ f.values
+
+    def design_products(self, sample, count: int) -> np.ndarray:
+        """Q with Q[j, k] = <X_j, phi_k> for the first ``count`` eigenfunctions:
+        C U when the sample's coefficients live in this operator's basis, the
+        n x D grid otherwise."""
+        if sample.coeffs is not None and self._vectors is not None \
+                and sample.basis_matrix is self._basis:
+            return sample.coeffs @ self._vectors[:, :count]
+        return pairwise_inner(sample.values, self.eigenfunctions.functions[:count])
 
     def apply(self, f: GridFunction) -> GridFunction:
         """Operator applied to f; uses the kernel when one is stored exactly."""
@@ -105,9 +142,9 @@ class CovOperator:
 
     def coeff_matrix(self) -> np.ndarray | None:
         """Operator matrix in the attached coefficient basis, if any."""
-        if self._coeff_vectors is None:
+        if self._vectors is None:
             return None
-        u = self._coeff_vectors
+        u = self._vectors
         return u @ (self.eigenvalues[:, None] * u.T)
 
 
@@ -143,7 +180,7 @@ def _eigh_grid_kernel(kernel: np.ndarray, weights: np.ndarray, count: int):
     return np.maximum(vals[:count], 0.0), funcs
 
 
-def empirical_covariance(sample, *, method: str = "auto", dual_limit: int = 1200) -> CovOperator:
+def empirical_covariance(sample, *, method: str = "auto") -> CovOperator:
     """Empirical covariance operator of a design sample.
 
     Keeps only the numerically nonzero eigenpairs (at most min(n, rank of the
@@ -154,7 +191,7 @@ def empirical_covariance(sample, *, method: str = "auto", dual_limit: int = 1200
     if method == "auto":
         if sample.coeffs is not None:
             method = "coeff"
-        elif sample.n <= dual_limit:
+        elif sample.n <= DUAL_LIMIT:
             method = "dual"
         else:
             method = "grid"
@@ -190,22 +227,25 @@ def _empirical_from_coeffs(sample) -> CovOperator:
     signs = _apply_sign_convention(funcs, ref)
     u = u * signs[None, :]
 
-    if r == n:
-        # A = Q D^{-1} has columns proportional to C u_k; fix det = +1.
-        q = c @ u
-        a = q / np.sqrt(n * lam)[None, :]
-        if _det_sign_orthogonal(a) < 0:
-            funcs[-1] *= -1.0
-            u[:, -1] *= -1.0
+    def operator(funcs, u):
+        return CovOperator(
+            eigenvalues=lam,
+            eigenfunctions=Basis(funcs, kind="eigen"),
+            kind="empirical",
+            n_samples=n,
+            coeff_basis=basis,
+            coeff_vectors=u,
+        )
 
-    return CovOperator(
-        eigenvalues=lam,
-        eigenfunctions=Basis(funcs, kind="eigen"),
-        kind="empirical",
-        n_samples=n,
-        coeff_basis=basis,
-        coeff_vectors=u,
-    )
+    op = operator(funcs, u)
+    if r == n:
+        # A = Q D^{-1} is the whitening matrix of this sample; fix det = +1.
+        a = op.design_products(sample, n) / np.sqrt(n * lam)[None, :]
+        if _det_sign_orthogonal(a) < 0:
+            flip = np.ones(r)
+            flip[-1] = -1.0
+            op = operator(funcs * flip[:, None], u * flip[None, :])
+    return op
 
 
 def _empirical_dual(sample) -> CovOperator:
@@ -274,7 +314,7 @@ def hs_distance(a: CovOperator, b: CovOperator) -> float:
     if a.grid_size != b.grid_size:
         raise DimensionError("operators live on different grids")
     ca, cb = a.coeff_matrix(), b.coeff_matrix()
-    if ca is not None and cb is not None and a._coeff_basis is b._coeff_basis:
+    if ca is not None and cb is not None and a.coeff_basis is b.coeff_basis:
         ja, jb = ca.shape[0], cb.shape[0]
         j = max(ja, jb)
         pa = np.zeros((j, j)); pa[:ja, :ja] = ca

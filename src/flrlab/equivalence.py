@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CovOperator
 from .errors import DegenerateDesignError, DimensionError
-from .function_space import GridFunction, pairwise_inner, trapezoid_weights
+from .function_space import GridFunction, trapezoid_weights
 from .streams import as_generator
 
 
@@ -63,6 +63,8 @@ def build_gram_transform(sample, cov: CovOperator, *, check_tol: float = 1e-8) -
 
     Requires the operator to be the sample's own empirical covariance at full
     numerical rank n; a rank-deficient design aborts rather than pseudo-invert.
+    Q comes from the coefficients (C U) when the sample has them, so
+    basis-expansion designs never build the n x D grid here.
     """
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
@@ -71,7 +73,7 @@ def build_gram_transform(sample, cov: CovOperator, *, check_tol: float = 1e-8) -
         raise DegenerateDesignError(
             f"design sample is numerically rank deficient: rank {cov.rank} < n {n}"
         )
-    q = pairwise_inner(sample.values, cov.eigenfunctions.functions[:n])
+    q = cov.design_products(sample, n)
     dvec = np.sqrt(n * cov.eigenvalues[:n])
     a = q / dvec[None, :]
 

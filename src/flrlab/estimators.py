@@ -61,17 +61,6 @@ class ThetaClass:
             )
 
 
-@dataclass(frozen=True)
-class PinskerPlan:
-    """Everything the shrinkage estimator needs for one fit."""
-
-    gamma: float
-    weights: np.ndarray
-    sharp_risk: float
-    rho: float
-    split_m: int | None = None
-
-
 def default_rho(alpha: float) -> float:
     """Midpoint of the admissible truncation-exponent interval."""
     lo = alpha / (2.0 * alpha + 3.0)
@@ -140,28 +129,25 @@ def cutoff_estimator(
 
 def _eigen_overlap(emp_cov: CovOperator, cov: CovOperator, r: int, k: int) -> np.ndarray:
     """<phi-hat_j, phi_k> matrix; coefficient fast path when both operators share a basis."""
-    u = emp_cov._coeff_vectors
-    v = cov._coeff_vectors
-    if u is not None and v is not None and emp_cov._coeff_basis is cov._coeff_basis:
+    u = emp_cov.coeff_vectors
+    v = cov.coeff_vectors
+    if u is not None and v is not None and emp_cov.coeff_basis is cov.coeff_basis:
         return u[:, :r].T @ v[:, :k]
     return pairwise_inner(emp_cov.eigenfunctions.functions[:r], cov.eigenfunctions.functions[:k])
 
 
-def pinsker_weights(
-    gamma: float,
-    theta_class: ThetaClass,
-    count: int,
-    *,
-    support_cap: int | None = None,
-) -> np.ndarray:
-    """w_k = (1 - gamma b_k)_+ for k = 1..count, optionally zeroed beyond a cap."""
+def pinsker_weights(gamma: float, theta_class: ThetaClass, count: int | None = None) -> np.ndarray:
+    """w_k = (1 - gamma b_k)_+ for k = 1..count.
+
+    The default count is the active support: the number of k with
+    b_k < 1/gamma, at least one.
+    """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
+    if count is None:
+        count = max(_active_count(gamma, theta_class.beta, None), 1)
     k = np.arange(1, count + 1, dtype=float)
-    w = np.clip(1.0 - gamma * theta_class.beta_k(k), 0.0, None)
-    if support_cap is not None:
-        w[int(support_cap):] = 0.0
-    return w
+    return np.clip(1.0 - gamma * theta_class.beta_k(k), 0.0, None)
 
 
 LambdaLike = Callable[[np.ndarray], np.ndarray] | Sequence[float] | np.ndarray
@@ -319,12 +305,11 @@ def flr_pinsker_fit(
     *,
     alpha: float | None = None,
     cov: CovOperator | None = None,
-    enforce_support_cap: bool = True,
 ) -> PinskerFit:
     """Weighted spectral estimator from regression data only.
 
     theta-hat = sum_j w_j [(1/n) sum_l Y_l <X_l, phi-hat_j>] phi-hat_j / lam_j,rho
-    with lam_j,rho = max(lam-hat_j, n^-rho). The high-frequency support cap
+    with lam_j,rho = max(lam-hat_j, n^-rho). With alpha given, the support cap
     k <= n^(rho/alpha)/log n is enforced only down to the weight support it
     would otherwise truncate; when the raw cap binds this is flagged, since at
     moderate n it would zero out every weight.
@@ -341,7 +326,7 @@ def flr_pinsker_fit(
     support = int(np.max(np.nonzero(w > 0.0)[0]) + 1) if np.any(w > 0.0) else 0
     cap = None
     binding = False
-    if enforce_support_cap and alpha is not None:
+    if alpha is not None:
         raw_cap = int(math.floor(n ** (rho / alpha) / math.log(n))) if n > 1 else 0
         binding = raw_cap < support
         cap = max(raw_cap, support)
@@ -350,11 +335,7 @@ def flr_pinsker_fit(
     k = min(w.size, r)
     lam = cov.eigenvalues[:k]
     lam_floor = np.maximum(lam, float(n) ** (-rho))
-    if sample.coeffs is not None and cov._coeff_vectors is not None:
-        proj = (sample.coeffs @ cov._coeff_vectors[:, :k]).T @ y / n
-    else:
-        q = pairwise_inner(sample.values, cov.eigenfunctions.functions[:k])
-        proj = q.T @ y / n
+    proj = cov.design_products(sample, k).T @ y / n
     wk = w[:k].copy()
     if cap is not None:
         wk[cap:] = 0.0
@@ -389,7 +370,6 @@ class GammaSelection:
 
 def data_driven_gamma(
     sample,
-    responses: np.ndarray,
     theta_class: ThetaClass,
     sigma: float,
     rho: float,
@@ -402,13 +382,12 @@ def data_driven_gamma(
     The estimation half keeps the first m = ceil(n (1 - 1/log n)) pairs; the
     training remainder yields empirical eigenvalues, floored at n^-rho, whose
     balance equation is solved for gamma-tilde. The final selector is the
-    median of gamma-tilde and the two deterministic guard rails. It uses only
-    the training designs: ``responses`` is checked for shape and never read.
+    median of gamma-tilde and the two deterministic guard rails. It reads
+    only the training designs, never the responses, so one selection serves
+    every response vector drawn on the same sample.
     """
     validate_rho(rho, alpha)
     n = sample.n
-    if np.shape(responses) != (n,):
-        raise ValueError(f"expected {n} responses, got {np.shape(responses)}")
     if n < 8:
         raise ValueError("need n >= 8 so both split halves are nonempty")
     m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
@@ -487,25 +466,3 @@ def sample_theta(
         profile = (sigma**2 / (n * lam)) * np.clip(1.0 / (gamma * np.sqrt(b2)) - 1.0, 0.0, None)
         return np.sqrt(profile)
     raise ValueError(f"unknown theta mode {mode!r}")
-
-
-def pinsker_plan(
-    lambdas: LambdaLike,
-    theta_class: ThetaClass,
-    sigma: float,
-    n: int,
-    rho: float,
-    *,
-    gamma: float | None = None,
-    count: int | None = None,
-    split_m: int | None = None,
-) -> PinskerPlan:
-    """Assemble gamma, weights, and the sharp constant into one plan."""
-    if gamma is None:
-        gamma = pinsker_gamma_oracle(lambdas, theta_class, sigma, n)
-    if count is None:
-        support = _active_count(gamma, theta_class.beta, None) if gamma > 0 else DEFAULT_COEFF_BUDGET
-        count = max(support + 1, 8)
-    weights = pinsker_weights(gamma, theta_class, count)
-    a_n = sharp_risk_constant(lambdas, theta_class, sigma, n, gamma=gamma)
-    return PinskerPlan(gamma=gamma, weights=weights, sharp_risk=a_n, rho=rho, split_m=split_m)

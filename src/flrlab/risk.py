@@ -5,6 +5,12 @@ Carlo risk over a small panel of test functions: the boundary profile, the
 least-favorable Pinsker profile, a single-coordinate vertex just beyond the
 estimator's cutoff (the bias-carrying direction that integer-valued cutoffs
 otherwise hide), and a handful of random draws.
+
+The harnesses only draw data and score fits: every estimate comes from
+``estimators``, every operator from ``covariance``. Within one replication,
+whatever does not depend on the test function (the design sample, its
+empirical covariance, the noise, the shrinkage level and weights) is computed
+once and shared by the whole panel.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
+from .config import EstimatorConfig, ModelConfig
 from .covariance import empirical_covariance, sqrt_apply
 from .designs import DesignSpec, sample_design, true_covariance
-from .equivalence import simulate_empirical_wn, simulate_flr_responses
+from .equivalence import WnCoefficients, simulate_empirical_wn, simulate_flr_responses
 from .errors import SpecValidationError
 from .estimators import (
     ThetaClass,
@@ -26,66 +33,16 @@ from .estimators import (
     default_rho,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
+    pinsker_sequence_estimator,
     pinsker_weights,
     power_lambda_profile,
     sample_theta,
     select_cutoff,
     sharp_risk_constant,
-    _active_count,
-    _eigen_overlap,
 )
 from .function_space import fourier_function, norm, pad_coefficients
 from .streams import derive_rng
-from .whitenoise import default_frequency_budget
-
-ESTIMATOR_KINDS = (
-    "zero",
-    "oracle",
-    "cutoff",
-    "pinsker-oracle",
-    "pinsker-fixed",
-    "pinsker-data-driven",
-)
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Data-generating side of a risk study."""
-
-    kind: str                      # "sequence" | "flr"
-    alpha: float
-    theta_class: ThetaClass
-    theta_mode: str                # boundary|random|least-favorable|vertex|worst-case
-    sigma: float
-    n_grid: tuple
-    design: DesignSpec | None = None
-    coeff_budget: int = 64
-    vertex_index: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sequence", "flr"):
-            raise SpecValidationError(f"unknown model kind {self.kind!r}")
-        if self.kind == "flr" and self.design is None:
-            raise SpecValidationError("flr models need a design spec")
-        if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
-            raise SpecValidationError("n_grid must hold sample sizes >= 2")
-        if self.sigma < 0:
-            raise SpecValidationError("sigma must be >= 0")
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimator side of a risk study."""
-
-    kind: str
-    rho: float | None = None
-    gamma: float | None = None        # pinsker-fixed
-    cutoff_constant: float = 1.0
-    split_for_cutoff: bool = True     # cutoff estimator consumes m = n//2 draws
-
-    def __post_init__(self):
-        if self.kind not in ESTIMATOR_KINDS:
-            raise SpecValidationError(f"unknown estimator kind {self.kind!r}")
+from .whitenoise import SeqObservation, default_frequency_budget
 
 
 @dataclass(frozen=True)
@@ -186,7 +143,7 @@ def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int) -> i
         return min(k + 1, model.coeff_budget)
     gamma = pinsker_gamma_oracle(power_lambda_profile(model.alpha),
                                  model.theta_class, model.sigma, n)
-    return min(_active_count(gamma, model.theta_class.beta, None) + 1, model.coeff_budget)
+    return min(pinsker_weights(gamma, model.theta_class).size + 1, model.coeff_budget)
 
 
 def mise_monte_carlo(
@@ -262,6 +219,13 @@ def _make_rep_context(model, estimator, n, master_seed, rep):
     return _flr_rep_context(model, estimator, n, master_seed, rep)
 
 
+def _fixed_or_oracle_gamma(model, estimator, n) -> float:
+    if estimator.gamma is not None:
+        return estimator.gamma
+    return pinsker_gamma_oracle(power_lambda_profile(model.alpha), model.theta_class,
+                                model.sigma, n)
+
+
 def _sequence_rep_context(model, estimator, n, master_seed, rep):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     budget = max(model.coeff_budget, default_frequency_budget(n, alpha, tc.beta))
@@ -271,6 +235,9 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
     rng = derive_rng(master_seed, f"seq-n{n}", rep)
     xi = rng.standard_normal(budget)
 
+    def observe(th, eps):
+        return SeqObservation(sqrt_lam * th + eps * xi, lam, eps)
+
     if estimator.kind == "cutoff":
         m = n // 2 if estimator.split_for_cutoff else n
         k = select_cutoff(m, alpha, tc.beta, constant=estimator.cutoff_constant)
@@ -278,23 +245,18 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
 
         def run(theta):
             th = pad_coefficients(theta, budget)
-            y = sqrt_lam[:k] * th[:k] + eps * xi[:k]
-            est = y / sqrt_lam[:k]
+            est = cutoff_estimator(observe(th, eps), None, k)
             return float(np.sum((est - th[:k]) ** 2)) + _tail_sq(th, k)
 
         return run
 
     if estimator.kind in ("pinsker-oracle", "pinsker-fixed"):
-        gamma = estimator.gamma
-        if gamma is None:
-            gamma = pinsker_gamma_oracle(power_lambda_profile(alpha), tc, sigma, n)
-        w = pinsker_weights(gamma, tc, budget)
+        w = pinsker_weights(_fixed_or_oracle_gamma(model, estimator, n), tc, budget)
         eps = sigma / math.sqrt(n)
 
         def run(theta):
             th = pad_coefficients(theta, budget)
-            y = sqrt_lam * th + eps * xi
-            est = w * y / sqrt_lam
+            est = pinsker_sequence_estimator(observe(th, eps), w)
             return float(np.sum((est - th) ** 2))
 
         return run
@@ -313,21 +275,13 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
         emp = empirical_covariance(sample)
         noise = rng.standard_normal(m)
         k = select_cutoff(m, alpha, tc.beta, constant=estimator.cutoff_constant)
-        true_cov = true_covariance(spec, max(k, 1))
+        true_cov = true_covariance(spec, k)
         r = emp.rank
-        overlap = _eigen_overlap(emp, true_cov, r, k)             # (r, k)
-        weighted = np.sqrt(emp.eigenvalues[:r])[:, None] * overlap
-        scale = math.sqrt(m) * true_cov.eigenvalues[:k]
-        phi_hat_coeffs = emp._coeff_vectors                        # in the design basis
+        drift_scale = math.sqrt(m) * np.sqrt(emp.eigenvalues[:r])
 
         def run(theta):
-            if phi_hat_coeffs is not None:
-                th = pad_coefficients(theta, phi_hat_coeffs.shape[0])
-                f = phi_hat_coeffs[:, :r].T @ th
-            else:
-                f = emp.eigen_coefficients(fourier_function(theta, spec.grid_size), count=r)
-            z = math.sqrt(m) * np.sqrt(emp.eigenvalues[:r]) * f + sigma * noise[:r]
-            est = (z @ weighted) / scale
+            z = drift_scale * emp.eigen_coefficients(theta, count=r) + sigma * noise[:r]
+            est = cutoff_estimator(WnCoefficients(z), true_cov, k, m, emp_cov=emp)
             return float(np.sum((est - theta[:k]) ** 2)) + _tail_sq(theta, k)
 
         return run
@@ -336,24 +290,19 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
         rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
         sample = sample_design(spec, n, rng)
         noise = rng.standard_normal(n)
+        if estimator.kind == "pinsker-data-driven":
+            sel = data_driven_gamma(sample, tc, sigma, rho, alpha=alpha)
+            gamma, m = sel.gamma_hat, sel.split_m
+        else:
+            gamma, m = _fixed_or_oracle_gamma(model, estimator, n), n
+        fit_sample = sample.subset(slice(m))
+        cov = empirical_covariance(fit_sample)
+        w = pinsker_weights(gamma, tc)
 
         def run(theta):
             y = sample.inner_products(theta) + sigma * noise
-            if estimator.kind == "pinsker-data-driven":
-                sel = data_driven_gamma(sample, y, tc, sigma, rho, alpha=alpha)
-                gamma = sel.gamma_hat
-                fit_sample = sample.subset(slice(sel.split_m))
-                fit_y = y[: sel.split_m]
-            else:
-                gamma = estimator.gamma
-                if gamma is None:
-                    gamma = pinsker_gamma_oracle(power_lambda_profile(alpha), tc, sigma, n)
-                fit_sample, fit_y = sample, y
-            support = _active_count(gamma, tc.beta, None) if gamma > 0 else model.coeff_budget
-            w = pinsker_weights(gamma, tc, max(support, 1))
-            fit = flr_pinsker_fit(fit_sample, fit_y, w, rho, alpha=alpha)
-            diff = fit.estimate - fourier_function(theta, spec.grid_size)
-            return norm(diff, 2) ** 2
+            fit = flr_pinsker_fit(fit_sample, y[:m], w, rho, alpha=alpha, cov=cov)
+            return norm(fit.estimate - fourier_function(theta, spec.grid_size), 2) ** 2
 
         return run
 
@@ -381,20 +330,18 @@ def gamma_consistency_study(
     n_grid,
     reps: int,
     seed: int,
-    theta_mode: str = "least-favorable",
 ) -> GammaConsistencyReport:
-    """Relative error of the data-driven gamma against the oracle, per n."""
+    """Relative error of the data-driven gamma against the oracle, per n. The
+    selector reads only designs, so no responses are drawn."""
     lam = power_lambda_profile(spec.alpha)
     medians, all_errors, oracles = [], [], []
     for n in n_grid:
         gamma_n = pinsker_gamma_oracle(lam, theta_class, sigma, n)
-        theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
         errs = np.empty(reps)
         for rep in range(reps):
             rng = derive_rng(seed, f"gamma-n{n}", rep)
             sample = sample_design(spec, n, rng)
-            y = simulate_flr_responses(sample, theta, sigma, rng)
-            sel = data_driven_gamma(sample, y, theta_class, sigma, rho, alpha=spec.alpha)
+            sel = data_driven_gamma(sample, theta_class, sigma, rho, alpha=spec.alpha)
             errs[rep] = abs(sel.gamma_hat - gamma_n) / gamma_n
         medians.append(float(np.median(errs)))
         all_errors.append(errs)
@@ -597,8 +544,7 @@ def pinsker_decomposition_draws(
     lam = power_lambda_profile(alpha)
     if gamma is None:
         gamma = pinsker_gamma_oracle(lam, theta_class, sigma, n)
-    support = max(_active_count(gamma, theta_class.beta, None), 1)
-    weights = pinsker_weights(gamma, theta_class, support)
+    weights = pinsker_weights(gamma, theta_class)
     theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
     theta_grid = fourier_function(theta, spec.grid_size)
 

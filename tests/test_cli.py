@@ -89,6 +89,35 @@ class TestConfigParsing:
         assert cfg.estimator.rho is not None
         assert cfg.threads == 1
 
+    def test_pinsker_fixed_needs_positive_gamma(self, tmp_path, capsys):
+        for extra in ("", "gamma = 0\n", "gamma = -0.1\n"):
+            text = BASE.replace("kind = pinsker-oracle\n", "kind = pinsker-fixed\n" + extra)
+            path = write_config(tmp_path, text)
+            with pytest.raises(ConfigError, match="pinsker-fixed needs a gamma > 0"):
+                load_config(path)
+            assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert "gamma > 0" in capsys.readouterr().err
+        path = write_config(tmp_path, BASE.replace("kind = pinsker-oracle\n",
+                                                   "kind = pinsker-fixed\ngamma = 0.05\n"))
+        assert load_config(path).estimator.gamma == 0.05
+
+    def test_gamma_only_for_pinsker_fixed(self, tmp_path):
+        for kind in ("pinsker-oracle", "pinsker-data-driven", "cutoff", "zero"):
+            text = BASE.replace("beta = 2.0", "beta = 4.0").replace(
+                "kind = pinsker-oracle\n", f"kind = {kind}\ngamma = 0.05\n")
+            with pytest.raises(ConfigError, match="only for pinsker-fixed"):
+                load_config(write_config(tmp_path, text))
+
+    def test_smoothness_checked_against_alpha(self, tmp_path):
+        # beta > (alpha + 1)/2 always; beta > alpha + 3/2 for the plug-in route
+        rough = BASE.replace("beta = 2.0", "beta = 1.5")
+        with pytest.raises(ConfigError, match="beta > \\(alpha\\+1\\)/2"):
+            load_config(write_config(tmp_path, rough))
+        plug_in = BASE.replace("kind = pinsker-oracle", "kind = pinsker-data-driven")
+        with pytest.raises(ConfigError, match="plug-in mode needs beta > alpha \\+ 3/2"):
+            load_config(write_config(tmp_path, plug_in))
+        assert load_config(write_config(tmp_path, plug_in.replace("beta = 2.0", "beta = 4.0")))
+
     def test_bad_value_type(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("sigma = 1.0", "sigma = abc"))
         with pytest.raises(ConfigError) as err:

@@ -16,7 +16,8 @@ from flrlab import (
     true_covariance,
 )
 from flrlab.covariance import CovOperator, empirical_covariance
-from flrlab.function_space import Basis, trapezoid_weights
+from flrlab.designs import DesignSample
+from flrlab.function_space import Basis, fourier_function, pairwise_inner, trapezoid_weights
 
 
 def quadrature_apply(sample, f: GridFunction) -> np.ndarray:
@@ -86,6 +87,46 @@ class TestEmpiricalCovariance:
         weighted = fs * w
         quad = np.einsum("id,de,ie->i", weighted, op.kernel, weighted)
         assert np.min(quad) >= -1e-10
+
+
+class TestCoefficientView:
+    """Operators of basis-expansion samples answer from their coefficients."""
+
+    def test_eigen_coefficients_of_fourier_vector(self, default_spec, monkeypatch):
+        for n in (30, 300):                      # expansion J = 60 and J = 128
+            s = sample_basis_design(default_spec, n, 19)
+            op = empirical_covariance(s)
+            r = op.rank
+            for count in (5, 64, 200):
+                theta = np.random.default_rng(count).standard_normal(count)
+                grid = op.eigen_coefficients(fourier_function(theta, s.grid_size), count=r)
+                with monkeypatch.context() as m:
+                    m.setattr(DesignSample, "values",
+                              property(lambda self: pytest.fail("grid materialized")))
+                    exact = op.eigen_coefficients(theta, count=r)
+                padded = np.zeros(op.coeff_vectors.shape[0])
+                padded[: min(count, padded.size)] = theta[: padded.size]
+                assert np.array_equal(exact, op.coeff_vectors[:, :r].T @ padded)
+                assert np.max(np.abs(exact - grid)) <= 1e-12 * np.linalg.norm(grid)
+
+    def test_grid_only_operator_renders_fourier_vector(self, small_spec):
+        s = sample_basis_design(small_spec, 20, 23)
+        dual = empirical_covariance(s, method="dual")
+        assert dual.coeff_vectors is None and dual.coeff_basis is None
+        theta = np.random.default_rng(1).standard_normal(12)
+        assert np.array_equal(dual.eigen_coefficients(theta, count=5),
+                              dual.eigen_coefficients(fourier_function(theta, 256), count=5))
+
+    def test_design_products_match_grid(self, small_spec):
+        s = sample_basis_design(small_spec, 200, 29)
+        op = empirical_covariance(s)
+        grid = pairwise_inner(s.values, op.eigenfunctions.functions[:40])
+        q = op.design_products(s, 40)
+        assert np.array_equal(q, s.coeffs @ op.coeff_vectors[:, :40])
+        assert np.max(np.abs(q - grid)) <= 1e-12 * np.max(np.abs(grid))
+        grid_only = DesignSample(n=s.n, grid_size=s.grid_size, spec=s.spec, seed=None,
+                                 values=s.values)
+        assert np.array_equal(op.design_products(grid_only, 40), grid)
 
 
 class TestSqrtApply:

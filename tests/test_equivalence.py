@@ -176,6 +176,19 @@ class TestCoefficientRoute:
             # modes beyond the expansion are orthogonal to every design
             assert np.linalg.norm(y - y_grid) <= 1e-12 * np.linalg.norm(y_grid)
 
+    def test_gram_transform_without_grid(self, monkeypatch):
+        # full rank (n = 40 < J = 80): Q = C U, also inside the determinant fix
+        s = sample_basis_design(DesignSpec(kind="basis-expansion", alpha=2.0), 40, 44)
+        grid_values = s.coeffs @ s.basis_matrix
+        monkeypatch.setattr(DesignSample, "values",
+                            property(lambda self: pytest.fail("grid materialized")))
+        cov = empirical_covariance(s)
+        t = build_gram_transform(s, cov)
+        w = trapezoid_weights(s.grid_size)
+        grid_a = ((grid_values * w) @ cov.eigenfunctions.functions.T) / t.dvec
+        assert np.linalg.norm(t.a - grid_a) <= 1e-12 * np.linalg.norm(grid_a)
+        assert np.linalg.det(t.a) == pytest.approx(1.0, abs=1e-10)
+
 
 class TestConditionalLikelihood:
     def test_zero_residual_value(self, small_spec):

@@ -57,10 +57,35 @@ class TestMiseMonteCarlo:
         assert abs(ratio - math.sqrt(2.0)) <= 0.2 * math.sqrt(2.0)
 
     def test_threads_do_not_change_results(self):
-        est = EstimatorConfig(kind="pinsker-oracle")
-        a = mise_monte_carlo(seq_model(), est, 20, 5, threads=1)
-        b = mise_monte_carlo(seq_model(), est, 20, 5, threads=4)
-        assert np.array_equal(a.mise, b.mise)
+        rho = default_rho(2.0)
+        for model, est, reps in (
+            (seq_model(), EstimatorConfig(kind="pinsker-oracle"), 20),
+            (flr_model(n_grid=(64,)), EstimatorConfig(kind="cutoff"), 6),
+            (flr_model(n_grid=(64,)), EstimatorConfig(kind="pinsker-data-driven", rho=rho), 6),
+        ):
+            a = mise_monte_carlo(model, est, reps, 5, threads=1)
+            b = mise_monte_carlo(model, est, reps, 5, threads=4)
+            assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
+
+    def test_panel_shares_each_replications_covariance(self, monkeypatch):
+        # data-driven Pinsker: one training and one fitting operator per
+        # replication, however many test functions the panel holds
+        import flrlab.estimators
+        import flrlab.risk
+        from flrlab.covariance import empirical_covariance
+
+        calls = []
+
+        def counting(sample, **kwargs):
+            calls.append(sample.n)
+            return empirical_covariance(sample, **kwargs)
+
+        monkeypatch.setattr(flrlab.estimators, "empirical_covariance", counting)
+        monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting)
+        est = EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0))
+        report = mise_monte_carlo(flr_model(mode="worst-case", n_grid=(200,)), est, 3, 2)
+        assert len(report.worst_labels) == 1
+        assert len(calls) == 2 * 3
 
     def test_seed_determinism(self):
         est = EstimatorConfig(kind="cutoff")
