@@ -227,14 +227,14 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     rho = est.rho
     lam = power_lambda_profile(model.alpha)
     plan: dict = {"estimator": est.kind, "rho": rho}
+    oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     if est.kind == "pinsker-data-driven":
         sel = data_driven_gamma(sample, model.theta_class, model.sigma, rho, alpha=model.alpha)
         gamma = sel.gamma_hat
         fit_sample, fit_y = sample.subset(slice(sel.split_m)), y[: sel.split_m]
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
     elif est.kind in ("pinsker-oracle", "pinsker-fixed"):
-        gamma = est.gamma if est.gamma is not None else pinsker_gamma_oracle(
-            lam, model.theta_class, model.sigma, n)
+        gamma = oracle_gamma if est.gamma is None else est.gamma
         fit_sample, fit_y = sample, y
     else:
         raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
@@ -245,7 +245,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     plan.update(
         gamma=gamma,
         weights=[float(w) for w in weights],
-        sharp_risk=sharp_risk_constant(lam, model.theta_class, model.sigma, n),
+        sharp_risk=sharp_risk_constant(lam, model.theta_class, model.sigma, n, gamma=oracle_gamma),
         support_cap=fit.support_cap,
         cap_binding=fit.cap_binding,
     )

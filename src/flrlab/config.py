@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,13 +45,13 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.kind not in ("sequence", "flr"):
-            raise SpecValidationError(f"unknown model kind {self.kind!r}")
+            raise SpecValidationError(f"unknown model kind {self.kind!r}", "kind")
         if self.kind == "flr" and self.design is None:
             raise SpecValidationError("flr models need a design spec")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
-            raise SpecValidationError("n_grid must hold sample sizes >= 2")
+            raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
         if self.sigma < 0:
-            raise SpecValidationError("sigma must be >= 0")
+            raise SpecValidationError("sigma must be >= 0", "sigma")
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,15 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise SpecValidationError(
-                f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}"
+                f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}", "kind"
             )
         if self.kind != "pinsker-fixed":
             if self.gamma is not None:
-                raise SpecValidationError(f"gamma is set only for pinsker-fixed, not {self.kind}")
+                raise SpecValidationError(f"gamma is set only for pinsker-fixed, not {self.kind}",
+                                          "gamma")
         elif self.gamma is None or not self.gamma > 0:
-            raise SpecValidationError(f"pinsker-fixed needs a gamma > 0, got {self.gamma}")
+            raise SpecValidationError(f"pinsker-fixed needs a gamma > 0, got {self.gamma}",
+                                      "gamma")
 
 
 class ConfigError(ValueError):
@@ -84,9 +87,10 @@ class ConfigError(ValueError):
         super().__init__(where + message)
 
 
-def _parse_flat(text: str, path: str) -> dict:
-    """sections -> {key: (value string, line number)}"""
+def _parse_flat(text: str, path: str) -> tuple[dict, dict]:
+    """(sections -> {key: (value string, line number)}, sections -> header line)"""
     sections: dict = {}
+    headers: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -99,6 +103,7 @@ def _parse_flat(text: str, path: str) -> dict:
             if name in sections:
                 raise ConfigError(f"duplicate section [{name}]", path, lineno)
             sections[name] = {}
+            headers[name] = lineno
             current = name
             continue
         if "=" not in line:
@@ -111,7 +116,7 @@ def _parse_flat(text: str, path: str) -> dict:
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in [{current}]", path, lineno)
         sections[current][key] = (value, lineno)
-    return sections
+    return sections, headers
 
 
 def _float(v: str) -> float:
@@ -196,13 +201,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    sections = _parse_flat(text, str(path))
+    sections, headers = _parse_flat(text, str(path))
+
+    def line_of(section: str, key: str | None = None) -> int | None:
+        """Line of the key, else of its section header; None without the section."""
+        entries = sections.get(section, {})
+        return entries[key][1] if key in entries else headers.get(section)
+
+    @contextmanager
+    def rejecting_in(section: str):
+        """Report a record's validation error at the line of the rejected key."""
+        try:
+            yield
+        except SpecValidationError as exc:
+            raise ConfigError(str(exc), str(path), line_of(section, exc.field)) from None
 
     values: dict = {}
     for name, entries in sections.items():
         if name not in _SCHEMA:
-            first_line = min(ln for _, ln in entries.values()) if entries else None
-            raise ConfigError(f"unknown section [{name}]", str(path), first_line)
+            raise ConfigError(f"unknown section [{name}]", str(path), headers[name])
         values[name] = {}
         for key, (raw, lineno) in entries.items():
             if key not in _SCHEMA[name]:
@@ -214,30 +231,32 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for name, keys in _REQUIRED.items():
         for key in keys:
             if key not in values.get(name, {}):
-                raise ConfigError(f"missing required key {key!r} in [{name}]", str(path))
+                raise ConfigError(f"missing required key {key!r} in [{name}]", str(path),
+                                  line_of(name))
 
     def get(section, key, default=None):
         return values.get(section, {}).get(key, default)
 
-    try:
-        model_kind = get("model", "kind", "flr")
-        design = None
-        if model_kind == "flr":
+    model_kind = get("model", "kind", "flr")
+    design = None
+    alpha = get("design", "alpha", 2.0)
+    if model_kind == "flr":
+        with rejecting_in("design"):
             design = DesignSpec(
                 kind=get("design", "kind", "basis-expansion"),
-                alpha=get("design", "alpha", 2.0),
+                alpha=alpha,
                 j_truncation=get("design", "j_truncation"),
                 grid_size=get("design", "grid_size", 1024),
             )
-            alpha = design.alpha
-        else:
-            alpha = get("design", "alpha", 2.0)
+    est_kind = get("estimator", "kind", "pinsker-oracle")
+    with rejecting_in("theta"):
         theta_class = ThetaClass(beta=get("theta", "beta"), c_theta=get("theta", "c_theta"))
-        est_kind = get("estimator", "kind", "pinsker-oracle")
         theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
-        theta_mode = get("theta", "mode", "boundary")
-        if theta_mode not in _THETA_MODES:
-            raise SpecValidationError(f"unknown theta mode {theta_mode!r}")
+    theta_mode = get("theta", "mode", "boundary")
+    if theta_mode not in _THETA_MODES:
+        raise ConfigError(f"unknown theta mode {theta_mode!r}", str(path),
+                          line_of("theta", "mode"))
+    with rejecting_in("model"):
         model = ModelConfig(
             kind=model_kind,
             alpha=alpha,
@@ -248,30 +267,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
             design=design,
             coeff_budget=get("model", "coeff_budget", 64),
         )
-        rho = get("estimator", "rho")
-        if rho is None and est_kind.startswith("pinsker"):
-            rho = default_rho(alpha)
+    if not math.isfinite(model.sigma):
+        raise ConfigError("model.sigma must be finite", str(path), line_of("model", "sigma"))
+    rho = get("estimator", "rho")
+    if rho is None and est_kind.startswith("pinsker"):
+        rho = default_rho(alpha)
+    with rejecting_in("estimator"):
         estimator = EstimatorConfig(
             kind=est_kind,
             rho=rho,
             gamma=get("estimator", "gamma"),
             cutoff_constant=get("estimator", "cutoff_constant", 1.0),
         )
-    except SpecValidationError as exc:
-        raise ConfigError(str(exc), str(path))
 
     reps = get("run", "reps", 2)
     threads = get("run", "threads", 1)
     level = get("run", "level", 0.05)
     if reps < 2:
-        raise ConfigError("run.reps must be >= 2", str(path),
-                          sections.get("run", {}).get("reps", (None, None))[1])
+        raise ConfigError("run.reps must be >= 2", str(path), line_of("run", "reps"))
     if threads < 1:
-        raise ConfigError("run.threads must be >= 1", str(path))
+        raise ConfigError("run.threads must be >= 1", str(path), line_of("run", "threads"))
     if not 0.0 < level < 1.0:
-        raise ConfigError("run.level must lie in (0, 1)", str(path))
-    if not math.isfinite(model.sigma):
-        raise ConfigError("model.sigma must be finite", str(path))
+        raise ConfigError("run.level must lie in (0, 1)", str(path), line_of("run", "level"))
     return ExperimentConfig(
         model=model,
         estimator=estimator,

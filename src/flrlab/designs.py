@@ -85,16 +85,18 @@ class DesignSpec:
 
     def __post_init__(self):
         if self.kind not in (KIND_BASIS, KIND_GAUSSIAN):
-            raise SpecValidationError(f"unknown design kind {self.kind!r}")
+            raise SpecValidationError(f"unknown design kind {self.kind!r}", "kind")
         if self.alpha < 2.0:
-            raise SpecValidationError(f"eigenvalue decay exponent must be >= 2, got {self.alpha}")
+            raise SpecValidationError(f"eigenvalue decay exponent must be >= 2, got {self.alpha}",
+                                      "alpha")
         if self.kind == KIND_BASIS:
             self.coefficient_law.validate()
             if self.j_truncation is not None and self.j_truncation < 1:
-                raise SpecValidationError("j_truncation must be >= 1")
+                raise SpecValidationError("j_truncation must be >= 1", "j_truncation")
         else:
             if abs(self.alpha - 2.0) > 1e-12:
-                raise SpecValidationError("integrated-gaussian designs have decay exponent 2")
+                raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
+                                          "alpha")
             sig = self.sigma_x if self.sigma_x is not None else None
             if sig is not None:
                 if sig.grid_size != self.grid_size:

@@ -10,7 +10,15 @@ class ResolutionError(ValueError):
 
 
 class SpecValidationError(ValueError):
-    """A specification object (design spec, config, ...) fails validation."""
+    """A specification object (design spec, config, ...) fails validation.
+
+    ``field`` names the rejected field when one is to blame, so a config
+    loader can point at the line that set it.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DegenerateDesignError(RuntimeError):

@@ -2,8 +2,9 @@
 
 The target class is the ellipsoid sum_k (1 + k^(2 beta)) theta_k^2 <= C. The
 Pinsker machinery consists of the oracle shrinkage level gamma_n (unique zero
-of a piecewise-linear balance equation), the weights w_k = (1 - gamma b_k)_+
-with b_k = (1 + k^(2 beta))^(1/2), the sharp risk constant a_n, a regression
+of a piecewise-linear balance equation, solved in closed form on the linear
+piece that holds it), the weights w_k = (1 - gamma b_k)_+ with
+b_k = (1 + k^(2 beta))^(1/2), the sharp risk constant a_n, a regression
 plug-in estimator that never touches the true operator, and a data-driven
 selector of gamma based on a training split.
 """
@@ -35,9 +36,9 @@ class ThetaClass:
 
     def __post_init__(self):
         if self.beta <= 0.5:
-            raise SpecValidationError("smoothness exponent must exceed 1/2")
+            raise SpecValidationError("smoothness exponent must exceed 1/2", "beta")
         if self.c_theta <= 0:
-            raise SpecValidationError("ellipsoid radius must be positive")
+            raise SpecValidationError("ellipsoid radius must be positive", "c_theta")
 
     def beta_k(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)
@@ -53,11 +54,12 @@ class ThetaClass:
         beta > alpha + 3/2 when the plug-in (unknown-design) route is used."""
         if self.beta <= (alpha + 1.0) / 2.0:
             raise SpecValidationError(
-                f"need beta > (alpha+1)/2 = {(alpha + 1) / 2}, got beta={self.beta}"
+                f"need beta > (alpha+1)/2 = {(alpha + 1) / 2}, got beta={self.beta}", "beta"
             )
         if plug_in and self.beta <= alpha + 1.5:
             raise SpecValidationError(
-                f"plug-in mode needs beta > alpha + 3/2 = {alpha + 1.5}, got beta={self.beta}"
+                f"plug-in mode needs beta > alpha + 3/2 = {alpha + 1.5}, got beta={self.beta}",
+                "beta",
             )
 
 
@@ -200,57 +202,49 @@ def pinsker_gamma_oracle(
     theta_class: ThetaClass,
     sigma: float,
     n: int,
-    tol: float = 1e-10,
 ) -> float:
-    """Unique zero of Phi_1(x) - Phi_2(x).
+    """Unique zero of Phi_1(x) - Phi_2(x), in closed form on its linear piece.
 
-    Phi_1(x) = sum lambda_k^-1 b_k (1 - x b_k)_+ is non-increasing with finitely
-    many active terms for x > 0; Phi_2(x) = c_theta x n / sigma^2 is strictly
-    increasing. Bisection brackets the root, then the zero is solved in closed
-    form on the bracketed linear piece.
+    Phi_1(x) = sum lambda_k^-1 b_k (1 - x b_k)_+ is linear between breakpoints
+    1/b_k; Phi_2(x) = s x with s = c_theta n / sigma^2. With S1(K), S2(K) the
+    sums of b_k/lambda_k and b_k^2/lambda_k over k <= K, Phi_1 - Phi_2 at
+    1/b_{K+1} is S1(K) - (S2(K) + s)/b_{K+1}; the root lies on the piece of the
+    first K where that is >= 0 (else the cap of a finite profile) and equals
+    S1(K)/(S2(K) + s). A callable profile is searched in doubling blocks.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     if sigma <= 0 or n < 1:
         raise ValueError("need sigma > 0 and n >= 1")
     lam_fn, k_cap = _as_lambda_fn(lambdas)
-    beta = theta_class.beta
     slope2 = theta_class.c_theta * n / sigma**2
 
-    def phi(x: float) -> float:
-        kk = _active_count(x, beta, k_cap)
-        if kk == 0:
-            return -slope2 * x
-        ks = np.arange(1, kk + 1, dtype=float)
+    size = k_cap or 64
+    while True:
+        ks = np.arange(1, size + 1, dtype=float)
         b = theta_class.beta_k(ks)
         lam = lam_fn(ks)
-        return float(np.sum(b * (1.0 - x * b) / lam)) - slope2 * x
+        at_break = np.cumsum(b / lam)[:-1] - (np.cumsum(b * b / lam)[:-1] + slope2) / b[1:]
+        hits = np.flatnonzero(at_break >= 0.0)
+        if hits.size or k_cap is not None:
+            kk = int(hits[0]) + 1 if hits.size else size
+            break
+        if size >= 1 << 20:
+            raise ArithmeticError(f"Phi_1 - Phi_2 stays negative on the first {size} breakpoints")
+        size *= 2
+    bk, lk = b[:kk], lam[:kk]
+    gamma = float(np.sum(bk / lk)) / (float(np.sum(bk * bk / lk)) + slope2)
 
-    lo, hi = 0.0, 1.0 / theta_class.beta_k(1)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-
-    # Closed form on the active set of the bracket midpoint.
-    mid = 0.5 * (lo + hi)
-    kk = _active_count(mid, beta, k_cap)
-    if kk >= 1:
-        ks = np.arange(1, kk + 1, dtype=float)
-        b = theta_class.beta_k(ks)
-        lam = lam_fn(ks)
-        num = float(np.sum(b / lam))
-        den = float(np.sum(b * b / lam)) + slope2
-        candidate = num / den
-        if lo <= candidate <= hi and _active_count(candidate, beta, k_cap) == kk:
-            mid = candidate
-    if abs(phi(mid)) > tol:
+    # Residual on gamma's own active set (kk or kk + 1 terms, all in b), relative
+    # to sum b/lambda there; the first term vanishes at its breakpoint, so it stays.
+    kg = max(_active_count(gamma, theta_class.beta, k_cap), 1)
+    bg, lg = b[:kg], lam[:kg]
+    resid = float(np.sum(bg * (1.0 - gamma * bg) / lg)) - slope2 * gamma
+    rel = abs(resid) / float(np.sum(bg / lg))
+    if not rel <= 1e-12:
         raise ArithmeticError(
-            f"gamma solver left a residual {phi(mid):.3e} above tol {tol:.3e}"
+            f"Pinsker level left a relative residual {rel:.3e} at n={n}, sigma={sigma}, "
+            f"c_theta={theta_class.c_theta}, beta={theta_class.beta}, active count {kk}"
         )
-    return mid
+    return gamma
 
 
 def sharp_risk_constant(
@@ -309,19 +303,22 @@ def flr_pinsker_fit(
     """Weighted spectral estimator from regression data only.
 
     theta-hat = sum_j w_j [(1/n) sum_l Y_l <X_l, phi-hat_j>] phi-hat_j / lam_j,rho
-    with lam_j,rho = max(lam-hat_j, n^-rho). With alpha given, the support cap
-    k <= n^(rho/alpha)/log n is enforced only down to the weight support it
-    would otherwise truncate; when the raw cap binds this is flagged, since at
-    moderate n it would zero out every weight.
+    with lam_j,rho = max(lam-hat_j, n^-rho). Weights must be non-negative.
+    With alpha given, the support cap k <= n^(rho/alpha)/log n is reported,
+    not applied: ``support_cap`` is the raw cap raised to the weight support,
+    and ``cap_binding`` flags when the raw cap falls below that support, since
+    at moderate n it would zero out every weight.
     """
     validate_rho(rho, alpha)
     y = np.asarray(responses, dtype=float)
     if y.shape != (sample.n,):
         raise ValueError(f"expected {sample.n} responses, got {y.shape}")
+    w = np.asarray(weights, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("weights must be non-negative")
     if cov is None:
         cov = empirical_covariance(sample)
     n = sample.n
-    w = np.asarray(weights, dtype=float)
 
     support = int(np.max(np.nonzero(w > 0.0)[0]) + 1) if np.any(w > 0.0) else 0
     cap = None
@@ -336,15 +333,12 @@ def flr_pinsker_fit(
     lam = cov.eigenvalues[:k]
     lam_floor = np.maximum(lam, float(n) ** (-rho))
     proj = cov.design_products(sample, k).T @ y / n
-    wk = w[:k].copy()
-    if cap is not None:
-        wk[cap:] = 0.0
-    coeffs = wk * proj / lam_floor
+    coeffs = w[:k] * proj / lam_floor
     estimate = GridFunction(coeffs @ cov.eigenfunctions.functions[:k])
     return PinskerFit(
         estimate=estimate,
         coefficients=coeffs,
-        weights=wk,
+        weights=w[:k],
         floored=lam < float(n) ** (-rho),
         support_cap=cap,
         cap_binding=binding,
@@ -373,7 +367,6 @@ def data_driven_gamma(
     theta_class: ThetaClass,
     sigma: float,
     rho: float,
-    tol: float = 1e-10,
     *,
     alpha: float | None = None,
 ) -> GammaSelection:
@@ -381,8 +374,9 @@ def data_driven_gamma(
 
     The estimation half keeps the first m = ceil(n (1 - 1/log n)) pairs; the
     training remainder yields empirical eigenvalues, floored at n^-rho, whose
-    balance equation is solved for gamma-tilde. The final selector is the
-    median of gamma-tilde and the two deterministic guard rails. It reads
+    balance equation ``pinsker_gamma_oracle`` solves for gamma-tilde in the
+    same closed form as the oracle level. The final selector is the median
+    of gamma-tilde and the two deterministic guard rails. It reads
     only the training designs, never the responses, so one selection serves
     every response vector drawn on the same sample.
     """
@@ -405,7 +399,7 @@ def data_driven_gamma(
         out[inside] = np.maximum(lam_hat[ks[inside] - 1], floor)
         return out
 
-    gamma_tilde = pinsker_gamma_oracle(floored, theta_class, sigma, n, tol)
+    gamma_tilde = pinsker_gamma_oracle(floored, theta_class, sigma, n)
     b = theta_class.beta
     rail_a = float(n) ** (-b / (3.0 * b + 1.0))
     rail_b = float(n) ** (-b / (2.0 * b + 1.0))

@@ -108,7 +108,8 @@ def tv_bound(mean_sq_delta: float, sigma: float) -> float:
 # ----------------------------------------------------------------------------
 
 
-def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_seed: int):
+def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_seed: int,
+                 oracle_gamma: float | None):
     """Test functions evaluated at sample size n, as (label, coefficients) pairs."""
     lam = power_lambda_profile(model.alpha)
     count = model.coeff_budget
@@ -125,7 +126,7 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
         ("boundary", sample_theta(tc, "boundary", lam, model.sigma, n, 0, count=count)),
         ("least-favorable", sample_theta(tc, "least-favorable", lam, model.sigma, n, 0, count=count)),
     ]
-    vertex = _default_vertex(model, estimator, n)
+    vertex = _default_vertex(model, estimator, n, oracle_gamma)
     panel.append((f"vertex-{vertex}", sample_theta(tc, "vertex", lam, model.sigma, n, 0,
                                                    count=count, vertex_index=vertex)))
     for i in range(8):
@@ -134,16 +135,15 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
     return panel
 
 
-def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int) -> int:
+def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
+                    oracle_gamma: float | None) -> int:
     """First coordinate the estimator cannot see: just past its cutoff or support."""
     if estimator.kind == "cutoff":
         m = n // 2 if estimator.split_for_cutoff else n
         k = select_cutoff(m, model.alpha, model.theta_class.beta,
                           constant=estimator.cutoff_constant)
         return min(k + 1, model.coeff_budget)
-    gamma = pinsker_gamma_oracle(power_lambda_profile(model.alpha),
-                                 model.theta_class, model.sigma, n)
-    return min(pinsker_weights(gamma, model.theta_class).size + 1, model.coeff_budget)
+    return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, model.coeff_budget)
 
 
 def mise_monte_carlo(
@@ -159,18 +159,21 @@ def mise_monte_carlo(
     Deterministic given the seed (independent of thread count); within each
     replication every test function sees the same designs and noise (common
     random numbers), so worst-case maximization is stable and the
-    per-replication work is shared.
+    per-replication work is shared. The oracle Pinsker level is solved once
+    per n, for every estimator but the cutoff one.
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
     mise, stderr, ratios, labels = [], [], [], []
     lam_profile = power_lambda_profile(model.alpha)
     for n in model.n_grid:
-        panel = _theta_panel(model, estimator, n, seed)
+        oracle_gamma = None if estimator.kind == "cutoff" else pinsker_gamma_oracle(
+            lam_profile, model.theta_class, model.sigma, n)
+        panel = _theta_panel(model, estimator, n, seed, oracle_gamma)
         errs = np.empty((len(panel), reps))
 
         def run_rep(rep: int) -> None:
-            ctx = _make_rep_context(model, estimator, n, seed, rep)
+            ctx = _make_rep_context(model, estimator, n, seed, rep, oracle_gamma)
             for t_idx, (_, theta) in enumerate(panel):
                 errs[t_idx, rep] = ctx(theta)
 
@@ -181,7 +184,8 @@ def mise_monte_carlo(
         stderr.append(float(errs[best].std(ddof=1) / math.sqrt(reps)))
         labels.append(panel[best][0])
         if estimator.kind.startswith("pinsker"):
-            a_n = sharp_risk_constant(lam_profile, model.theta_class, model.sigma, n)
+            a_n = sharp_risk_constant(lam_profile, model.theta_class, model.sigma, n,
+                                      gamma=oracle_gamma)
             ratios.append(mise[-1] / a_n if a_n > 0 else math.inf)
     mise = np.array(mise)
     stderr = np.array(stderr)
@@ -208,25 +212,19 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _make_rep_context(model, estimator, n, master_seed, rep):
+def _make_rep_context(model, estimator, n, master_seed, rep, oracle_gamma):
     """One replication's data, closed over so every test function reuses it."""
     if estimator.kind == "zero":
         return lambda theta: float(np.sum(theta**2))
     if estimator.kind == "oracle":
         return lambda theta: 0.0
+    gamma = oracle_gamma if estimator.gamma is None else estimator.gamma
     if model.kind == "sequence":
-        return _sequence_rep_context(model, estimator, n, master_seed, rep)
-    return _flr_rep_context(model, estimator, n, master_seed, rep)
+        return _sequence_rep_context(model, estimator, n, master_seed, rep, gamma)
+    return _flr_rep_context(model, estimator, n, master_seed, rep, gamma)
 
 
-def _fixed_or_oracle_gamma(model, estimator, n) -> float:
-    if estimator.gamma is not None:
-        return estimator.gamma
-    return pinsker_gamma_oracle(power_lambda_profile(model.alpha), model.theta_class,
-                                model.sigma, n)
-
-
-def _sequence_rep_context(model, estimator, n, master_seed, rep):
+def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     budget = max(model.coeff_budget, default_frequency_budget(n, alpha, tc.beta))
     ks = np.arange(1, budget + 1, dtype=float)
@@ -251,7 +249,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
         return run
 
     if estimator.kind in ("pinsker-oracle", "pinsker-fixed"):
-        w = pinsker_weights(_fixed_or_oracle_gamma(model, estimator, n), tc, budget)
+        w = pinsker_weights(gamma, tc, budget)
         eps = sigma / math.sqrt(n)
 
         def run(theta):
@@ -264,7 +262,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep):
     raise ValueError(f"estimator {estimator.kind!r} is not defined in the sequence model")
 
 
-def _flr_rep_context(model, estimator, n, master_seed, rep):
+def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     spec = model.design
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     rng = derive_rng(master_seed, f"flr-n{n}", rep)
@@ -294,7 +292,7 @@ def _flr_rep_context(model, estimator, n, master_seed, rep):
             sel = data_driven_gamma(sample, tc, sigma, rho, alpha=alpha)
             gamma, m = sel.gamma_hat, sel.split_m
         else:
-            gamma, m = _fixed_or_oracle_gamma(model, estimator, n), n
+            m = n
         fit_sample = sample.subset(slice(m))
         cov = empirical_covariance(fit_sample)
         w = pinsker_weights(gamma, tc)

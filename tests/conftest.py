@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from flrlab import DesignSpec, ThetaClass, sample_basis_design
 from flrlab.covariance import empirical_covariance
+
+# Property tests draw the same examples on every run and leave no example
+# database behind, so the suite stays deterministic.
+settings.register_profile("flrlab", derandomize=True, database=None, deadline=None)
+settings.load_profile("flrlab")
 
 
 @pytest.fixture(scope="session")

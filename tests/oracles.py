@@ -1,14 +1,15 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the package's own solution paths: the
-minimax oracle runs a constrained optimizer over prior profiles, and the
-kernel eigen-solver diagonalizes the quadrature-symmetrized kernel directly.
+minimax oracle runs a constrained optimizer over prior profiles, the Pinsker
+level is a generic bracketing root search, and the kernel eigen-solver
+diagonalizes the quadrature-symmetrized kernel directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 
 def brute_force_linear_minimax(lambdas, beta, c_theta, sigma, n, restarts=8, seed=0):
@@ -39,6 +40,22 @@ def brute_force_linear_minimax(lambdas, beta, c_theta, sigma, n, restarts=8, see
         if res.success:
             best = max(best, -res.fun)
     return best
+
+
+def pinsker_level_brentq(lambdas, beta, c_theta, sigma, n):
+    """Pinsker level on a finite profile by Brent's method on the full balance
+    function sum b_k (1 - x b_k)_+ / lambda_k - c_theta n x / sigma^2 over
+    (0, 1/b_1), to the relative resolution of a double."""
+    lam = np.asarray(lambdas, dtype=float)
+    k = np.arange(1, lam.size + 1, dtype=float)
+    b = np.sqrt(1.0 + k ** (2.0 * beta))
+    slope = c_theta * n / sigma**2
+
+    def balance(x):
+        return float(np.sum(b * np.clip(1.0 - x * b, 0.0, None) / lam)) - slope * x
+
+    return brentq(balance, 0.0, 1.0 / b[0], xtol=1e-300, rtol=4 * np.finfo(float).eps,
+                  maxiter=500)
 
 
 def eigh_quadrature_kernel(kernel: np.ndarray, weights: np.ndarray, count: int):

@@ -118,6 +118,28 @@ class TestConfigParsing:
             load_config(write_config(tmp_path, plug_in))
         assert load_config(write_config(tmp_path, plug_in.replace("beta = 2.0", "beta = 4.0")))
 
+    def test_validation_errors_are_line_referenced(self, tmp_path):
+        # the line of the rejected key, or of its section header when the key
+        # is absent
+        fixed = BASE.replace("kind = pinsker-oracle\n", "kind = pinsker-fixed\ngamma = 0\n")
+        for text, key in (
+            (fixed, "gamma = 0"),
+            (fixed.replace("gamma = 0\n", ""), "[estimator]"),
+            (BASE.replace("c_theta = 1.0", "c_theta = -1.0"), "c_theta = -1.0"),
+            (BASE.replace("beta = 2.0", "beta = 1.5"), "beta = 1.5"),
+            (BASE.replace("sigma = 1.0", "sigma = -1.0"), "sigma = -1.0"),
+            (BASE.replace("mode = boundary", "mode = wavy"), "mode = wavy"),
+            (BASE.replace("alpha = 2.0", "alpha = 1.0"), "alpha = 1.0"),
+            (BASE + "threads = 0\n", "threads = 0"),
+            (BASE + "level = 1.5\n", "level = 1.5"),
+            (BASE.replace("seed = 7\n", ""), "[run]"),
+        ):
+            lines = text.splitlines()
+            path = write_config(tmp_path, text, "fixed0.ini")
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert f"fixed0.ini:{lines.index(key) + 1}:" in str(err.value), (key, str(err.value))
+
     def test_bad_value_type(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("sigma = 1.0", "sigma = abc"))
         with pytest.raises(ConfigError) as err:
@@ -170,6 +192,17 @@ class TestSubcommands:
         assert main(["estimate", "--config", str(path), "--out", str(out)]) == 0
         plan = json.loads((out / "plan.json").read_text())
         assert plan["gamma"] > 0 and plan["sharp_risk"] > 0
+
+    def test_estimate_at_large_signal_to_noise(self, tmp_path):
+        # alpha = 2, beta = 2, c_theta = 50, sigma = 0.1, n = 1e5 once failed
+        # the Pinsker level's absolute residual check and exited 3
+        text = (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 16")
+                .replace("c_theta = 1.0", "c_theta = 50.0")
+                .replace("sigma = 1.0", "sigma = 0.1").replace("n_grid = 25", "n_grid = 100000"))
+        out = tmp_path / "est"
+        assert main(["estimate", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "plan.json").read_text())["gamma"] > 0
 
     def test_risk_outputs_and_plots(self, tmp_path):
         path = write_config(tmp_path, RISK)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from flrlab import (
     DesignSpec,
@@ -26,7 +27,7 @@ from flrlab import (
 from flrlab.estimators import pinsker_sequence_estimator, validate_rho
 from flrlab.function_space import _cached_fourier_matrix, GridFunction
 
-from oracles import brute_force_linear_minimax, ols_slope
+from oracles import brute_force_linear_minimax, ols_slope, pinsker_level_brentq
 
 TOY = ThetaClass(beta=1.0, c_theta=1.0)   # single-coefficient closed forms
 
@@ -160,15 +161,71 @@ class TestGammaOracle:
         lam = power_lambda_profile(2.0)
         tc = ThetaClass(beta=2.0, c_theta=1.0)
         n = 5000
-        gamma = pinsker_gamma_oracle(lam, tc, 1.0, n, tol=1e-10)
+        gamma = pinsker_gamma_oracle(lam, tc, 1.0, n)
         ks = np.arange(1, 200, dtype=float)
         b = tc.beta_k(ks)
         phi1 = np.sum(np.clip(1 - gamma * b, 0, None) * b * ks**2)
         assert abs(phi1 - n * gamma) <= 1e-10
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            pinsker_gamma_oracle([1.0], TOY, 1.0, 1, tol=0.0)
+    def test_matches_brentq_on_random_finite_profiles(self):
+        rng = np.random.default_rng(20)
+        for _ in range(200):
+            lam = np.sort(np.exp(rng.uniform(-12.0, 0.0, int(rng.integers(1, 80)))))[::-1]
+            beta, c = rng.uniform(0.6, 8.0), 10.0 ** rng.uniform(-3.0, 1.7)
+            sigma, n = 10.0 ** rng.uniform(-3.0, 2.0), int(10.0 ** rng.uniform(0.0, 9.0))
+            gamma = pinsker_gamma_oracle(lam, ThetaClass(beta=beta, c_theta=c), sigma, n)
+            ref = pinsker_level_brentq(lam, beta, c, sigma, n)
+            assert abs(gamma - ref) <= 1e-12 * ref
+
+    def test_roadmap_config_solves(self):
+        # alpha = 2, beta = 2, c_theta = 50, sigma = 0.1, n = 1e5: valid, yet an
+        # absolute residual check once rejected it
+        lam = power_lambda_profile(2.0)
+        gamma = pinsker_gamma_oracle(lam, ThetaClass(beta=2.0, c_theta=50.0), 0.1, 100_000)
+        ref = pinsker_level_brentq(lam(np.arange(1, 2001)), 2.0, 50.0, 0.1, 100_000)
+        assert abs(gamma - ref) <= 1e-12 * ref
+
+
+def _relative_residual(gamma, lam_fn, tc, sigma, n):
+    """|Phi_1 - Phi_2| at gamma over sum b/lambda, both on {k : b_k < 1/gamma}."""
+    ks = np.arange(1, int((1.0 / gamma) ** (1.0 / tc.beta)) + 3, dtype=float)
+    b = tc.beta_k(ks)
+    active = b < 1.0 / gamma
+    b, lam = b[active], lam_fn(ks[active])
+    resid = np.sum(b * (1.0 - gamma * b) / lam) - tc.c_theta * n / sigma**2 * gamma
+    return abs(resid) / np.sum(b / lam)
+
+
+# The paper's admissible range: alpha in [2, 6], beta > (alpha + 1)/2,
+# sigma in [1e-3, 100], n in [1, 1e9], c_theta in [1e-3, 50]; scales log-uniform.
+ADMISSIBLE = dict(
+    alpha=st.floats(2.0, 6.0),
+    excess=st.floats(0.0, 6.0, exclude_min=True),
+    log_sigma=st.floats(-3.0, 2.0),
+    log_n=st.floats(0.0, 9.0),
+    log_c=st.floats(-3.0, math.log10(50.0)),
+)
+
+
+def _admissible(alpha, excess, log_sigma, log_c):
+    tc = ThetaClass(beta=(alpha + 1.0) / 2.0 + excess, c_theta=10.0**log_c)
+    return power_lambda_profile(alpha), tc, 10.0**log_sigma
+
+
+class TestGammaOracleProperties:
+    @given(**ADMISSIBLE)
+    def test_in_bracket_with_tiny_relative_residual(self, alpha, excess, log_sigma, log_n, log_c):
+        lam, tc, sigma = _admissible(alpha, excess, log_sigma, log_c)
+        n = max(1, round(10.0**log_n))
+        gamma = pinsker_gamma_oracle(lam, tc, sigma, n)
+        assert 0.0 < gamma < 1.0 / tc.beta_k(1)
+        assert _relative_residual(gamma, lam, tc, sigma, n) <= 1e-12
+
+    @given(log_n2=st.floats(0.0, 9.0), **ADMISSIBLE)
+    def test_non_increasing_in_n(self, alpha, excess, log_sigma, log_n, log_n2, log_c):
+        lam, tc, sigma = _admissible(alpha, excess, log_sigma, log_c)
+        n1, n2 = sorted(max(1, round(10.0**e)) for e in (log_n, log_n2))
+        assert pinsker_gamma_oracle(lam, tc, sigma, n2) <= pinsker_gamma_oracle(lam, tc, sigma, n1)
 
 
 class TestSharpRiskConstant:
@@ -266,12 +323,17 @@ class TestPlugInEstimator:
 
     def test_support_cap_flagged_at_desk_scale(self):
         # the raw high-frequency cap would zero every weight here; it is
-        # flagged and relaxed to the weight support instead
+        # reported, not applied
         s = sample_basis_design(self.SPEC, 200, 2)
         y = np.ones(200)
         fit = flr_pinsker_fit(s, y, np.array([0.9, 0.5, 0.2]), default_rho(2.0), alpha=2.0)
         assert fit.cap_binding
-        assert np.any(fit.weights > 0.0)
+        assert np.array_equal(fit.weights, [0.9, 0.5, 0.2])
+
+    def test_negative_weights_rejected(self):
+        s = sample_basis_design(self.SPEC, 20, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            flr_pinsker_fit(s, np.ones(20), np.array([0.5, -0.1]), default_rho(2.0))
 
 
 class TestDataDrivenGamma:

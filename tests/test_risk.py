@@ -87,6 +87,28 @@ class TestMiseMonteCarlo:
         assert len(report.worst_labels) == 1
         assert len(calls) == 2 * 3
 
+    def test_oracle_level_solved_once_per_n(self, monkeypatch):
+        # one solve in the harness, one more only for the least-favorable
+        # test function, however many replications run
+        import flrlab.estimators
+        import flrlab.risk
+        from flrlab.estimators import pinsker_gamma_oracle
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return pinsker_gamma_oracle(*args)
+
+        monkeypatch.setattr(flrlab.estimators, "pinsker_gamma_oracle", counting)
+        monkeypatch.setattr(flrlab.risk, "pinsker_gamma_oracle", counting)
+        est = EstimatorConfig(kind="pinsker-oracle")
+        for model in (seq_model(mode="least-favorable"), seq_model(mode="worst-case"),
+                      flr_model(mode="worst-case", n_grid=(64,))):
+            calls.clear()
+            mise_monte_carlo(model, est, 20, 4)
+            assert 1 <= len(calls) <= 2
+
     def test_seed_determinism(self):
         est = EstimatorConfig(kind="cutoff")
         a = mise_monte_carlo(flr_model(n_grid=(64,)), est, 5, 9)
@@ -110,7 +132,7 @@ class TestMiseMonteCarlo:
         model = flr_model(n_grid=(64,))
         est = EstimatorConfig(kind="cutoff")
         theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, 64, 0)
-        ctx_val = _make_rep_context(model, est, 64, 11, 0)(theta)
+        ctx_val = _make_rep_context(model, est, 64, 11, 0, None)(theta)
 
         rng = derive_rng(11, "flr-n64", 0)
         m = 32
