@@ -3,14 +3,12 @@
 from .config import EstimatorConfig, ModelConfig
 from .covariance import CovOperator, empirical_covariance, eigen_gap_check, hs_distance, sqrt_apply
 from .designs import (
-    CoefficientLaw,
     DesignSample,
     DesignSpec,
     sample_basis_design,
     sample_design,
     sample_gaussian_design,
     true_covariance,
-    uniform_coefficient_law,
     verify_condition_x,
 )
 from .equivalence import (

@@ -15,9 +15,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .designs import DesignSpec
+from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, DesignSpec
 from .errors import SpecValidationError
-from .estimators import ThetaClass, default_rho
+from .estimators import ThetaClass, default_rho, validate_rho
 
 ESTIMATOR_KINDS = (
     "zero",
@@ -41,7 +41,6 @@ class ModelConfig:
     n_grid: tuple
     design: DesignSpec | None = None
     coeff_budget: int = 64
-    vertex_index: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("sequence", "flr"):
@@ -63,7 +62,6 @@ class EstimatorConfig:
     rho: float | None = None
     gamma: float | None = None
     cutoff_constant: float = 1.0
-    split_for_cutoff: bool = True     # cutoff estimator consumes m = n//2 draws
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -269,6 +267,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
     if not math.isfinite(model.sigma):
         raise ConfigError("model.sigma must be finite", str(path), line_of("model", "sigma"))
+    if design is not None:
+        # Every Fourier function in play (theta's coefficients, the expansion)
+        # must stay below the grid's Nyquist limit.
+        j = (design.j_truncation or DEFAULT_MAX_EXPANSION) if design.kind == KIND_BASIS else 0
+        need = 2 * max(model.coeff_budget, j)
+        if design.grid_size < need:
+            raise ConfigError(
+                f"design.grid_size = {design.grid_size} cannot resolve {need // 2} Fourier "
+                f"functions; need at least {need} = 2 max(coeff_budget, J)",
+                str(path), line_of("design", "grid_size"))
     rho = get("estimator", "rho")
     if rho is None and est_kind.startswith("pinsker"):
         rho = default_rho(alpha)
@@ -279,6 +287,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             gamma=get("estimator", "gamma"),
             cutoff_constant=get("estimator", "cutoff_constant", 1.0),
         )
+        if rho is not None:
+            validate_rho(rho, alpha)
 
     reps = get("run", "reps", 2)
     threads = get("run", "threads", 1)

@@ -3,28 +3,27 @@
 Two families are provided:
 
 * basis-expansion designs X = sum_j j^(-alpha/2) G_j phi_j over a Fourier
-  basis, with i.i.d. bounded coefficients G_j of unit variance, so the
-  covariance eigenpairs are exactly (j^-alpha, phi_j);
-* integrated Gaussian designs X(t) = int_0^t sigma_X(s) dW(s), discretized by
-  left-point Ito cumulative sums, whose covariance kernel is
-  int_0^min(s,t) sigma_X^2.
+  basis, with i.i.d. G_j uniform on [-sqrt3, sqrt3] (centered, unit variance,
+  compact support), so the covariance eigenpairs are exactly (j^-alpha, phi_j);
+* integrated Gaussian designs X(t) = W(t), Brownian motion discretized by
+  cumulative sums of independent increments, whose covariance kernel is
+  min(s, t).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecValidationError
+from .errors import ResolutionError, SpecValidationError
 from .function_space import (
     DEFAULT_GRID_SIZE,
     Basis,
     GridFunction,
-    _cached_fourier_matrix,
     fourier_function,
+    fourier_matrix,
     grid_nodes,
     pad_coefficients,
     pairwise_inner,
@@ -38,38 +37,14 @@ KIND_BASIS = "basis-expansion"
 KIND_GAUSSIAN = "integrated-gaussian"
 
 
-@dataclass(frozen=True)
-class CoefficientLaw:
-    """A centered, unit-variance law with compact support for the G_j.
-    ``sampler(rng, shape)`` returns a fresh, writeable float64 array of that
-    shape, which the caller may scale in place."""
-
-    name: str
-    variance: float
-    support_radius: float
-    sampler: Callable[[np.random.Generator, tuple], np.ndarray]
-
-    def validate(self) -> None:
-        if not math.isfinite(self.support_radius) or self.support_radius <= 0:
-            raise SpecValidationError("coefficient law must have compact support")
-        if abs(self.variance - 1.0) > 1e-9:
-            raise SpecValidationError(
-                f"coefficient law must have unit variance, got {self.variance}"
-            )
-
-
-def uniform_coefficient_law() -> CoefficientLaw:
-    """Uniform on [-sqrt3, sqrt3]: mean 0, variance 1, compact support."""
+def _uniform_coefficients(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Fresh writeable draws uniform on [-sqrt3, sqrt3]: mean 0, variance 1."""
     r = math.sqrt(3.0)
-
-    def sampler(rng, shape):
-        # Same bits as rng.uniform(-r, r, shape), without its temporaries.
-        u = rng.random(shape)
-        u *= 2.0 * r
-        u += -r
-        return u
-
-    return CoefficientLaw(name="uniform", variance=1.0, support_radius=r, sampler=sampler)
+    # Same bits as rng.uniform(-r, r, shape), without its temporaries.
+    u = rng.random(shape)
+    u *= 2.0 * r
+    u += -r
+    return u
 
 
 @dataclass(frozen=True)
@@ -79,8 +54,6 @@ class DesignSpec:
     kind: str = KIND_BASIS
     alpha: float = 2.0
     j_truncation: int | None = None          # basis-expansion; None = min(2n, 128)
-    coefficient_law: CoefficientLaw = field(default_factory=uniform_coefficient_law)
-    sigma_x: GridFunction | None = None      # integrated-gaussian diffusion
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
@@ -90,19 +63,11 @@ class DesignSpec:
             raise SpecValidationError(f"eigenvalue decay exponent must be >= 2, got {self.alpha}",
                                       "alpha")
         if self.kind == KIND_BASIS:
-            self.coefficient_law.validate()
             if self.j_truncation is not None and self.j_truncation < 1:
                 raise SpecValidationError("j_truncation must be >= 1", "j_truncation")
-        else:
-            if abs(self.alpha - 2.0) > 1e-12:
-                raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
-                                          "alpha")
-            sig = self.sigma_x if self.sigma_x is not None else None
-            if sig is not None:
-                if sig.grid_size != self.grid_size:
-                    raise SpecValidationError("sigma_x must live on the spec grid")
-                if np.any(sig.values <= 0.0):
-                    raise SpecValidationError("sigma_x must be strictly positive")
+        elif abs(self.alpha - 2.0) > 1e-12:
+            raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
+                                      "alpha")
 
     def resolved_truncation(self, n: int) -> int:
         """Expansion length: beyond rank n the extra modes are invisible to the
@@ -111,18 +76,13 @@ class DesignSpec:
             return self.j_truncation
         return min(2 * n, DEFAULT_MAX_EXPANSION)
 
-    def sigma_x_values(self) -> np.ndarray:
-        if self.sigma_x is None:
-            return np.ones(self.grid_size)
-        return self.sigma_x.values
-
 
 class DesignSample:
     """n i.i.d. design functions on one shared grid.
 
-    Basis-expansion samples live in their generating coefficients, which every
-    computation uses; ``values`` (n x D, built on first access) is for
-    rendering and for grid-only designs.
+    Basis-expansion samples live in their generating coefficients C (n x J)
+    in the Fourier basis, which every computation uses; ``values`` (n x D,
+    built on first access) is for rendering and for grid-only designs.
     """
 
     def __init__(
@@ -134,7 +94,6 @@ class DesignSample:
         seed: int | None,
         values: np.ndarray | None = None,
         coeffs: np.ndarray | None = None,
-        basis_matrix: np.ndarray | None = None,
     ):
         if values is None and coeffs is None:
             raise ValueError("need grid values or a coefficient representation")
@@ -144,13 +103,12 @@ class DesignSample:
         self.seed = seed
         self._values = values
         self._coeffs = coeffs
-        self._basis_matrix = basis_matrix
 
     @property
     def values(self) -> np.ndarray:
         """(n, D) matrix, one row per design function."""
         if self._values is None:
-            self._values = self._coeffs @ self._basis_matrix
+            self._values = self._coeffs @ self.basis_matrix
         return self._values
 
     @property
@@ -159,7 +117,10 @@ class DesignSample:
 
     @property
     def basis_matrix(self) -> np.ndarray | None:
-        return self._basis_matrix
+        """(J, D) Fourier matrix the coefficients refer to, if any."""
+        if self._coeffs is None:
+            return None
+        return fourier_matrix(self._coeffs.shape[1], self.grid_size)
 
     def function(self, i: int) -> GridFunction:
         return GridFunction(self.values[i])
@@ -178,7 +139,7 @@ class DesignSample:
         w = trapezoid_weights(self.grid_size)
         if c is None:
             return self.values @ (w * theta.values)
-        return c @ (self._basis_matrix @ (w * theta.values))
+        return c @ (self.basis_matrix @ (w * theta.values))
 
     def subset(self, rows) -> "DesignSample":
         """Designs at ``rows``: an index array, or a slice (views, no copy)."""
@@ -191,7 +152,6 @@ class DesignSample:
             seed=None,
             values=values,
             coeffs=coeffs,
-            basis_matrix=self._basis_matrix,
         )
 
 
@@ -203,8 +163,10 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     j = spec.resolved_truncation(n)
-    basis = _cached_fourier_matrix(j, spec.grid_size)
-    coeffs = spec.coefficient_law.sampler(rng, (n, j))
+    if spec.grid_size < 2 * j:
+        raise ResolutionError(
+            f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
+    coeffs = _uniform_coefficients(rng, (n, j))
     coeffs *= np.arange(1, j + 1, dtype=float) ** (-spec.alpha / 2.0)
     return DesignSample(
         n=n,
@@ -212,24 +174,21 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
         spec=spec,
         seed=seed if isinstance(seed, (int, np.integer)) else None,
         coeffs=coeffs,
-        basis_matrix=basis,
     )
 
 
 def sample_gaussian_design(spec: DesignSpec, n: int, seed) -> DesignSample:
-    """Draw n integrated Gaussian designs by left-point Ito discretization."""
+    """Draw n Brownian designs as cumulative sums of N(0, 1/(D-1)) increments."""
     if spec.kind != KIND_GAUSSIAN:
         raise SpecValidationError("spec is not an integrated-gaussian design")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
     d = spec.grid_size
-    sig = spec.sigma_x_values()
     dt = 1.0 / (d - 1)
     dw = rng.standard_normal((n, d - 1)) * math.sqrt(dt)
-    increments = dw * sig[:-1]
     values = np.zeros((n, d))
-    np.cumsum(increments, axis=1, out=values[:, 1:])
+    np.cumsum(dw, axis=1, out=values[:, 1:])
     return DesignSample(
         n=n,
         grid_size=d,
@@ -258,42 +217,23 @@ def true_covariance(spec: DesignSpec, count: int):
             raise SpecValidationError(
                 f"requested {count} eigenpairs but the expansion has {j} terms"
             )
-        basis = _cached_fourier_matrix(j, d)
         lam = np.arange(1, count + 1, dtype=float) ** (-spec.alpha)
-        coeff_vectors = np.eye(j)[:, :count]
         return CovOperator(
             eigenvalues=lam,
-            eigenfunctions=Basis(basis[:count], kind="eigen"),
+            eigenfunctions=Basis(fourier_matrix(j, d)[:count], kind="eigen"),
             kind="analytic-basis",
-            coeff_basis=basis,
-            coeff_vectors=coeff_vectors,
+            coeff_vectors=np.eye(j)[:, :count],
         )
-    sig = spec.sigma_x_values()
+    # Brownian motion: kernel min(s,t), analytic eigenpairs.
     t = grid_nodes(d)
-    if np.max(np.abs(sig - 1.0)) < 1e-12:
-        # Brownian motion: kernel min(s,t), analytic eigenpairs.
-        ks = np.arange(1, count + 1, dtype=float)
-        lam = 1.0 / (math.pi**2 * (ks - 0.5) ** 2)
-        funcs = math.sqrt(2.0) * np.sin(np.outer((ks - 0.5) * math.pi, t))
-        kernel = np.minimum.outer(t, t)
-        return CovOperator(
-            eigenvalues=lam,
-            eigenfunctions=Basis(funcs, kind="eigen"),
-            kernel=kernel,
-            kind="analytic-brownian",
-        )
-    # General diffusion: kernel int_0^min(s,t) sigma^2, eigen-solved on the grid.
-    w = trapezoid_weights(d)
-    cum = np.concatenate([[0.0], np.cumsum(sig[:-1] ** 2) / (d - 1)])
-    kernel = np.minimum.outer(cum, cum)
-    from .covariance import _eigh_grid_kernel
-
-    lam, funcs = _eigh_grid_kernel(kernel, w, count)
+    ks = np.arange(1, count + 1, dtype=float)
+    lam = 1.0 / (math.pi**2 * (ks - 0.5) ** 2)
+    funcs = math.sqrt(2.0) * np.sin(np.outer((ks - 0.5) * math.pi, t))
     return CovOperator(
         eigenvalues=lam,
         eigenfunctions=Basis(funcs, kind="eigen"),
-        kernel=kernel,
-        kind="numeric-diffusion",
+        kernel=np.minimum.outer(t, t),
+        kind="analytic-brownian",
     )
 
 

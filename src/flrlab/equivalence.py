@@ -20,6 +20,8 @@ from .errors import DegenerateDesignError, DimensionError
 from .function_space import GridFunction, trapezoid_weights
 from .streams import as_generator
 
+ORTHOGONALITY_TOL = 1e-8   # largest off-diagonal of Q^T Q / (n lambda_1) and of A^T A - I
+
 
 @dataclass(frozen=True)
 class GramTransform:
@@ -58,7 +60,7 @@ class WnCoefficients:
         return self.z.size
 
 
-def build_gram_transform(sample, cov: CovOperator, *, check_tol: float = 1e-8) -> GramTransform:
+def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     """Assemble (Q, D, A) from a sample and its empirical covariance operator.
 
     Requires the operator to be the sample's own empirical covariance at full
@@ -80,10 +82,10 @@ def build_gram_transform(sample, cov: CovOperator, *, check_tol: float = 1e-8) -
     top = n * cov.eigenvalues[0]
     qtq = q.T @ q
     off = qtq - np.diag(np.diag(qtq))
-    if np.max(np.abs(off)) > check_tol * top:
+    if np.max(np.abs(off)) > ORTHOGONALITY_TOL * top:
         raise DegenerateDesignError("Q^T Q is not numerically diagonal")
     ata = a.T @ a
-    if np.max(np.abs(ata - np.eye(n))) > check_tol:
+    if np.max(np.abs(ata - np.eye(n))) > ORTHOGONALITY_TOL:
         raise DegenerateDesignError("whitening matrix is not numerically orthogonal")
     return GramTransform(q=q, dvec=dvec, a=a)
 

@@ -71,10 +71,11 @@ def default_rho(alpha: float) -> float:
 
 def validate_rho(rho: float, alpha: float | None = None) -> None:
     if not 0.0 < rho < 0.5:
-        raise ValueError(f"rho must lie in (0, 1/2), got {rho}")
+        raise SpecValidationError(f"rho must lie in (0, 1/2), got {rho}", "rho")
     if alpha is not None and rho <= alpha / (2.0 * alpha + 3.0):
-        raise ValueError(
-            f"rho must exceed alpha/(2 alpha + 3) = {alpha / (2 * alpha + 3):.4f}, got {rho}"
+        raise SpecValidationError(
+            f"rho must exceed alpha/(2 alpha + 3) = {alpha / (2 * alpha + 3):.4f}, got {rho}",
+            "rho",
         )
 
 
@@ -130,11 +131,13 @@ def cutoff_estimator(
 
 
 def _eigen_overlap(emp_cov: CovOperator, cov: CovOperator, r: int, k: int) -> np.ndarray:
-    """<phi-hat_j, phi_k> matrix; coefficient fast path when both operators share a basis."""
+    """<phi-hat_j, phi_k> matrix; from the Fourier coefficients over their
+    common length when both operators have them on the same grid."""
     u = emp_cov.coeff_vectors
     v = cov.coeff_vectors
-    if u is not None and v is not None and emp_cov.coeff_basis is cov.coeff_basis:
-        return u[:, :r].T @ v[:, :k]
+    if u is not None and v is not None and emp_cov.grid_size == cov.grid_size:
+        j = min(u.shape[0], v.shape[0])
+        return u[:j, :r].T @ v[:j, :k]
     return pairwise_inner(emp_cov.eigenfunctions.functions[:r], cov.eigenfunctions.functions[:k])
 
 

@@ -189,7 +189,12 @@ def fourier_basis(count: int, grid_size: int = DEFAULT_GRID_SIZE) -> Basis:
 
 
 @lru_cache(maxsize=8)
-def _cached_fourier_matrix(count: int, grid_size: int) -> np.ndarray:
+def fourier_matrix(count: int, grid_size: int) -> np.ndarray:
+    """Read-only (count, D) matrix of ``fourier_basis(count, grid_size)``, cached.
+
+    Row k does not depend on ``count``, so the matrices for different counts
+    are nested: the first rows of a longer one equal a shorter one bit for bit.
+    """
     return fourier_basis(count, grid_size).functions
 
 
@@ -203,7 +208,7 @@ def pad_coefficients(coefficients: np.ndarray, width: int) -> np.ndarray:
 def fourier_function(coefficients, grid_size: int = DEFAULT_GRID_SIZE) -> GridFunction:
     """sum_k c_k phi_k over the Fourier basis, rendered on the grid."""
     c = np.asarray(coefficients, dtype=float)
-    return GridFunction(c @ _cached_fourier_matrix(max(c.size, 2), grid_size)[: c.size])
+    return GridFunction(c @ fourier_matrix(max(c.size, 2), grid_size)[: c.size])
 
 
 def project(f: GridFunction, basis: Basis, count: int | None = None) -> np.ndarray:

@@ -115,11 +115,10 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
     count = model.coeff_budget
     tc = model.theta_class
     if model.theta_mode != "worst-case":
-        vertex = model.vertex_index
         theta = sample_theta(
             tc, model.theta_mode, lam, model.sigma, n,
             derive_rng(master_seed, "theta-random", n),
-            count=count, vertex_index=vertex,
+            count=count,
         )
         return [(model.theta_mode, theta)]
     panel = [
@@ -135,13 +134,19 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
     return panel
 
 
+def _cutoff_split(model: ModelConfig, estimator: EstimatorConfig, n: int) -> tuple[int, int]:
+    """(m, k) for the cutoff estimator at sample size n: it fits on m = n // 2
+    draws, at the frequency cutoff k of that m."""
+    m = n // 2
+    return m, select_cutoff(m, model.alpha, model.theta_class.beta,
+                            constant=estimator.cutoff_constant)
+
+
 def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
                     oracle_gamma: float | None) -> int:
     """First coordinate the estimator cannot see: just past its cutoff or support."""
     if estimator.kind == "cutoff":
-        m = n // 2 if estimator.split_for_cutoff else n
-        k = select_cutoff(m, model.alpha, model.theta_class.beta,
-                          constant=estimator.cutoff_constant)
+        _, k = _cutoff_split(model, estimator, n)
         return min(k + 1, model.coeff_budget)
     return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, model.coeff_budget)
 
@@ -237,8 +242,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
         return SeqObservation(sqrt_lam * th + eps * xi, lam, eps)
 
     if estimator.kind == "cutoff":
-        m = n // 2 if estimator.split_for_cutoff else n
-        k = select_cutoff(m, alpha, tc.beta, constant=estimator.cutoff_constant)
+        m, k = _cutoff_split(model, estimator, n)
         eps = sigma / math.sqrt(m)
 
         def run(theta):
@@ -268,11 +272,10 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     rng = derive_rng(master_seed, f"flr-n{n}", rep)
 
     if estimator.kind == "cutoff":
-        m = n // 2 if estimator.split_for_cutoff else n
+        m, k = _cutoff_split(model, estimator, n)
         sample = sample_design(spec, m, rng)
         emp = empirical_covariance(sample)
         noise = rng.standard_normal(m)
-        k = select_cutoff(m, alpha, tc.beta, constant=estimator.cutoff_constant)
         true_cov = true_covariance(spec, k)
         r = emp.rank
         drift_scale = math.sqrt(m) * np.sqrt(emp.eigenvalues[:r])
@@ -389,7 +392,7 @@ def delta56_study(
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
                          power_lambda_profile(alpha), sigma, max(n_grid), 0,
-                         count=model.coeff_budget, vertex_index=model.vertex_index)
+                         count=model.coeff_budget)
     theta_grid = fourier_function(theta, spec.grid_size)
     true_cov = true_covariance(spec, model.coeff_budget)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance import CovOperator
-from .designs import DesignSample, DesignSpec
+from .designs import KIND_BASIS, DesignSample, DesignSpec
 from .equivalence import WnCoefficients
 from .function_space import Basis, GridFunction, grid_nodes
 from .whitenoise import SeqObservation
@@ -76,13 +76,15 @@ def write_design_sample(path: Path, sample: DesignSample, sidecar: Path | None =
 
 
 def design_spec_payload(spec: DesignSpec) -> dict:
+    """The spec as written to ``designs.json``. The coefficient law is always
+    uniform and the Gaussian diffusion always 1; both keys stay in the file."""
     return {
         "kind": spec.kind,
         "alpha": spec.alpha,
         "j_truncation": spec.j_truncation,
-        "coefficient_law": spec.coefficient_law.name if spec.kind == "basis-expansion" else None,
+        "coefficient_law": "uniform" if spec.kind == KIND_BASIS else None,
         "grid_size": spec.grid_size,
-        "sigma_x": "custom" if spec.sigma_x is not None else None,
+        "sigma_x": None,
     }
 
 

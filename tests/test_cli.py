@@ -140,6 +140,35 @@ class TestConfigParsing:
                 load_config(path)
             assert f"fixed0.ini:{lines.index(key) + 1}:" in str(err.value), (key, str(err.value))
 
+    def test_rho_checked_at_load_time(self, tmp_path):
+        # rho must lie in (alpha/(2 alpha + 3), 1/2) = (2/7, 1/2) at alpha = 2
+        for rho in ("0.7", "0.5", "0.2", "-0.1"):
+            text = BASE.replace("kind = pinsker-oracle\n", f"kind = pinsker-oracle\nrho = {rho}\n")
+            path = write_config(tmp_path, text, "rho.ini")
+            with pytest.raises(ConfigError, match="rho must") as err:
+                load_config(path)
+            assert f"rho.ini:{text.splitlines().index(f'rho = {rho}') + 1}:" in str(err.value)
+        text = BASE.replace("kind = pinsker-oracle\n", "kind = pinsker-oracle\nrho = 0.4\n")
+        assert load_config(write_config(tmp_path, text)).estimator.rho == 0.4
+
+    def test_grid_size_checked_at_load_time(self, tmp_path):
+        # the grid must resolve 2 max(coeff_budget, J) nodes; J defaults to 128
+        for text, key in (
+            (BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 1"), "grid_size = 1"),
+            (BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 255"), "grid_size = 255"),
+            (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 600"), "[design]"),
+            (BASE.replace("n_grid = 25", "n_grid = 25\ncoeff_budget = 600"), "[design]"),
+        ):
+            path = write_config(tmp_path, text, "grid.ini")
+            with pytest.raises(ConfigError, match="grid_size") as err:
+                load_config(path)
+            assert f"grid.ini:{text.splitlines().index(key) + 1}:" in str(err.value)
+        text = BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 256")
+        assert load_config(write_config(tmp_path, text)).model.design.grid_size == 256
+        gaussian = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian")
+        assert load_config(write_config(tmp_path, gaussian.replace(
+            "alpha = 2.0", "alpha = 2.0\ngrid_size = 128")))
+
     def test_bad_value_type(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("sigma = 1.0", "sigma = abc"))
         with pytest.raises(ConfigError) as err:

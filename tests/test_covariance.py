@@ -15,9 +15,24 @@ from flrlab import (
     sqrt_apply,
     true_covariance,
 )
-from flrlab.covariance import CovOperator, empirical_covariance
+from flrlab import covariance, estimators
+from flrlab.covariance import (
+    CovOperator,
+    _empirical_dual,
+    _empirical_from_coeffs,
+    _empirical_grid,
+    empirical_covariance,
+)
 from flrlab.designs import DesignSample
-from flrlab.function_space import Basis, fourier_function, pairwise_inner, trapezoid_weights
+from flrlab.equivalence import WnCoefficients
+from flrlab.estimators import _eigen_overlap, cutoff_estimator
+from flrlab.function_space import (
+    Basis,
+    fourier_function,
+    fourier_matrix,
+    pairwise_inner,
+    trapezoid_weights,
+)
 
 
 def quadrature_apply(sample, f: GridFunction) -> np.ndarray:
@@ -61,13 +76,31 @@ class TestEmpiricalCovariance:
 
     def test_routes_agree(self, small_spec):
         s = sample_basis_design(small_spec, 30, 17)
-        dual = empirical_covariance(s, method="dual")
-        grid = empirical_covariance(s, method="grid")
-        coeff = empirical_covariance(s, method="coeff")
+        dual = _empirical_dual(s)
+        grid = _empirical_grid(s)
+        coeff = _empirical_from_coeffs(s)
         r = dual.rank
         top = dual.eigenvalues[0]
         assert np.max(np.abs(dual.eigenvalues[:r] - grid.eigenvalues[:r])) <= 1e-8 * top
         assert np.max(np.abs(dual.eigenvalues[:r] - coeff.eigenvalues[:r])) <= 1e-8 * top
+
+    @pytest.mark.parametrize("n, eigh_shape", [(100, (100, 100)), (300, (128, 128))])
+    def test_grid_only_route_solves_the_smaller_eigenproblem(self, n, eigh_shape, monkeypatch):
+        # n x n dual up to n = D, D x D grid beyond
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=128)
+        s = DesignSample(n=n, grid_size=128, spec=spec, seed=None,
+                         values=np.random.default_rng(n).standard_normal((n, 128)))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a):
+            shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        op = empirical_covariance(s)
+        assert shapes == [eigh_shape]
+        assert op.rank == min(n, 128)
 
     def test_kernel_reconstruction(self, small_spec):
         # retained eigenpairs rebuild the kernel to numerical-rank accuracy
@@ -111,8 +144,9 @@ class TestCoefficientView:
 
     def test_grid_only_operator_renders_fourier_vector(self, small_spec):
         s = sample_basis_design(small_spec, 20, 23)
-        dual = empirical_covariance(s, method="dual")
-        assert dual.coeff_vectors is None and dual.coeff_basis is None
+        dual = empirical_covariance(DesignSample(n=s.n, grid_size=s.grid_size, spec=s.spec,
+                                                 seed=None, values=s.values))
+        assert dual.coeff_vectors is None
         theta = np.random.default_rng(1).standard_normal(12)
         assert np.array_equal(dual.eigen_coefficients(theta, count=5),
                               dual.eigen_coefficients(fourier_function(theta, 256), count=5))
@@ -127,6 +161,39 @@ class TestCoefficientView:
         grid_only = DesignSample(n=s.n, grid_size=s.grid_size, spec=s.spec, seed=None,
                                  values=s.values)
         assert np.array_equal(op.design_products(grid_only, 40), grid)
+
+    def test_coefficient_route_survives_a_cold_fourier_cache(self, small_spec, monkeypatch):
+        # The route depends on what the operators hold, not on which cached
+        # Fourier matrix object they were built with.
+        s = sample_basis_design(small_spec, 100, 31)           # J = 128
+        emp = empirical_covariance(s)
+        fourier_matrix.cache_clear()
+        truth = true_covariance(small_spec, 4)
+        z = WnCoefficients(np.random.default_rng(0).standard_normal(s.n))
+
+        def no_grid(*args):
+            raise AssertionError("grid route taken")
+
+        monkeypatch.setattr(estimators, "pairwise_inner", no_grid)
+        monkeypatch.setattr(covariance, "pairwise_inner", no_grid)
+        assert cutoff_estimator(z, truth, 4, s.n, emp_cov=emp).shape == (4,)
+        assert truth.design_products(s, 4).shape == (s.n, 4)
+        assert emp.design_products(s, s.n).shape == (s.n, s.n)
+
+    def test_shorter_expansion_meets_the_truth_in_coefficients(self, small_spec):
+        # J = 2m = 40 against the true operator's J = 128: the nested Fourier
+        # rows make the coefficient route agree with the grid route.
+        s = sample_basis_design(small_spec, 20, 37)
+        emp = empirical_covariance(s)
+        truth = true_covariance(small_spec, 6)
+        assert emp.coeff_vectors.shape[0] == 40 and truth.coeff_vectors.shape[0] == 128
+        r = emp.rank
+        grid = pairwise_inner(emp.eigenfunctions.functions[:r], truth.eigenfunctions.functions)
+        assert np.max(np.abs(_eigen_overlap(emp, truth, r, 6) - grid)) <= 1e-12
+        grid_q = pairwise_inner(s.values, truth.eigenfunctions.functions)
+        q = truth.design_products(s, 6)
+        assert np.array_equal(q, s.coeffs @ truth.coeff_vectors[:40])
+        assert np.max(np.abs(q - grid_q)) <= 1e-12 * np.max(np.abs(grid_q))
 
 
 class TestSqrtApply:
@@ -148,7 +215,7 @@ class TestSqrtApply:
 
     def test_square_root_squares_to_operator(self, small_spec):
         s = sample_basis_design(small_spec, 12, 6)
-        op = empirical_covariance(s, method="grid")
+        op = _empirical_grid(s)
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = GridFunction(rng.standard_normal(small_spec.grid_size))

@@ -4,43 +4,28 @@ import numpy as np
 import pytest
 
 from flrlab import (
-    CoefficientLaw,
     DesignSample,
     DesignSpec,
+    ResolutionError,
     SpecValidationError,
-    constant_function,
     fourier_basis,
     norm,
     project,
     sample_basis_design,
     sample_gaussian_design,
     true_covariance,
-    uniform_coefficient_law,
     verify_condition_x,
 )
+from flrlab.designs import _uniform_coefficients
 from flrlab.function_space import grid_nodes, trapezoid_weights
 
 from oracles import eigh_quadrature_kernel
-
-
-def degenerate_law():
-    return CoefficientLaw(name="degenerate", variance=0.0, support_radius=1.0,
-                          sampler=lambda rng, shape: np.zeros(shape))
 
 
 class TestSpecValidation:
     def test_alpha_floor(self):
         with pytest.raises(SpecValidationError):
             DesignSpec(kind="basis-expansion", alpha=1.5)
-
-    def test_degenerate_law_rejected(self):
-        with pytest.raises(SpecValidationError):
-            DesignSpec(kind="basis-expansion", coefficient_law=degenerate_law())
-
-    def test_nonpositive_diffusion_rejected(self):
-        with pytest.raises(SpecValidationError):
-            DesignSpec(kind="integrated-gaussian", grid_size=64,
-                       sigma_x=constant_function(0.0, 64))
 
     def test_unknown_kind(self):
         with pytest.raises(SpecValidationError):
@@ -53,6 +38,12 @@ class TestBasisDesign:
         s = sample_basis_design(spec, 1, 3)
         g = s.coeffs[0, 0]
         assert norm(s.function(0), 2) == pytest.approx(abs(g), rel=1e-10)
+
+    def test_grid_too_coarse_for_the_expansion_is_rejected_at_the_draw(self):
+        spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=100)
+        assert sample_basis_design(spec, 25, 1).coeffs.shape == (25, 50)
+        with pytest.raises(ResolutionError):
+            sample_basis_design(spec, 26, 1)
 
     def test_reproducible(self, small_spec):
         a = sample_basis_design(small_spec, 10, 99).values
@@ -78,10 +69,9 @@ class TestBasisDesign:
 
     def test_uniform_sampler_matches_rng_uniform_bits(self):
         r = math.sqrt(3.0)
-        sampler = uniform_coefficient_law().sampler
         for shape in [(7,), (50, 128), (3, 4, 5)]:
             rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-            a = sampler(rng_a, shape)
+            a = _uniform_coefficients(rng_a, shape)
             b = rng_b.uniform(-r, r, shape)
             assert a.dtype == np.float64 and a.flags.writeable and a.shape == shape
             assert a.tobytes() == b.tobytes()
@@ -155,13 +145,6 @@ class TestTrueCovariance:
                      DesignSpec(kind="integrated-gaussian", grid_size=256)):
             lam = true_covariance(spec, 8).eigenvalues
             assert np.all(np.diff(lam) < 0)
-
-    def test_general_diffusion_kernel(self):
-        sig = constant_function(2.0, 256)
-        spec = DesignSpec(kind="integrated-gaussian", grid_size=256, sigma_x=sig)
-        op = true_covariance(spec, 3)
-        # kernel 4*min(s,t) has eigenvalues 4x the Brownian ones
-        assert op.eigenvalues[0] == pytest.approx(16.0 / math.pi**2, rel=1e-3)
 
 
 class TestConditionX:

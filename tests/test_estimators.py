@@ -25,7 +25,7 @@ from flrlab import (
     true_covariance,
 )
 from flrlab.estimators import pinsker_sequence_estimator, validate_rho
-from flrlab.function_space import _cached_fourier_matrix, GridFunction
+from flrlab.function_space import GridFunction, fourier_matrix
 
 from oracles import brute_force_linear_minimax, ols_slope, pinsker_level_brentq
 
@@ -75,7 +75,7 @@ class TestCutoffEstimator:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=16)
         truth = true_covariance(spec, 8)
         theta_coeffs = np.concatenate([[1.0], np.zeros(15)])
-        basis = _cached_fourier_matrix(16, 256)
+        basis = fourier_matrix(16, 256)
         theta = GridFunction(theta_coeffs @ basis)
         from flrlab import WnCoefficients
 
@@ -90,7 +90,7 @@ class TestCutoffEstimator:
         truth = true_covariance(spec, 8)
         theta_coeffs = np.zeros(16)
         theta_coeffs[10] = 1.0     # beyond the cutoff
-        basis = _cached_fourier_matrix(16, 256)
+        basis = fourier_matrix(16, 256)
         theta = GridFunction(theta_coeffs @ basis)
         from flrlab import WnCoefficients
 
@@ -310,7 +310,7 @@ class TestPlugInEstimator:
     def test_plug_in_consistency(self):
         # noiseless fit of the first eigenfunction: leading coefficient near 1
         rho = default_rho(2.0)
-        basis = _cached_fourier_matrix(8, 256)
+        basis = fourier_matrix(8, 256)
         theta = GridFunction(basis[0])
         vals = []
         for rep in range(30):

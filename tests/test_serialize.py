@@ -12,6 +12,7 @@ from flrlab import (
 )
 from flrlab.equivalence import WnCoefficients
 from flrlab.serialize import (
+    design_spec_payload,
     read_table,
     read_wn_coefficients,
     write_basis,
@@ -35,6 +36,19 @@ def test_design_sample_layout(tmp_path):
     meta = json.loads(sidecar.read_text())
     assert meta["n"] == 3 and meta["seed"] == 5
     assert meta["design"]["kind"] == "basis-expansion"
+
+
+def test_design_spec_payload_is_pinned():
+    # designs.json keeps the coefficient-law and diffusion keys of earlier releases
+    assert design_spec_payload(SPEC) == {
+        "kind": "basis-expansion", "alpha": 2.0, "j_truncation": None,
+        "coefficient_law": "uniform", "grid_size": 128, "sigma_x": None,
+    }
+    gaussian = DesignSpec(kind="integrated-gaussian", grid_size=256)
+    assert design_spec_payload(gaussian) == {
+        "kind": "integrated-gaussian", "alpha": 2.0, "j_truncation": None,
+        "coefficient_law": None, "grid_size": 256, "sigma_x": None,
+    }
 
 
 def test_basis_roundtrippable_columns(tmp_path):
