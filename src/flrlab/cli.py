@@ -157,13 +157,13 @@ def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     return payload
 
 
-def _theta_for(cfg: ExperimentConfig, n: int) -> np.ndarray:
+def _theta_for(cfg: ExperimentConfig, n: int, oracle_gamma: float | None = None) -> np.ndarray:
     mode = cfg.model.theta_mode if cfg.model.theta_mode != "worst-case" else "boundary"
     return sample_theta(
         cfg.model.theta_class, mode,
         power_lambda_profile(cfg.model.alpha),
         cfg.model.sigma, n, derive_rng(cfg.seed, "theta"),
-        count=cfg.model.coeff_budget,
+        count=cfg.model.coeff_budget, gamma=oracle_gamma,
     )
 
 
@@ -219,15 +219,15 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "estimate")
     n = cfg.model.n_grid[0]
     model, est = cfg.model, cfg.estimator
+    lam = power_lambda_profile(model.alpha)
+    oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
-    theta = _theta_for(cfg, n)
+    theta = _theta_for(cfg, n, oracle_gamma)
     theta_grid = fourier_function(theta, model.design.grid_size)
     y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
     rho = est.rho
-    lam = power_lambda_profile(model.alpha)
     plan: dict = {"estimator": est.kind, "rho": rho}
-    oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     if est.kind == "pinsker-data-driven":
         sel = data_driven_gamma(sample, model.theta_class, model.sigma, rho, alpha=model.alpha)
         gamma = sel.gamma_hat

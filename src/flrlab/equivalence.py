@@ -59,6 +59,11 @@ class WnCoefficients:
     def n(self) -> int:
         return self.z.size
 
+    @classmethod
+    def draw(cls, drift: np.ndarray, sigma: float, seed) -> WnCoefficients:
+        """One draw of drift + independent N(0, sigma^2) noise per coordinate."""
+        return cls(z=drift + sigma * as_generator(seed).standard_normal(drift.size), sigma=sigma)
+
 
 def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     """Assemble (Q, D, A) from a sample and its empirical covariance operator.
@@ -113,6 +118,20 @@ def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
     return sample.inner_products(theta) + sigma * rng.standard_normal(sample.n)
 
 
+def empirical_wn_drift(theta: GridFunction, sample, cov: CovOperator) -> np.ndarray:
+    """Mean of the coefficient law, sqrt(n lambda_k) <phi_k, theta>; zero for
+    coordinates beyond the operator rank. It depends on the design sample and
+    theta only, so repeated draws at a fixed pair compute it once."""
+    if cov.kind != "empirical" or cov.n_samples != sample.n:
+        raise ValueError("cov must be the empirical covariance of this sample")
+    n = sample.n
+    r = cov.rank
+    drift = np.zeros(n)
+    coeffs = cov.eigen_coefficients(theta, count=r)
+    drift[:r] = np.sqrt(n * cov.eigenvalues[:r]) * coeffs
+    return drift
+
+
 def simulate_empirical_wn(
     theta: GridFunction,
     sample,
@@ -120,18 +139,10 @@ def simulate_empirical_wn(
     sigma: float,
     seed,
 ) -> WnCoefficients:
-    """Direct draw of the coefficient law: drift sqrt(n lambda_k) <phi_k, theta>,
-    plus independent N(0, sigma^2) noise; coordinates beyond the operator rank
-    carry pure noise."""
-    if cov.kind != "empirical" or cov.n_samples != sample.n:
-        raise ValueError("cov must be the empirical covariance of this sample")
-    rng = as_generator(seed)
-    n = sample.n
-    r = cov.rank
-    drift = np.zeros(n)
-    coeffs = cov.eigen_coefficients(theta, count=r)
-    drift[:r] = np.sqrt(n * cov.eigenvalues[:r]) * coeffs
-    return WnCoefficients(z=drift + sigma * rng.standard_normal(n), sigma=sigma)
+    """Direct draw of the coefficient law: the drift ``empirical_wn_drift``
+    plus independent N(0, sigma^2) noise, so coordinates beyond the operator
+    rank carry pure noise."""
+    return WnCoefficients.draw(empirical_wn_drift(theta, sample, cov), sigma, seed)
 
 
 def conditional_loglik(y: np.ndarray, sample, theta, sigma: float) -> float:

@@ -427,13 +427,15 @@ def sample_theta(
     *,
     count: int = DEFAULT_COEFF_BUDGET,
     vertex_index: int | None = None,
+    gamma: float | None = None,
 ) -> np.ndarray:
     """Test functions from the ellipsoid, as coefficient vectors of length ``count``.
 
     boundary: theta_k proportional to k^(-beta-1/2) / log(k+1), scaled onto the
     boundary. random: a random direction drawn inside the ellipsoid. vertex: all
     mass on one coordinate, on the boundary. least-favorable: the Pinsker prior
-    variance profile at the oracle gamma, which saturates the constraint.
+    variance profile at the oracle gamma, which saturates the constraint; pass
+    ``gamma`` when the caller already holds that level, otherwise it is solved.
     """
     ks = np.arange(1, count + 1, dtype=float)
     b2 = 1.0 + ks ** (2.0 * theta_class.beta)
@@ -455,7 +457,8 @@ def sample_theta(
         theta[k - 1] = math.sqrt(theta_class.c_theta / b2[k - 1])
         return theta
     if mode == "least-favorable":
-        gamma = pinsker_gamma_oracle(lambdas, theta_class, sigma, n)
+        if gamma is None:
+            gamma = pinsker_gamma_oracle(lambdas, theta_class, sigma, n)
         lam_fn, k_cap = _as_lambda_fn(lambdas)
         lam = lam_fn(ks) if k_cap is None else np.concatenate(
             [lam_fn(ks[: min(count, k_cap)]), np.full(max(count - k_cap, 0), np.inf)]

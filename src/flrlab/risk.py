@@ -11,6 +11,16 @@ The harnesses only draw data and score fits: every estimate comes from
 whatever does not depend on the test function (the design sample, its
 empirical covariance, the noise, the shrinkage level and weights) is computed
 once and shared by the whole panel.
+
+Replications are independent given their named streams, so ``threads > 1``
+runs them on the pool of ``parallel.foreach``, which holds every OpenBLAS at
+one thread per worker while it runs; results do not depend on the worker
+count. On 2 vCPU (OpenBLAS 0.3.31), the benchmark's criterion-6 cutoff study
+(30 replications over n = 2^9..2^14, ``threads = 2``) went from a median wall
+time of 2.23 s with each worker driving a two-thread BLAS to 0.71 s (CPU
+4.33 s to 1.31 s); serial it takes 1.16 s. Worker processes were measured and
+rejected: a fresh import of the package alone costs 1.0-1.3 s per worker
+(see ``parallel``).
 """
 
 from __future__ import annotations
@@ -24,7 +34,12 @@ from scipy import stats
 from .config import EstimatorConfig, ModelConfig
 from .covariance import empirical_covariance, sqrt_apply
 from .designs import DesignSpec, sample_design, true_covariance
-from .equivalence import WnCoefficients, simulate_empirical_wn, simulate_flr_responses
+from .equivalence import (
+    WnCoefficients,
+    empirical_wn_drift,
+    simulate_empirical_wn,
+    simulate_flr_responses,
+)
 from .errors import SpecValidationError
 from .estimators import (
     ThetaClass,
@@ -41,6 +56,7 @@ from .estimators import (
     sharp_risk_constant,
 )
 from .function_space import fourier_function, norm, pad_coefficients
+from .parallel import foreach
 from .streams import derive_rng
 from .whitenoise import SeqObservation, default_frequency_budget
 
@@ -60,18 +76,6 @@ class RiskReport:
     worst_labels: tuple | None = None
     model_kind: str = ""
     estimator_kind: str = ""
-
-
-def _foreach(fn, count: int, threads: int) -> None:
-    """Run fn(0..count-1), optionally on a thread pool; results land by index."""
-    if threads <= 1:
-        for i in range(count):
-            fn(i)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fn, range(count)))
 
 
 def rate_regression(n_grid, mise_values):
@@ -118,12 +122,13 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
         theta = sample_theta(
             tc, model.theta_mode, lam, model.sigma, n,
             derive_rng(master_seed, "theta-random", n),
-            count=count,
+            count=count, gamma=oracle_gamma,
         )
         return [(model.theta_mode, theta)]
     panel = [
         ("boundary", sample_theta(tc, "boundary", lam, model.sigma, n, 0, count=count)),
-        ("least-favorable", sample_theta(tc, "least-favorable", lam, model.sigma, n, 0, count=count)),
+        ("least-favorable", sample_theta(tc, "least-favorable", lam, model.sigma, n, 0,
+                                         count=count, gamma=oracle_gamma)),
     ]
     vertex = _default_vertex(model, estimator, n, oracle_gamma)
     panel.append((f"vertex-{vertex}", sample_theta(tc, "vertex", lam, model.sigma, n, 0,
@@ -182,7 +187,7 @@ def mise_monte_carlo(
             for t_idx, (_, theta) in enumerate(panel):
                 errs[t_idx, rep] = ctx(theta)
 
-        _foreach(run_rep, reps, threads)
+        foreach(run_rep, reps, threads)
         means = errs.mean(axis=1)
         best = int(np.argmax(means))
         mise.append(float(means[best]))
@@ -422,7 +427,7 @@ def delta56_study(
             delta = sqrt_apply(true_cov, g) - sqrt_apply(cov2, g)
             vals[rep] = (n - m) * norm(delta, 2) ** 2
 
-        _foreach(run_rep, reps, threads)
+        foreach(run_rep, reps, threads)
         means.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1) / math.sqrt(reps)))
         tvs.append(tv_bound(means[-1], sigma))
@@ -494,10 +499,10 @@ def two_route_draws(spec: DesignSpec, theta_class: ThetaClass, sigma: float,
     for i in range(draws):
         y = simulate_flr_responses(sample, theta_grid, sigma, derive_rng(seed, "route-flr", i))
         a[i] = flr_to_whitenoise(y, transform, sigma).z
+    drift = empirical_wn_drift(theta_grid, sample, cov)
     b = np.empty((draws, n))
     for i in range(draws):
-        b[i] = simulate_empirical_wn(theta_grid, sample, cov, sigma,
-                                     derive_rng(seed, "route-direct", i)).z
+        b[i] = WnCoefficients.draw(drift, sigma, derive_rng(seed, "route-direct", i)).z
     return a, b
 
 

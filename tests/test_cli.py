@@ -222,6 +222,24 @@ class TestSubcommands:
         plan = json.loads((out / "plan.json").read_text())
         assert plan["gamma"] > 0 and plan["sharp_risk"] > 0
 
+    def test_estimate_solves_the_oracle_level_once(self, tmp_path, monkeypatch):
+        # the least-favorable theta takes the level the plan already holds
+        import flrlab.cli
+        import flrlab.estimators
+        from flrlab.estimators import pinsker_gamma_oracle
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return pinsker_gamma_oracle(*args)
+
+        monkeypatch.setattr(flrlab.estimators, "pinsker_gamma_oracle", counting)
+        monkeypatch.setattr(flrlab.cli, "pinsker_gamma_oracle", counting)
+        path = write_config(tmp_path, BASE.replace("mode = boundary", "mode = least-favorable"))
+        assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == 0
+        assert calls == [25]
+
     def test_estimate_at_large_signal_to_noise(self, tmp_path):
         # alpha = 2, beta = 2, c_theta = 50, sigma = 0.1, n = 1e5 once failed
         # the Pinsker level's absolute residual check and exited 3

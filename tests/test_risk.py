@@ -66,6 +66,10 @@ class TestMiseMonteCarlo:
             a = mise_monte_carlo(model, est, reps, 5, threads=1)
             b = mise_monte_carlo(model, est, reps, 5, threads=4)
             assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
+        small = flr_model(n_grid=(32, 64))
+        a = delta56_study(small.n_grid, small, 4, 5, threads=1)
+        b = delta56_study(small.n_grid, small, 4, 5, threads=2)
+        assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
     def test_panel_shares_each_replications_covariance(self, monkeypatch):
         # data-driven Pinsker: one training and one fitting operator per
@@ -88,8 +92,8 @@ class TestMiseMonteCarlo:
         assert len(calls) == 2 * 3
 
     def test_oracle_level_solved_once_per_n(self, monkeypatch):
-        # one solve in the harness, one more only for the least-favorable
-        # test function, however many replications run
+        # one solve per n, shared by the harness and the least-favorable test
+        # function, however many replications run
         import flrlab.estimators
         import flrlab.risk
         from flrlab.estimators import pinsker_gamma_oracle
@@ -102,12 +106,14 @@ class TestMiseMonteCarlo:
 
         monkeypatch.setattr(flrlab.estimators, "pinsker_gamma_oracle", counting)
         monkeypatch.setattr(flrlab.risk, "pinsker_gamma_oracle", counting)
-        est = EstimatorConfig(kind="pinsker-oracle")
-        for model in (seq_model(mode="least-favorable"), seq_model(mode="worst-case"),
-                      flr_model(mode="worst-case", n_grid=(64,))):
+        pinsker, cutoff = EstimatorConfig(kind="pinsker-oracle"), EstimatorConfig(kind="cutoff")
+        for model, est in ((seq_model(mode="least-favorable", n_grid=(100, 400)), pinsker),
+                           (seq_model(mode="worst-case", n_grid=(100, 400)), pinsker),
+                           (flr_model(mode="worst-case", n_grid=(64,)), pinsker),
+                           (flr_model(mode="least-favorable", n_grid=(64,)), cutoff)):
             calls.clear()
             mise_monte_carlo(model, est, 20, 4)
-            assert 1 <= len(calls) <= 2
+            assert calls == list(model.n_grid)
 
     def test_seed_determinism(self):
         est = EstimatorConfig(kind="cutoff")
@@ -243,6 +249,23 @@ class TestTwoSampleBattery:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             two_sample_equivalence_test(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    def test_direct_route_draws_are_simulate_empirical_wn(self):
+        # the drift is computed once per call, and the draws keep its bits
+        from flrlab import empirical_covariance, sample_design, simulate_empirical_wn
+        from flrlab.function_space import fourier_function
+        from flrlab.risk import two_route_draws
+        from flrlab.streams import derive_rng
+
+        _, b = two_route_draws(SPEC, TC, 1.0, n=16, draws=3, seed=4)
+        sample = sample_design(SPEC, 16, derive_rng(4, "two-route-design"))
+        cov = empirical_covariance(sample)
+        theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, 16, 0)
+        theta_grid = fourier_function(theta, SPEC.grid_size)
+        for i in range(3):
+            draw = simulate_empirical_wn(theta_grid, sample, cov, 1.0,
+                                         derive_rng(4, "route-direct", i))
+            assert np.array_equal(b[i], draw.z)
 
 
 class TestClassifierTvProxy:
