@@ -70,12 +70,6 @@ from .risk import (
     two_sample_equivalence_test,
 )
 from .streams import derive_rng, derive_seed_sequence
-from .whitenoise import (
-    SeqObservation,
-    default_frequency_budget,
-    recombine_split,
-    simulate_sequence,
-    simulate_split,
-)
+from .whitenoise import SeqObservation, default_frequency_budget, simulate_sequence
 
 __version__ = "0.1.0"

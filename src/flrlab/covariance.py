@@ -20,6 +20,11 @@ D = 256, n = 1000 takes 0.12 s dual and 0.008 s grid. A thin SVD of the
 weighted n x D sample, which would serve both sizes, was 3-4x slower than the
 dual route at n = 256-512.
 
+Each operator holds its eigenfunctions in exactly one representation: the
+``coeff`` route and the analytic basis-expansion truth keep the J x r
+Fourier coefficients U and render grid values on first read; the ``dual``
+and ``grid`` routes and the Brownian truth hold grid values.
+
 Eigenfunction signs follow a fixed convention (largest-magnitude Fourier
 coefficient positive), and for full-rank empirical operators the last
 eigenfunction is flipped if needed so the change-of-basis matrix used by the
@@ -50,27 +55,38 @@ SIGN_REFERENCE_COUNT = 64  # Fourier coefficients consulted by the sign conventi
 class CovOperator:
     """A positive self-adjoint operator given by sorted eigenpairs and a kernel.
 
-    Operators built from basis-expansion designs (and their analytic truth)
-    also carry a coefficient view: ``coeff_vectors`` holds the (J, r)
-    eigenvectors in the Fourier basis, so
-    phi_k = coeff_vectors[:, k] @ fourier_matrix(J, D). Inner products with
-    design samples, with other such operators and with Fourier-coefficient
-    vectors use this view instead of the grid. Fourier rows are nested, so two
-    views of different lengths J meet exactly on their first min(J) rows.
+    The eigenfunctions come in one of two representations. Grid operators
+    pass ``eigenfunctions``. Operators of basis-expansion designs (and their
+    analytic truth) pass ``coeff_vectors``, the (J, r) eigenvectors in the
+    Fourier basis, with the ``grid_size`` they refer to; then
+    phi_k = coeff_vectors[:, k] @ fourier_matrix(J, D), rendered on the first
+    read of ``eigenfunctions``. Inner products with design samples, with other
+    such operators and with Fourier-coefficient vectors use the coefficients
+    instead of the grid. Fourier rows are nested, so two coefficient views of
+    different lengths J meet exactly on their first min(J) rows.
     """
 
     def __init__(
         self,
         *,
         eigenvalues: np.ndarray,
-        eigenfunctions: Basis,
+        eigenfunctions: Basis | None = None,
+        coeff_vectors: np.ndarray | None = None,
+        grid_size: int | None = None,
         kernel: np.ndarray | None = None,
         kind: str = "custom",
         n_samples: int | None = None,
-        coeff_vectors: np.ndarray | None = None,
     ):
+        if (eigenfunctions is None) == (coeff_vectors is None):
+            raise ValueError("need exactly one of eigenfunctions and coeff_vectors")
+        if (grid_size is None) == (eigenfunctions is None):
+            raise ValueError("grid_size goes with coeff_vectors, and only with them")
+        if eigenfunctions is not None:
+            count, grid_size = eigenfunctions.count, eigenfunctions.grid_size
+        else:
+            count = coeff_vectors.shape[1]
         lam = np.asarray(eigenvalues, dtype=float)
-        if lam.ndim != 1 or lam.size != eigenfunctions.count:
+        if lam.ndim != 1 or lam.size != count:
             raise ValueError("need one eigenvalue per eigenfunction")
         if lam.size > 1 and np.any(np.diff(lam) > 1e-12 * max(lam[0], 1.0)):
             raise ValueError("eigenvalues must be non-increasing")
@@ -79,11 +95,24 @@ class CovOperator:
             raise ValueError("operator is not positive semidefinite")
         lam = np.maximum(lam, 0.0)
         self.eigenvalues = lam
-        self.eigenfunctions = eigenfunctions
         self.kind = kind
         self.n_samples = n_samples
-        self._kernel = kernel
+        self._functions = eigenfunctions
         self._vectors = coeff_vectors
+        self._grid_size = int(grid_size)
+        self._kernel = kernel
+
+    @property
+    def eigenfunctions(self) -> Basis:
+        """Eigenfunctions on the grid; a coefficient view renders them once.
+
+        Rendering is deterministic, so threads that race on a shared operator's
+        first read each get the same values."""
+        if self._functions is None:
+            u = self._vectors
+            self._functions = Basis(u.T @ fourier_matrix(u.shape[0], self._grid_size),
+                                    kind="eigen")
+        return self._functions
 
     @property
     def coeff_vectors(self) -> np.ndarray | None:
@@ -92,7 +121,7 @@ class CovOperator:
 
     @property
     def grid_size(self) -> int:
-        return self.eigenfunctions.grid_size
+        return self._grid_size
 
     @property
     def rank(self) -> int:
@@ -156,14 +185,12 @@ def _sorted_desc(values: np.ndarray, vectors: np.ndarray):
     return values[order], vectors[:, order]
 
 
-def _apply_sign_convention(funcs: np.ndarray, ref_coeffs: np.ndarray) -> np.ndarray:
-    """Flip rows of ``funcs`` so each one's largest-magnitude reference
-    coefficient (first such index on ties) is positive. Returns the flip signs."""
+def _convention_signs(ref_coeffs: np.ndarray) -> np.ndarray:
+    """Per-row signs that make each row's largest-magnitude reference
+    coefficient (first such index on ties) positive."""
     idx = np.argmax(np.abs(ref_coeffs), axis=1)
     lead = ref_coeffs[np.arange(ref_coeffs.shape[0]), idx]
-    signs = np.where(lead < 0.0, -1.0, 1.0)
-    funcs *= signs[:, None]
-    return signs
+    return np.where(lead < 0.0, -1.0, 1.0)
 
 
 def _det_sign_orthogonal(a: np.ndarray) -> float:
@@ -216,29 +243,18 @@ def _empirical_from_coeffs(sample) -> CovOperator:
     lam = np.maximum(vals[:r], 0.0)
     u = vecs[:, :r]             # (J, r) eigenvectors in coefficient space
 
-    ref = u[: min(SIGN_REFERENCE_COUNT, j), :].T
-    funcs = u.T @ sample.basis_matrix
-    signs = _apply_sign_convention(funcs, ref)
-    u = u * signs[None, :]
-
-    def operator(funcs, u):
-        return CovOperator(
-            eigenvalues=lam,
-            eigenfunctions=Basis(funcs, kind="eigen"),
-            kind="empirical",
-            n_samples=n,
-            coeff_vectors=u,
-        )
-
-    op = operator(funcs, u)
+    u = u * _convention_signs(u[: min(SIGN_REFERENCE_COUNT, j), :].T)[None, :]
     if r == n:
-        # A = Q D^{-1} is the whitening matrix of this sample; fix det = +1.
-        a = op.design_products(sample, n) / np.sqrt(n * lam)[None, :]
-        if _det_sign_orthogonal(a) < 0:
-            flip = np.ones(r)
-            flip[-1] = -1.0
-            op = operator(funcs * flip[:, None], u * flip[None, :])
-    return op
+        # A = C U D^{-1} is the whitening matrix of this sample; fix det = +1.
+        if _det_sign_orthogonal((c @ u) / np.sqrt(n * lam)[None, :]) < 0:
+            u[:, -1] *= -1.0
+    return CovOperator(
+        eigenvalues=lam,
+        coeff_vectors=u,
+        grid_size=sample.grid_size,
+        kind="empirical",
+        n_samples=n,
+    )
 
 
 def _empirical_dual(sample) -> CovOperator:
@@ -254,8 +270,8 @@ def _empirical_dual(sample) -> CovOperator:
     funcs = (v.T @ x) / np.sqrt(n * lam)[:, None]
 
     ref_basis = fourier_matrix(min(SIGN_REFERENCE_COUNT, d // 2), d)
-    ref = pairwise_inner(funcs, ref_basis)
-    signs = _apply_sign_convention(funcs, ref)
+    signs = _convention_signs(pairwise_inner(funcs, ref_basis))
+    funcs *= signs[:, None]
     v = v * signs[None, :]
 
     if r == n and _det_sign_orthogonal(v) < 0:
@@ -281,8 +297,7 @@ def _empirical_grid(sample) -> CovOperator:
     lam, funcs = lam[:r], funcs[:r]
 
     ref_basis = fourier_matrix(min(SIGN_REFERENCE_COUNT, d // 2), d)
-    ref = pairwise_inner(funcs, ref_basis)
-    _apply_sign_convention(funcs, ref)
+    funcs *= _convention_signs(pairwise_inner(funcs, ref_basis))[:, None]
 
     return CovOperator(
         eigenvalues=lam,

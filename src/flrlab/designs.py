@@ -220,9 +220,9 @@ def true_covariance(spec: DesignSpec, count: int):
         lam = np.arange(1, count + 1, dtype=float) ** (-spec.alpha)
         return CovOperator(
             eigenvalues=lam,
-            eigenfunctions=Basis(fourier_matrix(j, d)[:count], kind="eigen"),
-            kind="analytic-basis",
             coeff_vectors=np.eye(j)[:, :count],
+            grid_size=d,
+            kind="analytic-basis",
         )
     # Brownian motion: kernel min(s,t), analytic eigenpairs.
     t = grid_nodes(d)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CovOperator
 from .errors import DegenerateDesignError, DimensionError
-from .function_space import GridFunction, trapezoid_weights
+from .function_space import GridFunction
 from .streams import as_generator
 
 ORTHOGONALITY_TOL = 1e-8   # largest off-diagonal of Q^T Q / (n lambda_1) and of A^T A - I
@@ -62,7 +62,13 @@ class WnCoefficients:
     @classmethod
     def draw(cls, drift: np.ndarray, sigma: float, seed) -> WnCoefficients:
         """One draw of drift + independent N(0, sigma^2) noise per coordinate."""
-        return cls(z=drift + sigma * as_generator(seed).standard_normal(drift.size), sigma=sigma)
+        return cls(z=gaussian_draw(drift, sigma, seed), sigma=sigma)
+
+
+def gaussian_draw(mean: np.ndarray, sigma: float, seed) -> np.ndarray:
+    """mean + sigma * independent standard normal noise, one draw per coordinate:
+    the one noise rule of responses and white-noise coefficients."""
+    return mean + sigma * as_generator(seed).standard_normal(mean.size)
 
 
 def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
@@ -114,8 +120,7 @@ def whitenoise_to_flr(z, transform: GramTransform) -> np.ndarray:
 def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
     """Y_j = <X_j, theta> + sigma eps_j with fresh standard normal errors;
     theta is a GridFunction or a vector of Fourier coefficients."""
-    rng = as_generator(seed)
-    return sample.inner_products(theta) + sigma * rng.standard_normal(sample.n)
+    return gaussian_draw(sample.inner_products(theta), sigma, seed)
 
 
 def empirical_wn_drift(theta: GridFunction, sample, cov: CovOperator) -> np.ndarray:
@@ -176,26 +181,3 @@ def reduced_loglik(
     return float(-0.5 * n * math.log(2.0 * math.pi) - n * math.log(sigma)
                  - float(resid @ resid) / (2.0 * sigma**2))
 
-
-def render_coefficient_path(wn: WnCoefficients, cov: CovOperator, *, seed=None) -> GridFunction:
-    """Visualization-only path t -> sum_k z_k int_0^t phi_k.
-
-    With a seed, a residual Brownian component orthogonal to the retained
-    eigenfunctions is added so the path has the right roughness; estimators
-    never consume this rendering.
-    """
-    r = min(wn.n, cov.rank)
-    d = cov.grid_size
-    w = trapezoid_weights(d)
-    phi = cov.eigenfunctions.functions[:r]
-    primitives = np.cumsum(phi * w, axis=1) - 0.5 * phi * w  # midpoint-corrected running integral
-    primitives[:, 0] = 0.0
-    path = wn.z[:r] @ primitives
-    if seed is not None and wn.sigma:
-        rng = as_generator(seed)
-        dt = 1.0 / (d - 1)
-        bm = np.concatenate([[0.0], np.cumsum(rng.standard_normal(d - 1)) * math.sqrt(dt)])
-        bm_coeff = (phi * w) @ np.gradient(bm, dt)
-        residual = bm - bm_coeff @ primitives
-        path = path + wn.sigma * residual
-    return GridFunction(path)

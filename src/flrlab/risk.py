@@ -10,7 +10,8 @@ The harnesses only draw data and score fits: every estimate comes from
 ``estimators``, every operator from ``covariance``. Within one replication,
 whatever does not depend on the test function (the design sample, its
 empirical covariance, the noise, the shrinkage level and weights) is computed
-once and shared by the whole panel.
+once and shared by the whole panel; the sequence model instead redraws the
+same noise from the replication's stream through ``simulate_sequence``.
 
 Replications are independent given their named streams, so ``threads > 1``
 runs them on the pool of ``parallel.foreach``, which holds every OpenBLAS at
@@ -37,6 +38,7 @@ from .designs import DesignSpec, sample_design, true_covariance
 from .equivalence import (
     WnCoefficients,
     empirical_wn_drift,
+    gaussian_draw,
     simulate_empirical_wn,
     simulate_flr_responses,
 )
@@ -58,7 +60,7 @@ from .estimators import (
 from .function_space import fourier_function, norm, pad_coefficients
 from .parallel import foreach
 from .streams import derive_rng
-from .whitenoise import SeqObservation, default_frequency_budget
+from .whitenoise import default_frequency_budget, simulate_sequence
 
 
 @dataclass(frozen=True)
@@ -237,33 +239,29 @@ def _make_rep_context(model, estimator, n, master_seed, rep, oracle_gamma):
 def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     budget = max(model.coeff_budget, default_frequency_budget(n, alpha, tc.beta))
-    ks = np.arange(1, budget + 1, dtype=float)
-    lam = ks ** (-alpha)
-    sqrt_lam = np.sqrt(lam)
-    rng = derive_rng(master_seed, f"seq-n{n}", rep)
-    xi = rng.standard_normal(budget)
+    lam = np.arange(1, budget + 1, dtype=float) ** (-alpha)
 
-    def observe(th, eps):
-        return SeqObservation(sqrt_lam * th + eps * xi, lam, eps)
+    def observe(th, size):
+        # The replication's stream is derived afresh for every test function,
+        # so the whole panel sees the same noise.
+        return simulate_sequence(th, lam, size, sigma, derive_rng(master_seed, f"seq-n{n}", rep))
 
     if estimator.kind == "cutoff":
         m, k = _cutoff_split(model, estimator, n)
-        eps = sigma / math.sqrt(m)
 
         def run(theta):
             th = pad_coefficients(theta, budget)
-            est = cutoff_estimator(observe(th, eps), None, k)
+            est = cutoff_estimator(observe(th, m), None, k)
             return float(np.sum((est - th[:k]) ** 2)) + _tail_sq(th, k)
 
         return run
 
     if estimator.kind in ("pinsker-oracle", "pinsker-fixed"):
         w = pinsker_weights(gamma, tc, budget)
-        eps = sigma / math.sqrt(n)
 
         def run(theta):
             th = pad_coefficients(theta, budget)
-            est = pinsker_sequence_estimator(observe(th, eps), w)
+            est = pinsker_sequence_estimator(observe(th, n), w)
             return float(np.sum((est - th) ** 2))
 
         return run
@@ -495,9 +493,10 @@ def two_route_draws(spec: DesignSpec, theta_class: ThetaClass, sigma: float,
     theta = sample_theta(theta_class, "boundary", power_lambda_profile(spec.alpha), sigma, n, 0)
     theta_grid = fourier_function(theta, spec.grid_size)
 
+    mean = sample.inner_products(theta_grid)
     a = np.empty((draws, n))
     for i in range(draws):
-        y = simulate_flr_responses(sample, theta_grid, sigma, derive_rng(seed, "route-flr", i))
+        y = gaussian_draw(mean, sigma, derive_rng(seed, "route-flr", i))
         a[i] = flr_to_whitenoise(y, transform, sigma).z
     drift = empirical_wn_drift(theta_grid, sample, cov)
     b = np.empty((draws, n))

@@ -30,8 +30,3 @@ def as_generator(seed) -> np.random.Generator:
         return np.random.default_rng(int(seed))
     raise TypeError(f"seed must be an int or numpy Generator, got {type(seed).__name__}")
 
-
-def child_rngs(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
-    """Split a generator into independent children (deterministic given rng state)."""
-    seeds = rng.integers(0, 2**63 - 1, size=count)
-    return [np.random.default_rng(int(s)) for s in seeds]

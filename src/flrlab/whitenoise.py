@@ -1,9 +1,6 @@
 """Sequence form of the limiting white-noise inverse problem.
 
 Observations are y_k = sqrt(lambda_k) theta_k + eps xi_k with eps = sigma/sqrt(n).
-The split/recombination pair mirrors the two-sample construction: two
-independent halves at noise levels sigma/sqrt(m) and sigma/sqrt(n-m) recombine
-into one observation at level sigma/sqrt(n) plus a pure-noise channel.
 """
 
 from __future__ import annotations
@@ -14,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .streams import as_generator, child_rngs
+from .streams import as_generator
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,8 @@ def default_frequency_budget(n: int, alpha: float, beta: float) -> int:
     return max(int(math.ceil(4.0 * n ** (1.0 / (2.0 * beta + alpha + 1.0)))), 64)
 
 
-def _drift(theta_coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
+def simulate_sequence(theta_coeffs, lambdas, n: int, sigma: float, seed) -> SeqObservation:
+    """One draw of the sequence model at sample size n."""
     theta = np.asarray(theta_coeffs, dtype=float)
     lam = np.asarray(lambdas, dtype=float)
     if theta.shape != lam.shape:
@@ -56,52 +54,6 @@ def _drift(theta_coeffs: np.ndarray, lambdas: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one frequency")
     if np.any(lam <= 0.0):
         raise ValueError("lambdas must be positive")
-    return np.sqrt(lam) * theta
-
-
-def simulate_sequence(theta_coeffs, lambdas, n: int, sigma: float, seed) -> SeqObservation:
-    """One draw of the sequence model at sample size n."""
-    drift = _drift(theta_coeffs, lambdas)
     eps = sigma / math.sqrt(n)
-    rng = as_generator(seed)
-    y = drift + eps * rng.standard_normal(drift.size)
-    return SeqObservation(y=y, lambdas=np.asarray(lambdas, dtype=float), noise_level=eps)
-
-
-def simulate_split(theta_coeffs, lambdas, m: int, n: int, sigma: float, seed):
-    """Two independent halves sharing one drift, at sizes m and n - m."""
-    if not 0 < m < n:
-        raise ValueError(f"split size must satisfy 0 < m < n, got m={m}, n={n}")
-    drift = _drift(theta_coeffs, lambdas)
-    rng = as_generator(seed)
-    rng1, rng2 = child_rngs(rng, 2)
-    lam = np.asarray(lambdas, dtype=float)
-    e1 = sigma / math.sqrt(m)
-    e2 = sigma / math.sqrt(n - m)
-    s1 = SeqObservation(y=drift + e1 * rng1.standard_normal(drift.size), lambdas=lam, noise_level=e1)
-    s2 = SeqObservation(y=drift + e2 * rng2.standard_normal(drift.size), lambdas=lam, noise_level=e2)
-    return s1, s2
-
-
-def recombine_split(s1: SeqObservation, s2: SeqObservation, m: int, n: int):
-    """Rotate the two halves into (full-information, pure-noise) channels.
-
-    T1 = (m/n) s1 + ((n-m)/n) s2 has the original drift at noise sigma/sqrt(n);
-    T2 = s1 - s2 has zero drift; the two are independent.
-    """
-    if s1.count != s2.count:
-        raise DimensionError("split halves have different lengths")
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
-    sigma = s1.noise_level * math.sqrt(m)
-    t1 = SeqObservation(
-        y=(m / n) * s1.y + ((n - m) / n) * s2.y,
-        lambdas=s1.lambdas,
-        noise_level=sigma / math.sqrt(n),
-    )
-    t2 = SeqObservation(
-        y=s1.y - s2.y,
-        lambdas=s1.lambdas,
-        noise_level=sigma * math.sqrt(1.0 / m + 1.0 / (n - m)),
-    )
-    return t1, t2
+    y = np.sqrt(lam) * theta + eps * as_generator(seed).standard_normal(lam.size)
+    return SeqObservation(y=y, lambdas=lam, noise_level=eps)

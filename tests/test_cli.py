@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,3 +304,31 @@ class TestDeterminism:
             assert files1 == files2
             for f in files1:
                 assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f"{name}/{f}"
+
+
+class TestCsvSchema:
+    def test_schema_lists_exactly_what_the_subcommands_write(self, tmp_path):
+        # every CSV a subcommand writes is in the schema with its columns, in
+        # order, and the schema lists nothing else; "x1..xn" stands for n columns
+        import flrlab
+
+        schema = json.loads((Path(flrlab.__file__).parent / "data" / "csv_schema.json")
+                            .read_text(encoding="utf-8"))
+        cfg_flr = write_config(tmp_path, BASE, "flr.ini")
+        cfg_seq = write_config(tmp_path, RISK, "seq.ini")
+        n = load_config(cfg_flr).model.n_grid[0]
+        out = tmp_path / "all"
+        for name, cfg in (("simulate", cfg_flr), ("transform", cfg_flr), ("estimate", cfg_flr),
+                          ("risk", cfg_seq), ("equivalence", cfg_flr)):
+            assert main([name, "--config", str(cfg), "--out", str(out)]) == 0
+        written = {p.name: p.read_text(encoding="utf-8").splitlines()[0].split(",")
+                   for p in out.glob("*.csv")}
+        assert sorted(written) == sorted(schema)
+        for name, header in written.items():
+            expected = []
+            for column in schema[name]:
+                if column == "x1..xn":
+                    expected += [f"x{i}" for i in range(1, n + 1)]
+                else:
+                    expected.append(column)
+            assert header == expected, name

@@ -75,14 +75,42 @@ class TestEmpiricalCovariance:
             sample_basis_design(small_spec, 0, 1)
 
     def test_routes_agree(self, small_spec):
-        s = sample_basis_design(small_spec, 30, 17)
-        dual = _empirical_dual(s)
-        grid = _empirical_grid(s)
-        coeff = _empirical_from_coeffs(s)
-        r = dual.rank
-        top = dual.eigenvalues[0]
-        assert np.max(np.abs(dual.eigenvalues[:r] - grid.eigenvalues[:r])) <= 1e-8 * top
-        assert np.max(np.abs(dual.eigenvalues[:r] - coeff.eigenvalues[:r])) <= 1e-8 * top
+        # Full rank n <= J, so both the sign convention and the det = +1 flip
+        # decide the coefficient route's rendered eigenfunctions; over these
+        # seeds the flip is taken on some samples and not on others.
+        flipped = set()
+        for seed in range(17, 23):
+            s = sample_basis_design(small_spec, 30, seed)
+            dual = _empirical_dual(s)
+            grid = _empirical_grid(s)
+            coeff = _empirical_from_coeffs(s)
+            r = dual.rank
+            assert r == coeff.rank == s.n
+            top = dual.eigenvalues[0]
+            assert np.max(np.abs(dual.eigenvalues[:r] - grid.eigenvalues[:r])) <= 1e-8 * top
+            assert np.max(np.abs(dual.eigenvalues[:r] - coeff.eigenvalues[:r])) <= 1e-8 * top
+            phi = coeff.eigenfunctions.functions
+            assert np.max(np.abs(phi - dual.eigenfunctions.functions)) <= 1e-8
+            last = coeff.coeff_vectors[:, -1]
+            flipped.add(bool(last[np.argmax(np.abs(last))] < 0.0))
+        assert flipped == {False, True}
+
+    def test_coefficient_view_renders_on_first_read(self, small_spec):
+        s = sample_basis_design(small_spec, 20, 5)
+        for op in (empirical_covariance(s), true_covariance(small_spec, 6)):
+            u = op.coeff_vectors
+            phi = op.eigenfunctions
+            assert op.eigenfunctions is phi
+            assert np.array_equal(phi.functions, u.T @ fourier_matrix(u.shape[0], s.grid_size))
+
+    def test_one_representation_per_operator(self):
+        basis = Basis(fourier_basis(2, 256).functions, kind="eigen")
+        lam = np.array([1.0, 0.5])
+        for kwargs in ({}, {"eigenfunctions": basis, "coeff_vectors": np.eye(2)},
+                       {"coeff_vectors": np.eye(2)},
+                       {"eigenfunctions": basis, "grid_size": 256}):
+            with pytest.raises(ValueError):
+                CovOperator(eigenvalues=lam, **kwargs)
 
     @pytest.mark.parametrize("n, eigh_shape", [(100, (100, 100)), (300, (128, 128))])
     def test_grid_only_route_solves_the_smaller_eigenproblem(self, n, eigh_shape, monkeypatch):

@@ -20,7 +20,6 @@ from flrlab import (
     synthesize,
     whitenoise_to_flr,
 )
-from flrlab.equivalence import render_coefficient_path
 from flrlab.function_space import fourier_function, trapezoid_weights
 
 
@@ -227,11 +226,3 @@ class TestConditionalLikelihood:
             reduced = reduced_loglik(y, t, cov, theta, sigma)
             assert abs(direct - reduced) <= 1e-8
 
-
-class TestPathRendering:
-    def test_starts_at_zero_and_is_finite(self, sample25, cov25):
-        theta = random_theta(1024, 41)
-        wn = simulate_empirical_wn(theta, sample25, cov25, 1.0, 5)
-        path = render_coefficient_path(wn, cov25, seed=6)
-        assert path.values[0] == 0.0
-        assert np.all(np.isfinite(path.values))

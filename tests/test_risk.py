@@ -115,6 +115,28 @@ class TestMiseMonteCarlo:
             mise_monte_carlo(model, est, 20, 4)
             assert calls == list(model.n_grid)
 
+    def test_basis_designs_render_no_grid_eigenfunctions(self, monkeypatch):
+        # Operators of basis-expansion designs live in Fourier coefficients:
+        # neither the cutoff study (full-rank m <= J and rank-capped m > J)
+        # nor the data-driven level builds an eigenfunction grid.
+        from flrlab import data_driven_gamma, sample_design
+        from flrlab.function_space import Basis
+
+        built = []
+        post_init = Basis.__post_init__
+
+        def counting(self):
+            post_init(self)
+            if self.kind == "eigen":
+                built.append(self.functions.shape)
+
+        monkeypatch.setattr(Basis, "__post_init__", counting)
+        mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64, 512)),
+                         EstimatorConfig(kind="cutoff"), 3, 2)
+        sel = data_driven_gamma(sample_design(SPEC, 400, 3), TC, 1.0, default_rho(2.0))
+        assert sel.gamma_hat > 0
+        assert built == []
+
     def test_seed_determinism(self):
         est = EstimatorConfig(kind="cutoff")
         a = mise_monte_carlo(flr_model(n_grid=(64,)), est, 5, 9)
@@ -250,19 +272,41 @@ class TestTwoSampleBattery:
         with pytest.raises(ValueError):
             two_sample_equivalence_test(np.zeros((5, 2)), np.zeros((5, 3)))
 
-    def test_direct_route_draws_are_simulate_empirical_wn(self):
-        # the drift is computed once per call, and the draws keep its bits
-        from flrlab import empirical_covariance, sample_design, simulate_empirical_wn
+    def test_direct_route_draws_are_simulate_empirical_wn(self, monkeypatch):
+        # the response mean and the drift are computed once per call, and the
+        # draws of both routes keep the bits of the library simulators
+        from flrlab import (
+            build_gram_transform,
+            empirical_covariance,
+            flr_to_whitenoise,
+            sample_design,
+            simulate_empirical_wn,
+            simulate_flr_responses,
+        )
+        from flrlab.designs import DesignSample
         from flrlab.function_space import fourier_function
         from flrlab.risk import two_route_draws
         from flrlab.streams import derive_rng
 
-        _, b = two_route_draws(SPEC, TC, 1.0, n=16, draws=3, seed=4)
+        calls = []
+        inner_products = DesignSample.inner_products
+
+        def counting(self, theta):
+            calls.append(self.n)
+            return inner_products(self, theta)
+
+        with monkeypatch.context() as m:
+            m.setattr(DesignSample, "inner_products", counting)
+            a, b = two_route_draws(SPEC, TC, 1.0, n=16, draws=3, seed=4)
+        assert calls == [16]
         sample = sample_design(SPEC, 16, derive_rng(4, "two-route-design"))
         cov = empirical_covariance(sample)
+        transform = build_gram_transform(sample, cov)
         theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, 16, 0)
         theta_grid = fourier_function(theta, SPEC.grid_size)
         for i in range(3):
+            y = simulate_flr_responses(sample, theta_grid, 1.0, derive_rng(4, "route-flr", i))
+            assert np.array_equal(a[i], flr_to_whitenoise(y, transform).z)
             draw = simulate_empirical_wn(theta_grid, sample, cov, 1.0,
                                          derive_rng(4, "route-direct", i))
             assert np.array_equal(b[i], draw.z)

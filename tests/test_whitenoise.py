@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flrlab import (
-    default_frequency_budget,
-    recombine_split,
-    simulate_sequence,
-    simulate_split,
-    two_sample_equivalence_test,
-)
+from flrlab import default_frequency_budget, simulate_sequence
 
 
 LAM = np.arange(1, 33, dtype=float) ** -2.0
@@ -45,81 +39,6 @@ class TestSimulateSequence:
         a = simulate_sequence(THETA, LAM, 100, 1.0, 9).y
         b = simulate_sequence(THETA, LAM, 100, 1.0, 9).y
         assert np.array_equal(a, b)
-
-
-class TestSplit:
-    def test_equal_halves_share_noise_level(self):
-        s1, s2 = simulate_split(THETA, LAM, 50, 100, 1.0, 3)
-        assert s1.noise_level == s2.noise_level
-
-    def test_noiseless_split_is_drift(self):
-        s1, s2 = simulate_split(THETA, LAM, 30, 100, 0.0, 3)
-        assert np.array_equal(s1.y, s2.y)
-        assert np.array_equal(s1.y, np.sqrt(LAM) * THETA)
-
-    def test_halves_are_independent(self):
-        n1 = np.empty((10_000, 4))
-        n2 = np.empty((10_000, 4))
-        for seed in range(10_000):
-            s1, s2 = simulate_split(np.zeros(4), LAM[:4], 40, 100, 1.0, seed)
-            n1[seed] = s1.y
-            n2[seed] = s2.y
-        corr = np.array([np.corrcoef(n1[:, j], n2[:, j])[0, 1] for j in range(4)])
-        assert np.max(np.abs(corr)) <= 3.0 / math.sqrt(10_000)
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_split(THETA, LAM, 100, 100, 1.0, 0)
-
-
-class TestRecombination:
-    def test_noiseless_algebra(self):
-        s1, s2 = simulate_split(THETA, LAM, 30, 100, 0.0, 5)
-        t1, t2 = recombine_split(s1, s2, 30, 100)
-        assert np.max(np.abs(t1.y - np.sqrt(LAM) * THETA)) <= 1e-14
-        assert np.max(np.abs(t2.y)) <= 1e-14
-
-    def test_recombined_noise_level(self):
-        m, n, sigma = 40, 100, 2.0
-        draws = np.empty((10_000, 4))
-        for seed in range(10_000):
-            s1, s2 = simulate_split(np.zeros(4), LAM[:4], m, n, sigma, seed)
-            t1, _ = recombine_split(s1, s2, m, n)
-            draws[seed] = t1.y
-        v = draws.var(axis=0, ddof=1).mean()
-        target = sigma**2 / n
-        se = target * math.sqrt(2.0 / (draws.shape[0] - 1)) / math.sqrt(4)
-        assert abs(v - target) <= 3 * se
-        s1, s2 = simulate_split(np.zeros(4), LAM[:4], m, n, sigma, 0)
-        t1, t2 = recombine_split(s1, s2, m, n)
-        assert t1.noise_level == pytest.approx(sigma / math.sqrt(n), rel=1e-12)
-        assert t2.noise_level == pytest.approx(sigma * math.sqrt(1 / m + 1 / (n - m)), rel=1e-12)
-
-    def test_channels_uncorrelated(self):
-        a = np.empty((10_000, 4))
-        b = np.empty((10_000, 4))
-        for seed in range(10_000):
-            s1, s2 = simulate_split(np.zeros(4), LAM[:4], 40, 100, 1.0, seed)
-            t1, t2 = recombine_split(s1, s2, 40, 100)
-            a[seed] = t1.y
-            b[seed] = t2.y
-        corr = np.array([np.corrcoef(a[:, j], b[:, j])[0, 1] for j in range(4)])
-        assert np.max(np.abs(corr)) <= 3.0 / math.sqrt(10_000)
-
-    def test_recombined_law_matches_direct_simulation(self):
-        # per-coordinate KS between T1 draws and direct sequence-model draws
-        m, n, sigma = 40, 100, 1.0
-        k = 6
-        direct = np.stack([
-            simulate_sequence(THETA[:k], LAM[:k], n, sigma, 50_000 + s).y for s in range(2000)
-        ])
-        recombined = np.empty((2000, k))
-        for s in range(2000):
-            s1, s2 = simulate_split(THETA[:k], LAM[:k], m, n, sigma, 90_000 + s)
-            t1, _ = recombine_split(s1, s2, m, n)
-            recombined[s] = t1.y
-        report = two_sample_equivalence_test(direct, recombined, level=0.05)
-        assert report.rejection_rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / k)
 
 
 class TestFrequencyBudget:
