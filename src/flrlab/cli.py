@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +31,22 @@ from .equivalence import (
     simulate_flr_responses,
     whitenoise_to_flr,
 )
-from .errors import DegenerateDesignError, SpecValidationError
+from .errors import DegenerateDesignError
 from .estimators import (
-    data_driven_gamma,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
-    pinsker_weights,
     power_lambda_profile,
     sample_theta,
     sharp_risk_constant,
 )
 from .function_space import fourier_function, norm
-from .risk import delta56_study, mise_monte_carlo, two_route_draws, two_sample_equivalence_test
+from .risk import (
+    delta56_study,
+    mise_monte_carlo,
+    pinsker_level,
+    two_route_draws,
+    two_sample_equivalence_test,
+)
 from .serialize import (
     design_spec_payload,
     read_table,
@@ -65,10 +70,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return _dispatch(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (SpecValidationError, ValueError) as exc:
+    except ValueError as exc:        # ConfigError and SpecValidationError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (DegenerateDesignError, ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -121,9 +123,9 @@ def _dispatch(args) -> int:
         return _cmd_report(out)
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = _override(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     if args.threads is not None:
-        cfg = _override(cfg, threads=args.threads)
+        cfg = replace(cfg, threads=args.threads)
     out = Path(args.out or cfg.out or ".")
     ws = _Workspace(out)
     try:
@@ -141,12 +143,6 @@ def _dispatch(args) -> int:
         raise
 
 
-def _override(cfg: ExperimentConfig, **changes) -> ExperimentConfig:
-    from dataclasses import replace
-
-    return replace(cfg, **changes)
-
-
 def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     payload = {
         "config_sha256": cfg.config_sha256,
@@ -162,8 +158,7 @@ def _theta_for(cfg: ExperimentConfig, n: int, oracle_gamma: float | None = None)
     return sample_theta(
         cfg.model.theta_class, mode,
         power_lambda_profile(cfg.model.alpha),
-        cfg.model.sigma, n, derive_rng(cfg.seed, "theta"),
-        count=cfg.model.coeff_budget, gamma=oracle_gamma,
+        cfg.model.sigma, n, derive_rng(cfg.seed, "theta"), gamma=oracle_gamma,
     )
 
 
@@ -219,6 +214,8 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "estimate")
     n = cfg.model.n_grid[0]
     model, est = cfg.model, cfg.estimator
+    if est.kind == "cutoff":
+        raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
     lam = power_lambda_profile(model.alpha)
     oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
@@ -226,20 +223,11 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     theta_grid = fourier_function(theta, model.design.grid_size)
     y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
-    rho = est.rho
-    plan: dict = {"estimator": est.kind, "rho": rho}
-    if est.kind == "pinsker-data-driven":
-        sel = data_driven_gamma(sample, model.theta_class, model.sigma, rho, alpha=model.alpha)
-        gamma = sel.gamma_hat
-        fit_sample, fit_y = sample.subset(slice(sel.split_m)), y[: sel.split_m]
+    plan: dict = {"estimator": est.kind, "rho": est.rho}
+    m, gamma, weights, sel = pinsker_level(est, model, sample, est.rho, oracle_gamma)
+    if sel is not None:
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
-    elif est.kind in ("pinsker-oracle", "pinsker-fixed"):
-        gamma = oracle_gamma if est.gamma is None else est.gamma
-        fit_sample, fit_y = sample, y
-    else:
-        raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
-    weights = pinsker_weights(gamma, model.theta_class)
-    fit = flr_pinsker_fit(fit_sample, fit_y, weights, rho, alpha=model.alpha)
+    fit = flr_pinsker_fit(sample.subset(slice(m)), y[:m], weights, est.rho, alpha=model.alpha)
     err = norm(fit.estimate - theta_grid, 2) ** 2
 
     plan.update(
@@ -271,12 +259,7 @@ def _cmd_risk(cfg: ExperimentConfig, ws: _Workspace) -> None:
         "model": report.model_kind,
         "worst_labels": list(report.worst_labels or ()),
     }))
-    line_plot(ws.path("mise_vs_n.svg"), report.n_grid, {"MISE": report.mise},
-              title="Monte Carlo MISE", xlabel="n", ylabel="MISE", logx=True, logy=True)
-    if report.sharp_ratio is not None:
-        line_plot(ws.path("ratio_vs_n.svg"), report.n_grid,
-                  {"MISE / sharp risk": report.sharp_ratio},
-                  title="Sharp-constant ratio", xlabel="n", ylabel="ratio", logx=True)
+    _plot_risk(dict(zip(header, cols)), ws.path)
 
 
 def _cmd_equivalence(cfg: ExperimentConfig, ws: _Workspace) -> None:
@@ -290,10 +273,9 @@ def _cmd_equivalence(cfg: ExperimentConfig, ws: _Workspace) -> None:
                 [list(range(1, n + 1)), list(ks.statistics), list(ks.p_values),
                  [int(r) for r in ks.rejected]])
     delta = delta56_study(cfg.model.n_grid, cfg.model, cfg.reps, cfg.seed, threads=cfg.threads)
-    write_table(ws.path("delta.csv"),
-                ["n", "mean_sq_delta", "stderr", "tv_bound"],
-                [list(delta.n_grid), list(delta.mean_sq), list(delta.stderr),
-                 list(delta.tv_bounds)])
+    header = ["n", "mean_sq_delta", "stderr", "tv_bound"]
+    cols = [list(delta.n_grid), list(delta.mean_sq), list(delta.stderr), list(delta.tv_bounds)]
+    write_table(ws.path("delta.csv"), header, cols)
     write_json(ws.path("equivalence.json"), _meta(cfg, {
         "n": n,
         "draws": cfg.draws,
@@ -301,33 +283,35 @@ def _cmd_equivalence(cfg: ExperimentConfig, ws: _Workspace) -> None:
         "ks_rejection_rate": ks.rejection_rate,
         "delta_reps": delta.reps,
     }))
-    if len(delta.n_grid) >= 2:
-        line_plot(ws.path("delta_vs_n.svg"), delta.n_grid,
-                  {"E||Delta||^2": delta.mean_sq, "tv bound": delta.tv_bounds},
+    _plot_delta(dict(zip(header, cols)), ws.path)
+
+
+def _plot_risk(cols: dict, path_of) -> None:
+    """MISE, and the sharp-constant ratio when present, against n, from the
+    columns of ``risk.csv``; ``path_of`` maps a file name to its path."""
+    line_plot(path_of("mise_vs_n.svg"), cols["n"], {"MISE": cols["mise"]},
+              title="Monte Carlo MISE", xlabel="n", ylabel="MISE", logx=True, logy=True)
+    if "ratio_sharp" in cols:
+        line_plot(path_of("ratio_vs_n.svg"), cols["n"], {"MISE / sharp risk": cols["ratio_sharp"]},
+                  title="Sharp-constant ratio", xlabel="n", ylabel="ratio", logx=True)
+
+
+def _plot_delta(cols: dict, path_of) -> None:
+    """The perturbation size and its TV surrogate against n, from the columns
+    of ``delta.csv``; one sample size draws no plot."""
+    if len(cols["n"]) >= 2:
+        line_plot(path_of("delta_vs_n.svg"), cols["n"],
+                  {"E||Delta||^2": cols["mean_sq_delta"], "tv bound": cols["tv_bound"]},
                   title="Perturbation decay", xlabel="n", ylabel="value", logx=True, logy=True)
 
 
 def _cmd_report(out: Path) -> int:
     found = 0
-    risk_csv = out / "risk.csv"
-    if risk_csv.exists():
-        header, data = read_table(risk_csv)
-        cols = {name: data[:, i] for i, name in enumerate(header)}
-        line_plot(out / "mise_vs_n.svg", cols["n"], {"MISE": cols["mise"]},
-                  title="Monte Carlo MISE", xlabel="n", ylabel="MISE", logx=True, logy=True)
-        if "ratio_sharp" in cols:
-            line_plot(out / "ratio_vs_n.svg", cols["n"], {"MISE / sharp risk": cols["ratio_sharp"]},
-                      title="Sharp-constant ratio", xlabel="n", ylabel="ratio", logx=True)
-        found += 1
-    delta_csv = out / "delta.csv"
-    if delta_csv.exists():
-        header, data = read_table(delta_csv)
-        cols = {name: data[:, i] for i, name in enumerate(header)}
-        if data.shape[0] >= 2:
-            line_plot(out / "delta_vs_n.svg", cols["n"],
-                      {"E||Delta||^2": cols["mean_sq_delta"], "tv bound": cols["tv_bound"]},
-                      title="Perturbation decay", xlabel="n", ylabel="value", logx=True, logy=True)
-        found += 1
+    for name, plot in (("risk.csv", _plot_risk), ("delta.csv", _plot_delta)):
+        if (out / name).exists():
+            header, data = read_table(out / name)
+            plot({col: data[:, i] for i, col in enumerate(header)}, lambda f: out / f)
+            found += 1
     if found == 0:
         print("report: no risk.csv or delta.csv found", file=sys.stderr)
         return 2

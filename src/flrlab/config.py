@@ -4,7 +4,13 @@ The format is a plain text file of ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment. The parser keeps line numbers so validation
 errors can point at the offending line, and unknown sections or keys are
 rejected outright. The model and estimator records the Monte Carlo harness
-consumes are defined here too, with their own validation.
+consumes are defined here too, with their own validation; pairings of the two
+that no study can run are rejected by ``EstimatorConfig.check_against``, which
+the loader and ``risk.mise_monte_carlo`` both call.
+
+There are three estimator kinds, the three the paper's claims rest on: the
+spectral cutoff (the rate), Pinsker shrinkage at the oracle level (known
+design) and Pinsker shrinkage at a data-driven level (unknown design).
 """
 
 from __future__ import annotations
@@ -15,18 +21,12 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, DesignSpec
+from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, KIND_GAUSSIAN, DesignSpec
 from .errors import SpecValidationError
-from .estimators import ThetaClass, default_rho, validate_rho
+from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, default_rho,
+                         validate_rho)
 
-ESTIMATOR_KINDS = (
-    "zero",
-    "oracle",
-    "cutoff",
-    "pinsker-oracle",
-    "pinsker-fixed",
-    "pinsker-data-driven",
-)
+ESTIMATOR_KINDS = ("cutoff", "pinsker-oracle", "pinsker-data-driven")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class ModelConfig:
     sigma: float
     n_grid: tuple
     design: DesignSpec | None = None
-    coeff_budget: int = 64
 
     def __post_init__(self):
         if self.kind not in ("sequence", "flr"):
@@ -49,32 +48,37 @@ class ModelConfig:
             raise SpecValidationError("flr models need a design spec")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
-        if self.sigma < 0:
-            raise SpecValidationError("sigma must be >= 0", "sigma")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise SpecValidationError(f"sigma must be finite and > 0, got {self.sigma}", "sigma")
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Estimator side of a risk study; ``gamma`` belongs to pinsker-fixed
-    alone, which requires a positive one."""
+    """Estimator side of a risk study."""
 
     kind: str
     rho: float | None = None
-    gamma: float | None = None
-    cutoff_constant: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise SpecValidationError(
                 f"unknown estimator kind {self.kind!r}; choose from {ESTIMATOR_KINDS}", "kind"
             )
-        if self.kind != "pinsker-fixed":
-            if self.gamma is not None:
-                raise SpecValidationError(f"gamma is set only for pinsker-fixed, not {self.kind}",
-                                          "gamma")
-        elif self.gamma is None or not self.gamma > 0:
-            raise SpecValidationError(f"pinsker-fixed needs a gamma > 0, got {self.gamma}",
-                                      "gamma")
+
+    def check_against(self, model: ModelConfig) -> None:
+        """Reject the pairings with a model that no study can run."""
+        if self.kind == "pinsker-data-driven" and model.kind == "sequence":
+            raise SpecValidationError("pinsker-data-driven needs designs: use model.kind = flr",
+                                      "kind")
+        if (self.kind == "cutoff" and model.design is not None
+                and model.design.kind == KIND_GAUSSIAN):
+            raise SpecValidationError(
+                "the cutoff estimator is out of scope on integrated-gaussian designs: it fits "
+                "in their sine eigenbasis, while theta is scored in Fourier coordinates", "kind")
+        if self.kind == "pinsker-data-driven" and min(model.n_grid) < DATA_DRIVEN_MIN_N:
+            raise SpecValidationError(
+                f"pinsker-data-driven needs every n >= {DATA_DRIVEN_MIN_N} so both split "
+                f"halves are nonempty, got {min(model.n_grid)}", "n_grid")
 
 
 class ConfigError(ValueError):
@@ -117,53 +121,38 @@ def _parse_flat(text: str, path: str) -> tuple[dict, dict]:
     return sections, headers
 
 
-def _float(v: str) -> float:
-    return float(v)
-
-
-def _int(v: str) -> int:
-    return int(v)
-
-
-def _str(v: str) -> str:
-    return v
-
-
 def _int_list(v: str) -> tuple:
     return tuple(int(s.strip()) for s in v.split(",") if s.strip())
 
 
 _SCHEMA = {
     "design": {
-        "kind": _str,
-        "alpha": _float,
-        "j_truncation": _int,
-        "grid_size": _int,
+        "kind": str,
+        "alpha": float,
+        "j_truncation": int,
+        "grid_size": int,
     },
     "theta": {
-        "beta": _float,
-        "c_theta": _float,
-        "mode": _str,
+        "beta": float,
+        "c_theta": float,
+        "mode": str,
     },
     "model": {
-        "kind": _str,
-        "sigma": _float,
+        "kind": str,
+        "sigma": float,
         "n_grid": _int_list,
-        "coeff_budget": _int,
     },
     "estimator": {
-        "kind": _str,
-        "rho": _float,
-        "gamma": _float,
-        "cutoff_constant": _float,
+        "kind": str,
+        "rho": float,
     },
     "run": {
-        "reps": _int,
-        "seed": _int,
-        "out": _str,
-        "threads": _int,
-        "draws": _int,
-        "level": _float,
+        "reps": int,
+        "seed": int,
+        "out": str,
+        "threads": int,
+        "draws": int,
+        "level": float,
     },
 }
 
@@ -207,11 +196,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
         return entries[key][1] if key in entries else headers.get(section)
 
     @contextmanager
-    def rejecting_in(section: str):
-        """Report a record's validation error at the line of the rejected key."""
+    def rejecting_in(*names: str):
+        """Report a record's validation error at the line of the rejected key,
+        in the first of the sections that sets it (else the first's header)."""
         try:
             yield
         except SpecValidationError as exc:
+            section = next((s for s in names if exc.field in sections.get(s, {})), names[0])
             raise ConfigError(str(exc), str(path), line_of(section, exc.field)) from None
 
     values: dict = {}
@@ -263,32 +254,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
             sigma=get("model", "sigma"),
             n_grid=get("model", "n_grid"),
             design=design,
-            coeff_budget=get("model", "coeff_budget", 64),
         )
-    if not math.isfinite(model.sigma):
-        raise ConfigError("model.sigma must be finite", str(path), line_of("model", "sigma"))
     if design is not None:
         # Every Fourier function in play (theta's coefficients, the expansion)
         # must stay below the grid's Nyquist limit.
         j = (design.j_truncation or DEFAULT_MAX_EXPANSION) if design.kind == KIND_BASIS else 0
-        need = 2 * max(model.coeff_budget, j)
+        need = 2 * max(DEFAULT_COEFF_BUDGET, j)
         if design.grid_size < need:
             raise ConfigError(
                 f"design.grid_size = {design.grid_size} cannot resolve {need // 2} Fourier "
-                f"functions; need at least {need} = 2 max(coeff_budget, J)",
+                f"functions; need at least {need} = 2 max({DEFAULT_COEFF_BUDGET}, J)",
                 str(path), line_of("design", "grid_size"))
     rho = get("estimator", "rho")
     if rho is None and est_kind.startswith("pinsker"):
         rho = default_rho(alpha)
     with rejecting_in("estimator"):
-        estimator = EstimatorConfig(
-            kind=est_kind,
-            rho=rho,
-            gamma=get("estimator", "gamma"),
-            cutoff_constant=get("estimator", "cutoff_constant", 1.0),
-        )
+        estimator = EstimatorConfig(kind=est_kind, rho=rho)
         if rho is not None:
             validate_rho(rho, alpha)
+    with rejecting_in("estimator", "model"):
+        estimator.check_against(model)
 
     reps = get("run", "reps", 2)
     threads = get("run", "threads", 1)

@@ -25,6 +25,7 @@ from .streams import as_generator
 from .whitenoise import SeqObservation
 
 DEFAULT_COEFF_BUDGET = 64   # declared truncation length for coefficient sequences
+DATA_DRIVEN_MIN_N = 8       # smallest n whose data-driven split leaves both halves nonempty
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,11 @@ def validate_rho(rho: float, alpha: float | None = None) -> None:
         )
 
 
-def select_cutoff(m: int, alpha: float, beta: float, *, constant: float = 1.0) -> int:
-    """Frequency cutoff ceil(c m^(1/(2 beta + alpha + 1))), at least 1; c defaults to 1."""
+def select_cutoff(m: int, alpha: float, beta: float) -> int:
+    """Frequency cutoff ceil(m^(1/(2 beta + alpha + 1))), at least 1."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return max(1, math.ceil(constant * m ** (1.0 / (2.0 * beta + alpha + 1.0))))
+    return max(1, math.ceil(m ** (1.0 / (2.0 * beta + alpha + 1.0))))
 
 
 def cutoff_estimator(
@@ -385,8 +386,8 @@ def data_driven_gamma(
     """
     validate_rho(rho, alpha)
     n = sample.n
-    if n < 8:
-        raise ValueError("need n >= 8 so both split halves are nonempty")
+    if n < DATA_DRIVEN_MIN_N:
+        raise ValueError(f"need n >= {DATA_DRIVEN_MIN_N} so both split halves are nonempty")
     m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
     m = min(max(m, 1), n - 1)
     train = sample.subset(slice(m, n))

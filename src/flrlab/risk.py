@@ -7,7 +7,14 @@ estimator's cutoff (the bias-carrying direction that integer-valued cutoffs
 otherwise hide), and a handful of random draws.
 
 The harnesses only draw data and score fits: every estimate comes from
-``estimators``, every operator from ``covariance``. Within one replication,
+``estimators``, every operator from ``covariance``. The two study rules live
+here once each: ``_cutoff_split`` gives the cutoff's (m, k) = (n // 2, its
+frequency cutoff) to the replications, the vertex test function and the
+perturbation study's pilot, and ``pinsker_level`` gives a Pinsker fit its
+level, weights and fitted rows, for the replications and ``flrlab estimate``.
+The cutoff estimator is out of scope on integrated-Gaussian designs, whose
+sine eigenbasis is not the Fourier basis theta is scored in;
+``mise_monte_carlo`` rejects that pairing. Within one replication,
 whatever does not depend on the test function (the design sample, its
 empirical covariance, the noise, the shrinkage level and weights) is computed
 once and shared by the whole panel; the sequence model instead redraws the
@@ -44,6 +51,7 @@ from .equivalence import (
 )
 from .errors import SpecValidationError
 from .estimators import (
+    DEFAULT_COEFF_BUDGET,
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
@@ -118,44 +126,55 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
                  oracle_gamma: float | None):
     """Test functions evaluated at sample size n, as (label, coefficients) pairs."""
     lam = power_lambda_profile(model.alpha)
-    count = model.coeff_budget
     tc = model.theta_class
     if model.theta_mode != "worst-case":
-        theta = sample_theta(
-            tc, model.theta_mode, lam, model.sigma, n,
-            derive_rng(master_seed, "theta-random", n),
-            count=count, gamma=oracle_gamma,
-        )
+        theta = sample_theta(tc, model.theta_mode, lam, model.sigma, n,
+                             derive_rng(master_seed, "theta-random", n), gamma=oracle_gamma)
         return [(model.theta_mode, theta)]
     panel = [
-        ("boundary", sample_theta(tc, "boundary", lam, model.sigma, n, 0, count=count)),
+        ("boundary", sample_theta(tc, "boundary", lam, model.sigma, n, 0)),
         ("least-favorable", sample_theta(tc, "least-favorable", lam, model.sigma, n, 0,
-                                         count=count, gamma=oracle_gamma)),
+                                         gamma=oracle_gamma)),
     ]
     vertex = _default_vertex(model, estimator, n, oracle_gamma)
     panel.append((f"vertex-{vertex}", sample_theta(tc, "vertex", lam, model.sigma, n, 0,
-                                                   count=count, vertex_index=vertex)))
+                                                   vertex_index=vertex)))
     for i in range(8):
         rng = derive_rng(master_seed, "theta-random", n * 1000 + i)
-        panel.append((f"random-{i}", sample_theta(tc, "random", lam, model.sigma, n, rng, count=count)))
+        panel.append((f"random-{i}", sample_theta(tc, "random", lam, model.sigma, n, rng)))
     return panel
 
 
-def _cutoff_split(model: ModelConfig, estimator: EstimatorConfig, n: int) -> tuple[int, int]:
+def _cutoff_split(model: ModelConfig, n: int) -> tuple[int, int]:
     """(m, k) for the cutoff estimator at sample size n: it fits on m = n // 2
     draws, at the frequency cutoff k of that m."""
     m = n // 2
-    return m, select_cutoff(m, model.alpha, model.theta_class.beta,
-                            constant=estimator.cutoff_constant)
+    return m, select_cutoff(m, model.alpha, model.theta_class.beta)
 
 
 def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
                     oracle_gamma: float | None) -> int:
     """First coordinate the estimator cannot see: just past its cutoff or support."""
     if estimator.kind == "cutoff":
-        _, k = _cutoff_split(model, estimator, n)
-        return min(k + 1, model.coeff_budget)
-    return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, model.coeff_budget)
+        _, k = _cutoff_split(model, n)
+        return min(k + 1, DEFAULT_COEFF_BUDGET)
+    return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, DEFAULT_COEFF_BUDGET)
+
+
+def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, sample, rho: float,
+                  gamma: float | None):
+    """(m, gamma, weights, selection) of a Pinsker fit on one design sample.
+
+    The data-driven kind selects its level on the training rows of the sample
+    and fits the first ``selection.split_m`` rows; the oracle kind fits all n
+    rows at the oracle level ``gamma`` and has no selection.
+    """
+    m, selection = sample.n, None
+    if estimator.kind == "pinsker-data-driven":
+        selection = data_driven_gamma(sample, model.theta_class, model.sigma, rho,
+                                      alpha=model.alpha)
+        gamma, m = selection.gamma_hat, selection.split_m
+    return m, gamma, pinsker_weights(gamma, model.theta_class), selection
 
 
 def mise_monte_carlo(
@@ -172,10 +191,11 @@ def mise_monte_carlo(
     replication every test function sees the same designs and noise (common
     random numbers), so worst-case maximization is stable and the
     per-replication work is shared. The oracle Pinsker level is solved once
-    per n, for every estimator but the cutoff one.
+    per n, for the Pinsker kinds.
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
+    estimator.check_against(model)
     mise, stderr, ratios, labels = [], [], [], []
     lam_profile = power_lambda_profile(model.alpha)
     for n in model.n_grid:
@@ -224,13 +244,8 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _make_rep_context(model, estimator, n, master_seed, rep, oracle_gamma):
+def _make_rep_context(model, estimator, n, master_seed, rep, gamma):
     """One replication's data, closed over so every test function reuses it."""
-    if estimator.kind == "zero":
-        return lambda theta: float(np.sum(theta**2))
-    if estimator.kind == "oracle":
-        return lambda theta: 0.0
-    gamma = oracle_gamma if estimator.gamma is None else estimator.gamma
     if model.kind == "sequence":
         return _sequence_rep_context(model, estimator, n, master_seed, rep, gamma)
     return _flr_rep_context(model, estimator, n, master_seed, rep, gamma)
@@ -238,7 +253,7 @@ def _make_rep_context(model, estimator, n, master_seed, rep, oracle_gamma):
 
 def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
-    budget = max(model.coeff_budget, default_frequency_budget(n, alpha, tc.beta))
+    budget = max(DEFAULT_COEFF_BUDGET, default_frequency_budget(n, alpha, tc.beta))
     lam = np.arange(1, budget + 1, dtype=float) ** (-alpha)
 
     def observe(th, size):
@@ -247,7 +262,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
         return simulate_sequence(th, lam, size, sigma, derive_rng(master_seed, f"seq-n{n}", rep))
 
     if estimator.kind == "cutoff":
-        m, k = _cutoff_split(model, estimator, n)
+        m, k = _cutoff_split(model, n)
 
         def run(theta):
             th = pad_coefficients(theta, budget)
@@ -256,26 +271,23 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
 
         return run
 
-    if estimator.kind in ("pinsker-oracle", "pinsker-fixed"):
-        w = pinsker_weights(gamma, tc, budget)
+    w = pinsker_weights(gamma, tc, budget)
 
-        def run(theta):
-            th = pad_coefficients(theta, budget)
-            est = pinsker_sequence_estimator(observe(th, n), w)
-            return float(np.sum((est - th) ** 2))
+    def run(theta):
+        th = pad_coefficients(theta, budget)
+        est = pinsker_sequence_estimator(observe(th, n), w)
+        return float(np.sum((est - th) ** 2))
 
-        return run
-
-    raise ValueError(f"estimator {estimator.kind!r} is not defined in the sequence model")
+    return run
 
 
 def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     spec = model.design
-    alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
+    alpha, sigma = model.alpha, model.sigma
     rng = derive_rng(master_seed, f"flr-n{n}", rep)
 
     if estimator.kind == "cutoff":
-        m, k = _cutoff_split(model, estimator, n)
+        m, k = _cutoff_split(model, n)
         sample = sample_design(spec, m, rng)
         emp = empirical_covariance(sample)
         noise = rng.standard_normal(m)
@@ -290,27 +302,19 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
 
         return run
 
-    if estimator.kind in ("pinsker-oracle", "pinsker-fixed", "pinsker-data-driven"):
-        rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
-        sample = sample_design(spec, n, rng)
-        noise = rng.standard_normal(n)
-        if estimator.kind == "pinsker-data-driven":
-            sel = data_driven_gamma(sample, tc, sigma, rho, alpha=alpha)
-            gamma, m = sel.gamma_hat, sel.split_m
-        else:
-            m = n
-        fit_sample = sample.subset(slice(m))
-        cov = empirical_covariance(fit_sample)
-        w = pinsker_weights(gamma, tc)
+    rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
+    sample = sample_design(spec, n, rng)
+    noise = rng.standard_normal(n)
+    m, _, w, _ = pinsker_level(estimator, model, sample, rho, gamma)
+    fit_sample = sample.subset(slice(m))
+    cov = empirical_covariance(fit_sample)
 
-        def run(theta):
-            y = sample.inner_products(theta) + sigma * noise
-            fit = flr_pinsker_fit(fit_sample, y[:m], w, rho, alpha=alpha, cov=cov)
-            return norm(fit.estimate - fourier_function(theta, spec.grid_size), 2) ** 2
+    def run(theta):
+        y = sample.inner_products(theta) + sigma * noise
+        fit = flr_pinsker_fit(fit_sample, y[:m], w, rho, alpha=alpha, cov=cov)
+        return norm(fit.estimate - fourier_function(theta, spec.grid_size), 2) ** 2
 
-        return run
-
-    raise ValueError(f"estimator {estimator.kind!r} is not defined in the flr model")
+    return run
 
 
 # ----------------------------------------------------------------------------
@@ -394,15 +398,13 @@ def delta56_study(
     spec = model.design
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
-                         power_lambda_profile(alpha), sigma, max(n_grid), 0,
-                         count=model.coeff_budget)
+                         power_lambda_profile(alpha), sigma, max(n_grid), 0)
     theta_grid = fourier_function(theta, spec.grid_size)
-    true_cov = true_covariance(spec, model.coeff_budget)
+    true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
 
     means, ses, tvs = [], [], []
     for n in n_grid:
-        m = n // 2
-        k = select_cutoff(m, alpha, tc.beta)
+        m, k = _cutoff_split(model, n)
         vals = np.empty(reps)
 
         def run_rep(rep: int, n=n, m=m, k=k, vals=vals) -> None:

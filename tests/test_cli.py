@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -90,25 +91,6 @@ class TestConfigParsing:
         assert cfg.estimator.rho is not None
         assert cfg.threads == 1
 
-    def test_pinsker_fixed_needs_positive_gamma(self, tmp_path, capsys):
-        for extra in ("", "gamma = 0\n", "gamma = -0.1\n"):
-            text = BASE.replace("kind = pinsker-oracle\n", "kind = pinsker-fixed\n" + extra)
-            path = write_config(tmp_path, text)
-            with pytest.raises(ConfigError, match="pinsker-fixed needs a gamma > 0"):
-                load_config(path)
-            assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-            assert "gamma > 0" in capsys.readouterr().err
-        path = write_config(tmp_path, BASE.replace("kind = pinsker-oracle\n",
-                                                   "kind = pinsker-fixed\ngamma = 0.05\n"))
-        assert load_config(path).estimator.gamma == 0.05
-
-    def test_gamma_only_for_pinsker_fixed(self, tmp_path):
-        for kind in ("pinsker-oracle", "pinsker-data-driven", "cutoff", "zero"):
-            text = BASE.replace("beta = 2.0", "beta = 4.0").replace(
-                "kind = pinsker-oracle\n", f"kind = {kind}\ngamma = 0.05\n")
-            with pytest.raises(ConfigError, match="only for pinsker-fixed"):
-                load_config(write_config(tmp_path, text))
-
     def test_smoothness_checked_against_alpha(self, tmp_path):
         # beta > (alpha + 1)/2 always; beta > alpha + 3/2 for the plug-in route
         rough = BASE.replace("beta = 2.0", "beta = 1.5")
@@ -122,10 +104,9 @@ class TestConfigParsing:
     def test_validation_errors_are_line_referenced(self, tmp_path):
         # the line of the rejected key, or of its section header when the key
         # is absent
-        fixed = BASE.replace("kind = pinsker-oracle\n", "kind = pinsker-fixed\ngamma = 0\n")
+        data_driven = BASE.replace("beta = 2.0", "beta = 4.0").replace(
+            "kind = pinsker-oracle", "kind = pinsker-data-driven")
         for text, key in (
-            (fixed, "gamma = 0"),
-            (fixed.replace("gamma = 0\n", ""), "[estimator]"),
             (BASE.replace("c_theta = 1.0", "c_theta = -1.0"), "c_theta = -1.0"),
             (BASE.replace("beta = 2.0", "beta = 1.5"), "beta = 1.5"),
             (BASE.replace("sigma = 1.0", "sigma = -1.0"), "sigma = -1.0"),
@@ -134,6 +115,9 @@ class TestConfigParsing:
             (BASE + "threads = 0\n", "threads = 0"),
             (BASE + "level = 1.5\n", "level = 1.5"),
             (BASE.replace("seed = 7\n", ""), "[run]"),
+            (BASE.replace("sigma = 1.0", "sigma = 0"), "sigma = 0"),
+            (data_driven.replace("n_grid = 25", "n_grid = 5,10,20"), "n_grid = 5,10,20"),
+            (data_driven.replace("kind = flr", "kind = sequence"), "kind = pinsker-data-driven"),
         ):
             lines = text.splitlines()
             path = write_config(tmp_path, text, "fixed0.ini")
@@ -158,7 +142,6 @@ class TestConfigParsing:
             (BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 1"), "grid_size = 1"),
             (BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 255"), "grid_size = 255"),
             (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 600"), "[design]"),
-            (BASE.replace("n_grid = 25", "n_grid = 25\ncoeff_budget = 600"), "[design]"),
         ):
             path = write_config(tmp_path, text, "grid.ini")
             with pytest.raises(ConfigError, match="grid_size") as err:
@@ -169,6 +152,28 @@ class TestConfigParsing:
         gaussian = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian")
         assert load_config(write_config(tmp_path, gaussian.replace(
             "alpha = 2.0", "alpha = 2.0\ngrid_size = 128")))
+
+    def test_cutoff_on_gaussian_designs_rejected(self, tmp_path):
+        # the cutoff fit lives in the sine eigenbasis of Brownian designs, while
+        # theta is scored in Fourier coordinates: out of scope, at the kind's line
+        text = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian").replace(
+            "kind = pinsker-oracle", "kind = cutoff")
+        with pytest.raises(ConfigError, match="out of scope") as err:
+            load_config(write_config(tmp_path, text, "gauss.ini"))
+        assert f"gauss.ini:{text.splitlines().index('kind = cutoff') + 1}:" in str(err.value)
+        assert load_config(write_config(tmp_path, text.replace(
+            "kind = integrated-gaussian", "kind = basis-expansion")))
+
+    def test_readme_config_block_loads(self, tmp_path):
+        # the documented config names only live keys and kinds, also the keys
+        # it shows commented out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write_config(tmp_path, block, "readme.ini"))
+        assert cfg.estimator.kind == "cutoff" and cfg.model.kind == "flr"
+        every_key = re.sub(r"^# (\w+ = )", r"\1", block, flags=re.M)
+        assert every_key != block
+        assert load_config(write_config(tmp_path, every_key, "readme.ini"))
 
     def test_bad_value_type(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("sigma = 1.0", "sigma = abc"))
@@ -269,6 +274,22 @@ class TestSubcommands:
         (out / "mise_vs_n.svg").unlink()
         assert main(["report", "--out", str(out)]) == 0
         assert (out / "mise_vs_n.svg").exists()
+
+    def test_report_reproduces_the_study_plots(self, tmp_path):
+        # report re-renders, from the CSVs alone, the very bytes risk and
+        # equivalence plotted
+        out = tmp_path / "study"
+        flr = BASE.replace("n_grid = 25", "n_grid = 25,50").replace("reps = 5", "reps = 3")
+        assert main(["risk", "--config", str(write_config(tmp_path, RISK, "seq.ini")),
+                     "--out", str(out)]) == 0
+        assert main(["equivalence", "--config", str(write_config(tmp_path, flr + "draws = 40\n")),
+                     "--out", str(out)]) == 0
+        plots = {p.name: p.read_bytes() for p in out.glob("*.svg")}
+        assert sorted(plots) == ["delta_vs_n.svg", "mise_vs_n.svg", "ratio_vs_n.svg"]
+        for name in plots:
+            (out / name).unlink()
+        assert main(["report", "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in out.glob("*.svg")} == plots
 
     def test_report_without_inputs_fails(self, tmp_path):
         assert main(["report", "--out", str(tmp_path)]) == 2
