@@ -308,13 +308,23 @@ def _empirical_grid(sample) -> CovOperator:
     )
 
 
-def sqrt_apply(op: CovOperator, f: GridFunction) -> GridFunction:
-    """Square root of the operator applied to f over the retained rank."""
-    if f.grid_size != op.grid_size:
+def sqrt_apply(op: CovOperator, f):
+    """Square root of the operator applied to f over the retained rank.
+
+    f is a GridFunction, and the result is one too; or f is a vector of
+    Fourier coefficients on an operator with a coefficient view, and the
+    result is the J Fourier coefficients U diag(sqrt(lambda)) U^T pad(f),
+    computed without a grid.
+    """
+    on_grid = isinstance(f, GridFunction)
+    if on_grid and f.grid_size != op.grid_size:
         raise DimensionError("function and operator live on different grids")
-    c = op.eigen_coefficients(f)
-    scaled = np.sqrt(op.eigenvalues) * c
-    return GridFunction(scaled @ op.eigenfunctions.functions)
+    if not on_grid and op.coeff_vectors is None:
+        raise ValueError("a coefficient vector needs an operator with a coefficient view")
+    scaled = np.sqrt(op.eigenvalues) * op.eigen_coefficients(f)
+    if on_grid:
+        return GridFunction(scaled @ op.eigenfunctions.functions)
+    return op.coeff_vectors @ scaled
 
 
 def hs_distance(a: CovOperator, b: CovOperator) -> float:

@@ -76,12 +76,19 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
 
     Requires the operator to be the sample's own empirical covariance at full
     numerical rank n; a rank-deficient design aborts rather than pseudo-invert.
-    Q comes from the coefficients (C U) when the sample has them, so
-    basis-expansion designs never build the n x D grid here.
+    A basis expansion of J < n terms is rank deficient by construction, and
+    the error says so. Q comes from the coefficients (C U) when the sample has
+    them, so basis-expansion designs never build the n x D grid here.
     """
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
+    j = sample.coeffs.shape[1] if sample.coeffs is not None else None
+    if j is not None and j < n:
+        raise DegenerateDesignError(
+            f"basis-expansion designs with J = {j} Fourier terms have rank at most "
+            f"J < n = {n}; set [design] j_truncation >= n or use n <= J"
+        )
     if cov.rank < n:
         raise DegenerateDesignError(
             f"design sample is numerically rank deficient: rank {cov.rank} < n {n}"
@@ -123,10 +130,12 @@ def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
     return gaussian_draw(sample.inner_products(theta), sigma, seed)
 
 
-def empirical_wn_drift(theta: GridFunction, sample, cov: CovOperator) -> np.ndarray:
+def empirical_wn_drift(theta: GridFunction | np.ndarray, sample, cov: CovOperator) -> np.ndarray:
     """Mean of the coefficient law, sqrt(n lambda_k) <phi_k, theta>; zero for
-    coordinates beyond the operator rank. It depends on the design sample and
-    theta only, so repeated draws at a fixed pair compute it once."""
+    coordinates beyond the operator rank. theta is a GridFunction or a vector
+    of Fourier coefficients (see ``CovOperator.eigen_coefficients``). It
+    depends on the design sample and theta only, so repeated draws at a fixed
+    pair compute it once."""
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
@@ -138,7 +147,7 @@ def empirical_wn_drift(theta: GridFunction, sample, cov: CovOperator) -> np.ndar
 
 
 def simulate_empirical_wn(
-    theta: GridFunction,
+    theta: GridFunction | np.ndarray,
     sample,
     cov: CovOperator,
     sigma: float,

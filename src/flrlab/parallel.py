@@ -27,13 +27,18 @@ One process-wide setting would be wrong: the serial data-driven Pinsker study
 (criterion 7, 300 replications at n = 1e4) took 5.8-6.2 s with default BLAS
 and 6.5-6.8 s with one BLAS thread, so the cap lives only as long as a pool.
 Worker processes were rejected: a spawned worker pays a fresh
-``import flrlab, flrlab.risk`` of 1.0-1.3 s wall and 1.3-1.6 s CPU, more
-than the whole two-worker cutoff study takes with the cap.
+``import flrlab, flrlab.risk`` of 0.20-0.25 s wall and about 0.35 s CPU
+(median of 9), and two fresh workers that each run half the cutoff study
+took 0.90 s against 0.62 s for the two-thread pool with the cap (medians
+of 5).
 
 OpenBLAS is found among the shared objects mapped into the process (Linux
-``/proc/self/maps``) and its thread count is set through ``ctypes``. Where none
-is found, for example with another BLAS or on another platform, the cap does
-nothing; results never depend on the worker count either way.
+``/proc/self/maps``) and its thread count is set through ``ctypes``. Only
+libraries already loaded are capped: scipy is imported only by the KS battery
+(``risk.two_sample_equivalence_test``), so in a run without it the cap finds
+numpy's OpenBLAS alone. Where none is found, for example with another BLAS or
+on another platform, the cap does nothing; results never depend on the worker
+count either way.
 """
 
 from __future__ import annotations

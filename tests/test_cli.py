@@ -202,6 +202,17 @@ class TestCliExitCodes:
         assert rc == 3
         assert not any(out.glob("*.csv")), "partial outputs must be removed"
 
+    @pytest.mark.parametrize("command", ["transform", "equivalence"])
+    def test_short_expansion_names_its_length(self, tmp_path, capsys, command):
+        # the default expansion has J = min(2n, 128) terms: rank <= 128 < n = 200
+        path = write_config(tmp_path, BASE.replace("n_grid = 25", "n_grid = 200"))
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "J = 128 Fourier terms" in err and "n = 200" in err
+        assert "j_truncation >= n" in err
+        assert "numerically rank deficient" not in err
+
 
 class TestSubcommands:
     def test_simulate_writes_artifacts(self, tmp_path):

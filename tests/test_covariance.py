@@ -241,6 +241,25 @@ class TestSqrtApply:
         out = sqrt_apply(cov25, GridFunction(f))
         assert norm(out, 2) <= 1e-8 * np.linalg.norm(f)
 
+    def test_coefficient_vector_matches_grid(self, small_spec):
+        # on a coefficient view a Fourier vector gets the Fourier coefficients
+        # of the grid result, whatever the lengths of the vector and the view
+        s = sample_basis_design(small_spec, 40, 8)
+        op = empirical_covariance(s)
+        rng = np.random.default_rng(4)
+        for size in (10, op.coeff_vectors.shape[0], 100):
+            f = rng.standard_normal(size)
+            coeffs = sqrt_apply(op, f)
+            grid = sqrt_apply(op, fourier_function(f, small_spec.grid_size))
+            assert coeffs.shape == (op.coeff_vectors.shape[0],)
+            rendered = fourier_function(coeffs, small_spec.grid_size).values
+            assert np.max(np.abs(rendered - grid.values)) <= 1e-12 * np.max(np.abs(grid.values))
+
+    def test_coefficient_vector_needs_a_coefficient_view(self, small_spec):
+        op = _empirical_grid(sample_basis_design(small_spec, 12, 6))
+        with pytest.raises(ValueError, match="coefficient view"):
+            sqrt_apply(op, np.ones(5))
+
     def test_square_root_squares_to_operator(self, small_spec):
         s = sample_basis_design(small_spec, 12, 6)
         op = _empirical_grid(s)

@@ -58,8 +58,16 @@ class TestGramTransform:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=8, grid_size=256)
         s = sample_basis_design(spec, 12, 3)
         cov = empirical_covariance(s)
-        with pytest.raises(DegenerateDesignError):
+        with pytest.raises(DegenerateDesignError, match="J = 8 Fourier terms"):
             build_gram_transform(s, cov)
+
+    def test_rank_deficient_grid_design_reports_its_rank(self):
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        rows = np.random.default_rng(3).standard_normal((2, 256))
+        s = DesignSample(n=3, grid_size=256, spec=spec, seed=None,
+                         values=np.vstack([rows, rows[:1]]))
+        with pytest.raises(DegenerateDesignError, match=r"numerically rank deficient: rank 2 < n 3"):
+            build_gram_transform(s, empirical_covariance(s))
 
     def test_requires_matching_operator(self, sample25, small_spec):
         other = empirical_covariance(sample_basis_design(small_spec, 25, 1))

@@ -191,6 +191,56 @@ class TestDeltaStudy:
         assert report.mean_sq[1] < report.mean_sq[0]
         assert report.tv_bounds[1] < report.tv_bounds[0]
 
+    def test_basis_designs_work_in_coefficients(self, monkeypatch):
+        # Basis-expansion designs compute the perturbation in Fourier
+        # coefficients: no eigenfunction grid is built, and the result meets
+        # the grid route (eigenfunctions rendered, norm by quadrature).
+        from flrlab import (
+            cutoff_estimator,
+            empirical_covariance,
+            sample_design,
+            select_cutoff,
+            simulate_empirical_wn,
+            sqrt_apply,
+            true_covariance,
+        )
+        from flrlab.estimators import DEFAULT_COEFF_BUDGET
+        from flrlab.function_space import Basis, fourier_function, norm
+        from flrlab.streams import derive_rng
+
+        model, n_grid, reps, seed = flr_model(sigma=0.5), (64, 256, 1024), 4, 7
+        built = []
+        post_init = Basis.__post_init__
+
+        def counting(self):
+            post_init(self)
+            if self.kind == "eigen":
+                built.append(self.functions.shape)
+
+        with monkeypatch.context() as m:
+            m.setattr(Basis, "__post_init__", counting)
+            report = delta56_study(n_grid, model, reps, seed)
+        assert built == []
+
+        spec = model.design
+        theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 0.5, max(n_grid), 0)
+        theta_grid = fourier_function(theta, spec.grid_size)
+        true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
+        for i, n in enumerate(n_grid):
+            m = n // 2
+            k = select_cutoff(m, 2.0, TC.beta)
+            vals = []
+            for rep in range(reps):
+                rng = derive_rng(seed, "delta", rep)
+                s1 = sample_design(spec, m, rng)
+                emp1 = empirical_covariance(s1)
+                z1 = simulate_empirical_wn(theta_grid, s1, emp1, 0.5, rng)
+                theta1 = cutoff_estimator(z1, true_cov, k, m, emp_cov=emp1)
+                g = theta_grid - fourier_function(theta1, spec.grid_size)
+                cov2 = empirical_covariance(sample_design(spec, n - m, rng))
+                vals.append((n - m) * norm(sqrt_apply(true_cov, g) - sqrt_apply(cov2, g), 2) ** 2)
+            assert report.mean_sq[i] == pytest.approx(np.mean(vals), rel=1e-12)
+
 
 class TestTvBound:
     def test_zero(self):
@@ -268,6 +318,16 @@ class TestTwoSampleBattery:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             two_sample_equivalence_test(np.zeros((5, 2)), np.zeros((5, 3)))
+
+    def test_empty_inputs_are_named(self):
+        with pytest.raises(ValueError, match="no coordinates"):
+            two_sample_equivalence_test(np.array([]), np.array([]))
+        with pytest.raises(ValueError, match="no coordinates"):
+            two_sample_equivalence_test(np.zeros((5, 0)), np.zeros((4, 0)))
+        with pytest.raises(ValueError, match="matrix a has no draws"):
+            two_sample_equivalence_test(np.zeros((0, 3)), np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="matrix b has no draws"):
+            two_sample_equivalence_test(np.zeros((5, 3)), np.zeros((0, 3)))
 
     def test_direct_route_draws_are_simulate_empirical_wn(self, monkeypatch):
         # the response mean and the drift are computed once per call, and the
