@@ -39,7 +39,7 @@ from .estimators import (
     sample_theta,
     sharp_risk_constant,
 )
-from .function_space import fourier_function, norm
+from .function_space import basis_function, norm
 from .risk import (
     delta56_study,
     mise_monte_carlo,
@@ -172,7 +172,7 @@ def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     n = cfg.model.n_grid[0]
     sample = sample_design(cfg.model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n)
-    theta_grid = fourier_function(theta, cfg.model.design.grid_size)
+    theta_grid = basis_function(theta, cfg.model.design.basis, cfg.model.design.grid_size)
     y = simulate_flr_responses(sample, theta, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
     write_design_sample(ws.path("designs.csv"), sample, ws.path("designs.json"))
     write_responses(ws.path("responses.csv"), y)
@@ -220,7 +220,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n, oracle_gamma)
-    theta_grid = fourier_function(theta, model.design.grid_size)
+    theta_grid = basis_function(theta, model.design.basis, model.design.grid_size)
     y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
     plan: dict = {"estimator": est.kind, "rho": est.rho}

@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, KIND_GAUSSIAN, DesignSpec
+from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, DesignSpec
 from .errors import SpecValidationError
 from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, default_rho,
                          validate_rho)
@@ -70,11 +70,6 @@ class EstimatorConfig:
         if self.kind == "pinsker-data-driven" and model.kind == "sequence":
             raise SpecValidationError("pinsker-data-driven needs designs: use model.kind = flr",
                                       "kind")
-        if (self.kind == "cutoff" and model.design is not None
-                and model.design.kind == KIND_GAUSSIAN):
-            raise SpecValidationError(
-                "the cutoff estimator is out of scope on integrated-gaussian designs: it fits "
-                "in their sine eigenbasis, while theta is scored in Fourier coordinates", "kind")
         if self.kind == "pinsker-data-driven" and min(model.n_grid) < DATA_DRIVEN_MIN_N:
             raise SpecValidationError(
                 f"pinsker-data-driven needs every n >= {DATA_DRIVEN_MIN_N} so both split "
@@ -257,7 +252,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         )
     if design is not None:
         # Every Fourier function in play (theta's coefficients, the expansion)
-        # must stay below the grid's Nyquist limit.
+        # must stay below the grid's Nyquist limit; the same bound leaves the
+        # grid room for theta's sine coefficients on Brownian designs.
         j = (design.j_truncation or DEFAULT_MAX_EXPANSION) if design.kind == KIND_BASIS else 0
         need = 2 * max(DEFAULT_COEFF_BUDGET, j)
         if design.grid_size < need:

@@ -1,13 +1,21 @@
 """Random design generators with known ground-truth covariance operators.
 
-Two families are provided:
+Every design is drawn from its Karhunen-Loeve expansion
+X = sum_{k <= J} lambda_k^(1/2) G_k b_k over its covariance eigenbasis b_k,
+and a sample holds the n x J coefficients lambda_k^(1/2) G_k. The design kind
+names the basis (``DesignSpec.basis``), and only there:
 
-* basis-expansion designs X = sum_j j^(-alpha/2) G_j phi_j over a Fourier
-  basis, with i.i.d. G_j uniform on [-sqrt3, sqrt3] (centered, unit variance,
-  compact support), so the covariance eigenpairs are exactly (j^-alpha, phi_j);
-* integrated Gaussian designs X(t) = W(t), Brownian motion discretized by
-  cumulative sums of independent increments, whose covariance kernel is
-  min(s, t).
+* basis-expansion designs use the Fourier basis, lambda_k = k^-alpha and
+  i.i.d. G_k uniform on [-sqrt3, sqrt3] (centered, unit variance, compact
+  support), with J = min(2n, 128) unless ``j_truncation`` is set;
+* integrated-Gaussian (Brownian) designs use the sine basis
+  psi_k = sqrt2 sin((k - 1/2) pi t), lambda_k = 1/(pi^2 (k - 1/2)^2) and
+  G_k ~ N(0, 1), whose covariance kernel is min(s, t) as J grows, with
+  J = min(2n, D - 1): the most sine functions the trapezoid rule keeps
+  orthonormal on D nodes. The omitted variance is sum_{k > J} lambda_k,
+  about 1/(pi^2 J) of the total 1/2.
+
+Grid values exist only to render a sample (``DesignSample.values``).
 """
 
 from __future__ import annotations
@@ -20,13 +28,11 @@ import numpy as np
 from .errors import ResolutionError, SpecValidationError
 from .function_space import (
     DEFAULT_GRID_SIZE,
-    Basis,
+    FOURIER,
+    SINE,
     GridFunction,
-    fourier_function,
-    fourier_matrix,
-    grid_nodes,
+    basis_matrix,
     pad_coefficients,
-    pairwise_inner,
     trapezoid_weights,
 )
 from .streams import as_generator
@@ -69,40 +75,34 @@ class DesignSpec:
             raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
                                       "alpha")
 
+    @property
+    def basis(self) -> str:
+        """The covariance eigenbasis every coefficient of this design refers to."""
+        return FOURIER if self.kind == KIND_BASIS else SINE
+
     def resolved_truncation(self, n: int) -> int:
         """Expansion length: beyond rank n the extra modes are invisible to the
-        empirical covariance, so min(2n, 128) is used unless set explicitly."""
+        empirical covariance, so basis-expansion designs use min(2n, 128)
+        unless set explicitly, and Brownian designs min(2n, D - 1)."""
+        if self.kind == KIND_GAUSSIAN:
+            return min(2 * n, self.grid_size - 1)
         if self.j_truncation is not None:
             return self.j_truncation
         return min(2 * n, DEFAULT_MAX_EXPANSION)
 
 
 class DesignSample:
-    """n i.i.d. design functions on one shared grid.
-
-    Basis-expansion samples live in their generating coefficients C (n x J)
-    in the Fourier basis, which every computation uses; ``values`` (n x D,
-    built on first access) is for rendering and for grid-only designs.
+    """n i.i.d. design functions, held as their coefficients C (n x J) in the
+    design's eigenbasis ``spec.basis``, which every computation uses.
+    ``values`` (n x D, built on first access) renders them on the grid.
     """
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        grid_size: int,
-        spec: DesignSpec,
-        seed: int | None,
-        values: np.ndarray | None = None,
-        coeffs: np.ndarray | None = None,
-    ):
-        if values is None and coeffs is None:
-            raise ValueError("need grid values or a coefficient representation")
-        self.n = int(n)
-        self.grid_size = int(grid_size)
+    def __init__(self, *, coeffs: np.ndarray, spec: DesignSpec, seed: int | None = None):
+        self.n, self.grid_size = coeffs.shape[0], spec.grid_size
         self.spec = spec
         self.seed = seed
-        self._values = values
         self._coeffs = coeffs
+        self._values = None
 
     @property
     def values(self) -> np.ndarray:
@@ -112,47 +112,34 @@ class DesignSample:
         return self._values
 
     @property
-    def coeffs(self) -> np.ndarray | None:
+    def coeffs(self) -> np.ndarray:
         return self._coeffs
 
     @property
-    def basis_matrix(self) -> np.ndarray | None:
-        """(J, D) Fourier matrix the coefficients refer to, if any."""
-        if self._coeffs is None:
-            return None
-        return fourier_matrix(self._coeffs.shape[1], self.grid_size)
+    def basis(self) -> str:
+        return self.spec.basis
+
+    @property
+    def basis_matrix(self) -> np.ndarray:
+        """(J, D) matrix of the basis the coefficients refer to."""
+        return basis_matrix(self.basis, self._coeffs.shape[1], self.grid_size)
 
     def function(self, i: int) -> GridFunction:
         return GridFunction(self.values[i])
 
     def inner_products(self, theta) -> np.ndarray:
-        """<X_j, theta> for every design; theta is a GridFunction or a vector
-        of Fourier coefficients. Samples with coefficients never build the
-        grid: a GridFunction is projected once on the expansion basis, equal to
-        the grid result up to rounding since trapezoid quadrature is linear."""
+        """<X_j, theta> for every design; theta is a vector of coefficients in
+        the sample's basis, or a GridFunction, which is projected once on that
+        basis (equal to the grid result up to rounding, since trapezoid
+        quadrature is linear). The grid is never built."""
         c = self._coeffs
-        if not isinstance(theta, GridFunction):
-            theta = np.asarray(theta, dtype=float)
-            if c is not None:
-                return c @ pad_coefficients(theta, c.shape[1])
-            theta = fourier_function(theta, self.grid_size)
-        w = trapezoid_weights(self.grid_size)
-        if c is None:
-            return self.values @ (w * theta.values)
-        return c @ (self.basis_matrix @ (w * theta.values))
+        if isinstance(theta, GridFunction):
+            return c @ (self.basis_matrix @ (trapezoid_weights(self.grid_size) * theta.values))
+        return c @ pad_coefficients(np.asarray(theta, dtype=float), c.shape[1])
 
     def subset(self, rows) -> "DesignSample":
         """Designs at ``rows``: an index array, or a slice (views, no copy)."""
-        coeffs = None if self._coeffs is None else self._coeffs[rows]
-        values = None if self._values is None else self._values[rows]
-        return DesignSample(
-            n=(coeffs if coeffs is not None else values).shape[0],
-            grid_size=self.grid_size,
-            spec=self.spec,
-            seed=None,
-            values=values,
-            coeffs=coeffs,
-        )
+        return DesignSample(coeffs=self._coeffs[rows], spec=self.spec)
 
 
 def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
@@ -168,34 +155,30 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
             f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
     coeffs = _uniform_coefficients(rng, (n, j))
     coeffs *= np.arange(1, j + 1, dtype=float) ** (-spec.alpha / 2.0)
-    return DesignSample(
-        n=n,
-        grid_size=spec.grid_size,
-        spec=spec,
-        seed=seed if isinstance(seed, (int, np.integer)) else None,
-        coeffs=coeffs,
-    )
+    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
+
+
+def _brownian_eigenvalues(count: int) -> np.ndarray:
+    """lambda_k = 1/(pi^2 (k - 1/2)^2), k = 1..count: the spectrum of min(s, t)."""
+    ks = np.arange(1, count + 1, dtype=float)
+    return 1.0 / (math.pi**2 * (ks - 0.5) ** 2)
 
 
 def sample_gaussian_design(spec: DesignSpec, n: int, seed) -> DesignSample:
-    """Draw n Brownian designs as cumulative sums of N(0, 1/(D-1)) increments."""
+    """Draw n Brownian designs from their Karhunen-Loeve coefficients
+    lambda_k^(1/2) G_k, G_k ~ N(0, 1), k <= J = min(2n, D - 1)."""
     if spec.kind != KIND_GAUSSIAN:
         raise SpecValidationError("spec is not an integrated-gaussian design")
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = as_generator(seed)
-    d = spec.grid_size
-    dt = 1.0 / (d - 1)
-    dw = rng.standard_normal((n, d - 1)) * math.sqrt(dt)
-    values = np.zeros((n, d))
-    np.cumsum(dw, axis=1, out=values[:, 1:])
-    return DesignSample(
-        n=n,
-        grid_size=d,
-        spec=spec,
-        seed=seed if isinstance(seed, (int, np.integer)) else None,
-        values=values,
-    )
+    j = spec.resolved_truncation(n)
+    coeffs = as_generator(seed).standard_normal((n, j))
+    coeffs *= np.sqrt(_brownian_eigenvalues(j))
+    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
+
+
+def _int_seed(seed) -> int | None:
+    return seed if isinstance(seed, (int, np.integer)) else None
 
 
 def sample_design(spec: DesignSpec, n: int, seed) -> DesignSample:
@@ -210,7 +193,6 @@ def true_covariance(spec: DesignSpec, count: int):
 
     if count < 1:
         raise ValueError("count must be >= 1")
-    d = spec.grid_size
     if spec.kind == KIND_BASIS:
         j = spec.j_truncation if spec.j_truncation is not None else DEFAULT_MAX_EXPANSION
         if count > j:
@@ -218,23 +200,12 @@ def true_covariance(spec: DesignSpec, count: int):
                 f"requested {count} eigenpairs but the expansion has {j} terms"
             )
         lam = np.arange(1, count + 1, dtype=float) ** (-spec.alpha)
-        return CovOperator(
-            eigenvalues=lam,
-            coeff_vectors=np.eye(j)[:, :count],
-            grid_size=d,
-            kind="analytic-basis",
-        )
-    # Brownian motion: kernel min(s,t), analytic eigenpairs.
-    t = grid_nodes(d)
-    ks = np.arange(1, count + 1, dtype=float)
-    lam = 1.0 / (math.pi**2 * (ks - 0.5) ** 2)
-    funcs = math.sqrt(2.0) * np.sin(np.outer((ks - 0.5) * math.pi, t))
-    return CovOperator(
-        eigenvalues=lam,
-        eigenfunctions=Basis(funcs, kind="eigen"),
-        kernel=np.minimum.outer(t, t),
-        kind="analytic-brownian",
-    )
+        vectors, kind = np.eye(j)[:, :count], "analytic-basis"
+    else:
+        lam, vectors, kind = _brownian_eigenvalues(count), np.eye(count), "analytic-brownian"
+    # The identity on the first ``count`` coordinates of the design's eigenbasis.
+    return CovOperator(eigenvalues=lam, coeff_vectors=vectors, basis=spec.basis,
+                       grid_size=spec.grid_size, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -256,24 +227,17 @@ def verify_condition_x(spec: DesignSpec, sample: DesignSample) -> ConditionXRepo
     """Report empirical tail frequencies, centering, and the Gram-matrix rank.
 
     Purely diagnostic: a finite truncation J < n necessarily caps the rank at
-    J, which is flagged rather than raised. With coefficients C (n x J)
-    nothing touches the grid: the basis is orthonormal under the quadrature,
-    so the Gram matrix is C C^T with eigenvalues the squared singular values.
+    J, which is flagged rather than raised. Nothing touches the grid: the
+    basis is orthonormal under the quadrature, so the Gram matrix of the
+    coefficients C (n x J) is C C^T, with the squared singular values as
+    eigenvalues.
     """
     if sample.n < 100:
         raise ValueError("diagnostics need n >= 100")
     c = sample.coeffs
-    if c is not None:
-        sq_norms = np.einsum("ij,ij->i", c, c)
-        mean_sq = float(np.sum(c.mean(axis=0) ** 2))
-        eig = np.linalg.svd(c, compute_uv=False) ** 2
-    else:
-        x = sample.values
-        w = trapezoid_weights(sample.grid_size)
-        sq_norms = np.einsum("ij,j,ij->i", x, w, x)
-        mean_vals = x.mean(axis=0)
-        mean_sq = float(np.dot(w * mean_vals, mean_vals))
-        eig = np.linalg.eigvalsh(pairwise_inner(x, x))
+    sq_norms = np.einsum("ij,ij->i", c, c)
+    mean_sq = float(np.sum(c.mean(axis=0) ** 2))
+    eig = np.linalg.svd(c, compute_uv=False) ** 2
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
     xs = np.linspace(0.0, float(np.max(norms)) * 1.05 + 1e-12, 20)
     freq = np.array([np.mean(norms >= x) for x in xs])
@@ -285,7 +249,7 @@ def verify_condition_x(spec: DesignSpec, sample: DesignSample) -> ConditionXRepo
     truncated = False
     notes = []
     if spec.kind == KIND_BASIS:
-        j = c.shape[1] if c is not None else spec.resolved_truncation(sample.n)
+        j = c.shape[1]
         if j < sample.n:
             truncated = True
             notes.append(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CovOperator
 from .errors import DegenerateDesignError, DimensionError
-from .function_space import GridFunction
+from .function_space import FOURIER, GridFunction
 from .streams import as_generator
 
 ORTHOGONALITY_TOL = 1e-8   # largest off-diagonal of Q^T Q / (n lambda_1) and of A^T A - I
@@ -76,18 +76,19 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
 
     Requires the operator to be the sample's own empirical covariance at full
     numerical rank n; a rank-deficient design aborts rather than pseudo-invert.
-    A basis expansion of J < n terms is rank deficient by construction, and
-    the error says so. Q comes from the coefficients (C U) when the sample has
-    them, so basis-expansion designs never build the n x D grid here.
+    An expansion of J < n terms is rank deficient by construction, and the
+    error says so. Q = C U comes from the coefficients; no grid is built.
     """
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
-    j = sample.coeffs.shape[1] if sample.coeffs is not None else None
-    if j is not None and j < n:
+    j = sample.coeffs.shape[1]
+    if j < n:
+        terms, fix = (("Fourier", "set [design] j_truncation >= n or use n <= J")
+                      if sample.basis == FOURIER else ("sine", "use n < [design] grid_size"))
         raise DegenerateDesignError(
-            f"basis-expansion designs with J = {j} Fourier terms have rank at most "
-            f"J < n = {n}; set [design] j_truncation >= n or use n <= J"
+            f"{sample.spec.kind} designs with J = {j} {terms} terms have rank at most "
+            f"J < n = {n}; {fix}"
         )
     if cov.rank < n:
         raise DegenerateDesignError(
@@ -97,14 +98,17 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     dvec = np.sqrt(n * cov.eigenvalues[:n])
     a = q / dvec[None, :]
 
-    top = n * cov.eigenvalues[0]
     qtq = q.T @ q
-    off = qtq - np.diag(np.diag(qtq))
-    if np.max(np.abs(off)) > ORTHOGONALITY_TOL * top:
-        raise DegenerateDesignError("Q^T Q is not numerically diagonal")
-    ata = a.T @ a
-    if np.max(np.abs(ata - np.eye(n))) > ORTHOGONALITY_TOL:
-        raise DegenerateDesignError("whitening matrix is not numerically orthogonal")
+    off = float(np.max(np.abs(qtq - np.diag(np.diag(qtq))))) / (n * cov.eigenvalues[0])
+    if off > ORTHOGONALITY_TOL:
+        raise DegenerateDesignError(
+            f"Q^T Q is not numerically diagonal: largest off-diagonal entry over "
+            f"n lambda_1 is {off:.3e} > ORTHOGONALITY_TOL = {ORTHOGONALITY_TOL:g}")
+    defect = float(np.max(np.abs(a.T @ a - np.eye(n))))
+    if defect > ORTHOGONALITY_TOL:
+        raise DegenerateDesignError(
+            f"whitening matrix A is not numerically orthogonal: max |A^T A - I| is "
+            f"{defect:.3e} > ORTHOGONALITY_TOL = {ORTHOGONALITY_TOL:g}")
     return GramTransform(q=q, dvec=dvec, a=a)
 
 
@@ -126,14 +130,14 @@ def whitenoise_to_flr(z, transform: GramTransform) -> np.ndarray:
 
 def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
     """Y_j = <X_j, theta> + sigma eps_j with fresh standard normal errors;
-    theta is a GridFunction or a vector of Fourier coefficients."""
+    theta is a GridFunction or a vector of coefficients in the sample's basis."""
     return gaussian_draw(sample.inner_products(theta), sigma, seed)
 
 
 def empirical_wn_drift(theta: GridFunction | np.ndarray, sample, cov: CovOperator) -> np.ndarray:
     """Mean of the coefficient law, sqrt(n lambda_k) <phi_k, theta>; zero for
     coordinates beyond the operator rank. theta is a GridFunction or a vector
-    of Fourier coefficients (see ``CovOperator.eigen_coefficients``). It
+    of coefficients in the operator's basis (see ``CovOperator.coefficients``). It
     depends on the design sample and theta only, so repeated draws at a fixed
     pair compute it once."""
     if cov.kind != "empirical" or cov.n_samples != sample.n:

@@ -20,7 +20,7 @@ import numpy as np
 from .covariance import CovOperator, empirical_covariance
 from .equivalence import WnCoefficients
 from .errors import SpecValidationError
-from .function_space import GridFunction, pairwise_inner
+from .function_space import GridFunction, same_coordinates
 from .streams import as_generator
 from .whitenoise import SeqObservation
 
@@ -132,14 +132,11 @@ def cutoff_estimator(
 
 
 def _eigen_overlap(emp_cov: CovOperator, cov: CovOperator, r: int, k: int) -> np.ndarray:
-    """<phi-hat_j, phi_k> matrix; from the Fourier coefficients over their
-    common length when both operators have them on the same grid."""
-    u = emp_cov.coeff_vectors
-    v = cov.coeff_vectors
-    if u is not None and v is not None and emp_cov.grid_size == cov.grid_size:
-        j = min(u.shape[0], v.shape[0])
-        return u[:j, :r].T @ v[:j, :k]
-    return pairwise_inner(emp_cov.eigenfunctions.functions[:r], cov.eigenfunctions.functions[:k])
+    """<phi-hat_j, phi_k> matrix from the coefficients over their common length."""
+    same_coordinates(emp_cov, cov)
+    u, v = emp_cov.coeff_vectors, cov.coeff_vectors
+    j = min(u.shape[0], v.shape[0])
+    return u[:j, :r].T @ v[:j, :k]
 
 
 def pinsker_weights(gamma: float, theta_class: ThetaClass, count: int | None = None) -> np.ndarray:

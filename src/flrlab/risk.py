@@ -12,9 +12,10 @@ here once each: ``_cutoff_split`` gives the cutoff's (m, k) = (n // 2, its
 frequency cutoff) to the replications, the vertex test function and the
 perturbation study's pilot, and ``pinsker_level`` gives a Pinsker fit its
 level, weights and fitted rows, for the replications and ``flrlab estimate``.
-The cutoff estimator is out of scope on integrated-Gaussian designs, whose
-sine eigenbasis is not the Fourier basis theta is scored in;
-``mise_monte_carlo`` rejects that pairing. Within one replication,
+Every test function is a coefficient vector in its design's eigenbasis
+(Fourier for basis-expansion designs, sine for Brownian ones), the
+coordinates every fit works in; it is rendered on the grid only to score a
+Pinsker fit, whose estimate is a grid function. Within one replication,
 whatever does not depend on the test function (the design sample, its
 empirical covariance, the noise, the shrinkage level and weights) is computed
 once and shared by the whole panel; the sequence model instead redraws the
@@ -65,7 +66,7 @@ from .estimators import (
     select_cutoff,
     sharp_risk_constant,
 )
-from .function_space import fourier_function, norm, pad_coefficients
+from .function_space import basis_function, norm, pad_coefficients
 from .parallel import foreach
 from .streams import derive_rng
 from .whitenoise import default_frequency_budget, simulate_sequence
@@ -316,7 +317,7 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     def run(theta):
         y = sample.inner_products(theta) + sigma * noise
         fit = flr_pinsker_fit(fit_sample, y[:m], w, rho, alpha=alpha, cov=cov)
-        return norm(fit.estimate - fourier_function(theta, spec.grid_size), 2) ** 2
+        return norm(fit.estimate - basis_function(theta, spec.basis, spec.grid_size), 2) ** 2
 
     return run
 
@@ -395,9 +396,9 @@ def delta56_study(
 
     Square roots act on the span of the retained true eigenfunctions plus the
     empirical range. The companion column reports the induced total-variation
-    surrogate. On basis-expansion designs every operator has a coefficient
-    view, so the whole perturbation is computed in Fourier coefficients and
-    its norm by Parseval; integrated-Gaussian designs work on the grid.
+    surrogate. theta, the pilot theta1-hat and every operator share the
+    design's eigenbasis, so the whole perturbation is computed in those
+    coefficients and its norm by Parseval.
     """
     if model.kind != "flr":
         raise SpecValidationError("the perturbation study needs an flr model")
@@ -406,8 +407,6 @@ def delta56_study(
     theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
                          power_lambda_profile(alpha), sigma, max(n_grid), 0)
     true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
-    in_coeffs = true_cov.coeff_vectors is not None
-    theta_f = theta if in_coeffs else fourier_function(theta, spec.grid_size)
 
     means, ses, tvs = [], [], []
     for n in n_grid:
@@ -423,22 +422,18 @@ def delta56_study(
             else:
                 s1 = sample_design(spec, m, rng)
                 emp1 = empirical_covariance(s1)
-                z1 = simulate_empirical_wn(theta_f, s1, emp1, sigma, rng)
+                z1 = simulate_empirical_wn(theta, s1, emp1, sigma, rng)
                 theta1 = cutoff_estimator(z1, true_cov, k, m, emp_cov=emp1)
             if force_true_cov2:
                 cov2 = true_cov
             else:
                 s2 = sample_design(spec, n - m, rng)
                 cov2 = empirical_covariance(s2)
-            if in_coeffs:
-                width = max(theta.size, theta1.size)
-                g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
-                a, b = sqrt_apply(true_cov, g), sqrt_apply(cov2, g)
-                width = max(a.size, b.size)
-                sq = float(np.sum((pad_coefficients(a, width) - pad_coefficients(b, width)) ** 2))
-            else:
-                g = theta_f - fourier_function(theta1, spec.grid_size)
-                sq = norm(sqrt_apply(true_cov, g) - sqrt_apply(cov2, g), 2) ** 2
+            width = max(theta.size, theta1.size)
+            g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
+            a, b = sqrt_apply(true_cov, g), sqrt_apply(cov2, g)
+            width = max(a.size, b.size)
+            sq = float(np.sum((pad_coefficients(a, width) - pad_coefficients(b, width)) ** 2))
             vals[rep] = (n - m) * sq
 
         foreach(run_rep, reps, threads)
@@ -474,15 +469,24 @@ class KsReport:
         return float(np.mean(self.rejected))
 
 
+def _draw_matrix(x) -> np.ndarray:
+    """Draws x coordinates; a 1-d input holds draws of one coordinate."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ValueError(f"draws must be a vector or a draws x coordinates matrix, "
+                         f"got {x.ndim} dimensions")
+    return x.reshape(-1, 1) if x.ndim < 2 else x
+
+
 def two_sample_equivalence_test(a: np.ndarray, b: np.ndarray, level: float = 0.05) -> KsReport:
-    """KS-test each coordinate of two draw matrices (draws x coordinates).
+    """KS-test each coordinate of two draw matrices (draws x coordinates, or
+    vectors of draws of one coordinate).
 
     ``scipy.stats`` is imported here, on the first call, so a process that
     never runs the battery loads no scipy: that saves about 1.1 s and 65 MB of
     every fresh ``import flrlab``.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = _draw_matrix(a), _draw_matrix(b)
     if a.shape[1] != b.shape[1]:
         raise ValueError("coordinate counts differ")
     if a.shape[1] < 1:
@@ -517,14 +521,13 @@ def two_route_draws(spec: DesignSpec, theta_class: ThetaClass, sigma: float,
     cov = empirical_covariance(sample)
     transform = build_gram_transform(sample, cov)
     theta = sample_theta(theta_class, "boundary", power_lambda_profile(spec.alpha), sigma, n, 0)
-    theta_grid = fourier_function(theta, spec.grid_size)
 
-    mean = sample.inner_products(theta_grid)
+    mean = sample.inner_products(theta)
     a = np.empty((draws, n))
     for i in range(draws):
         y = gaussian_draw(mean, sigma, derive_rng(seed, "route-flr", i))
         a[i] = flr_to_whitenoise(y, transform, sigma).z
-    drift = empirical_wn_drift(theta_grid, sample, cov)
+    drift = empirical_wn_drift(theta, sample, cov)
     b = np.empty((draws, n))
     for i in range(draws):
         b[i] = WnCoefficients.draw(drift, sigma, derive_rng(seed, "route-direct", i)).z
@@ -536,10 +539,10 @@ def classifier_tv_proxy(a: np.ndarray, b: np.ndarray, seed: int = 0):
     estimate 2 acc - 1, with its Monte Carlo standard error.
 
     The estimate is on the [0, 1] scale of sup_A |P(A) - Q(A)|, half the
-    L1 distance that ``tv_bound`` bounds on [0, 2].
+    L1 distance that ``tv_bound`` bounds on [0, 2]. The inputs are read as
+    in ``two_sample_equivalence_test``.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    a, b = _draw_matrix(a), _draw_matrix(b)
     rng = derive_rng(seed, "tv-proxy")
     half_a, half_b = a.shape[0] // 2, b.shape[0] // 2
     perm_a, perm_b = rng.permutation(a.shape[0]), rng.permutation(b.shape[0])
@@ -581,7 +584,7 @@ def pinsker_decomposition_draws(
         gamma = pinsker_gamma_oracle(lam, theta_class, sigma, n)
     weights = pinsker_weights(gamma, theta_class)
     theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
-    theta_grid = fourier_function(theta, spec.grid_size)
+    theta_grid = basis_function(theta, spec.basis, spec.grid_size)
 
     lhs, rhs = np.empty(reps), np.empty(reps)
     for rep in range(reps):
@@ -598,7 +601,7 @@ def pinsker_decomposition_draws(
         lam_floor = np.maximum(lam_hat, float(n) ** (-rho))
         w_full = np.zeros(r)
         w_full[: fit.weights.size] = fit.weights
-        f = cov.eigen_coefficients(theta_grid, count=r)
+        f = cov.eigen_coefficients(theta, count=r)
         bias = float(np.sum((w_full * lam_hat / lam_floor - 1.0) ** 2 * f**2))
         variance = float(sigma**2 / n * np.sum(w_full**2 * lam_hat / lam_floor**2))
         rhs[rep] = bias + variance

@@ -76,13 +76,14 @@ def write_design_sample(path: Path, sample: DesignSample, sidecar: Path | None =
 
 
 def design_spec_payload(spec: DesignSpec) -> dict:
-    """The spec as written to ``designs.json``. The coefficient law is always
-    uniform and the Gaussian diffusion always 1; both keys stay in the file."""
+    """The spec as written to ``designs.json``. The coefficient law is uniform
+    for basis-expansion designs and gaussian for Brownian ones, and the
+    Gaussian diffusion is always 1; both keys stay in the file."""
     return {
         "kind": spec.kind,
         "alpha": spec.alpha,
         "j_truncation": spec.j_truncation,
-        "coefficient_law": "uniform" if spec.kind == KIND_BASIS else None,
+        "coefficient_law": "uniform" if spec.kind == KIND_BASIS else "gaussian",
         "grid_size": spec.grid_size,
         "sigma_x": None,
     }

@@ -153,16 +153,12 @@ class TestConfigParsing:
         assert load_config(write_config(tmp_path, gaussian.replace(
             "alpha = 2.0", "alpha = 2.0\ngrid_size = 128")))
 
-    def test_cutoff_on_gaussian_designs_rejected(self, tmp_path):
-        # the cutoff fit lives in the sine eigenbasis of Brownian designs, while
-        # theta is scored in Fourier coordinates: out of scope, at the kind's line
+    def test_cutoff_on_gaussian_designs_accepted(self, tmp_path):
+        # theta and the cutoff fit share the sine eigenbasis of Brownian designs
         text = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian").replace(
             "kind = pinsker-oracle", "kind = cutoff")
-        with pytest.raises(ConfigError, match="out of scope") as err:
-            load_config(write_config(tmp_path, text, "gauss.ini"))
-        assert f"gauss.ini:{text.splitlines().index('kind = cutoff') + 1}:" in str(err.value)
-        assert load_config(write_config(tmp_path, text.replace(
-            "kind = integrated-gaussian", "kind = basis-expansion")))
+        cfg = load_config(write_config(tmp_path, text, "gauss.ini"))
+        assert cfg.estimator.kind == "cutoff" and cfg.model.design.basis == "sine"
 
     def test_readme_config_block_loads(self, tmp_path):
         # the documented config names only live keys and kinds, also the keys
@@ -212,6 +208,28 @@ class TestCliExitCodes:
         assert "J = 128 Fourier terms" in err and "n = 200" in err
         assert "j_truncation >= n" in err
         assert "numerically rank deficient" not in err
+
+
+    def test_transform_failures_say_why(self, tmp_path, capsys, monkeypatch):
+        # Brownian designs carry J = min(2n, D - 1) sine terms, so n >= D is
+        # rank deficient by construction
+        gaussian = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian").replace(
+            "alpha = 2.0", "alpha = 2.0\ngrid_size = 128").replace("n_grid = 25", "n_grid = 200")
+        rc = main(["transform", "--config", str(write_config(tmp_path, gaussian, "g.ini")),
+                   "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "J = 127 sine terms" in err and "n = 200" in err and "grid_size" in err
+        # an orthogonality check names the matrix, its defect and the tolerance
+        import flrlab.equivalence
+
+        monkeypatch.setattr(flrlab.equivalence, "ORTHOGONALITY_TOL", 1e-30)
+        rc = main(["transform", "--config", str(write_config(tmp_path, BASE)),
+                   "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.search(r"Q\^T Q is not numerically diagonal: .* is \d\.\d{3}e-\d+ > "
+                         r"ORTHOGONALITY_TOL = 1e-30", err), err
 
 
 class TestSubcommands:

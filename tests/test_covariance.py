@@ -5,29 +5,24 @@ import pytest
 
 from flrlab import (
     DesignSpec,
+    DimensionError,
     GridFunction,
     eigen_gap_check,
-    fourier_basis,
     hs_distance,
     inner_product,
     norm,
     sample_basis_design,
+    sample_gaussian_design,
     sqrt_apply,
     true_covariance,
 )
-from flrlab import covariance, estimators
-from flrlab.covariance import (
-    CovOperator,
-    _empirical_dual,
-    _empirical_from_coeffs,
-    _empirical_grid,
-    empirical_covariance,
-)
+from flrlab import covariance
+from flrlab.covariance import CovOperator, empirical_covariance
 from flrlab.designs import DesignSample
 from flrlab.equivalence import WnCoefficients
 from flrlab.estimators import _eigen_overlap, cutoff_estimator
 from flrlab.function_space import (
-    Basis,
+    FOURIER,
     fourier_function,
     fourier_matrix,
     pairwise_inner,
@@ -75,24 +70,24 @@ class TestEmpiricalCovariance:
             sample_basis_design(small_spec, 0, 1)
 
     def test_routes_agree(self, small_spec):
-        # Full rank n <= J, so both the sign convention and the det = +1 flip
-        # decide the coefficient route's rendered eigenfunctions; over these
-        # seeds the flip is taken on some samples and not on others.
+        # n = 30 < J = 60 takes the n x n route; the J x J eigenproblem of
+        # C^T C / n on the same coefficients is the reference. Full rank, so
+        # the det = +1 flip decides the last sign; over these seeds it is
+        # taken on some samples and not on others.
+        gaussian_spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
         flipped = set()
-        for seed in range(17, 23):
-            s = sample_basis_design(small_spec, 30, seed)
-            dual = _empirical_dual(s)
-            grid = _empirical_grid(s)
-            coeff = _empirical_from_coeffs(s)
-            r = dual.rank
-            assert r == coeff.rank == s.n
-            top = dual.eigenvalues[0]
-            assert np.max(np.abs(dual.eigenvalues[:r] - grid.eigenvalues[:r])) <= 1e-8 * top
-            assert np.max(np.abs(dual.eigenvalues[:r] - coeff.eigenvalues[:r])) <= 1e-8 * top
-            phi = coeff.eigenfunctions.functions
-            assert np.max(np.abs(phi - dual.eigenfunctions.functions)) <= 1e-8
-            last = coeff.coeff_vectors[:, -1]
-            flipped.add(bool(last[np.argmax(np.abs(last))] < 0.0))
+        for seed in range(17, 27):
+            s = (sample_basis_design(small_spec, 30, seed) if seed % 2
+                 else sample_gaussian_design(gaussian_spec, 30, seed))
+            op = empirical_covariance(s)
+            vals, vecs = np.linalg.eigh(s.coeffs.T @ s.coeffs / s.n)
+            vals, vecs = vals[::-1][: s.n], vecs[:, ::-1][:, : s.n]
+            assert op.rank == s.n and op.coeff_vectors.shape == (60, 30)
+            assert np.max(np.abs(op.eigenvalues - vals)) <= 1e-8 * vals[0]
+            assert np.max(np.abs(np.abs(op.coeff_vectors) - np.abs(vecs))) <= 1e-8
+            last = op.coeff_vectors[:, -1]
+            lead = last[np.argmax(np.abs(last[:64]))]
+            flipped.add(bool(lead < 0.0))
         assert flipped == {False, True}
 
     def test_coefficient_view_renders_on_first_read(self, small_spec):
@@ -104,20 +99,23 @@ class TestEmpiricalCovariance:
             assert np.array_equal(phi.functions, u.T @ fourier_matrix(u.shape[0], s.grid_size))
 
     def test_one_representation_per_operator(self):
-        basis = Basis(fourier_basis(2, 256).functions, kind="eigen")
+        # coefficients in a named basis, nothing else: no grid eigenfunctions
+        # or stored kernel are taken
         lam = np.array([1.0, 0.5])
-        for kwargs in ({}, {"eigenfunctions": basis, "coeff_vectors": np.eye(2)},
-                       {"coeff_vectors": np.eye(2)},
-                       {"eigenfunctions": basis, "grid_size": 256}):
+        ok = dict(eigenvalues=lam, coeff_vectors=np.eye(2), basis=FOURIER, grid_size=256)
+        assert CovOperator(**ok).coeff_vectors.shape == (2, 2)
+        for extra in ({"eigenfunctions": fourier_matrix(2, 256)}, {"kernel": np.eye(256)}):
+            with pytest.raises(TypeError):
+                CovOperator(**ok, **extra)
+        for bad in ({"basis": "wavelet"}, {"coeff_vectors": np.eye(3)}):
             with pytest.raises(ValueError):
-                CovOperator(eigenvalues=lam, **kwargs)
+                CovOperator(**{**ok, **bad})
 
-    @pytest.mark.parametrize("n, eigh_shape", [(100, (100, 100)), (300, (128, 128))])
-    def test_grid_only_route_solves_the_smaller_eigenproblem(self, n, eigh_shape, monkeypatch):
-        # n x n dual up to n = D, D x D grid beyond
-        spec = DesignSpec(kind="integrated-gaussian", grid_size=128)
-        s = DesignSample(n=n, grid_size=128, spec=spec, seed=None,
-                         values=np.random.default_rng(n).standard_normal((n, 128)))
+    @pytest.mark.parametrize("n, eigh_shape", [(50, (50, 50)), (300, (127, 127))])
+    def test_size_chosen_route_solves_the_smaller_eigenproblem(self, n, eigh_shape, monkeypatch):
+        # Brownian designs on 128 nodes carry J = min(2n, 127) coefficients:
+        # n x n below J, J x J from there on
+        s = sample_gaussian_design(DesignSpec(kind="integrated-gaussian", grid_size=128), n, n)
         shapes = []
         eigh = np.linalg.eigh
 
@@ -128,7 +126,7 @@ class TestEmpiricalCovariance:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         op = empirical_covariance(s)
         assert shapes == [eigh_shape]
-        assert op.rank == min(n, 128)
+        assert op.rank == min(eigh_shape[0], n)
 
     def test_kernel_reconstruction(self, small_spec):
         # retained eigenpairs rebuild the kernel to numerical-rank accuracy
@@ -170,15 +168,6 @@ class TestCoefficientView:
                 assert np.array_equal(exact, op.coeff_vectors[:, :r].T @ padded)
                 assert np.max(np.abs(exact - grid)) <= 1e-12 * np.linalg.norm(grid)
 
-    def test_grid_only_operator_renders_fourier_vector(self, small_spec):
-        s = sample_basis_design(small_spec, 20, 23)
-        dual = empirical_covariance(DesignSample(n=s.n, grid_size=s.grid_size, spec=s.spec,
-                                                 seed=None, values=s.values))
-        assert dual.coeff_vectors is None
-        theta = np.random.default_rng(1).standard_normal(12)
-        assert np.array_equal(dual.eigen_coefficients(theta, count=5),
-                              dual.eigen_coefficients(fourier_function(theta, 256), count=5))
-
     def test_design_products_match_grid(self, small_spec):
         s = sample_basis_design(small_spec, 200, 29)
         op = empirical_covariance(s)
@@ -186,13 +175,26 @@ class TestCoefficientView:
         q = op.design_products(s, 40)
         assert np.array_equal(q, s.coeffs @ op.coeff_vectors[:, :40])
         assert np.max(np.abs(q - grid)) <= 1e-12 * np.max(np.abs(grid))
-        grid_only = DesignSample(n=s.n, grid_size=s.grid_size, spec=s.spec, seed=None,
-                                 values=s.values)
-        assert np.array_equal(op.design_products(grid_only, 40), grid)
+
+    def test_views_of_different_bases_do_not_mix(self, small_spec):
+        # Fourier and sine coefficients of one length would multiply silently
+        gaussian_spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        fourier_op = empirical_covariance(sample_basis_design(small_spec, 20, 3))
+        gaussian = sample_gaussian_design(gaussian_spec, 20, 3)
+        sine_op = empirical_covariance(gaussian)
+        assert fourier_op.coeff_vectors.shape == sine_op.coeff_vectors.shape == (40, 20)
+        for call in (lambda: fourier_op.design_products(gaussian, 5),
+                     lambda: hs_distance(fourier_op, sine_op),
+                     lambda: _eigen_overlap(sine_op, true_covariance(small_spec, 4), 20, 4)):
+            with pytest.raises(DimensionError, match="sine coefficients cannot meet fourier|"
+                                                     "fourier coefficients cannot meet sine"):
+                call()
+        assert sine_op.design_products(gaussian, 5).shape == (20, 5)
+        assert _eigen_overlap(sine_op, true_covariance(gaussian_spec, 4), 20, 4).shape == (20, 4)
 
     def test_coefficient_route_survives_a_cold_fourier_cache(self, small_spec, monkeypatch):
-        # The route depends on what the operators hold, not on which cached
-        # Fourier matrix object they were built with.
+        # The operators answer from what they hold, not from which cached
+        # Fourier matrix object they were built with, and render nothing.
         s = sample_basis_design(small_spec, 100, 31)           # J = 128
         emp = empirical_covariance(s)
         fourier_matrix.cache_clear()
@@ -200,10 +202,9 @@ class TestCoefficientView:
         z = WnCoefficients(np.random.default_rng(0).standard_normal(s.n))
 
         def no_grid(*args):
-            raise AssertionError("grid route taken")
+            raise AssertionError("grid rendered")
 
-        monkeypatch.setattr(estimators, "pairwise_inner", no_grid)
-        monkeypatch.setattr(covariance, "pairwise_inner", no_grid)
+        monkeypatch.setattr(covariance, "basis_matrix", no_grid)
         assert cutoff_estimator(z, truth, 4, s.n, emp_cov=emp).shape == (4,)
         assert truth.design_products(s, 4).shape == (s.n, 4)
         assert emp.design_products(s, s.n).shape == (s.n, s.n)
@@ -226,11 +227,12 @@ class TestCoefficientView:
 
 class TestSqrtApply:
     def test_eigenfunction_scaling(self, cov25):
+        # a rendered eigenfunction is projected once and comes back scaled,
+        # as coefficients
         for k in (0, 3, 10):
-            phi = cov25.eigenfunctions.function(k)
-            out = sqrt_apply(cov25, phi)
-            expect = math.sqrt(cov25.eigenvalues[k]) * phi.values
-            assert np.max(np.abs(out.values - expect)) <= 1e-8
+            out = sqrt_apply(cov25, cov25.eigenfunctions.function(k))
+            expect = math.sqrt(cov25.eigenvalues[k]) * cov25.coeff_vectors[:, k]
+            assert np.max(np.abs(out - expect)) <= 1e-8
 
     def test_annihilates_orthogonal_complement(self, cov25):
         rng = np.random.default_rng(2)
@@ -239,11 +241,11 @@ class TestSqrtApply:
         phi = cov25.eigenfunctions.functions
         f = f - (phi * w) @ f @ phi          # project out the range
         out = sqrt_apply(cov25, GridFunction(f))
-        assert norm(out, 2) <= 1e-8 * np.linalg.norm(f)
+        assert np.linalg.norm(out) <= 1e-8 * np.linalg.norm(f)
 
     def test_coefficient_vector_matches_grid(self, small_spec):
-        # on a coefficient view a Fourier vector gets the Fourier coefficients
-        # of the grid result, whatever the lengths of the vector and the view
+        # a Fourier vector gets the same coefficients as its rendering,
+        # whatever the lengths of the vector and the view
         s = sample_basis_design(small_spec, 40, 8)
         op = empirical_covariance(s)
         rng = np.random.default_rng(4)
@@ -251,25 +253,19 @@ class TestSqrtApply:
             f = rng.standard_normal(size)
             coeffs = sqrt_apply(op, f)
             grid = sqrt_apply(op, fourier_function(f, small_spec.grid_size))
-            assert coeffs.shape == (op.coeff_vectors.shape[0],)
-            rendered = fourier_function(coeffs, small_spec.grid_size).values
-            assert np.max(np.abs(rendered - grid.values)) <= 1e-12 * np.max(np.abs(grid.values))
-
-    def test_coefficient_vector_needs_a_coefficient_view(self, small_spec):
-        op = _empirical_grid(sample_basis_design(small_spec, 12, 6))
-        with pytest.raises(ValueError, match="coefficient view"):
-            sqrt_apply(op, np.ones(5))
+            assert coeffs.shape == grid.shape == (op.coeff_vectors.shape[0],)
+            assert np.max(np.abs(coeffs - grid)) <= 1e-12 * np.max(np.abs(grid))
 
     def test_square_root_squares_to_operator(self, small_spec):
         s = sample_basis_design(small_spec, 12, 6)
-        op = _empirical_grid(s)
+        op = empirical_covariance(s)
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = GridFunction(rng.standard_normal(small_spec.grid_size))
             twice = sqrt_apply(op, sqrt_apply(op, f))
             direct = op.apply(f)
-            denom = max(norm(direct, 2), 1e-12)
-            assert norm(twice - direct, 2) / denom <= 1e-6
+            denom = max(np.linalg.norm(direct), 1e-12)
+            assert np.linalg.norm(twice - direct) / denom <= 1e-6
 
 
 class TestHsDistance:
@@ -277,11 +273,8 @@ class TestHsDistance:
         assert hs_distance(cov25, cov25) == 0.0
 
     def test_orthogonal_rank_ones(self):
-        basis = fourier_basis(2, 256)
-        u = CovOperator(eigenvalues=np.array([1.0]),
-                        eigenfunctions=Basis(basis.functions[:1], kind="eigen"))
-        v = CovOperator(eigenvalues=np.array([1.0]),
-                        eigenfunctions=Basis(basis.functions[1:2], kind="eigen"))
+        u, v = (CovOperator(eigenvalues=np.array([1.0]), coeff_vectors=np.eye(2)[:, k:k + 1],
+                            basis=FOURIER, grid_size=256) for k in (0, 1))
         assert hs_distance(u, v) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
     def test_one_over_n_scaling(self):
@@ -308,8 +301,7 @@ class TestHsDistance:
 class TestEigenGaps:
     def test_quadratic_decay_scaled_gaps(self):
         lam = np.arange(1, 30, dtype=float) ** -2.0
-        basis = fourier_basis(29, 256)
-        op = CovOperator(eigenvalues=lam, eigenfunctions=Basis(basis.functions, kind="eigen"))
+        op = CovOperator(eigenvalues=lam, coeff_vectors=np.eye(29), basis=FOURIER, grid_size=256)
         rep = eigen_gap_check(op, 2.0)
         # direct evaluation: j^3 (j^-2 - (j+1)^-2) = j(2j+1)/(j+1)^2, which
         # starts at 3/4 and increases toward 2
@@ -321,13 +313,13 @@ class TestEigenGaps:
         assert not rep.flagged
 
     def test_flat_spectrum_flagged(self):
-        basis = fourier_basis(4, 256)
-        op = CovOperator(eigenvalues=np.ones(4), eigenfunctions=Basis(basis.functions, kind="eigen"))
+        op = CovOperator(eigenvalues=np.ones(4), coeff_vectors=np.eye(4), basis=FOURIER,
+                         grid_size=256)
         assert eigen_gap_check(op, 2.0).flagged
 
     def test_power_decay_all_positive(self):
         for alpha in (2.0, 3.0):
             lam = np.arange(1, 20, dtype=float) ** -alpha
-            basis = fourier_basis(19, 256)
-            op = CovOperator(eigenvalues=lam, eigenfunctions=Basis(basis.functions, kind="eigen"))
+            op = CovOperator(eigenvalues=lam, coeff_vectors=np.eye(19), basis=FOURIER,
+                             grid_size=256)
             assert np.all(eigen_gap_check(op, alpha).scaled_gaps > 0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from flrlab import (
-    DesignSample,
     DesignSpec,
     ResolutionError,
     SpecValidationError,
@@ -17,7 +16,7 @@ from flrlab import (
     verify_condition_x,
 )
 from flrlab.designs import _uniform_coefficients
-from flrlab.function_space import grid_nodes, trapezoid_weights
+from flrlab.function_space import grid_nodes, sine_matrix, trapezoid_weights
 
 from oracles import eigh_quadrature_kernel
 
@@ -87,18 +86,33 @@ class TestBasisDesign:
         assert np.array_equal(view.values, copy.values)
 
     def test_slice_subset_of_grid_designs_is_a_view(self):
+        # Brownian samples slice their sine coefficients the same way
         spec = DesignSpec(kind="integrated-gaussian", grid_size=128)
         s = sample_gaussian_design(spec, 30, 4)
         view, copy = s.subset(slice(0, 12)), s.subset(np.arange(12))
-        assert view.n == 12 and np.shares_memory(view.values, s.values)
+        assert view.n == 12 and np.shares_memory(view.coeffs, s.coeffs)
         assert np.array_equal(view.values, copy.values)
+        assert np.array_equal(view.values, s.values[:12])
 
 
 class TestGaussianDesign:
     def test_starts_at_zero(self):
+        # the sample holds J = min(2n, D - 1) sine coefficients with variances
+        # lambda_k; rendered, every path starts at exactly 0
         spec = DesignSpec(kind="integrated-gaussian", grid_size=128)
         s = sample_gaussian_design(spec, 10, 5)
+        assert s.basis == "sine" and s.coeffs.shape == (10, 20) and s._values is None
+        assert np.array_equal(s.values, s.coeffs @ sine_matrix(20, 128))
         assert np.all(s.values[:, 0] == 0.0)
+        assert sample_gaussian_design(spec, 100, 5).coeffs.shape == (100, 127)
+
+    def test_coefficient_variances_are_the_brownian_spectrum(self):
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        s = sample_gaussian_design(spec, 4000, 6)
+        lam = true_covariance(spec, 8).eigenvalues
+        emp_var = s.coeffs[:, :8].var(axis=0)
+        se = lam * math.sqrt(2.0 / (s.n - 1))
+        assert np.all(np.abs(emp_var - lam) <= 4 * se)
 
     def test_terminal_variance_is_one(self):
         # Brownian motion has Var[X(1)] = t at t = 1.
@@ -174,14 +188,18 @@ class TestConditionX:
         s = sample_basis_design(spec, n, seed)
         rep = verify_condition_x(spec, s)
         assert s._values is None          # the coefficient route never builds the grid
-        grid_only = DesignSample(n=n, grid_size=grid_size, spec=spec, seed=None,
-                                 values=s.coeffs @ s.basis_matrix)
-        ref = verify_condition_x(spec, grid_only)
+        # reference: the same diagnostics by quadrature on the rendered grid
+        x, w = s.values, trapezoid_weights(grid_size)
+        norms = np.sqrt(np.einsum("ij,j,ij->i", x, w, x))
+        mean = x.mean(axis=0)
+        eig = np.linalg.eigvalsh((x * w) @ x.T)
+        rank = int(np.sum(eig > 1e-10 * eig.max()))
         assert (rep.gram_rank, rep.full_rank, rep.truncation_limited) \
-            == (ref.gram_rank, ref.full_rank, ref.truncation_limited)
-        assert rep.mean_norm == pytest.approx(ref.mean_norm, rel=1e-12)
-        assert rep.mean_norm_scale == pytest.approx(ref.mean_norm_scale, rel=1e-12)
-        assert np.allclose(rep.tail_x, ref.tail_x, rtol=1e-12, atol=0.0)
+            == (rank, rank == n, spec.resolved_truncation(n) < n)
+        assert rep.mean_norm == pytest.approx(math.sqrt(np.dot(w * mean, mean)), rel=1e-12)
+        assert rep.mean_norm_scale == pytest.approx(norms.mean() / math.sqrt(n), rel=1e-12)
+        assert np.allclose(rep.tail_x, np.linspace(0.0, norms.max() * 1.05 + 1e-12, 20),
+                           rtol=1e-12, atol=0.0)
 
     def test_centering_is_clt_scale(self, small_spec):
         # mean-function norm below 5 E||X|| / sqrt(n) in at least 99% of seeds

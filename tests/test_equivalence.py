@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from flrlab import (
+    CovOperator,
     DegenerateDesignError,
     DesignSample,
     DesignSpec,
@@ -15,6 +16,7 @@ from flrlab import (
     fourier_basis,
     reduced_loglik,
     sample_basis_design,
+    sample_gaussian_design,
     simulate_empirical_wn,
     simulate_flr_responses,
     synthesize,
@@ -62,12 +64,30 @@ class TestGramTransform:
             build_gram_transform(s, cov)
 
     def test_rank_deficient_grid_design_reports_its_rank(self):
+        # a Brownian sample with a repeated design: J = 6 >= n = 3, rank 2
         spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
-        rows = np.random.default_rng(3).standard_normal((2, 256))
-        s = DesignSample(n=3, grid_size=256, spec=spec, seed=None,
-                         values=np.vstack([rows, rows[:1]]))
+        rows = sample_gaussian_design(spec, 3, 3).coeffs
+        s = DesignSample(coeffs=np.vstack([rows[:2], rows[:1]]), spec=spec)
         with pytest.raises(DegenerateDesignError, match=r"numerically rank deficient: rank 2 < n 3"):
             build_gram_transform(s, empirical_covariance(s))
+
+    def test_orthogonality_failures_name_the_matrix_and_defect(self, sample25, cov25):
+        def operator(eigenvalues, vectors):
+            return CovOperator(eigenvalues=eigenvalues, coeff_vectors=vectors, basis=cov25.basis,
+                               grid_size=cov25.grid_size, kind="empirical", n_samples=25)
+
+        # eigenvalues twice too large: Q^T Q stays diagonal, A^T A = I / 2
+        bad_scale = operator(2.0 * cov25.eigenvalues, cov25.coeff_vectors)
+        with pytest.raises(DegenerateDesignError,
+                           match=r"whitening matrix A is not numerically orthogonal: "
+                                 r"max \|A\^T A - I\| is 5\.000e-01 > ORTHOGONALITY_TOL = 1e-08"):
+            build_gram_transform(sample25, bad_scale)
+        # orthonormal vectors that are not eigenvectors: Q^T Q is not diagonal
+        mixed = np.linalg.qr(cov25.coeff_vectors + 0.1)[0]
+        with pytest.raises(DegenerateDesignError,
+                           match=r"Q\^T Q is not numerically diagonal: .* is \d\.\d{3}e-\d+ > "
+                                 r"ORTHOGONALITY_TOL = 1e-08"):
+            build_gram_transform(sample25, operator(cov25.eigenvalues, mixed))
 
     def test_requires_matching_operator(self, sample25, small_spec):
         other = empirical_covariance(sample_basis_design(small_spec, 25, 1))
@@ -137,7 +157,7 @@ class TestDirectSimulation:
         g /= np.linalg.norm(g)
         from flrlab import sqrt_apply
 
-        drift = sqrt_apply(cov, theta)
+        drift = fourier_function(sqrt_apply(cov, theta), small_spec.grid_size)
         assert abs(np.dot(w * g, drift.values)) <= 1e-10
 
 
@@ -146,34 +166,33 @@ class TestCoefficientRoute:
 
     @staticmethod
     def _pair(seed, n=300):
+        """A sample and its designs rendered on the grid, the quadrature reference."""
         s = sample_basis_design(DesignSpec(kind="basis-expansion", alpha=2.0), n, seed)
-        grid_only = DesignSample(n=n, grid_size=s.grid_size, spec=s.spec, seed=None,
-                                 values=s.coeffs @ s.basis_matrix)
-        return s, grid_only
+        return s, s.coeffs @ s.basis_matrix
 
     def test_matches_grid_route_without_building_it(self, monkeypatch):
-        s, grid_only = self._pair(41)
+        s, grid_values = self._pair(41)
         theta = random_theta(s.grid_size, 42, count=40, scale=0.6)
-        y_grid = simulate_flr_responses(grid_only, theta, 0.5, 9)
-        ll_grid = conditional_loglik(y_grid, grid_only, theta, 0.5)
+        noise = 0.5 * np.random.default_rng(9).standard_normal(s.n)
+        y_grid = grid_values @ (trapezoid_weights(s.grid_size) * theta.values) + noise
         monkeypatch.setattr(DesignSample, "values",
                             property(lambda self: pytest.fail("grid materialized")))
         y = simulate_flr_responses(s, theta, 0.5, 9)
         assert np.linalg.norm(y - y_grid) <= 1e-12 * np.linalg.norm(y_grid)
+        ll_grid = (-0.5 * s.n * math.log(2.0 * math.pi) - s.n * math.log(0.5)
+                   - float(noise @ noise) / (2.0 * 0.25))
         assert conditional_loglik(y, s, theta, 0.5) == pytest.approx(ll_grid, rel=1e-12)
 
     def test_fourier_coefficients_are_exact(self, monkeypatch):
-        s, grid_only = self._pair(43)
+        s, grid_values = self._pair(43)
         w = trapezoid_weights(s.grid_size)
         for count in (5, 64, 200):       # shorter and longer than the expansion (J = 128)
             coeffs = np.random.default_rng(count).standard_normal(count)
             padded = np.zeros(s.coeffs.shape[1])
             padded[: min(count, padded.size)] = coeffs[: padded.size]
             rendered = fourier_function(coeffs, s.grid_size)
-            y_grid = simulate_flr_responses(grid_only, coeffs, 0.3, 5)
-            assert np.array_equal(
-                y_grid, grid_only.values @ (w * rendered.values)
-                + 0.3 * np.random.default_rng(5).standard_normal(s.n))
+            y_grid = (grid_values @ (w * rendered.values)
+                      + 0.3 * np.random.default_rng(5).standard_normal(s.n))
             with monkeypatch.context() as m:
                 m.setattr(DesignSample, "values",
                           property(lambda self: pytest.fail("grid materialized")))

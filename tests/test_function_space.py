@@ -16,6 +16,8 @@ from flrlab import (
     project,
     synthesize,
 )
+from flrlab.function_space import (FOURIER, SINE, basis_function, basis_matrix, sine_matrix,
+                                   trapezoid_weights)
 from flrlab.serialize import read_grid_function, write_grid_function
 
 
@@ -106,6 +108,27 @@ class TestFourierBasis:
     def test_nyquist_guard(self):
         with pytest.raises(ResolutionError):
             fourier_basis(5, 8)
+
+
+class TestSineBasis:
+    @pytest.mark.parametrize("grid_size", [256, 512, 1024])
+    def test_orthonormal_up_to_one_below_the_grid(self, grid_size):
+        # trapezoid quadrature keeps D - 1 sine functions orthonormal, not D
+        rows = sine_matrix(grid_size - 1, grid_size)
+        w = trapezoid_weights(grid_size)
+        assert np.max(np.abs((rows * w) @ rows.T - np.eye(grid_size - 1))) <= 1e-12
+        with pytest.raises(ResolutionError):
+            sine_matrix(grid_size, grid_size)
+
+    def test_nested_and_named(self):
+        assert np.array_equal(sine_matrix(5, 64), sine_matrix(40, 64)[:5])
+        assert np.array_equal(basis_matrix(SINE, 3, 64), sine_matrix(3, 64))
+        assert np.array_equal(basis_matrix(FOURIER, 3, 64), fourier_basis(3, 64).functions)
+        t = np.linspace(0.0, 1.0, 64)
+        assert np.allclose(basis_function([0.0, 2.0], SINE, 64).values,
+                           2.0 * math.sqrt(2.0) * np.sin(1.5 * math.pi * t), atol=1e-14)
+        with pytest.raises(ValueError, match="unknown basis"):
+            basis_matrix("wavelet", 3, 64)
 
 
 class TestProject:

@@ -39,7 +39,8 @@ def test_design_sample_layout(tmp_path):
 
 
 def test_design_spec_payload_is_pinned():
-    # designs.json keeps the coefficient-law and diffusion keys of earlier releases
+    # designs.json keeps the coefficient-law and diffusion keys of earlier releases;
+    # Brownian designs draw gaussian Karhunen-Loeve coefficients
     assert design_spec_payload(SPEC) == {
         "kind": "basis-expansion", "alpha": 2.0, "j_truncation": None,
         "coefficient_law": "uniform", "grid_size": 128, "sigma_x": None,
@@ -47,7 +48,7 @@ def test_design_spec_payload_is_pinned():
     gaussian = DesignSpec(kind="integrated-gaussian", grid_size=256)
     assert design_spec_payload(gaussian) == {
         "kind": "integrated-gaussian", "alpha": 2.0, "j_truncation": None,
-        "coefficient_law": None, "grid_size": 256, "sigma_x": None,
+        "coefficient_law": "gaussian", "grid_size": 256, "sigma_x": None,
     }
 
 
