@@ -265,9 +265,11 @@ def _cmd_risk(cfg: ExperimentConfig, ws: _Workspace) -> None:
 def _cmd_equivalence(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "equivalence")
     n = cfg.model.n_grid[0]
-    a, b = two_route_draws(cfg.model.design, cfg.model.theta_class, cfg.model.sigma,
-                           n, cfg.draws, cfg.seed)
-    ks = two_sample_equivalence_test(a, b, cfg.level)
+    # the draws are freed once tested, before the perturbation study runs
+    ks = two_sample_equivalence_test(
+        *two_route_draws(cfg.model.design, cfg.model.theta_class, cfg.model.sigma,
+                         n, cfg.draws, cfg.seed),
+        cfg.level)
     write_table(ws.path("ks.csv"),
                 ["coordinate", "statistic", "p_value", "reject"],
                 [list(range(1, n + 1)), list(ks.statistics), list(ks.p_values),

@@ -274,8 +274,11 @@ def load_config(path: str | Path) -> ExperimentConfig:
     reps = get("run", "reps", 2)
     threads = get("run", "threads", 1)
     level = get("run", "level", 0.05)
+    draws = get("run", "draws", 2000)
     if reps < 2:
         raise ConfigError("run.reps must be >= 2", str(path), line_of("run", "reps"))
+    if draws < 2:
+        raise ConfigError("run.draws must be >= 2", str(path), line_of("run", "draws"))
     if threads < 1:
         raise ConfigError("run.threads must be >= 1", str(path), line_of("run", "threads"))
     if not 0.0 < level < 1.0:
@@ -287,7 +290,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         seed=get("run", "seed"),
         out=get("run", "out"),
         threads=threads,
-        draws=get("run", "draws", 2000),
+        draws=draws,
         level=level,
         config_sha256=digest,
         source_path=str(path),

@@ -59,7 +59,7 @@ class DesignSpec:
 
     kind: str = KIND_BASIS
     alpha: float = 2.0
-    j_truncation: int | None = None          # basis-expansion; None = min(2n, 128)
+    j_truncation: int | None = None          # basis-expansion only; None = min(2n, 128)
     grid_size: int = DEFAULT_GRID_SIZE
 
     def __post_init__(self):
@@ -71,9 +71,14 @@ class DesignSpec:
         if self.kind == KIND_BASIS:
             if self.j_truncation is not None and self.j_truncation < 1:
                 raise SpecValidationError("j_truncation must be >= 1", "j_truncation")
-        elif abs(self.alpha - 2.0) > 1e-12:
-            raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
-                                      "alpha")
+        else:
+            if abs(self.alpha - 2.0) > 1e-12:
+                raise SpecValidationError("integrated-gaussian designs have decay exponent 2",
+                                          "alpha")
+            if self.j_truncation is not None:
+                raise SpecValidationError(
+                    "integrated-gaussian designs take J = min(2n, grid_size - 1) sine terms; "
+                    "j_truncation applies to basis-expansion designs only", "j_truncation")
 
     @property
     def basis(self) -> str:

@@ -37,8 +37,18 @@ OpenBLAS is found among the shared objects mapped into the process (Linux
 libraries already loaded are capped: scipy is imported only by the KS battery
 (``risk.two_sample_equivalence_test``), so in a run without it the cap finds
 numpy's OpenBLAS alone. Where none is found, for example with another BLAS or
-on another platform, the cap does nothing; results never depend on the worker
-count either way.
+on another platform, the cap does nothing.
+
+On basis-expansion designs (J <= 128) results do not depend on the worker
+count: their J x J eigenproblems give the same bits serial and on two
+workers. On integrated-Gaussian designs they do, in the last digits:
+J = min(2n, D - 1) exceeds n, so every replication solves an n x n dual
+eigenproblem (n up to 512 in the perturbation study), and multi-threaded
+OpenBLAS in a serial run rounds it differently from the single-threaded BLAS
+of a pool worker. On the benchmark's cli-gaussian model (6 replications,
+seed 7), ``delta56_study`` gives E||Delta||^2 = 0.020911440526839974 at
+n = 512 with ``threads=1`` and 0.02091144052684013 with ``threads=2``; with
+``OPENBLAS_NUM_THREADS=1`` the serial run gives the latter.
 """
 
 from __future__ import annotations

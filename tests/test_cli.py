@@ -118,6 +118,10 @@ class TestConfigParsing:
             (BASE.replace("sigma = 1.0", "sigma = 0"), "sigma = 0"),
             (data_driven.replace("n_grid = 25", "n_grid = 5,10,20"), "n_grid = 5,10,20"),
             (data_driven.replace("kind = flr", "kind = sequence"), "kind = pinsker-data-driven"),
+            (BASE.replace("kind = basis-expansion",
+                          "kind = integrated-gaussian\nj_truncation = 8"), "j_truncation = 8"),
+            (BASE + "draws = 0\n", "draws = 0"),
+            (BASE + "draws = 1\n", "draws = 1"),
         ):
             lines = text.splitlines()
             path = write_config(tmp_path, text, "fixed0.ini")

@@ -324,6 +324,27 @@ class TestTwoSampleBattery:
             rejections += int(report.rejected[1])
         assert rejections == 20
 
+    @pytest.mark.parametrize("case", ["equal-draws", "unequal-draws", "ties", "vectors"])
+    def test_bits_are_those_of_ks_2samp_per_coordinate(self, case):
+        from scipy import stats
+
+        rng = np.random.default_rng(17)
+        a, b = {
+            "equal-draws": lambda: (rng.standard_normal((400, 12)),
+                                    rng.standard_normal((400, 12))),
+            "unequal-draws": lambda: (rng.standard_normal((301, 9)),
+                                      rng.standard_normal((173, 9)) + 0.2),
+            # rounded data: many ties within and across the two samples
+            "ties": lambda: (np.round(rng.standard_normal((250, 7)), 1),
+                             np.round(rng.standard_normal((320, 7)), 1)),
+            "vectors": lambda: (rng.standard_normal(500), rng.standard_normal(37)),
+        }[case]()
+        report = two_sample_equivalence_test(a, b)
+        cols_a, cols_b = np.atleast_2d(a.T), np.atleast_2d(b.T)
+        ref = [stats.ks_2samp(x, y, method="asymp") for x, y in zip(cols_a, cols_b)]
+        assert np.array_equal(report.statistics, [r.statistic for r in ref])
+        assert np.array_equal(report.p_values, [r.pvalue for r in ref])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             two_sample_equivalence_test(np.zeros((5, 2)), np.zeros((5, 3)))
