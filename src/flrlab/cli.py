@@ -39,7 +39,7 @@ from .estimators import (
     sample_theta,
     sharp_risk_constant,
 )
-from .function_space import basis_function, norm
+from .function_space import basis_function
 from .risk import (
     delta56_study,
     mise_monte_carlo,
@@ -227,8 +227,10 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     m, gamma, weights, sel = pinsker_level(est, model, sample, est.rho, oracle_gamma)
     if sel is not None:
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
-    fit = flr_pinsker_fit(sample.subset(slice(m)), y[:m], weights, est.rho, alpha=model.alpha)
-    err = norm(fit.estimate - theta_grid, 2) ** 2
+    fit_sample = sample.subset(slice(m))
+    fit = flr_pinsker_fit(empirical_covariance(fit_sample), fit_sample.cross_moment(y[:m]),
+                          weights, est.rho, alpha=model.alpha)
+    err = fit.squared_error(theta)
 
     plan.update(
         gamma=gamma,

@@ -146,8 +146,10 @@ class CovOperator:
         return c[:, :j] @ u[:j, :count]
 
     def apply(self, f) -> np.ndarray:
-        """The operator applied to f (as in ``coefficients``), as J coefficients."""
-        return self.coeff_matrix() @ self.coefficients(f)
+        """The operator applied to f (as in ``coefficients``), as J coefficients:
+        U (lambda * U^T f), without forming the J x J matrix."""
+        u = self._vectors
+        return u @ (self.eigenvalues * (u.T @ self.coefficients(f)))
 
     def coeff_matrix(self) -> np.ndarray:
         """Operator matrix U diag(lambda) U^T in the operator's basis."""
@@ -179,6 +181,24 @@ def _retain(lam: np.ndarray) -> int:
     return int(np.sum(lam > RANK_TOL * lam[0]))
 
 
+def _gram(sample) -> tuple[np.ndarray, bool]:
+    """The smaller of C C^T / n (dual, n < J) and C^T C / n, with the branch taken."""
+    if sample.n < 1:
+        raise ValueError("empty sample")
+    c = sample.coeffs           # (n, J), columns are coordinates in the sample's basis
+    n, j = c.shape
+    dual = n < j
+    return ((c @ c.T) / n if dual else (c.T @ c) / n), dual
+
+
+def empirical_eigenvalues(sample) -> np.ndarray:
+    """The retained eigenvalues of ``empirical_covariance(sample)``, descending,
+    from ``eigvalsh`` of the same Gram matrix: the spectrum without the
+    eigenvectors, for callers that read only the spectrum."""
+    vals = np.linalg.eigvalsh(_gram(sample)[0])[::-1]
+    return np.maximum(vals[:_retain(np.maximum(vals, 0.0))], 0.0)
+
+
 def empirical_covariance(sample) -> CovOperator:
     """Empirical covariance operator of a design sample.
 
@@ -186,12 +206,10 @@ def empirical_covariance(sample) -> CovOperator:
     operator's range equals the span of the designs. The eigenproblem is the
     smaller of the J x J and n x n ones (see the module docstring).
     """
-    if sample.n < 1:
-        raise ValueError("empty sample")
-    c = sample.coeffs           # (n, J), columns are coordinates in the sample's basis
+    gram, dual = _gram(sample)
+    c = sample.coeffs
     n, j = c.shape
-    dual = n < j
-    vals, vecs = _sorted_desc(*np.linalg.eigh((c @ c.T) / n if dual else (c.T @ c) / n))
+    vals, vecs = _sorted_desc(*np.linalg.eigh(gram))
     r = _retain(np.maximum(vals, 0.0))
     lam = np.maximum(vals[:r], 0.0)
     vecs = vecs[:, :r]

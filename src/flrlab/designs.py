@@ -142,6 +142,14 @@ class DesignSample:
             return c @ (self.basis_matrix @ (trapezoid_weights(self.grid_size) * theta.values))
         return c @ pad_coefficients(np.asarray(theta, dtype=float), c.shape[1])
 
+    def cross_moment(self, y) -> np.ndarray:
+        """X^T y / n = (1/n) sum_l y_l c_l: the J coefficients, in the sample's
+        basis, of the responses' cross moment with the designs."""
+        y = np.asarray(y, dtype=float)
+        if y.shape != (self.n,):
+            raise ValueError(f"expected {self.n} responses, got {y.shape}")
+        return self._coeffs.T @ y / self.n
+
     def subset(self, rows) -> "DesignSample":
         """Designs at ``rows``: an index array, or a slice (views, no copy)."""
         return DesignSample(coeffs=self._coeffs[rows], spec=self.spec)

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .covariance import CovOperator, empirical_covariance
+from .covariance import CovOperator, empirical_eigenvalues
 from .equivalence import WnCoefficients
 from .errors import SpecValidationError
-from .function_space import GridFunction, same_coordinates
+from .function_space import GridFunction, basis_function, pad_coefficients, same_coordinates
 from .streams import as_generator
 from .whitenoise import SeqObservation
 
@@ -282,44 +283,71 @@ def pinsker_sequence_estimator(obs: SeqObservation, weights: np.ndarray) -> np.n
 
 @dataclass(frozen=True)
 class PinskerFit:
-    """Plug-in shrinkage fit: the estimate plus its empirical-basis pieces."""
+    """Plug-in shrinkage fit: the estimate as coefficients in its design's
+    basis, plus its empirical-basis pieces. ``estimate`` renders it on the
+    grid on first read."""
 
-    estimate: GridFunction
+    theta_hat: np.ndarray           # the estimate's J coefficients in the design basis
     coefficients: np.ndarray        # shrunk coefficients in the empirical eigenbasis
     weights: np.ndarray
     floored: np.ndarray             # where the eigenvalue floor n^-rho was active
     support_cap: int | None
     cap_binding: bool
+    basis: str
+    grid_size: int
+
+    @cached_property
+    def estimate(self) -> GridFunction:
+        return basis_function(self.theta_hat, self.basis, self.grid_size)
+
+    def squared_error(self, theta) -> float:
+        """||theta-hat - theta||^2 by Parseval, theta a coefficient vector in
+        the design basis; coordinates beyond either length count as zero."""
+        theta = np.asarray(theta, dtype=float)
+        width = max(theta.size, self.theta_hat.size)
+        diff = pad_coefficients(self.theta_hat, width) - pad_coefficients(theta, width)
+        return float(diff @ diff)
 
 
 def flr_pinsker_fit(
-    sample,
-    responses: np.ndarray,
+    cov: CovOperator,
+    xty: np.ndarray,
     weights: np.ndarray,
     rho: float,
     *,
     alpha: float | None = None,
-    cov: CovOperator | None = None,
 ) -> PinskerFit:
-    """Weighted spectral estimator from regression data only.
+    """Weighted spectral estimator in the empirical white-noise model.
 
-    theta-hat = sum_j w_j [(1/n) sum_l Y_l <X_l, phi-hat_j>] phi-hat_j / lam_j,rho
-    with lam_j,rho = max(lam-hat_j, n^-rho). Weights must be non-negative.
-    With alpha given, the support cap k <= n^(rho/alpha)/log n is reported,
-    not applied: ``support_cap`` is the raw cap raised to the weight support,
-    and ``cap_binding`` flags when the raw cap falls below that support, since
-    at moderate n it would zero out every weight.
+    By the equivalence the estimator sees regression data only through the
+    empirical covariance Gamma-hat = ``cov`` of n = ``cov.n_samples`` designs
+    and the cross moment ``xty`` = X^T y / n = (1/n) sum_l y_l c_l, given as
+    J coefficients in ``cov``'s basis (``DesignSample.cross_moment``). With
+    (lam-hat_j, phi-hat_j) the eigenpairs of Gamma-hat and
+    lam_j,rho = max(lam-hat_j, n^-rho),
+
+        theta-hat = sum_j w_j <X^T y / n, phi-hat_j> phi-hat_j / lam_j,rho.
+
+    For responses y = C theta + sigma eps on designs with coefficients C,
+    X^T y / n = Gamma-hat theta + sigma C^T eps / n in exact arithmetic, so a
+    caller holding theta and the noise moment C^T eps / n needs no pass over
+    the designs. Weights must be non-negative. With alpha given, the support
+    cap k <= n^(rho/alpha)/log n is reported, not applied: ``support_cap``
+    is the raw cap raised to the weight support, and ``cap_binding`` flags
+    when the raw cap falls below that support, since at moderate n it would
+    zero out every weight.
     """
     validate_rho(rho, alpha)
-    y = np.asarray(responses, dtype=float)
-    if y.shape != (sample.n,):
-        raise ValueError(f"expected {sample.n} responses, got {y.shape}")
+    n = cov.n_samples
+    if n is None:
+        raise ValueError("the fit needs an empirical operator, which knows its sample size")
+    u = cov.coeff_vectors
+    xty = np.asarray(xty, dtype=float)
+    if xty.shape != (u.shape[0],):
+        raise ValueError(f"expected {u.shape[0]} cross-moment coefficients, got {xty.shape}")
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("weights must be non-negative")
-    if cov is None:
-        cov = empirical_covariance(sample)
-    n = sample.n
 
     support = int(np.max(np.nonzero(w > 0.0)[0]) + 1) if np.any(w > 0.0) else 0
     cap = None
@@ -329,26 +357,25 @@ def flr_pinsker_fit(
         binding = raw_cap < support
         cap = max(raw_cap, support)
 
-    r = cov.rank
-    k = min(w.size, r)
+    k = min(w.size, cov.rank)
     lam = cov.eigenvalues[:k]
     lam_floor = np.maximum(lam, float(n) ** (-rho))
-    proj = cov.design_products(sample, k).T @ y / n
-    coeffs = w[:k] * proj / lam_floor
-    estimate = GridFunction(coeffs @ cov.eigenfunctions.functions[:k])
+    coeffs = w[:k] * (u[:, :k].T @ xty) / lam_floor
     return PinskerFit(
-        estimate=estimate,
+        theta_hat=u[:, :k] @ coeffs,
         coefficients=coeffs,
         weights=w[:k],
         floored=lam < float(n) ** (-rho),
         support_cap=cap,
         cap_binding=binding,
+        basis=cov.basis,
+        grid_size=cov.grid_size,
     )
 
 
-def flr_pinsker_estimator(sample, responses, weights, rho: float, **kwargs) -> GridFunction:
+def flr_pinsker_estimator(cov: CovOperator, xty, weights, rho: float, **kwargs) -> GridFunction:
     """Convenience wrapper returning only the fitted grid function."""
-    return flr_pinsker_fit(sample, responses, weights, rho, **kwargs).estimate
+    return flr_pinsker_fit(cov, xty, weights, rho, **kwargs).estimate
 
 
 @dataclass(frozen=True)
@@ -374,9 +401,10 @@ def data_driven_gamma(
     """Split-sample selector of the shrinkage level.
 
     The estimation half keeps the first m = ceil(n (1 - 1/log n)) pairs; the
-    training remainder yields empirical eigenvalues, floored at n^-rho, whose
-    balance equation ``pinsker_gamma_oracle`` solves for gamma-tilde in the
-    same closed form as the oracle level. The final selector is the median
+    training remainder yields its empirical eigenvalues (the spectrum alone,
+    from ``empirical_eigenvalues``), floored at n^-rho, whose balance
+    equation ``pinsker_gamma_oracle`` solves for gamma-tilde in the same
+    closed form as the oracle level. The final selector is the median
     of gamma-tilde and the two deterministic guard rails. It reads
     only the training designs, never the responses, so one selection serves
     every response vector drawn on the same sample.
@@ -387,11 +415,8 @@ def data_driven_gamma(
         raise ValueError(f"need n >= {DATA_DRIVEN_MIN_N} so both split halves are nonempty")
     m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
     m = min(max(m, 1), n - 1)
-    train = sample.subset(slice(m, n))
-    train_cov = empirical_covariance(train)
-
+    lam_hat = empirical_eigenvalues(sample.subset(slice(m, n)))
     floor = float(n) ** (-rho)
-    lam_hat = train_cov.eigenvalues[: train_cov.rank]
 
     def floored(ks: np.ndarray) -> np.ndarray:
         ks = ks.astype(int)

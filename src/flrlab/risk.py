@@ -14,12 +14,16 @@ perturbation study's pilot, and ``pinsker_level`` gives a Pinsker fit its
 level, weights and fitted rows, for the replications and ``flrlab estimate``.
 Every test function is a coefficient vector in its design's eigenbasis
 (Fourier for basis-expansion designs, sine for Brownian ones), the
-coordinates every fit works in; it is rendered on the grid only to score a
-Pinsker fit, whose estimate is a grid function. Within one replication,
-whatever does not depend on the test function (the design sample, its
-empirical covariance, the noise, the shrinkage level and weights) is computed
-once and shared by the whole panel; the sequence model instead redraws the
-same noise from the replication's stream through ``simulate_sequence``.
+coordinates every fit works in, and every error is scored there by Parseval:
+nothing is rendered on the grid. Within one replication, whatever does not
+depend on the test function (the design sample, its empirical covariance,
+the noise, the shrinkage level and weights) is computed once and shared by
+the whole panel; the sequence model instead redraws the same noise from the
+replication's stream through ``simulate_sequence``. A Pinsker replication
+makes one pass over its designs, the noise moment C^T eps / m of its m
+fitted rows; each test function's cross moment is then
+X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
+model's data, which costs J x r work and no pass over the designs.
 
 Replications are independent given their named streams, so ``threads > 1``
 runs them on the pool of ``parallel.foreach``, which holds every OpenBLAS at
@@ -69,7 +73,7 @@ from .estimators import (
     select_cutoff,
     sharp_risk_constant,
 )
-from .function_space import basis_function, norm, pad_coefficients
+from .function_space import pad_coefficients
 from .parallel import foreach
 from .streams import derive_rng
 from .whitenoise import default_frequency_budget, simulate_sequence
@@ -319,11 +323,13 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     m, _, w, _ = pinsker_level(estimator, model, sample, rho, gamma)
     fit_sample = sample.subset(slice(m))
     cov = empirical_covariance(fit_sample)
+    # X^T y / m = Gamma-hat theta + sigma C^T eps / m on the fitted rows: the
+    # one pass over the designs is the noise moment, shared by the panel.
+    noise_moment = sigma * fit_sample.cross_moment(noise[:m])
 
     def run(theta):
-        y = sample.inner_products(theta) + sigma * noise
-        fit = flr_pinsker_fit(fit_sample, y[:m], w, rho, alpha=alpha, cov=cov)
-        return norm(fit.estimate - basis_function(theta, spec.basis, spec.grid_size), 2) ** 2
+        fit = flr_pinsker_fit(cov, cov.apply(theta) + noise_moment, w, rho, alpha=alpha)
+        return fit.squared_error(theta)
 
     return run
 
@@ -497,7 +503,9 @@ def two_sample_equivalence_test(a: np.ndarray, b: np.ndarray, level: float = 0.0
     call. On 2 vCPU (scipy 1.17.1), 1000 x 256 against 1000 x 256 draws take
     0.06-0.08 s this way, against 0.16-0.26 s for one ``ks_2samp`` call per
     coordinate. Columns are taken one at a time, so no pooled draws x
-    coordinates temporaries are stacked.
+    coordinates temporaries are stacked. Draw counts whose effective size
+    rounds below 1 (one draw against one) raise ``ValueError``: every
+    p-value would be nan.
 
     ``scipy.stats`` is imported here, on the first call, so a process that
     never runs the battery loads no scipy: that saves about 1.1 s and 65 MB of
@@ -511,9 +519,13 @@ def two_sample_equivalence_test(a: np.ndarray, b: np.ndarray, level: float = 0.0
     for name, draws in (("a", a), ("b", b)):
         if draws.shape[0] < 1:
             raise ValueError(f"draw matrix {name} has no draws")
+    (n1, k), n2 = a.shape, b.shape[0]
+    en = float(n1) * n2 / (n1 + n2)          # scipy's float product, then the quotient
+    if np.round(en) < 1:
+        raise ValueError(f"n1 = {n1} and n2 = {n2} draws give an effective KS size "
+                         f"n1 n2 / (n1 + n2) = {en:g}, which rounds below 1")
     from scipy import stats
 
-    (n1, k), n2 = a.shape, b.shape[0]
     adj = level / k
     stats_ = np.empty(k)
     for j in range(k):
@@ -522,7 +534,6 @@ def two_sample_equivalence_test(a: np.ndarray, b: np.ndarray, level: float = 0.0
         diffs = (np.searchsorted(x, pooled, side="right") / n1
                  - np.searchsorted(y, pooled, side="right") / n2)
         stats_[j] = max(diffs.max(), np.clip(-diffs.min(), 0, 1))
-    en = float(n1) * n2 / (n1 + n2)          # scipy's float product, then the quotient
     pvals = np.clip(stats.kstwo.sf(stats_, np.round(en)), 0, 1)
     return KsReport(
         statistics=stats_,
@@ -606,7 +617,6 @@ def pinsker_decomposition_draws(
         gamma = pinsker_gamma_oracle(lam, theta_class, sigma, n)
     weights = pinsker_weights(gamma, theta_class)
     theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
-    theta_grid = basis_function(theta, spec.basis, spec.grid_size)
 
     lhs, rhs = np.empty(reps), np.empty(reps)
     for rep in range(reps):
@@ -614,9 +624,8 @@ def pinsker_decomposition_draws(
         sample = sample_design(spec, n, rng)
         y = simulate_flr_responses(sample, theta, sigma, rng)
         cov = empirical_covariance(sample)
-        fit = flr_pinsker_fit(sample, y, weights, rho, alpha=alpha, cov=cov)
-        diff = fit.estimate - theta_grid
-        lhs[rep] = norm(diff, 2) ** 2
+        fit = flr_pinsker_fit(cov, sample.cross_moment(y), weights, rho, alpha=alpha)
+        lhs[rep] = fit.squared_error(theta)
 
         r = cov.rank
         lam_hat = cov.eigenvalues[:r]

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from flrlab import DesignSpec, ThetaClass, sample_basis_design
+from flrlab import DesignSpec, ThetaClass, sample_basis_design, sample_design
 from flrlab.covariance import empirical_covariance
 
 # Property tests draw the same examples on every run and leave no example
@@ -35,3 +35,14 @@ def cov25(sample25):
 @pytest.fixture(scope="session")
 def theta_class22():
     return ThetaClass(beta=2.0, c_theta=1.0)
+
+
+@pytest.fixture(scope="session", params=[
+    ("basis-expansion", 300),      # n >= J = 128: the J x J eigenproblem
+    ("basis-expansion", 20),       # rank 20 < J = 40: rank deficient
+    ("integrated-gaussian", 64),   # n < J = 128 sine terms: the dual n x n route
+], ids=lambda p: f"{p[0]}-n{p[1]}")
+def route_sample(request):
+    """One design sample for each route of ``empirical_covariance``, on 256 nodes."""
+    kind, n = request.param
+    return sample_design(DesignSpec(kind=kind, alpha=2.0, grid_size=256), n, 11)

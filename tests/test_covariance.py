@@ -17,7 +17,7 @@ from flrlab import (
     true_covariance,
 )
 from flrlab import covariance
-from flrlab.covariance import CovOperator, empirical_covariance
+from flrlab.covariance import CovOperator, empirical_covariance, empirical_eigenvalues
 from flrlab.designs import DesignSample
 from flrlab.equivalence import WnCoefficients
 from flrlab.estimators import _eigen_overlap, cutoff_estimator
@@ -127,6 +127,13 @@ class TestEmpiricalCovariance:
         op = empirical_covariance(s)
         assert shapes == [eigh_shape]
         assert op.rank == min(eigh_shape[0], n)
+
+    def test_spectrum_alone_is_the_operators_spectrum(self, route_sample):
+        # eigvalsh of the same Gram matrix, cut by the same retention rule
+        op = empirical_covariance(route_sample)
+        lam = empirical_eigenvalues(route_sample)
+        assert lam.shape == (op.rank,)
+        assert np.max(np.abs(lam - op.eigenvalues[: op.rank])) <= 1e-13 * op.eigenvalues[0]
 
     def test_kernel_reconstruction(self, small_spec):
         # retained eigenpairs rebuild the kernel to numerical-rank accuracy

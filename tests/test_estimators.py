@@ -25,7 +25,7 @@ from flrlab import (
     true_covariance,
 )
 from flrlab.estimators import pinsker_sequence_estimator, validate_rho
-from flrlab.function_space import GridFunction, fourier_matrix
+from flrlab.function_space import GridFunction, basis_function, fourier_matrix, norm
 
 from oracles import brute_force_linear_minimax, ols_slope, pinsker_level_brentq
 
@@ -297,15 +297,17 @@ class TestPlugInEstimator:
     def test_zero_weights_give_zero(self):
         s = sample_basis_design(self.SPEC, 20, 1)
         y = np.ones(20)
-        fit = flr_pinsker_fit(s, y, np.zeros(5), default_rho(2.0), alpha=2.0)
+        fit = flr_pinsker_fit(empirical_covariance(s), s.cross_moment(y), np.zeros(5),
+                              default_rho(2.0), alpha=2.0)
         assert np.all(fit.estimate.values == 0.0)
 
     def test_rho_validation(self):
         s = sample_basis_design(self.SPEC, 20, 1)
+        cov, xty = empirical_covariance(s), s.cross_moment(np.ones(20))
         with pytest.raises(ValueError):
-            flr_pinsker_fit(s, np.ones(20), np.ones(3), 0.6)
+            flr_pinsker_fit(cov, xty, np.ones(3), 0.6)
         with pytest.raises(ValueError):
-            flr_pinsker_fit(s, np.ones(20), np.ones(3), 0.2, alpha=2.0)
+            flr_pinsker_fit(cov, xty, np.ones(3), 0.2, alpha=2.0)
 
     def test_plug_in_consistency(self):
         # noiseless fit of the first eigenfunction: leading coefficient near 1
@@ -317,7 +319,7 @@ class TestPlugInEstimator:
             s = sample_basis_design(self.SPEC, 400, 500 + rep)
             y = simulate_flr_responses(s, theta, 0.0, rep)
             cov = empirical_covariance(s)
-            fit = flr_pinsker_fit(s, y, np.array([1.0]), rho, alpha=2.0, cov=cov)
+            fit = flr_pinsker_fit(cov, s.cross_moment(y), np.array([1.0]), rho, alpha=2.0)
             vals.append(cov.eigen_coefficients(fit.estimate, count=1)[0])
         assert abs(np.mean(vals) - 1.0) <= 0.05
 
@@ -326,14 +328,39 @@ class TestPlugInEstimator:
         # reported, not applied
         s = sample_basis_design(self.SPEC, 200, 2)
         y = np.ones(200)
-        fit = flr_pinsker_fit(s, y, np.array([0.9, 0.5, 0.2]), default_rho(2.0), alpha=2.0)
+        fit = flr_pinsker_fit(empirical_covariance(s), s.cross_moment(y),
+                              np.array([0.9, 0.5, 0.2]), default_rho(2.0), alpha=2.0)
         assert fit.cap_binding
         assert np.array_equal(fit.weights, [0.9, 0.5, 0.2])
+
+    def test_cross_moment_route_is_the_response_route(self, route_sample):
+        # X^T y / n = Gamma-hat theta + sigma C^T eps / n: the fit from the
+        # noise moment equals the fit from the responses, its Parseval score
+        # equals the grid norm, and its rendering is the eigenfunction sum
+        s, sigma, rho = route_sample, 0.5, default_rho(2.0)
+        tc = ThetaClass(beta=2.0, c_theta=1.0)
+        theta = sample_theta(tc, "boundary", power_lambda_profile(2.0), sigma, s.n, 0)
+        eps = np.random.default_rng(5).standard_normal(s.n)
+        w = pinsker_weights(0.01, tc)
+        cov = empirical_covariance(s)
+        from_responses = flr_pinsker_fit(cov, s.cross_moment(s.inner_products(theta) + sigma * eps),
+                                         w, rho, alpha=2.0)
+        fit = flr_pinsker_fit(cov, cov.apply(theta) + sigma * s.cross_moment(eps), w, rho,
+                              alpha=2.0)
+        for new, old in ((fit.theta_hat, from_responses.theta_hat),
+                         (fit.coefficients, from_responses.coefficients)):
+            assert np.linalg.norm(new - old) <= 1e-10 * np.linalg.norm(old)
+        on_grid = norm(fit.estimate - basis_function(theta, s.basis, s.grid_size), 2) ** 2
+        assert abs(fit.squared_error(theta) - on_grid) <= 1e-10 * on_grid
+        k = fit.coefficients.size
+        rendered = fit.coefficients @ cov.eigenfunctions.functions[:k]
+        assert np.max(np.abs(fit.estimate.values - rendered)) <= 1e-10
 
     def test_negative_weights_rejected(self):
         s = sample_basis_design(self.SPEC, 20, 1)
         with pytest.raises(ValueError, match="non-negative"):
-            flr_pinsker_fit(s, np.ones(20), np.array([0.5, -0.1]), default_rho(2.0))
+            flr_pinsker_fit(empirical_covariance(s), s.cross_moment(np.ones(20)),
+                            np.array([0.5, -0.1]), default_rho(2.0))
 
 
 class TestDataDrivenGamma:

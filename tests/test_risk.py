@@ -68,24 +68,52 @@ class TestMiseMonteCarlo:
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
     def test_panel_shares_each_replications_covariance(self, monkeypatch):
-        # data-driven Pinsker: one training and one fitting operator per
-        # replication, however many test functions the panel holds
+        # data-driven Pinsker: one fitting operator and one training spectrum
+        # per replication, however many test functions the panel holds
         import flrlab.estimators
         import flrlab.risk
-        from flrlab.covariance import empirical_covariance
+        from flrlab.covariance import empirical_covariance, empirical_eigenvalues
 
-        calls = []
+        operators, spectra = [], []
 
-        def counting(sample, **kwargs):
-            calls.append(sample.n)
-            return empirical_covariance(sample, **kwargs)
+        def counting_operator(sample):
+            operators.append(sample.n)
+            return empirical_covariance(sample)
 
-        monkeypatch.setattr(flrlab.estimators, "empirical_covariance", counting)
-        monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting)
+        def counting_spectrum(sample):
+            spectra.append(sample.n)
+            return empirical_eigenvalues(sample)
+
+        monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting_operator)
+        monkeypatch.setattr(flrlab.estimators, "empirical_eigenvalues", counting_spectrum)
         est = EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0))
         report = mise_monte_carlo(flr_model(mode="worst-case", n_grid=(200,)), est, 3, 2)
         assert len(report.worst_labels) == 1
-        assert len(calls) == 2 * 3
+        assert len(operators) == 3 and len(spectra) == 3
+
+    def test_pinsker_replication_reads_its_designs_once(self, monkeypatch):
+        # each test function's cross moment is Gamma-hat theta plus the shared
+        # noise moment: one cross_moment pass per replication, and no
+        # per-theta response vector or design product
+        from flrlab.covariance import CovOperator
+        from flrlab.designs import DesignSample
+
+        calls = []
+
+        def counting(name, method):
+            def wrapper(self, *args):
+                calls.append(name)
+                return method(self, *args)
+            return wrapper
+
+        for cls, name in ((DesignSample, "inner_products"), (DesignSample, "cross_moment"),
+                          (CovOperator, "design_products")):
+            monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
+        for kind in ("pinsker-oracle", "pinsker-data-driven"):
+            calls.clear()
+            est = EstimatorConfig(kind=kind, rho=default_rho(2.0))
+            mise_monte_carlo(flr_model(mode="worst-case", n_grid=(200,)), est, 3, 2)
+            assert calls == ["cross_moment"] * 3
 
     def test_oracle_level_solved_once_per_n(self, monkeypatch):
         # one solve per n, shared by the harness and the least-favorable test
@@ -113,8 +141,8 @@ class TestMiseMonteCarlo:
 
     def test_basis_designs_render_no_grid_eigenfunctions(self, monkeypatch):
         # Operators of basis-expansion designs live in Fourier coefficients:
-        # neither the cutoff study (full-rank m <= J and rank-capped m > J)
-        # nor the data-driven level builds an eigenfunction grid.
+        # neither the cutoff study (full-rank m <= J and rank-capped m > J),
+        # the data-driven level nor a Pinsker study builds an eigenfunction grid.
         from flrlab import data_driven_gamma, sample_design
         from flrlab.function_space import Basis
 
@@ -129,6 +157,8 @@ class TestMiseMonteCarlo:
         monkeypatch.setattr(Basis, "__post_init__", counting)
         mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64, 512)),
                          EstimatorConfig(kind="cutoff"), 3, 2)
+        mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64,)),
+                         EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)), 3, 2)
         sel = data_driven_gamma(sample_design(SPEC, 400, 3), TC, 1.0, default_rho(2.0))
         assert sel.gamma_hat > 0
         assert built == []
@@ -371,6 +401,14 @@ class TestTwoSampleBattery:
             two_sample_equivalence_test(np.zeros((0, 3)), np.zeros((4, 3)))
         with pytest.raises(ValueError, match="matrix b has no draws"):
             two_sample_equivalence_test(np.zeros((5, 3)), np.zeros((0, 3)))
+
+    def test_one_draw_against_one_is_rejected(self):
+        # n1 n2 / (n1 + n2) = 1/2 rounds to 0, where every p-value is nan;
+        # one draw against two (2/3 rounds to 1) still runs
+        with pytest.raises(ValueError, match="n1 = 1 and n2 = 1"):
+            two_sample_equivalence_test(np.ones((1, 2)), np.zeros((1, 2)))
+        report = two_sample_equivalence_test(np.ones((1, 2)), np.zeros((2, 2)))
+        assert np.all(np.isfinite(report.p_values)) and np.all(report.statistics == 1.0)
 
     def test_direct_route_draws_are_simulate_empirical_wn(self, monkeypatch):
         # the response mean and the drift are computed once per call, and the
