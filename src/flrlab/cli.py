@@ -35,7 +35,6 @@ from .errors import DegenerateDesignError
 from .estimators import (
     flr_pinsker_fit,
     pinsker_gamma_oracle,
-    power_lambda_profile,
     sample_theta,
     sharp_risk_constant,
 )
@@ -157,7 +156,7 @@ def _theta_for(cfg: ExperimentConfig, n: int, oracle_gamma: float | None = None)
     mode = cfg.model.theta_mode if cfg.model.theta_mode != "worst-case" else "boundary"
     return sample_theta(
         cfg.model.theta_class, mode,
-        power_lambda_profile(cfg.model.alpha),
+        cfg.model.lambda_profile(),
         cfg.model.sigma, n, derive_rng(cfg.seed, "theta"), gamma=oracle_gamma,
     )
 
@@ -216,7 +215,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     model, est = cfg.model, cfg.estimator
     if est.kind == "cutoff":
         raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
-    lam = power_lambda_profile(model.alpha)
+    lam = model.lambda_profile()
     oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
     theta = _theta_for(cfg, n, oracle_gamma)

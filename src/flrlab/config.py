@@ -24,7 +24,7 @@ from pathlib import Path
 from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, DesignSpec
 from .errors import SpecValidationError
 from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, default_rho,
-                         validate_rho)
+                         power_lambda_profile, validate_rho)
 
 ESTIMATOR_KINDS = ("cutoff", "pinsker-oracle", "pinsker-data-driven")
 
@@ -50,6 +50,14 @@ class ModelConfig:
             raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise SpecValidationError(f"sigma must be finite and > 0, got {self.sigma}", "sigma")
+
+    def lambda_profile(self):
+        """k -> lambda_k, the model's true spectrum: the design's
+        (``DesignSpec.lambda_profile``) for flr models, k^-alpha for the
+        sequence model."""
+        if self.kind == "flr":
+            return self.design.lambda_profile()
+        return power_lambda_profile(self.alpha)
 
 
 @dataclass(frozen=True)

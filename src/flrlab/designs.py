@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, SpecValidationError
+from .estimators import power_lambda_profile
 from .function_space import (
     DEFAULT_GRID_SIZE,
     FOURIER,
@@ -84,6 +85,15 @@ class DesignSpec:
     def basis(self) -> str:
         """The covariance eigenbasis every coefficient of this design refers to."""
         return FOURIER if self.kind == KIND_BASIS else SINE
+
+    def lambda_profile(self):
+        """k -> lambda_k, the design's covariance spectrum as a callable
+        profile: k^-alpha for basis-expansion designs and
+        1/(pi^2 (k - 1/2)^2) for Brownian ones. Every true eigenvalue, Pinsker
+        level, sharp constant and least-favorable theta of the design reads it."""
+        if self.kind == KIND_GAUSSIAN:
+            return _brownian_profile
+        return power_lambda_profile(self.alpha)
 
     def resolved_truncation(self, n: int) -> int:
         """Expansion length: beyond rank n the extra modes are invisible to the
@@ -171,10 +181,9 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
     return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
 
 
-def _brownian_eigenvalues(count: int) -> np.ndarray:
-    """lambda_k = 1/(pi^2 (k - 1/2)^2), k = 1..count: the spectrum of min(s, t)."""
-    ks = np.arange(1, count + 1, dtype=float)
-    return 1.0 / (math.pi**2 * (ks - 0.5) ** 2)
+def _brownian_profile(ks) -> np.ndarray:
+    """lambda_k = 1/(pi^2 (k - 1/2)^2): the spectrum of min(s, t)."""
+    return 1.0 / (math.pi**2 * (np.asarray(ks, dtype=float) - 0.5) ** 2)
 
 
 def sample_gaussian_design(spec: DesignSpec, n: int, seed) -> DesignSample:
@@ -186,7 +195,7 @@ def sample_gaussian_design(spec: DesignSpec, n: int, seed) -> DesignSample:
         raise ValueError("n must be >= 1")
     j = spec.resolved_truncation(n)
     coeffs = as_generator(seed).standard_normal((n, j))
-    coeffs *= np.sqrt(_brownian_eigenvalues(j))
+    coeffs *= np.sqrt(_brownian_profile(np.arange(1, j + 1, dtype=float)))
     return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
 
 
@@ -212,10 +221,10 @@ def true_covariance(spec: DesignSpec, count: int):
             raise SpecValidationError(
                 f"requested {count} eigenpairs but the expansion has {j} terms"
             )
-        lam = np.arange(1, count + 1, dtype=float) ** (-spec.alpha)
         vectors, kind = np.eye(j)[:, :count], "analytic-basis"
     else:
-        lam, vectors, kind = _brownian_eigenvalues(count), np.eye(count), "analytic-brownian"
+        vectors, kind = np.eye(count), "analytic-brownian"
+    lam = spec.lambda_profile()(np.arange(1, count + 1, dtype=float))
     # The identity on the first ``count`` coordinates of the design's eigenbasis.
     return CovOperator(eigenvalues=lam, coeff_vectors=vectors, basis=spec.basis,
                        grid_size=spec.grid_size, kind=kind)

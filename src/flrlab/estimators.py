@@ -98,11 +98,23 @@ def cutoff_estimator(
 ) -> np.ndarray:
     """Projection estimator on the first ``cutoff`` coordinates of the true eigenbasis.
 
-    For a SeqObservation the coefficients are read off directly as
-    y_k / sqrt(lambda_k). For white-noise coefficients in the empirical
-    eigenbasis, the estimator rotates them through the overlap matrix
-    <phi-hat_j, phi_k> and normalizes by the true eigenvalues, so ``cov``
-    (true operator) and ``emp_cov`` are both required.
+    Three kinds of observation are read:
+
+    * a SeqObservation: theta-hat_k = y_k / sqrt(lambda_k), and ``cov`` is
+      not used;
+    * the cross moment X^T y / m of m regression pairs, an array of
+      coefficients in the design's eigenbasis (``DesignSample.cross_moment``),
+      with ``cov`` the true operator (lambda_k, phi_k): theta-hat_k =
+      <X^T y / m, phi_k> / lambda_k, which is ``xty[:cutoff] /
+      cov.eigenvalues[:cutoff]`` for ``designs.true_covariance``;
+    * white-noise coefficients z = A^T y in the empirical eigenbasis
+      (lam-hat_j, phi-hat_j) of the same m designs, with ``emp_cov`` that
+      operator: raw_k = sum_j z_j sqrt(lam-hat_j) <phi-hat_j, phi_k>, and
+      theta-hat_k = raw_k / (sqrt(m) lambda_k).
+
+    The last two agree: with C the design coefficients and A = C U D^-1,
+    D = diag(sqrt(m lam-hat)), raw_k = y^T C U U^T e_k / sqrt(m) =
+    y^T C e_k / sqrt(m) = sqrt(m) (X^T y / m)_k, because C U U^T = C.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -113,23 +125,28 @@ def cutoff_estimator(
         lam = obs.lambdas[:cutoff]
         return obs.y[:cutoff] / np.sqrt(lam)
 
-    if isinstance(obs, WnCoefficients):
-        if cov is None or emp_cov is None:
-            raise ValueError("coefficient observations need the true and empirical operators")
-        if m is None:
-            m = obs.n
-        if cutoff > cov.eigenvalues.size:
-            raise ValueError("cutoff exceeds the available true spectrum")
-        lam = cov.eigenvalues[:cutoff]
-        if np.any(lam <= 0.0):
-            raise ValueError("true eigenvalues must be positive up to the cutoff")
-        r = emp_cov.rank
-        overlap = _eigen_overlap(emp_cov, cov, r, cutoff)   # (r, cutoff)
-        weighted = np.sqrt(emp_cov.eigenvalues[:r])[:, None] * overlap
-        raw = obs.z[:r] @ weighted
-        return raw / (math.sqrt(m) * lam)
+    if not isinstance(obs, (np.ndarray, WnCoefficients)):
+        raise TypeError(f"unsupported observation type {type(obs).__name__}")
+    if cov is None:
+        raise ValueError("cross-moment and coefficient observations need the true operator")
+    if cutoff > cov.eigenvalues.size:
+        raise ValueError("cutoff exceeds the available true spectrum")
+    lam = cov.eigenvalues[:cutoff]
+    if np.any(lam <= 0.0):
+        raise ValueError("true eigenvalues must be positive up to the cutoff")
 
-    raise TypeError(f"unsupported observation type {type(obs).__name__}")
+    if isinstance(obs, np.ndarray):
+        return cov.eigen_coefficients(obs, count=cutoff) / lam
+
+    if emp_cov is None:
+        raise ValueError("coefficient observations need the empirical operator")
+    if m is None:
+        m = obs.n
+    r = emp_cov.rank
+    overlap = _eigen_overlap(emp_cov, cov, r, cutoff)   # (r, cutoff)
+    weighted = np.sqrt(emp_cov.eigenvalues[:r])[:, None] * overlap
+    raw = obs.z[:r] @ weighted
+    return raw / (math.sqrt(m) * lam)
 
 
 def _eigen_overlap(emp_cov: CovOperator, cov: CovOperator, r: int, k: int) -> np.ndarray:

@@ -23,18 +23,26 @@ replication's stream through ``simulate_sequence``. A Pinsker replication
 makes one pass over its designs, the noise moment C^T eps / m of its m
 fitted rows; each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
-model's data, which costs J x r work and no pass over the designs.
+model's data, which costs J x r work and no pass over the designs. A cutoff
+replication forms only the first k rows of Gamma-hat, C[:, :k]^T C / m, and
+one noise moment sigma C[:, :k]^T eps / m, and solves no eigenproblem: under
+the known design law the cutoff estimate is (X^T y / m)_k / lambda_k, and
+each test function costs k x J work.
 
 Replications are independent given their named streams, so ``threads > 1``
 runs them on the pool of ``parallel.foreach``, which holds every OpenBLAS at
 one thread per worker while it runs. On basis-expansion designs results do
-not depend on the worker count. On integrated-Gaussian designs they do, in
-the last digits: J = min(2n, D - 1) > n there, so each replication solves an
-n x n dual eigenproblem, which a serial run's multi-threaded OpenBLAS rounds
-differently from a pool worker's single thread (see ``parallel``). On 2 vCPU (OpenBLAS 0.3.31), the benchmark's criterion-6 cutoff study
+not depend on the worker count. On integrated-Gaussian designs the Pinsker
+studies and the perturbation study do, in the last digits: J = min(2n, D - 1)
+> n there, so each of their replications solves an n x n dual eigenproblem,
+which a serial run's multi-threaded OpenBLAS rounds differently from a pool
+worker's single thread (see ``parallel``). On 2 vCPU (OpenBLAS 0.3.31), the
+benchmark's criterion-6 cutoff study
 (30 replications over n = 2^9..2^14, ``threads = 2``) went from a median wall
 time of 2.23 s with each worker driving a two-thread BLAS to 0.71 s (CPU
-4.33 s to 1.31 s); serial it takes 1.16 s. Worker processes were measured and
+4.33 s to 1.31 s); serial it takes 1.16 s. Fitting the cutoff from k rows of
+Gamma-hat, without the J x J Gram matrix and its eigh, then took it from
+0.59 s to 0.29 s (CPU 1.10 s to 0.51 s). Worker processes were measured and
 rejected: a fresh import of the package costs 0.20-0.25 s per worker, and two
 fresh workers took 0.90 s for the study against 0.62 s on the pool (see
 ``parallel``).
@@ -68,7 +76,6 @@ from .estimators import (
     pinsker_gamma_oracle,
     pinsker_sequence_estimator,
     pinsker_weights,
-    power_lambda_profile,
     sample_theta,
     select_cutoff,
     sharp_risk_constant,
@@ -137,7 +144,7 @@ def tv_bound(mean_sq_delta: float, sigma: float) -> float:
 def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_seed: int,
                  oracle_gamma: float | None):
     """Test functions evaluated at sample size n, as (label, coefficients) pairs."""
-    lam = power_lambda_profile(model.alpha)
+    lam = model.lambda_profile()
     tc = model.theta_class
     if model.theta_mode != "worst-case":
         theta = sample_theta(tc, model.theta_mode, lam, model.sigma, n,
@@ -199,9 +206,10 @@ def mise_monte_carlo(
 ) -> RiskReport:
     """Monte Carlo mean of the squared estimation error across the n grid.
 
-    Deterministic given the seed. On basis-expansion designs it is also
-    independent of the thread count; on integrated-Gaussian designs a serial
-    run and a pool run differ in the last digits, because their n x n dual
+    Deterministic given the seed. On basis-expansion designs, and for the
+    cutoff on any design, it is also independent of the thread count; the
+    Pinsker kinds on integrated-Gaussian designs differ in the last digits
+    between a serial run and a pool run, because their n x n dual
     eigenproblems run on multi-threaded and single-threaded OpenBLAS (see
     ``parallel``). Within each replication every test function sees the same
     designs and noise (common random numbers), so worst-case maximization is
@@ -212,7 +220,7 @@ def mise_monte_carlo(
         raise ValueError("need reps >= 2 for a standard error")
     estimator.check_against(model)
     mise, stderr, ratios, labels = [], [], [], []
-    lam_profile = power_lambda_profile(model.alpha)
+    lam_profile = model.lambda_profile()
     for n in model.n_grid:
         oracle_gamma = None if estimator.kind == "cutoff" else pinsker_gamma_oracle(
             lam_profile, model.theta_class, model.sigma, n)
@@ -304,15 +312,18 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     if estimator.kind == "cutoff":
         m, k = _cutoff_split(model, n)
         sample = sample_design(spec, m, rng)
-        emp = empirical_covariance(sample)
         noise = rng.standard_normal(m)
         true_cov = true_covariance(spec, k)
-        r = emp.rank
-        drift_scale = math.sqrt(m) * np.sqrt(emp.eigenvalues[:r])
+        # The fit reads the first k coordinates of X^T y / m = Gamma-hat theta
+        # + sigma C^T eps / m: k rows of Gamma-hat and k noise moments.
+        c = sample.coeffs
+        lead = c[:, :k].T
+        gram_rows = lead @ c / m
+        noise_moment = sigma * (lead @ noise) / m
 
         def run(theta):
-            z = drift_scale * emp.eigen_coefficients(theta, count=r) + sigma * noise[:r]
-            est = cutoff_estimator(WnCoefficients(z), true_cov, k, m, emp_cov=emp)
+            xty = gram_rows @ pad_coefficients(theta, c.shape[1]) + noise_moment
+            est = cutoff_estimator(xty, true_cov, k)
             return float(np.sum((est - theta[:k]) ** 2)) + _tail_sq(theta, k)
 
         return run
@@ -358,7 +369,7 @@ def gamma_consistency_study(
 ) -> GammaConsistencyReport:
     """Relative error of the data-driven gamma against the oracle, per n. The
     selector reads only designs, so no responses are drawn."""
-    lam = power_lambda_profile(spec.alpha)
+    lam = spec.lambda_profile()
     medians, all_errors, oracles = [], [], []
     for n in n_grid:
         gamma_n = pinsker_gamma_oracle(lam, theta_class, sigma, n)
@@ -415,9 +426,9 @@ def delta56_study(
     if model.kind != "flr":
         raise SpecValidationError("the perturbation study needs an flr model")
     spec = model.design
-    alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
+    tc, sigma = model.theta_class, model.sigma
     theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
-                         power_lambda_profile(alpha), sigma, max(n_grid), 0)
+                         model.lambda_profile(), sigma, max(n_grid), 0)
     true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
 
     means, ses, tvs = [], [], []
@@ -553,7 +564,7 @@ def two_route_draws(spec: DesignSpec, theta_class: ThetaClass, sigma: float,
     sample = sample_design(spec, n, derive_rng(seed, "two-route-design"))
     cov = empirical_covariance(sample)
     transform = build_gram_transform(sample, cov)
-    theta = sample_theta(theta_class, "boundary", power_lambda_profile(spec.alpha), sigma, n, 0)
+    theta = sample_theta(theta_class, "boundary", spec.lambda_profile(), sigma, n, 0)
 
     mean = sample.inner_products(theta)
     a = np.empty((draws, n))
@@ -612,7 +623,7 @@ def pinsker_decomposition_draws(
     bias + variance decomposition; the two agree in expectation because the
     cross term vanishes given the designs."""
     alpha = spec.alpha
-    lam = power_lambda_profile(alpha)
+    lam = spec.lambda_profile()
     if gamma is None:
         gamma = pinsker_gamma_oracle(lam, theta_class, sigma, n)
     weights = pinsker_weights(gamma, theta_class)

@@ -160,6 +160,33 @@ class TestTrueCovariance:
             lam = true_covariance(spec, 8).eigenvalues
             assert np.all(np.diff(lam) < 0)
 
+    def test_lambda_profile_is_the_true_spectrum(self):
+        # One rule for every model: k^-alpha on basis-expansion designs and in
+        # the sequence model, bit for bit, and the Brownian spectrum on
+        # integrated-Gaussian designs, which the Pinsker constants then read.
+        from flrlab import ModelConfig, ThetaClass, power_lambda_profile, sharp_risk_constant
+
+        tc = ThetaClass(beta=2.0, c_theta=1.0)
+        ks = np.arange(1, 65, dtype=float)
+        basis = DesignSpec(kind="basis-expansion", alpha=3.0, grid_size=256)
+        gaussian = DesignSpec(kind="integrated-gaussian", grid_size=1024)
+        seq = ModelConfig(kind="sequence", alpha=3.0, theta_class=tc, theta_mode="boundary",
+                          sigma=1.0, n_grid=(100,))
+        flr = ModelConfig(kind="flr", alpha=3.0, theta_class=tc, theta_mode="boundary",
+                          sigma=1.0, n_grid=(100,), design=basis)
+        for profile in (basis.lambda_profile(), seq.lambda_profile(), flr.lambda_profile()):
+            assert np.array_equal(profile(ks), power_lambda_profile(3.0)(ks))
+        for spec in (basis, gaussian):
+            lam = true_covariance(spec, 8).eigenvalues
+            assert np.array_equal(spec.lambda_profile()(ks[:8]), lam)
+
+        for n, ratio in ((256, 2.23), (1024, 2.33)):
+            sharp = sharp_risk_constant(gaussian.lambda_profile(), tc, 1.0, n)
+            truth = true_covariance(gaussian, 64).eigenvalues
+            assert sharp == pytest.approx(sharp_risk_constant(truth, tc, 1.0, n), rel=1e-12)
+            k2 = sharp_risk_constant(power_lambda_profile(2.0), tc, 1.0, n)
+            assert sharp / k2 == pytest.approx(ratio, abs=0.005)
+
 
 class TestConditionX:
     def test_needs_hundred(self, small_spec):

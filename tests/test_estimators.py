@@ -17,6 +17,7 @@ from flrlab import (
     pinsker_weights,
     power_lambda_profile,
     sample_basis_design,
+    sample_design,
     sample_theta,
     select_cutoff,
     sharp_risk_constant,
@@ -98,6 +99,34 @@ class TestCutoffEstimator:
         z = WnCoefficients(z=drift, sigma=0.0)
         est = cutoff_estimator(z, truth, 4, 40, emp_cov=truth)
         assert np.max(np.abs(est)) <= 1e-10
+
+    @pytest.mark.parametrize("kind,n", [
+        ("basis-expansion", 100),       # full rank, J = 128: the whitening transform
+        ("integrated-gaussian", 64),    # the dual n x n route, J = 128
+        ("basis-expansion", 300),       # rank 128 < n: z_j = <y, C u_j> / sqrt(n lam-hat_j)
+    ], ids=lambda p: str(p))
+    def test_cross_moment_route_is_the_white_noise_route(self, kind, n):
+        # theta-hat_k = (X^T y / n)_k / lambda_k equals the rotation of the
+        # white-noise coefficients of the same responses through the overlap
+        from flrlab import WnCoefficients, build_gram_transform, flr_to_whitenoise
+
+        spec = DesignSpec(kind=kind, alpha=2.0, grid_size=256)
+        s = sample_design(spec, n, 11)
+        tc = ThetaClass(beta=2.0, c_theta=1.0)
+        theta = sample_theta(tc, "boundary", spec.lambda_profile(), 0.5, n, 0)
+        y = simulate_flr_responses(s, theta, 0.5, 3)
+        emp = empirical_covariance(s)
+        if emp.rank == n:
+            z = flr_to_whitenoise(y, build_gram_transform(s, emp)).z
+        else:
+            r = emp.rank
+            z = (y @ emp.design_products(s, r)) / np.sqrt(n * emp.eigenvalues[:r])
+        k = 4
+        truth = true_covariance(spec, k)
+        old = cutoff_estimator(WnCoefficients(z), truth, k, n, emp_cov=emp)
+        new = cutoff_estimator(s.cross_moment(y), truth, k)
+        assert np.linalg.norm(new - old) <= 1e-10 * np.linalg.norm(old)
+        assert np.array_equal(new, s.cross_moment(y)[:k] / truth.eigenvalues)
 
     def test_cutoff_beyond_spectrum(self):
         lam = np.arange(1, 4, dtype=float) ** -2.0

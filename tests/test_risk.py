@@ -170,16 +170,9 @@ class TestMiseMonteCarlo:
         assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
 
     def test_flr_cutoff_matches_module_ops(self):
-        # the shared-replication fast path reproduces the composed operations
-        from flrlab import (
-            cutoff_estimator,
-            empirical_covariance,
-            sample_design,
-            select_cutoff,
-            true_covariance,
-        )
-        from flrlab.equivalence import WnCoefficients
-        from flrlab.function_space import fourier_function
+        # the shared-replication fast path reproduces the composed operations:
+        # the first k coordinates of X^T y / m = G_k theta + sigma C_k^T eps / m
+        from flrlab import cutoff_estimator, sample_design, select_cutoff, true_covariance
         from flrlab.risk import _make_rep_context
         from flrlab.streams import derive_rng
 
@@ -191,19 +184,71 @@ class TestMiseMonteCarlo:
         rng = derive_rng(11, "flr-n64", 0)
         m = 32
         sample = sample_design(SPEC, m, rng)
-        emp = empirical_covariance(sample)
         noise = rng.standard_normal(m)
         k = select_cutoff(m, 2.0, 2.0)
-        truth = true_covariance(SPEC, k)
-        theta_grid = fourier_function(theta, SPEC.grid_size)
-        r = emp.rank
-        drift = np.sqrt(m * emp.eigenvalues[:r]) * emp.eigen_coefficients(theta_grid, count=r)
-        z = np.zeros(m)
-        z[:r] = drift
-        z += 1.0 * noise
-        est_coeffs = cutoff_estimator(WnCoefficients(z=z, sigma=1.0), truth, k, m, emp_cov=emp)
+        xty = sample.cross_moment(sample.inner_products(theta)) + 1.0 * sample.cross_moment(noise)
+        est_coeffs = cutoff_estimator(xty[:k], true_covariance(SPEC, k), k)
         expected = float(np.sum((est_coeffs - theta[:k]) ** 2) + np.sum(theta[k:] ** 2))
         assert ctx_val == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    def test_cutoff_replication_solves_no_eigenproblem(self, monkeypatch, kind):
+        import flrlab.risk
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(flrlab.risk, "empirical_covariance",
+                            counted("empirical_covariance", flrlab.risk.empirical_covariance))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        model = flr_model(mode="worst-case", n_grid=(64, 256),
+                          spec=DesignSpec(kind=kind, grid_size=256))
+        report = mise_monte_carlo(model, EstimatorConfig(kind="cutoff"), 3, 5)
+        assert np.all(np.isfinite(report.mise))
+        assert calls == []
+
+    def test_cutoff_law_matches_white_noise_route(self):
+        # The white-noise route drew z = sqrt(m lam-hat) <theta, phi-hat> +
+        # sigma eps in the empirical eigenbasis; the cross moment draws the
+        # same law, N(Gamma-hat theta, sigma^2 Gamma-hat / m) given the designs.
+        from flrlab import (
+            WnCoefficients,
+            cutoff_estimator,
+            empirical_covariance,
+            sample_design,
+            select_cutoff,
+            true_covariance,
+        )
+        from flrlab.streams import derive_rng
+
+        # J = 64 < m keeps the reference's J x J eigenproblems cheap
+        spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=64)
+        n_grid, reps, seed = (512, 4096), 200, 3
+        model = flr_model(n_grid=n_grid, spec=spec)
+        report = mise_monte_carlo(model, EstimatorConfig(kind="cutoff"), reps, seed)
+        theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, max(n_grid), 0)
+        for i, n in enumerate(n_grid):
+            m = n // 2
+            k = select_cutoff(m, 2.0, TC.beta)
+            truth = true_covariance(spec, k)
+            errs = np.empty(reps)
+            for rep in range(reps):
+                rng = derive_rng(seed, f"flr-n{n}", rep)
+                sample = sample_design(spec, m, rng)
+                emp = empirical_covariance(sample)
+                noise = rng.standard_normal(m)
+                r = emp.rank
+                z = np.sqrt(m * emp.eigenvalues[:r]) * emp.eigen_coefficients(theta, count=r)
+                z += noise[:r]
+                est_k = cutoff_estimator(WnCoefficients(z), truth, k, m, emp_cov=emp)
+                errs[rep] = np.sum((est_k - theta[:k]) ** 2) + np.sum(theta[k:] ** 2)
+            ref_se = errs.std(ddof=1) / math.sqrt(reps)
+            assert abs(report.mise[i] - errs.mean()) <= 3.0 * math.hypot(report.stderr[i], ref_se)
 
 
 class TestDeltaStudy:
