@@ -115,6 +115,8 @@ def cutoff_estimator(
     The last two agree: with C the design coefficients and A = C U D^-1,
     D = diag(sqrt(m lam-hat)), raw_k = y^T C U U^T e_k / sqrt(m) =
     y^T C e_k / sqrt(m) = sqrt(m) (X^T y / m)_k, because C U U^T = C.
+    Every study fits from the cross moment; the white-noise branch is the
+    reference route that the tests compare it against.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")

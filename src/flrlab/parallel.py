@@ -46,8 +46,8 @@ J = min(2n, D - 1) exceeds n, so every replication solves an n x n dual
 eigenproblem (n up to 512 in the perturbation study), and multi-threaded
 OpenBLAS in a serial run rounds it differently from the single-threaded BLAS
 of a pool worker. On the benchmark's cli-gaussian model (6 replications,
-seed 7), ``delta56_study`` gives E||Delta||^2 = 0.020911440526839974 at
-n = 512 with ``threads=1`` and 0.02091144052684013 with ``threads=2``; with
+seed 7), ``delta56_study`` gives E||Delta||^2 = 0.024096734216066135 at
+n = 512 with ``threads=1`` and 0.024096734216065993 with ``threads=2``; with
 ``OPENBLAS_NUM_THREADS=1`` the serial run gives the latter.
 """
 

@@ -265,12 +265,18 @@ class TestDeltaStudy:
         assert report.mean_sq[1] < report.mean_sq[0]
         assert report.tv_bounds[1] < report.tv_bounds[0]
 
+    def test_reps_floor(self):
+        with pytest.raises(ValueError, match="reps >= 2"):
+            delta56_study((64,), flr_model(), 1, 1)
+
     def test_gaussian_designs_decay(self):
-        # The cutoff pilot is scored in the sine coordinates it is fitted in.
-        # Rendering it as a Fourier series left E||Delta||^2 flat: 0.0148 at
-        # n = 256 and 0.0141 at n = 1024 on this model, seed and size.
+        # E||Delta||^2 falls with n on Brownian designs. At n = (64, 1024) and
+        # 20 replications it fell at least 3.6-fold at each of seeds 0-19; at
+        # (256, 1024) it fell less than 1.5-fold at 5 of them. A pilot rendered
+        # as a Fourier series decays at these sizes too, so the scoring basis
+        # is guarded by test_gaussian_designs_work_in_sine_coefficients.
         model = flr_model(spec=DesignSpec(kind="integrated-gaussian"), n_grid=(256, 512, 1024))
-        report = delta56_study((256, 1024), model, 20, 7)
+        report = delta56_study((64, 1024), model, 20, 7)
         assert report.mean_sq[1] * 1.5 <= report.mean_sq[0]
 
     def test_basis_designs_work_in_coefficients(self, monkeypatch):
@@ -278,20 +284,29 @@ class TestDeltaStudy:
         # coefficients: no eigenfunction grid is built, and the result meets
         # a grid reference (theta and the pilot rendered and projected back,
         # the square roots rendered, the norm by quadrature).
+        self._check_against_grid_reference(flr_model(sigma=0.5), (64, 256, 1024), monkeypatch)
+
+    def test_gaussian_designs_work_in_sine_coefficients(self, monkeypatch):
+        # The same on Brownian designs, rendered through the sine basis: a
+        # pilot scored in any other basis misses this reference.
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        self._check_against_grid_reference(flr_model(sigma=0.5, spec=spec), (64, 256), monkeypatch)
+
+    @staticmethod
+    def _check_against_grid_reference(model, n_grid, monkeypatch, reps=4, seed=7):
         from flrlab import (
             cutoff_estimator,
             empirical_covariance,
             sample_design,
             select_cutoff,
-            simulate_empirical_wn,
+            simulate_flr_responses,
             sqrt_apply,
             true_covariance,
         )
         from flrlab.estimators import DEFAULT_COEFF_BUDGET
-        from flrlab.function_space import Basis, fourier_function, norm
+        from flrlab.function_space import Basis, basis_function, norm
         from flrlab.streams import derive_rng
 
-        model, n_grid, reps, seed = flr_model(sigma=0.5), (64, 256, 1024), 4, 7
         built = []
         post_init = Basis.__post_init__
 
@@ -305,25 +320,58 @@ class TestDeltaStudy:
             report = delta56_study(n_grid, model, reps, seed)
         assert built == []
 
-        spec = model.design
-        theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 0.5, max(n_grid), 0)
-        theta_grid = fourier_function(theta, spec.grid_size)
+        spec, sigma = model.design, model.sigma
+
+        def render(coeffs):
+            return basis_function(coeffs, spec.basis, spec.grid_size)
+
+        theta_grid = render(sample_theta(TC, "boundary", spec.lambda_profile(), sigma,
+                                         max(n_grid), 0))
         true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
         for i, n in enumerate(n_grid):
             m = n // 2
             k = select_cutoff(m, 2.0, TC.beta)
             vals = []
             for rep in range(reps):
+                # the pilot fits X^T y1 / m of y1 = C1 theta + sigma eps, eps the
+                # m normals drawn after the m designs s1; then s2 is drawn
                 rng = derive_rng(seed, "delta", rep)
                 s1 = sample_design(spec, m, rng)
-                emp1 = empirical_covariance(s1)
-                z1 = simulate_empirical_wn(theta_grid, s1, emp1, 0.5, rng)
-                theta1 = cutoff_estimator(z1, true_cov, k, m, emp_cov=emp1)
-                g = theta_grid - fourier_function(theta1, spec.grid_size)
+                y1 = simulate_flr_responses(s1, theta_grid, sigma, rng)
+                theta1 = cutoff_estimator(s1.cross_moment(y1), true_cov, k)
+                g = theta_grid - render(theta1)
                 cov2 = empirical_covariance(sample_design(spec, n - m, rng))
-                a, b = (fourier_function(sqrt_apply(op, g), spec.grid_size) for op in (true_cov, cov2))
+                a, b = (render(sqrt_apply(op, g)) for op in (true_cov, cov2))
                 vals.append((n - m) * norm(a - b, 2) ** 2)
             assert report.mean_sq[i] == pytest.approx(np.mean(vals), rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    def test_pilot_solves_no_eigenproblem(self, monkeypatch, kind):
+        # The pilot reads k rows of Gamma-hat-1 and one noise moment, so each
+        # replication and n builds one empirical operator and solves one
+        # eigenproblem, both for the second sample's Gamma-hat-2.
+        import flrlab.risk
+
+        operators, eighs = [], []
+        empirical, eigh = flrlab.risk.empirical_covariance, np.linalg.eigh
+
+        def counting_operator(sample):
+            operators.append(sample.n)
+            return empirical(sample)
+
+        def counting_eigh(a, *args, **kwargs):
+            eighs.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        model = flr_model(spec=DesignSpec(kind=kind, alpha=2.0, grid_size=256))
+        monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting_operator)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        delta56_study((32, 64), model, 2, 3)
+        assert operators == [16, 16, 32, 32] and len(eighs) == 4
+        operators.clear()
+        eighs.clear()
+        delta56_study((32, 64), model, 2, 3, force_true_cov2=True)
+        assert operators == [] and eighs == []
 
 
 class TestTvBound:
