@@ -32,6 +32,7 @@ from .estimators import (
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
+    data_driven_split,
     default_rho,
     flr_pinsker_estimator,
     flr_pinsker_fit,

@@ -25,7 +25,10 @@ n x n branch.
 Eigenvector signs follow a fixed convention (largest-magnitude coefficient
 among the first 64 positive), and for full-rank empirical operators the last
 eigenvector is flipped if needed so the change-of-basis matrix used by the
-whitening transform has determinant +1.
+whitening transform has determinant +1. A caller that needs only
+Gamma-hat^(1/2) f passes the sample itself to ``sqrt_apply``, which uses
+the same eigenproblem and retained rank but builds no operator, so none of
+U, the sign convention or the determinant is computed.
 """
 
 from __future__ import annotations
@@ -121,13 +124,7 @@ class CovOperator:
     def coefficients(self, f) -> np.ndarray:
         """f in the operator's J coordinates: a coefficient vector in its
         basis, truncated or zero-padded, or a GridFunction, projected once."""
-        j = self._vectors.shape[0]
-        if isinstance(f, GridFunction):
-            if f.grid_size != self.grid_size:
-                raise DimensionError("function and operator live on different grids")
-            return basis_matrix(self.basis, j, self.grid_size) @ (
-                trapezoid_weights(self.grid_size) * f.values)
-        return pad_coefficients(np.asarray(f, dtype=float), j)
+        return _coordinates(f, self.basis, self._vectors.shape[0], self.grid_size)
 
     def eigen_coefficients(self, f, count: int | None = None) -> np.ndarray:
         """(<f, phi_1>, ..., <f, phi_K>), f as in ``coefficients``; exact for a
@@ -155,6 +152,16 @@ class CovOperator:
         """Operator matrix U diag(lambda) U^T in the operator's basis."""
         u = self._vectors
         return u @ (self.eigenvalues[:, None] * u.T)
+
+
+def _coordinates(f, basis: str, j: int, grid_size: int) -> np.ndarray:
+    """f in the first j coordinates of ``basis`` on ``grid_size`` nodes: a
+    coefficient vector truncated or zero-padded, or a GridFunction projected."""
+    if isinstance(f, GridFunction):
+        if f.grid_size != grid_size:
+            raise DimensionError("function and operator live on different grids")
+        return basis_matrix(basis, j, grid_size) @ (trapezoid_weights(grid_size) * f.values)
+    return pad_coefficients(np.asarray(f, dtype=float), j)
 
 
 def _sorted_desc(values: np.ndarray, vectors: np.ndarray):
@@ -199,6 +206,15 @@ def empirical_eigenvalues(sample) -> np.ndarray:
     return np.maximum(vals[:_retain(np.maximum(vals, 0.0))], 0.0)
 
 
+def _gram_eigen(sample) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(lambda, V, dual): the retained eigenpairs of ``_gram(sample)``,
+    eigenvalues descending, with the branch taken."""
+    gram, dual = _gram(sample)
+    vals, vecs = _sorted_desc(*np.linalg.eigh(gram))
+    r = _retain(np.maximum(vals, 0.0))
+    return np.maximum(vals[:r], 0.0), vecs[:, :r], dual
+
+
 def empirical_covariance(sample) -> CovOperator:
     """Empirical covariance operator of a design sample.
 
@@ -206,13 +222,10 @@ def empirical_covariance(sample) -> CovOperator:
     operator's range equals the span of the designs. The eigenproblem is the
     smaller of the J x J and n x n ones (see the module docstring).
     """
-    gram, dual = _gram(sample)
+    lam, vecs, dual = _gram_eigen(sample)
     c = sample.coeffs
     n, j = c.shape
-    vals, vecs = _sorted_desc(*np.linalg.eigh(gram))
-    r = _retain(np.maximum(vals, 0.0))
-    lam = np.maximum(vals[:r], 0.0)
-    vecs = vecs[:, :r]
+    r = lam.size
     u = (c.T @ vecs) / np.sqrt(n * lam)[None, :] if dual else vecs   # (J, r)
 
     signs = _convention_signs(u[: min(SIGN_REFERENCE_COUNT, j), :].T)[None, :]
@@ -233,11 +246,26 @@ def empirical_covariance(sample) -> CovOperator:
     )
 
 
-def sqrt_apply(op: CovOperator, f) -> np.ndarray:
-    """Square root of the operator applied to f over the retained rank:
-    the J coefficients U diag(sqrt(lambda)) U^T f in the operator's basis,
-    f as in ``CovOperator.coefficients``."""
-    return op.coeff_vectors @ (np.sqrt(op.eigenvalues) * op.eigen_coefficients(f))
+def sqrt_apply(op, f) -> np.ndarray:
+    """Square root of the operator applied to f over the retained rank: the
+    J coefficients U diag(sqrt(lambda)) U^T f in the operator's basis, f as
+    in ``CovOperator.coefficients``.
+
+    ``op`` is a ``CovOperator``, or a design sample, whose empirical operator
+    Gamma-hat = C^T C / n is applied from the eigenpairs (lambda, V) of the
+    same Gram matrix and retained rank as ``empirical_covariance``, without
+    building the operator (no U, no sign or determinant convention):
+    C^T V diag(1 / (n sqrt(lambda))) V^T C f on the dual branch and
+    V diag(sqrt(lambda)) V^T f on the J x J one.
+    """
+    if isinstance(op, CovOperator):
+        return op.coeff_vectors @ (np.sqrt(op.eigenvalues) * op.eigen_coefficients(f))
+    lam, v, dual = _gram_eigen(op)
+    c = op.coeffs
+    g = _coordinates(f, op.basis, c.shape[1], op.grid_size)
+    if dual:
+        return c.T @ (v @ ((v.T @ (c @ g)) / (op.n * np.sqrt(lam))))
+    return v @ (np.sqrt(lam) * (v.T @ g))
 
 
 def hs_distance(a: CovOperator, b: CovOperator) -> float:

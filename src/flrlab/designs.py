@@ -36,7 +36,7 @@ from .function_space import (
     pad_coefficients,
     trapezoid_weights,
 )
-from .streams import as_generator
+from .streams import as_generator, uniform_rows
 
 DEFAULT_MAX_EXPANSION = 128
 
@@ -44,11 +44,13 @@ KIND_BASIS = "basis-expansion"
 KIND_GAUSSIAN = "integrated-gaussian"
 
 
-def _uniform_coefficients(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    """Fresh writeable draws uniform on [-sqrt3, sqrt3]: mean 0, variance 1."""
+def _uniform_coefficients(rng: np.random.Generator, shape: tuple,
+                          rows: slice = slice(None)) -> np.ndarray:
+    """Fresh writeable draws uniform on [-sqrt3, sqrt3] (mean 0, variance 1),
+    of the rows ``rows`` of ``shape``."""
     r = math.sqrt(3.0)
-    # Same bits as rng.uniform(-r, r, shape), without its temporaries.
-    u = rng.random(shape)
+    # Same bits as rng.uniform(-r, r, shape)[rows], without its temporaries.
+    u = uniform_rows(rng, shape, rows)
     u *= 2.0 * r
     u += -r
     return u
@@ -165,8 +167,14 @@ class DesignSample:
         return DesignSample(coeffs=self._coeffs[rows], spec=self.spec)
 
 
-def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
-    """Draw n basis-expansion designs; deterministic given the seed."""
+def sample_basis_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
+    """Draw n basis-expansion designs; deterministic given the seed.
+
+    ``rows`` (a slice with step 1) keeps only those designs: the result
+    equals ``sample_basis_design(spec, n, seed).subset(rows)`` bit for bit,
+    and a Generator seed is left where the full draw leaves it, but on a
+    PCG64 stream only the kept rows are drawn (``streams.uniform_rows``).
+    """
     if spec.kind != KIND_BASIS:
         raise SpecValidationError("spec is not a basis-expansion design")
     if n < 1:
@@ -176,9 +184,10 @@ def sample_basis_design(spec: DesignSpec, n: int, seed) -> DesignSample:
     if spec.grid_size < 2 * j:
         raise ResolutionError(
             f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
-    coeffs = _uniform_coefficients(rng, (n, j))
+    coeffs = _uniform_coefficients(rng, (n, j), rows)
     coeffs *= np.arange(1, j + 1, dtype=float) ** (-spec.alpha / 2.0)
-    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
+    whole = coeffs.shape[0] == n
+    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed) if whole else None)
 
 
 def _brownian_profile(ks) -> np.ndarray:
@@ -203,10 +212,14 @@ def _int_seed(seed) -> int | None:
     return seed if isinstance(seed, (int, np.integer)) else None
 
 
-def sample_design(spec: DesignSpec, n: int, seed) -> DesignSample:
+def sample_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
+    """Designs ``rows`` of n drawn from the spec, as in ``sample_basis_design``;
+    Brownian designs draw all n and keep those rows, because a normal draw
+    consumes a variable number of stream outputs."""
     if spec.kind == KIND_BASIS:
-        return sample_basis_design(spec, n, seed)
-    return sample_gaussian_design(spec, n, seed)
+        return sample_basis_design(spec, n, seed, rows)
+    sample = sample_gaussian_design(spec, n, seed)
+    return sample if rows.indices(n) == (0, n, 1) else sample.subset(rows)
 
 
 def true_covariance(spec: DesignSpec, count: int):

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .covariance import CovOperator, empirical_eigenvalues
+from .covariance import CovOperator
 from .equivalence import WnCoefficients
 from .errors import SpecValidationError
 from .function_space import GridFunction, basis_function, pad_coefficients, same_coordinates
@@ -409,32 +409,38 @@ class GammaSelection:
     eigen_floor: float
 
 
+def data_driven_split(n: int) -> int:
+    """m = ceil(n (1 - 1/log n)): the data-driven fit keeps the first m of n
+    pairs, and its level is selected on the training rows m..n."""
+    if n < DATA_DRIVEN_MIN_N:
+        raise ValueError(f"need n >= {DATA_DRIVEN_MIN_N} so both split halves are nonempty")
+    m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
+    return min(max(m, 1), n - 1)
+
+
 def data_driven_gamma(
-    sample,
+    train_spectrum: np.ndarray,
+    n: int,
     theta_class: ThetaClass,
     sigma: float,
     rho: float,
     *,
     alpha: float | None = None,
 ) -> GammaSelection:
-    """Split-sample selector of the shrinkage level.
+    """Split-sample selector of the shrinkage level for a fit on n pairs.
 
-    The estimation half keeps the first m = ceil(n (1 - 1/log n)) pairs; the
-    training remainder yields its empirical eigenvalues (the spectrum alone,
-    from ``empirical_eigenvalues``), floored at n^-rho, whose balance
-    equation ``pinsker_gamma_oracle`` solves for gamma-tilde in the same
-    closed form as the oracle level. The final selector is the median
-    of gamma-tilde and the two deterministic guard rails. It reads
-    only the training designs, never the responses, so one selection serves
-    every response vector drawn on the same sample.
+    The estimation half keeps the first m = ``data_driven_split(n)`` pairs;
+    ``train_spectrum`` holds the empirical eigenvalues of the training
+    designs m..n (``covariance.empirical_eigenvalues`` of them), floored at
+    n^-rho, whose balance equation ``pinsker_gamma_oracle`` solves for
+    gamma-tilde in the same closed form as the oracle level. The final
+    selector is the median of gamma-tilde and the two deterministic guard
+    rails. It reads only the training spectrum, never the responses, so one
+    selection serves every response vector drawn on the same designs.
     """
     validate_rho(rho, alpha)
-    n = sample.n
-    if n < DATA_DRIVEN_MIN_N:
-        raise ValueError(f"need n >= {DATA_DRIVEN_MIN_N} so both split halves are nonempty")
-    m = math.ceil(n * (1.0 - 1.0 / math.log(n)))
-    m = min(max(m, 1), n - 1)
-    lam_hat = empirical_eigenvalues(sample.subset(slice(m, n)))
+    m = data_driven_split(n)
+    lam_hat = np.asarray(train_spectrum, dtype=float)
     floor = float(n) ** (-rho)
 
     def floored(ks: np.ndarray) -> np.ndarray:

@@ -29,25 +29,21 @@ one noise moment sigma C[:, :k]^T eps / m, and solves no eigenproblem: under
 the known design law the cutoff estimate is (X^T y / m)_k / lambda_k, and
 each test function costs k x J work. The perturbation study's pilot is the
 same fit (``_cutoff_fit``) of its m designs, so each replication there solves
-one eigenproblem, for its second sample's Gamma2-hat.
+one eigenproblem, for its second sample's Gamma2-hat, whose square root
+``covariance.sqrt_apply`` applies from that eigenproblem without building
+an operator. The gamma-consistency study draws only the training rows its
+selector reads.
 
-Replications are independent given their named streams, so ``threads > 1``
-runs them on the pool of ``parallel.foreach``, which holds every OpenBLAS at
-one thread per worker while it runs. On basis-expansion designs results do
-not depend on the worker count. On integrated-Gaussian designs the Pinsker
-studies and the perturbation study do, in the last digits: J = min(2n, D - 1)
-> n there, so each of their replications solves an n x n dual eigenproblem,
-which a serial run's multi-threaded OpenBLAS rounds differently from a pool
-worker's single thread (see ``parallel``). On 2 vCPU (OpenBLAS 0.3.31), the
-benchmark's criterion-6 cutoff study
-(30 replications over n = 2^9..2^14, ``threads = 2``) went from a median wall
-time of 2.23 s with each worker driving a two-thread BLAS to 0.71 s (CPU
-4.33 s to 1.31 s); serial it takes 1.16 s. Fitting the cutoff from k rows of
-Gamma-hat, without the J x J Gram matrix and its eigh, then took it from
-0.59 s to 0.29 s (CPU 1.10 s to 0.51 s). Worker processes were measured and
-rejected: a fresh import of the package costs 0.20-0.25 s per worker, and two
-fresh workers took 0.90 s for the study against 0.62 s on the pool (see
-``parallel``).
+Every study runs its replications through ``parallel.foreach``, serial or,
+with ``threads > 1``, on its pool; either way every OpenBLAS is held at one
+thread while they run. Replications are independent given their named
+streams, so results do not depend on the worker count. On 2 vCPU (OpenBLAS
+0.3.31), the benchmark's criterion-6 cutoff study (30 replications over
+n = 2^9..2^14, ``threads = 2``) went from a median wall time of 2.23 s with
+each worker driving a two-thread BLAS to 0.71 s (CPU 4.33 s to 1.31 s).
+Fitting the cutoff from k rows of Gamma-hat, without the J x J Gram matrix
+and its eigh, then took it from 0.59 s to 0.29 s (CPU 1.10 s to 0.51 s).
+Worker processes were measured and rejected (see ``parallel``).
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EstimatorConfig, ModelConfig
-from .covariance import empirical_covariance, sqrt_apply
+from .covariance import empirical_covariance, empirical_eigenvalues, sqrt_apply
 from .designs import DesignSpec, sample_design, true_covariance
 from .equivalence import (
     WnCoefficients,
@@ -72,6 +68,7 @@ from .estimators import (
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
+    data_driven_split,
     default_rho,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
@@ -189,9 +186,10 @@ def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, sample, rho: f
     and fits the first ``selection.split_m`` rows; the oracle kind fits all n
     rows at the oracle level ``gamma`` and has no selection.
     """
-    m, selection = sample.n, None
+    n, m, selection = sample.n, sample.n, None
     if estimator.kind == "pinsker-data-driven":
-        selection = data_driven_gamma(sample, model.theta_class, model.sigma, rho,
+        train = empirical_eigenvalues(sample.subset(slice(data_driven_split(n), n)))
+        selection = data_driven_gamma(train, n, model.theta_class, model.sigma, rho,
                                       alpha=model.alpha)
         gamma, m = selection.gamma_hat, selection.split_m
     return m, gamma, pinsker_weights(gamma, model.theta_class), selection
@@ -207,15 +205,11 @@ def mise_monte_carlo(
 ) -> RiskReport:
     """Monte Carlo mean of the squared estimation error across the n grid.
 
-    Deterministic given the seed. On basis-expansion designs, and for the
-    cutoff on any design, it is also independent of the thread count; the
-    Pinsker kinds on integrated-Gaussian designs differ in the last digits
-    between a serial run and a pool run, because their n x n dual
-    eigenproblems run on multi-threaded and single-threaded OpenBLAS (see
-    ``parallel``). Within each replication every test function sees the same
-    designs and noise (common random numbers), so worst-case maximization is
-    stable and the per-replication work is shared. The oracle Pinsker level is solved once
-    per n, for the Pinsker kinds.
+    Deterministic given the seed, and independent of the thread count.
+    Within each replication every test function sees the same designs and
+    noise (common random numbers), so worst-case maximization is stable and
+    the per-replication work is shared. The oracle Pinsker level is solved
+    once per n, for the Pinsker kinds.
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
@@ -377,17 +371,23 @@ def gamma_consistency_study(
     seed: int,
 ) -> GammaConsistencyReport:
     """Relative error of the data-driven gamma against the oracle, per n. The
-    selector reads only designs, so no responses are drawn."""
+    selector reads only the training designs m..n of each replication's n,
+    so only those rows are drawn (with the bits of the full draw's rows,
+    see ``sample_design``) and no responses are."""
     lam = spec.lambda_profile()
     medians, all_errors, oracles = [], [], []
     for n in n_grid:
         gamma_n = pinsker_gamma_oracle(lam, theta_class, sigma, n)
+        train = slice(data_driven_split(n), n)
         errs = np.empty(reps)
-        for rep in range(reps):
-            rng = derive_rng(seed, f"gamma-n{n}", rep)
-            sample = sample_design(spec, n, rng)
-            sel = data_driven_gamma(sample, theta_class, sigma, rho, alpha=spec.alpha)
+
+        def run_rep(rep: int, n=n, gamma_n=gamma_n, train=train, errs=errs) -> None:
+            sample = sample_design(spec, n, derive_rng(seed, f"gamma-n{n}", rep), train)
+            sel = data_driven_gamma(empirical_eigenvalues(sample), n, theta_class, sigma, rho,
+                                    alpha=spec.alpha)
             errs[rep] = abs(sel.gamma_hat - gamma_n) / gamma_n
+
+        foreach(run_rep, reps, 1)       # serial, with foreach's one BLAS thread
         medians.append(float(np.median(errs)))
         all_errors.append(errs)
         oracles.append(gamma_n)
@@ -436,13 +436,15 @@ def delta56_study(
     the n - m designs s2 from its stream. The pilot is the cutoff fit of
     ``_cutoff_fit``: it reads (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m),
     the first k coordinates of X^T y1 / m with y1 = C1 theta + sigma eps, and
-    solves no eigenproblem; only Gamma2-hat^(1/2) builds an empirical
-    operator. The white-noise route of ``cutoff_estimator`` fits the same
-    estimator from a second empirical operator per replication (an n x n dual
-    eigh and a slogdet on Brownian designs); on the cli-gaussian model
-    (integrated-Gaussian designs, n = 256, 512, 1024, 20 replications,
-    seed 7, serial; 2 vCPU, OpenBLAS 0.3.31) the study takes 1.8 s this way
-    and took 3.3-3.4 s that way (medians of 5).
+    solves no eigenproblem. Gamma2-hat is read only through its square root,
+    which ``sqrt_apply`` applies from s2's Gram eigenpairs without building
+    an operator (no J x r eigenvectors, sign convention or determinant). On
+    the cli-gaussian model (integrated-Gaussian designs, n = 256, 512, 1024,
+    20 replications, seed 7, serial; 2 vCPU, OpenBLAS 0.3.31) the study
+    takes 2.0-2.4 s (CPU 2.0-2.1 s) this way; with an operator built per
+    replication and a multi-threaded BLAS it took 2.4-2.5 s (CPU 4.6-4.8 s),
+    and with the pilot on the white-noise route of ``cutoff_estimator`` (a
+    second empirical operator per replication) 3.3-3.4 s (medians of 5).
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
@@ -468,11 +470,7 @@ def delta56_study(
             else:
                 s1 = sample_design(spec, m, rng)
                 theta1 = _cutoff_fit(s1, rng.standard_normal(m), sigma, true_cov, k)(theta)
-            if force_true_cov2:
-                cov2 = true_cov
-            else:
-                s2 = sample_design(spec, n - m, rng)
-                cov2 = empirical_covariance(s2)
+            cov2 = true_cov if force_true_cov2 else sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)
             g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
             a, b = sqrt_apply(true_cov, g), sqrt_apply(cov2, g)

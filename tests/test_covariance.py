@@ -12,6 +12,7 @@ from flrlab import (
     inner_product,
     norm,
     sample_basis_design,
+    sample_design,
     sample_gaussian_design,
     sqrt_apply,
     true_covariance,
@@ -273,6 +274,28 @@ class TestSqrtApply:
             direct = op.apply(f)
             denom = max(np.linalg.norm(direct), 1e-12)
             assert np.linalg.norm(twice - direct) / denom <= 1e-6
+
+    @pytest.mark.parametrize("kind, n", [
+        ("integrated-gaussian", 40),   # n < J = 80: the dual n x n branch
+        ("basis-expansion", 200),      # n >= J = 128: the J x J branch
+    ])
+    def test_sample_applies_its_operator_without_building_it(self, kind, n, monkeypatch):
+        s = sample_design(DesignSpec(kind=kind, alpha=2.0, grid_size=256), n, 5)
+        op = empirical_covariance(s)
+        built, init = [], CovOperator.__init__
+
+        def counting(self, **kwargs):
+            built.append(kwargs["kind"])
+            init(self, **kwargs)
+
+        monkeypatch.setattr(CovOperator, "__init__", counting)
+        rng = np.random.default_rng(6)
+        for f in (rng.standard_normal(s.coeffs.shape[1]), rng.standard_normal(7),
+                  GridFunction(rng.standard_normal(256))):
+            direct, via_op = sqrt_apply(s, f), sqrt_apply(op, f)
+            assert direct.shape == via_op.shape
+            assert np.linalg.norm(direct - via_op) <= 1e-12 * np.linalg.norm(via_op)
+        assert built == []
 
 
 class TestHsDistance:

@@ -10,6 +10,7 @@ from flrlab import (
     ThetaClass,
     cutoff_estimator,
     data_driven_gamma,
+    data_driven_split,
     default_rho,
     empirical_covariance,
     flr_pinsker_fit,
@@ -25,6 +26,7 @@ from flrlab import (
     simulate_sequence,
     true_covariance,
 )
+from flrlab.covariance import empirical_eigenvalues
 from flrlab.estimators import pinsker_sequence_estimator, validate_rho
 from flrlab.function_space import GridFunction, basis_function, fourier_matrix, norm
 
@@ -396,31 +398,35 @@ class TestDataDrivenGamma:
     SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
 
     def _dataset(self, n, seed=0, beta=4.0, c=1.0):
-        # the selector reads only the designs
-        return ThetaClass(beta=beta, c_theta=c), sample_basis_design(self.SPEC, n, seed)
+        # the selector reads only the spectrum of the training designs
+        s = sample_basis_design(self.SPEC, n, seed)
+        return ThetaClass(beta=beta, c_theta=c), empirical_eigenvalues(
+            s.subset(slice(data_driven_split(n), n)))
 
     def test_huge_noise_clamps_to_larger_rail(self):
-        tc, s = self._dataset(200)
-        sel = data_driven_gamma(s, tc, 1000.0, default_rho(2.0), alpha=2.0)
+        tc, lam = self._dataset(200)
+        sel = data_driven_gamma(lam, 200, tc, 1000.0, default_rho(2.0), alpha=2.0)
         rails = (200.0 ** sel.bound_low_exponent, 200.0 ** sel.bound_high_exponent)
         assert sel.gamma_tilde > max(rails)
         assert sel.gamma_hat == pytest.approx(max(rails))
 
     def test_tiny_noise_clamps_to_smaller_rail(self):
-        tc, s = self._dataset(200)
-        sel = data_driven_gamma(s, tc, 1e-4, default_rho(2.0), alpha=2.0)
+        tc, lam = self._dataset(200)
+        sel = data_driven_gamma(lam, 200, tc, 1e-4, default_rho(2.0), alpha=2.0)
         rails = (200.0 ** sel.bound_low_exponent, 200.0 ** sel.bound_high_exponent)
         assert sel.gamma_tilde < min(rails)
         assert sel.gamma_hat == pytest.approx(min(rails))
 
     def test_needs_enough_data(self):
-        tc, s = self._dataset(200)
+        tc, lam = self._dataset(200)
         with pytest.raises(ValueError):
-            data_driven_gamma(s.subset(np.arange(4)), tc, 1.0, default_rho(2.0))
+            data_driven_gamma(lam, 4, tc, 1.0, default_rho(2.0))
+        with pytest.raises(ValueError):
+            data_driven_split(4)
 
     def test_training_half_is_held_out(self):
-        tc, s = self._dataset(200)
-        sel = data_driven_gamma(s, tc, 8.0, default_rho(2.0), alpha=2.0)
+        tc, lam = self._dataset(200)
+        sel = data_driven_gamma(lam, 200, tc, 8.0, default_rho(2.0), alpha=2.0)
         assert 1 <= sel.split_m < 200
         n = 200
         assert sel.split_m == math.ceil(n * (1.0 - 1.0 / math.log(n)))

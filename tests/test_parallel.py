@@ -1,4 +1,4 @@
-"""The replication pool: one BLAS thread per worker while it runs, counts restored after."""
+"""Replication loops: one BLAS thread per replication while they run, counts restored after."""
 
 import sys
 import threading
@@ -51,8 +51,10 @@ def test_pool_replications_run_single_threaded_blas(two_blas_threads):
 
     foreach(record, 8, 2)
     assert seen == [[1] * len(CONTROLS)] * 8
-    foreach(record, 8, 1)   # the serial path keeps the caller's BLAS threading
-    assert seen == [[2] * len(CONTROLS)] * 8
+    seen[:] = [None] * 8
+    foreach(record, 8, 1)   # serial loops hold BLAS at one thread too
+    assert seen == [[1] * len(CONTROLS)] * 8
+    assert blas_counts() == [2] * len(CONTROLS)
 
 
 @needs_openblas

@@ -67,10 +67,23 @@ class TestMiseMonteCarlo:
         b = delta56_study(small.n_grid, small, 4, 5, threads=2)
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
+    def test_threads_do_not_change_results_on_gaussian_designs(self):
+        # n x n dual eigenproblems (J = min(2n, 1023) > n): serial loops hold
+        # BLAS at one thread like pool workers, so they round alike; with a
+        # multi-threaded BLAS in the serial run the last digits differed
+        model = flr_model(n_grid=(256, 512),
+                          spec=DesignSpec(kind="integrated-gaussian", grid_size=1024))
+        est = EstimatorConfig(kind="pinsker-oracle")
+        a = mise_monte_carlo(model, est, 2, 7, threads=1)
+        b = mise_monte_carlo(model, est, 2, 7, threads=2)
+        assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
+        a = delta56_study(model.n_grid, model, 2, 7, threads=1)
+        b = delta56_study(model.n_grid, model, 2, 7, threads=2)
+        assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
+
     def test_panel_shares_each_replications_covariance(self, monkeypatch):
         # data-driven Pinsker: one fitting operator and one training spectrum
         # per replication, however many test functions the panel holds
-        import flrlab.estimators
         import flrlab.risk
         from flrlab.covariance import empirical_covariance, empirical_eigenvalues
 
@@ -85,7 +98,7 @@ class TestMiseMonteCarlo:
             return empirical_eigenvalues(sample)
 
         monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting_operator)
-        monkeypatch.setattr(flrlab.estimators, "empirical_eigenvalues", counting_spectrum)
+        monkeypatch.setattr(flrlab.risk, "empirical_eigenvalues", counting_spectrum)
         est = EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0))
         report = mise_monte_carlo(flr_model(mode="worst-case", n_grid=(200,)), est, 3, 2)
         assert len(report.worst_labels) == 1
@@ -143,7 +156,8 @@ class TestMiseMonteCarlo:
         # Operators of basis-expansion designs live in Fourier coefficients:
         # neither the cutoff study (full-rank m <= J and rank-capped m > J),
         # the data-driven level nor a Pinsker study builds an eigenfunction grid.
-        from flrlab import data_driven_gamma, sample_design
+        from flrlab import data_driven_gamma, data_driven_split, sample_design
+        from flrlab.covariance import empirical_eigenvalues
         from flrlab.function_space import Basis
 
         built = []
@@ -159,7 +173,8 @@ class TestMiseMonteCarlo:
                          EstimatorConfig(kind="cutoff"), 3, 2)
         mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64,)),
                          EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)), 3, 2)
-        sel = data_driven_gamma(sample_design(SPEC, 400, 3), TC, 1.0, default_rho(2.0))
+        train = sample_design(SPEC, 400, 3, slice(data_driven_split(400), 400))
+        sel = data_driven_gamma(empirical_eigenvalues(train), 400, TC, 1.0, default_rho(2.0))
         assert sel.gamma_hat > 0
         assert built == []
 
@@ -249,6 +264,38 @@ class TestMiseMonteCarlo:
                 errs[rep] = np.sum((est_k - theta[:k]) ** 2) + np.sum(theta[k:] ** 2)
             ref_se = errs.std(ddof=1) / math.sqrt(reps)
             assert abs(report.mise[i] - errs.mean()) <= 3.0 * math.hypot(report.stderr[i], ref_se)
+
+
+class TestGammaConsistencyStudy:
+    def test_draws_only_the_training_rows_with_the_full_draws_bits(self, monkeypatch):
+        import flrlab.risk
+        from flrlab import (data_driven_gamma, data_driven_split, gamma_consistency_study,
+                            pinsker_gamma_oracle, sample_design)
+        from flrlab.covariance import empirical_eigenvalues
+        from flrlab.streams import derive_rng
+
+        drawn = []
+
+        def counting(*args):
+            sample = sample_design(*args)
+            drawn.append(sample.n)
+            return sample
+
+        monkeypatch.setattr(flrlab.risk, "sample_design", counting)
+        # at sigma = 3 the selected level lies inside its guard rails, so it
+        # reads the training spectrum
+        rho, sigma, grid = default_rho(2.0), 3.0, (200, 400)
+        study = gamma_consistency_study(SPEC, TC, sigma, rho, grid, 3, 11)
+        assert drawn == [n - data_driven_split(n) for n in grid for _ in range(3)]
+        for i, n in enumerate(grid):
+            gamma_n = pinsker_gamma_oracle(SPEC.lambda_profile(), TC, sigma, n)
+            assert study.oracle_gammas[i] == gamma_n
+            for rep in range(3):
+                full = sample_design(SPEC, n, derive_rng(11, f"gamma-n{n}", rep))
+                train = empirical_eigenvalues(full.subset(slice(data_driven_split(n), n)))
+                sel = data_driven_gamma(train, n, TC, sigma, rho, alpha=2.0)
+                assert sel.gamma_hat == sel.gamma_tilde
+                assert study.rel_errors[i][rep] == abs(sel.gamma_hat - gamma_n) / gamma_n
 
 
 class TestDeltaStudy:
@@ -348,8 +395,9 @@ class TestDeltaStudy:
     @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
     def test_pilot_solves_no_eigenproblem(self, monkeypatch, kind):
         # The pilot reads k rows of Gamma-hat-1 and one noise moment, so each
-        # replication and n builds one empirical operator and solves one
-        # eigenproblem, both for the second sample's Gamma-hat-2.
+        # replication and n solves one eigenproblem, for the second sample's
+        # Gamma-hat-2, whose square root is applied without building an
+        # empirical operator.
         import flrlab.risk
 
         operators, eighs = [], []
@@ -367,7 +415,7 @@ class TestDeltaStudy:
         monkeypatch.setattr(flrlab.risk, "empirical_covariance", counting_operator)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         delta56_study((32, 64), model, 2, 3)
-        assert operators == [16, 16, 32, 32] and len(eighs) == 4
+        assert operators == [] and len(eighs) == 4
         operators.clear()
         eighs.clear()
         delta56_study((32, 64), model, 2, 3, force_true_cov2=True)
