@@ -41,6 +41,7 @@ from .estimators import (
 from .function_space import basis_function
 from .risk import (
     delta56_study,
+    fitted_rows,
     mise_monte_carlo,
     pinsker_level,
     two_route_draws,
@@ -223,7 +224,9 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
     plan: dict = {"estimator": est.kind, "rho": est.rho}
-    m, gamma, weights, sel = pinsker_level(est, model, sample, est.rho, oracle_gamma)
+    m = fitted_rows(est, n)
+    train = sample.subset(slice(m, n)) if m < n else None
+    gamma, weights, sel = pinsker_level(est, model, n, train, est.rho, oracle_gamma)
     if sel is not None:
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
     fit_sample = sample.subset(slice(m))

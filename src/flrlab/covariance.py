@@ -14,6 +14,13 @@ smaller of two exact eigenproblems from the input size:
 * n < J: ``eigh`` of the n x n matrix C C^T / n = V diag(lambda) V^T has
   the same nonzero spectrum, and U = C^T V diag(n lambda)^(-1/2).
 
+The primal branch reads C only through C^T C / n, so a caller that summed
+that Gram matrix block by block (``designs.stream_moments``) passes it as an
+``EmpiricalGram`` of n > J designs in place of the sample, to
+``empirical_covariance`` and ``empirical_eigenvalues`` alike: the same
+eigenproblem, retained rank and sign convention. With at most J designs the
+dual branch or the determinant below reads C, so those take the sample.
+
 Per sample of n Brownian designs on 1024 nodes (J = min(2n, 1023)), the
 draw, the covariance and ``design_products`` take, as medians of 5 on
 2 vCPU with OpenBLAS 0.3.31: 0.004 s at n = 128, 0.016 s at 256, 0.075 s at
@@ -188,8 +195,31 @@ def _retain(lam: np.ndarray) -> int:
     return int(np.sum(lam > RANK_TOL * lam[0]))
 
 
+@dataclass(frozen=True)
+class EmpiricalGram:
+    """Gamma-hat = C^T C / n of n > J designs as its J x J ``matrix`` in
+    ``basis`` on ``grid_size`` nodes: the empirical operator's input when the
+    designs themselves are not held."""
+
+    matrix: np.ndarray
+    n: int
+    basis: str
+    grid_size: int
+
+    def __post_init__(self):
+        j = self.matrix.shape[0]
+        if self.matrix.shape != (j, j):
+            raise ValueError(f"a Gram matrix is square, got {self.matrix.shape}")
+        if self.n <= j:
+            raise ValueError(f"{self.n} designs with J = {j}: at most J designs need "
+                             "the sample itself (dual branch or determinant)")
+
+
 def _gram(sample) -> tuple[np.ndarray, bool]:
-    """The smaller of C C^T / n (dual, n < J) and C^T C / n, with the branch taken."""
+    """The smaller of C C^T / n (dual, n < J) and C^T C / n, with the branch
+    taken; an ``EmpiricalGram`` is already the latter."""
+    if isinstance(sample, EmpiricalGram):
+        return sample.matrix, False
     if sample.n < 1:
         raise ValueError("empty sample")
     c = sample.coeffs           # (n, J), columns are coordinates in the sample's basis
@@ -201,7 +231,8 @@ def _gram(sample) -> tuple[np.ndarray, bool]:
 def empirical_eigenvalues(sample) -> np.ndarray:
     """The retained eigenvalues of ``empirical_covariance(sample)``, descending,
     from ``eigvalsh`` of the same Gram matrix: the spectrum without the
-    eigenvectors, for callers that read only the spectrum."""
+    eigenvectors, for callers that read only the spectrum. ``sample`` is a
+    design sample or an ``EmpiricalGram``."""
     vals = np.linalg.eigvalsh(_gram(sample)[0])[::-1]
     return np.maximum(vals[:_retain(np.maximum(vals, 0.0))], 0.0)
 
@@ -221,19 +252,18 @@ def empirical_covariance(sample) -> CovOperator:
     Keeps only the numerically nonzero eigenpairs (at most min(n, J)); the
     operator's range equals the span of the designs. The eigenproblem is the
     smaller of the J x J and n x n ones (see the module docstring).
+    ``sample`` is a design sample or an ``EmpiricalGram`` of n > J designs.
     """
     lam, vecs, dual = _gram_eigen(sample)
-    c = sample.coeffs
-    n, j = c.shape
-    r = lam.size
-    u = (c.T @ vecs) / np.sqrt(n * lam)[None, :] if dual else vecs   # (J, r)
+    n, r = sample.n, lam.size
+    u = (sample.coeffs.T @ vecs) / np.sqrt(n * lam)[None, :] if dual else vecs   # (J, r)
 
-    signs = _convention_signs(u[: min(SIGN_REFERENCE_COUNT, j), :].T)[None, :]
+    signs = _convention_signs(u[: min(SIGN_REFERENCE_COUNT, u.shape[0]), :].T)[None, :]
     u = u * signs
     if r == n:
         # A = C U D^{-1} is the whitening matrix of this sample, and on the
         # dual route it is V itself; fix det = +1.
-        a = vecs * signs if dual else (c @ u) / np.sqrt(n * lam)[None, :]
+        a = vecs * signs if dual else (sample.coeffs @ u) / np.sqrt(n * lam)[None, :]
         if _det_sign_orthogonal(a) < 0:
             u[:, -1] *= -1.0
     return CovOperator(

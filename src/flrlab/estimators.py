@@ -392,6 +392,41 @@ def flr_pinsker_fit(
     )
 
 
+def pinsker_conditional_risk(cov: CovOperator, theta, weights, rho: float,
+                             sigma: float) -> tuple[float, float]:
+    """(bias, variance) of ``flr_pinsker_fit(cov, X^T y / n, weights, rho)``
+    given the n designs of the empirical operator ``cov``, for responses
+    y = C theta + sigma eps: the fit's expected squared error is their sum.
+
+    With f_j = <theta, phi-hat_j> over the r retained eigenpairs,
+    lam_j,rho = max(lam-hat_j, n^-rho) and w_j the weights (zero past their
+    length),
+
+        bias = sum_j (w_j lam-hat_j / lam_j,rho - 1)^2 f_j^2 + ||theta||^2 - ||f||^2,
+        variance = sigma^2 / n sum_j w_j^2 lam-hat_j / lam_j,rho^2.
+
+    ||theta||^2 - ||f||^2 is the part of theta outside the empirical range,
+    which the fit never sees: the coordinates past J, and, when r < J, the
+    J - r directions the designs miss. At r = J only the former is summed.
+    """
+    n = cov.n_samples
+    j, r = cov.coeff_vectors.shape[0], cov.rank
+    theta = np.asarray(theta, dtype=float)
+    lam_hat = cov.eigenvalues[:r]
+    lam_floor = np.maximum(lam_hat, float(n) ** (-rho))
+    w = np.asarray(weights, dtype=float)[:r]
+    w_full = np.zeros(r)
+    w_full[: w.size] = w
+    f = cov.eigen_coefficients(theta, count=r)
+    outside = float(np.sum(theta[j:] ** 2))
+    if r < j:
+        inside = pad_coefficients(theta, j)
+        outside += float(inside @ inside - f @ f)
+    bias = float(np.sum((w_full * lam_hat / lam_floor - 1.0) ** 2 * f**2)) + outside
+    variance = float(sigma**2 / n * np.sum(w_full**2 * lam_hat / lam_floor**2))
+    return bias, variance
+
+
 def flr_pinsker_estimator(cov: CovOperator, xty, weights, rho: float, **kwargs) -> GridFunction:
     """Convenience wrapper returning only the fitted grid function."""
     return flr_pinsker_fit(cov, xty, weights, rho, **kwargs).estimate

@@ -10,25 +10,37 @@ The harnesses only draw data and score fits: every estimate comes from
 ``estimators``, every operator from ``covariance``. The two study rules live
 here once each: ``_cutoff_split`` gives the cutoff's (m, k) = (n // 2, its
 frequency cutoff) to the replications, the vertex test function and the
-perturbation study's pilot, and ``pinsker_level`` gives a Pinsker fit its
-level, weights and fitted rows, for the replications and ``flrlab estimate``.
+perturbation study's pilot, and ``fitted_rows`` and ``pinsker_level`` give
+a Pinsker fit its fitted rows, level and weights, for the replications and
+``flrlab estimate``.
 Every test function is a coefficient vector in its design's eigenbasis
 (Fourier for basis-expansion designs, sine for Brownian ones), the
 coordinates every fit works in, and every error is scored there by Parseval:
 nothing is rendered on the grid. Within one replication, whatever does not
-depend on the test function (the design sample, its empirical covariance,
-the noise, the shrinkage level and weights) is computed once and shared by
-the whole panel; the sequence model instead redraws the same noise from the
-replication's stream through ``simulate_sequence``. A Pinsker replication
-makes one pass over its designs, the noise moment C^T eps / m of its m
-fitted rows; each test function's cross moment is then
+depend on the test function (the designs' statistics, the empirical
+covariance, the noise, the shrinkage level and weights) is computed once and
+shared by the whole panel; the sequence model instead redraws the same noise
+from the replication's stream through ``simulate_sequence``.
+
+By the finite-sample equivalence, a replication reads its m fitted designs C
+and their noise eps only through Gamma-hat = C^T C / m and the noise moment
+C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
-model's data, which costs J x r work and no pass over the designs. A cutoff
-replication forms only the first k rows of Gamma-hat, C[:, :k]^T C / m, and
-one noise moment sigma C[:, :k]^T eps / m, and solves no eigenproblem: under
-the known design law the cutoff estimate is (X^T y / m)_k / lambda_k, and
-each test function costs k x J work. The perturbation study's pilot is the
-same fit (``_cutoff_fit``) of its m designs, so each replication there solves
+model's data, at J x r work per Pinsker fit and k x J per cutoff fit, with
+no pass over the designs. On basis-expansion designs whose fitted rows (and
+the data-driven level's training rows) number more than J, the replication
+never holds the n x J sample: ``designs.stream_moments`` draws the designs
+block by block and folds each block into the sums, the whole Gram matrix
+(an ``EmpiricalGram`` for ``empirical_covariance``) and the training rows'
+for a Pinsker fit, only its first k rows for a cutoff, and the noise
+moment. A replication's memory is then O(J^2 + BLOCK_ROWS J), and the sums
+equal the held sample's up to the order of the additions. Brownian designs
+and smaller parts (``_streamed``) keep the sample and read the same
+statistics from it as one block (``designs.sample_moments``, or the rows
+themselves where an eigenproblem takes the dual route). A cutoff
+replication solves no eigenproblem: under the known design law its estimate
+is (X^T y / m)_k / lambda_k. The perturbation study's pilot is the same fit
+(``_cutoff_fit``) of its m held designs, so each replication there solves
 one eigenproblem, for its second sample's Gamma2-hat, whose square root
 ``covariance.sqrt_apply`` applies from that eigenproblem without building
 an operator. The gamma-consistency study draws only the training rows its
@@ -43,6 +55,8 @@ n = 2^9..2^14, ``threads = 2``) went from a median wall time of 2.23 s with
 each worker driving a two-thread BLAS to 0.71 s (CPU 4.33 s to 1.31 s).
 Fitting the cutoff from k rows of Gamma-hat, without the J x J Gram matrix
 and its eigh, then took it from 0.59 s to 0.29 s (CPU 1.10 s to 0.51 s).
+Summing the designs block by block kept those times and took the study's
+peak RSS from about 60 MB to about 44 MB (see ``CHANGES.md``).
 Worker processes were measured and rejected (see ``parallel``).
 """
 
@@ -54,8 +68,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EstimatorConfig, ModelConfig
-from .covariance import empirical_covariance, empirical_eigenvalues, sqrt_apply
-from .designs import DesignSpec, sample_design, true_covariance
+from .covariance import EmpiricalGram, empirical_covariance, empirical_eigenvalues, sqrt_apply
+from .designs import (
+    KIND_BASIS,
+    DesignSpec,
+    sample_design,
+    sample_moments,
+    stream_moments,
+    true_covariance,
+)
 from .equivalence import (
     WnCoefficients,
     empirical_wn_drift,
@@ -71,6 +92,7 @@ from .estimators import (
     data_driven_split,
     default_rho,
     flr_pinsker_fit,
+    pinsker_conditional_risk,
     pinsker_gamma_oracle,
     pinsker_sequence_estimator,
     pinsker_weights,
@@ -178,21 +200,30 @@ def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
     return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, DEFAULT_COEFF_BUDGET)
 
 
-def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, sample, rho: float,
-                  gamma: float | None):
-    """(m, gamma, weights, selection) of a Pinsker fit on one design sample.
+def fitted_rows(estimator: EstimatorConfig, n: int) -> int:
+    """m, the pairs a Pinsker fit on n pairs uses: the data-driven kind fits
+    the first ``data_driven_split(n)`` and selects its level on the rest,
+    the oracle kind fits all n."""
+    return data_driven_split(n) if estimator.kind == "pinsker-data-driven" else n
 
-    The data-driven kind selects its level on the training rows of the sample
-    and fits the first ``selection.split_m`` rows; the oracle kind fits all n
-    rows at the oracle level ``gamma`` and has no selection.
+
+def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, n: int, train, rho: float,
+                  gamma: float | None):
+    """(gamma, weights, selection) of a Pinsker fit on n pairs.
+
+    The data-driven kind selects its level from ``train``, the training
+    designs ``fitted_rows(estimator, n)``..n as a sample or an
+    ``EmpiricalGram``; the oracle kind takes the oracle level ``gamma``,
+    reads no ``train`` and has no selection.
     """
-    n, m, selection = sample.n, sample.n, None
+    selection = None
     if estimator.kind == "pinsker-data-driven":
-        train = empirical_eigenvalues(sample.subset(slice(data_driven_split(n), n)))
-        selection = data_driven_gamma(train, n, model.theta_class, model.sigma, rho,
-                                      alpha=model.alpha)
-        gamma, m = selection.gamma_hat, selection.split_m
-    return m, gamma, pinsker_weights(gamma, model.theta_class), selection
+        if train is None:
+            raise ValueError("the data-driven level needs its training designs")
+        selection = data_driven_gamma(empirical_eigenvalues(train), n, model.theta_class,
+                                      model.sigma, rho, alpha=model.alpha)
+        gamma = selection.gamma_hat
+    return gamma, pinsker_weights(gamma, model.theta_class), selection
 
 
 def mise_monte_carlo(
@@ -299,21 +330,52 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     return run
 
 
-def _cutoff_fit(sample, noise, sigma, true_cov, k):
+def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
+    """Whether a replication's n designs, m of them fitted, are drawn block
+    by block (``stream_moments``): basis-expansion designs whose fitted rows
+    and training rows each number more than J, so that every Gram matrix an
+    eigenproblem reads is J x J. Brownian designs and smaller parts keep the
+    sample, which the dual route and the determinant convention read."""
+    parts = (m, n - m) if m < n else (n,)
+    return spec.kind == KIND_BASIS and min(parts) > spec.resolved_truncation(n)
+
+
+def _cutoff_fit(moments, sigma, true_cov, k):
     """The cutoff fit on m designs and their m noise values, as a function of
     theta. It reads the first k coordinates of X^T y / m = Gamma-hat theta
     + sigma C^T eps / m: the k rows C[:, :k]^T C / m of Gamma-hat and the
-    noise moment sigma C[:, :k]^T eps / m, both formed once."""
-    c, m = sample.coeffs, sample.n
-    lead = c[:, :k].T
-    gram_rows = lead @ c / m
-    noise_moment = sigma * (lead @ noise) / m
+    noise moment sigma C[:, :k]^T eps / m, from the sums of ``moments``
+    (``DesignMoments`` with lead k)."""
+    m = moments.m
+    gram_rows = moments.gram / m
+    noise_moment = sigma * moments.noise / m
 
     def fit(theta):
-        xty = gram_rows @ pad_coefficients(theta, c.shape[1]) + noise_moment
+        xty = gram_rows @ pad_coefficients(theta, gram_rows.shape[1]) + noise_moment
         return cutoff_estimator(xty, true_cov, k)
 
     return fit
+
+
+def _pinsker_statistics(spec: DesignSpec, n: int, m: int, rng):
+    """(fit, train, C[:m]^T eps[:m] / m) of a replication's n designs and the
+    n normals after them: ``fit`` and ``train`` are the rows :m and m:n
+    (``train`` None when m = n) as ``empirical_covariance`` reads them, an
+    ``EmpiricalGram`` when the designs were drawn block by block and the
+    held sample's rows otherwise."""
+    if _streamed(spec, n, m):
+        sums = stream_moments(spec, n, rng, split=m)
+
+        def gram(total, rows):
+            return EmpiricalGram(total / rows, rows, spec.basis, spec.grid_size)
+
+        train = None if sums.train is None else gram(sums.train, n - m)
+        return gram(sums.gram, m), train, sums.noise / m
+    sample = sample_design(spec, n, rng)
+    noise = rng.standard_normal(n)
+    fit = sample.subset(slice(m))
+    train = sample.subset(slice(m, n)) if m < n else None
+    return fit, train, fit.cross_moment(noise[:m])
 
 
 def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
@@ -323,8 +385,12 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
 
     if estimator.kind == "cutoff":
         m, k = _cutoff_split(model, n)
-        sample = sample_design(spec, m, rng)
-        fit = _cutoff_fit(sample, rng.standard_normal(m), sigma, true_covariance(spec, k), k)
+        if _streamed(spec, m, m):
+            moments = stream_moments(spec, m, rng, lead=k)
+        else:
+            sample = sample_design(spec, m, rng)
+            moments = sample_moments(sample, rng.standard_normal(m), lead=k)
+        fit = _cutoff_fit(moments, sigma, true_covariance(spec, k), k)
 
         def run(theta):
             return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
@@ -332,14 +398,13 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
         return run
 
     rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
-    sample = sample_design(spec, n, rng)
-    noise = rng.standard_normal(n)
-    m, _, w, _ = pinsker_level(estimator, model, sample, rho, gamma)
-    fit_sample = sample.subset(slice(m))
-    cov = empirical_covariance(fit_sample)
+    m = fitted_rows(estimator, n)
+    fit_rows, train, noise_moment = _pinsker_statistics(spec, n, m, rng)
+    _, w, _ = pinsker_level(estimator, model, n, train, rho, gamma)
+    cov = empirical_covariance(fit_rows)
     # X^T y / m = Gamma-hat theta + sigma C^T eps / m on the fitted rows: the
-    # one pass over the designs is the noise moment, shared by the panel.
-    noise_moment = sigma * fit_sample.cross_moment(noise[:m])
+    # noise moment is shared by the panel.
+    noise_moment = sigma * noise_moment
 
     def run(theta):
         fit = flr_pinsker_fit(cov, cov.apply(theta) + noise_moment, w, rho, alpha=alpha)
@@ -469,7 +534,8 @@ def delta56_study(
                 theta1 = theta
             else:
                 s1 = sample_design(spec, m, rng)
-                theta1 = _cutoff_fit(s1, rng.standard_normal(m), sigma, true_cov, k)(theta)
+                moments = sample_moments(s1, rng.standard_normal(m), lead=k)
+                theta1 = _cutoff_fit(moments, sigma, true_cov, k)(theta)
             cov2 = true_cov if force_true_cov2 else sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)
             g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
@@ -639,8 +705,8 @@ def pinsker_decomposition_draws(
     theta_mode: str = "boundary",
 ):
     """Paired draws of the realized squared error and its conditional
-    bias + variance decomposition; the two agree in expectation because the
-    cross term vanishes given the designs."""
+    bias + variance decomposition (``pinsker_conditional_risk``); the two
+    agree in expectation because the cross term vanishes given the designs."""
     alpha = spec.alpha
     lam = spec.lambda_profile()
     if gamma is None:
@@ -656,14 +722,6 @@ def pinsker_decomposition_draws(
         cov = empirical_covariance(sample)
         fit = flr_pinsker_fit(cov, sample.cross_moment(y), weights, rho, alpha=alpha)
         lhs[rep] = fit.squared_error(theta)
-
-        r = cov.rank
-        lam_hat = cov.eigenvalues[:r]
-        lam_floor = np.maximum(lam_hat, float(n) ** (-rho))
-        w_full = np.zeros(r)
-        w_full[: fit.weights.size] = fit.weights
-        f = cov.eigen_coefficients(theta, count=r)
-        bias = float(np.sum((w_full * lam_hat / lam_floor - 1.0) ** 2 * f**2))
-        variance = float(sigma**2 / n * np.sum(w_full**2 * lam_hat / lam_floor**2))
+        bias, variance = pinsker_conditional_risk(cov, theta, weights, rho, sigma)
         rhs[rep] = bias + variance
     return lhs, rhs

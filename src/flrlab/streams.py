@@ -7,7 +7,10 @@ parallel and still produce bit-identical results.
 A uniform draw can also skip rows of its block without changing the bits
 of the rest (``uniform_rows``): a uniform double consumes exactly one 64-bit
 output of a PCG64 stream, so row a of an n x cols block is what the stream
-advanced by a * cols outputs draws first.
+advanced by a * cols outputs draws first. The same device reads what follows
+a block before the block is drawn: ``pcg64_ahead`` copies a stream that many
+outputs ahead, and ``catch_up`` moves the stream to where such a copy
+stopped (``designs.stream_moments`` draws its normals this way).
 """
 
 from __future__ import annotations
@@ -44,6 +47,28 @@ def _skippable(rng: np.random.Generator) -> bool:
     return type(bg) is np.random.PCG64 and not bg.state["has_uint32"]
 
 
+def pcg64_ahead(rng: np.random.Generator, outputs: int = 0) -> np.random.Generator:
+    """A new Generator on a copy of ``rng``'s PCG64 stream, ``outputs`` 64-bit
+    outputs ahead: what ``rng`` draws after that many doubles. ``rng`` does
+    not move. Any other bit generator raises ``TypeError``: only a PCG64 is
+    copied and advanced this way."""
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"need a PCG64 stream, got {type(bg).__name__}")
+    copy = np.random.PCG64(0)
+    copy.state = bg.state
+    return np.random.Generator(copy.advance(outputs) if outputs else copy)
+
+
+def catch_up(rng: np.random.Generator, ahead: np.random.Generator) -> None:
+    """Move ``rng`` to where ``ahead``, a ``pcg64_ahead`` copy of it, stands.
+    ``rng`` keeps its buffered 32-bit half, which double and normal draws
+    never read and ``advance`` clears."""
+    state = rng.bit_generator.state
+    rng.bit_generator.state = {**ahead.bit_generator.state,
+                               "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+
+
 def uniform_rows(rng: np.random.Generator, shape: tuple, rows: slice = slice(None)) -> np.ndarray:
     """``rng.random(shape)[rows]`` with the same bits, leaving ``rng`` in the
     state that call leaves it in; ``rows`` is a slice with step 1 of the
@@ -64,11 +89,6 @@ def uniform_rows(rng: np.random.Generator, shape: tuple, rows: slice = slice(Non
     if not _skippable(rng):
         return rng.random(shape)[start:stop]
     cols = math.prod(shape[1:])
-    state = rng.bit_generator.state
-    bg = np.random.PCG64(0)
-    bg.state = state
-    out = np.random.Generator(bg.advance(start * cols)).random((max(stop - start, 0),) + shape[1:])
-    bg.state = state
-    # advance() clears the spent 32-bit value that a double draw leaves in the state.
-    rng.bit_generator.state = {**bg.advance(n * cols).state, "uinteger": state["uinteger"]}
+    out = pcg64_ahead(rng, start * cols).random((max(stop - start, 0),) + shape[1:])
+    catch_up(rng, pcg64_ahead(rng, n * cols))
     return out

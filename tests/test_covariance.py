@@ -18,7 +18,12 @@ from flrlab import (
     true_covariance,
 )
 from flrlab import covariance
-from flrlab.covariance import CovOperator, empirical_covariance, empirical_eigenvalues
+from flrlab.covariance import (
+    CovOperator,
+    EmpiricalGram,
+    empirical_covariance,
+    empirical_eigenvalues,
+)
 from flrlab.designs import DesignSample
 from flrlab.equivalence import WnCoefficients
 from flrlab.estimators import _eigen_overlap, cutoff_estimator
@@ -154,6 +159,28 @@ class TestEmpiricalCovariance:
         weighted = fs * w
         quad = np.einsum("id,de,ie->i", weighted, op.kernel, weighted)
         assert np.min(quad) >= -1e-10
+
+
+class TestEmpiricalGram:
+    def test_gram_builds_the_samples_operator(self):
+        # the primal branch reads only C^T C / n, so the precomputed matrix
+        # gives the sample's eigenproblem, rank and sign convention
+        sample = sample_design(DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256),
+                               500, 3)
+        c = sample.coeffs
+        gram = EmpiricalGram(c.T @ c / 500, 500, sample.basis, sample.grid_size)
+        a, b = empirical_covariance(gram), empirical_covariance(sample)
+        assert (a.n_samples, a.basis, a.grid_size, a.kind) == (500, b.basis, b.grid_size,
+                                                                "empirical")
+        assert np.array_equal(a.eigenvalues, b.eigenvalues)
+        assert np.array_equal(a.coeff_vectors, b.coeff_vectors)
+        assert np.array_equal(empirical_eigenvalues(gram), empirical_eigenvalues(sample))
+
+    def test_at_most_j_designs_need_the_sample(self):
+        with pytest.raises(ValueError, match="at most J"):
+            EmpiricalGram(np.eye(128), 128, FOURIER, 256)
+        with pytest.raises(ValueError, match="square"):
+            EmpiricalGram(np.zeros((3, 4)), 10, FOURIER, 256)
 
 
 class TestCoefficientView:

@@ -241,3 +241,117 @@ class TestConditionX:
             if mnorm < 5.0 * norms.mean() / math.sqrt(s.n):
                 hits += 1
         assert hits >= 0.99 * trials
+
+
+class TestStreamMoments:
+    """Block-by-block sums against the held sample and its normals."""
+
+    SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
+
+    @staticmethod
+    def held(spec, n, seed, **kw):
+        """Today's path: the n x J sample, then n normals, folded as one block."""
+        from flrlab.designs import sample_design, sample_moments
+
+        rng = np.random.default_rng(seed)
+        sample = sample_design(spec, n, rng)
+        return sample_moments(sample, rng.standard_normal(n), **kw), rng
+
+    @staticmethod
+    def assert_close(a, b, rel=1e-13):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+    @pytest.mark.parametrize("rows", ["J + 1", "one block", "one block + 1", "3 blocks + 17"])
+    @pytest.mark.parametrize("lead, split", [(None, None), (3, None), (None, "inside a block")])
+    def test_sums_equal_the_held_samples(self, rows, lead, split):
+        from flrlab.designs import BLOCK_ROWS, stream_moments
+
+        n = {"J + 1": 129, "one block": BLOCK_ROWS, "one block + 1": BLOCK_ROWS + 1,
+             "3 blocks + 17": 3 * BLOCK_ROWS + 17}[rows]
+        # a data-driven style split that is not a block boundary
+        m = None if split is None else n - max(n // 7, 1) - 5
+        assert m is None or m % BLOCK_ROWS
+        rng = np.random.default_rng(11)
+        got = stream_moments(self.SPEC, n, rng, lead=lead, split=m)
+        ref, ref_rng = self.held(self.SPEC, n, 11, lead=lead, split=m)
+        assert (got.n, got.m) == (ref.n, ref.m) == (n, n if m is None else m)
+        self.assert_close(got.gram, ref.gram)
+        self.assert_close(got.noise, ref.noise)
+        if m is None:
+            assert got.train is None and ref.train is None
+        else:
+            self.assert_close(got.train, ref.train)
+        # the stream ends where the sample and the normals leave it
+        assert rng.random() == ref_rng.random()
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_sums_are_the_products_they_name(self):
+        from flrlab.designs import sample_design, sample_moments
+
+        rng = np.random.default_rng(2)
+        sample = sample_design(self.SPEC, 300, rng)
+        eps = rng.standard_normal(300)
+        c = sample.coeffs
+        got = sample_moments(sample, eps, lead=4, split=250)
+        np.testing.assert_allclose(got.gram, c[:250, :4].T @ c[:250], rtol=1e-13)
+        np.testing.assert_allclose(got.noise, c[:250, :4].T @ eps[:250], rtol=1e-13)
+        np.testing.assert_allclose(got.train, c[250:].T @ c[250:], rtol=1e-13)
+
+    def test_stream_state_matches_the_held_path_bit_for_bit(self):
+        from flrlab.designs import sample_design, stream_moments
+
+        def buffered():
+            # a buffered 32-bit half survives, as double and normal draws leave it
+            rng = np.random.default_rng(9)
+            rng.integers(0, 2**32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"]
+            return rng
+
+        for make in (lambda: np.random.default_rng(9), buffered):
+            a, b = make(), make()
+            stream_moments(self.SPEC, 2100, a, split=1900)
+            sample_design(self.SPEC, 2100, b)
+            b.standard_normal(2100)
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+            assert a.random(3).tobytes() == b.random(3).tobytes()
+            assert a.standard_normal(5).tobytes() == b.standard_normal(5).tobytes()
+            assert a.integers(0, 2**32, dtype=np.uint32) == b.integers(0, 2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM,
+                                               np.random.Philox, np.random.SFC64])
+    def test_other_generators_raise(self, bit_generator):
+        from flrlab.designs import stream_moments
+
+        rng = np.random.Generator(bit_generator(4))
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError, match="PCG64"):
+            stream_moments(self.SPEC, 500, rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
+    def test_rejects_brownian_designs_and_bad_parts(self):
+        from flrlab.designs import stream_moments
+
+        with pytest.raises(SpecValidationError):
+            stream_moments(DesignSpec(kind="integrated-gaussian", grid_size=256), 300,
+                           np.random.default_rng(0))
+        for kw in ({"split": 0}, {"split": 301}, {"lead": 0}, {"lead": 129}):
+            with pytest.raises(ValueError):
+                stream_moments(self.SPEC, 300, np.random.default_rng(0), **kw)
+
+    def test_memory_stays_at_a_few_blocks(self):
+        # the n x J sample would be 200 000 x 128 doubles, 205 MB
+        import tracemalloc
+
+        from flrlab.designs import stream_moments
+
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            sums = stream_moments(DesignSpec(kind="basis-expansion", alpha=2.0), 200_000, rng,
+                                  split=180_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.gram.shape == sums.train.shape == (128, 128)
+        assert peak < 4 * 2**20

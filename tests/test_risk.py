@@ -81,6 +81,37 @@ class TestMiseMonteCarlo:
         b = delta56_study(model.n_grid, model, 2, 7, threads=2)
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
+    def test_threads_do_not_change_results_on_streamed_designs(self, monkeypatch):
+        # basis designs past J rows are summed block by block (cutoff: m =
+        # 2048, two blocks; data-driven: n = 3000, a split inside the third)
+        import flrlab.risk
+
+        def held(*args):
+            raise AssertionError("a streamed replication drew a held sample")
+
+        monkeypatch.setattr(flrlab.risk, "sample_design", held)
+        for n, est in ((4096, EstimatorConfig(kind="cutoff")),
+                       (3000, EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)))):
+            model = flr_model(mode="worst-case", n_grid=(n,))
+            a = mise_monte_carlo(model, est, 3, 5, threads=1)
+            b = mise_monte_carlo(model, est, 3, 5, threads=2)
+            assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
+
+    @pytest.mark.parametrize("kind, n", [("cutoff", 4096), ("pinsker-oracle", 1500),
+                                         ("pinsker-data-driven", 3000)])
+    def test_streamed_replications_agree_with_held_samples(self, kind, n, monkeypatch):
+        # block sums change only the order of the additions
+        import flrlab.risk
+
+        model = flr_model(mode="worst-case", n_grid=(n,))
+        est = EstimatorConfig(kind=kind, rho=default_rho(2.0))
+        streamed = mise_monte_carlo(model, est, 3, 4)
+        monkeypatch.setattr(flrlab.risk, "_streamed", lambda *args: False)
+        held = mise_monte_carlo(model, est, 3, 4)
+        assert streamed.worst_labels == held.worst_labels
+        np.testing.assert_allclose(streamed.mise, held.mise, rtol=1e-13)
+        np.testing.assert_allclose(streamed.stderr, held.stderr, rtol=1e-12)
+
     def test_panel_shares_each_replications_covariance(self, monkeypatch):
         # data-driven Pinsker: one fitting operator and one training spectrum
         # per replication, however many test functions the panel holds
@@ -106,7 +137,8 @@ class TestMiseMonteCarlo:
 
     def test_pinsker_replication_reads_its_designs_once(self, monkeypatch):
         # each test function's cross moment is Gamma-hat theta plus the shared
-        # noise moment: one cross_moment pass per replication, and no
+        # noise moment: one cross_moment pass per replication of a held
+        # sample, none when the designs are summed block by block, and no
         # per-theta response vector or design product
         from flrlab.covariance import CovOperator
         from flrlab.designs import DesignSample
@@ -122,11 +154,14 @@ class TestMiseMonteCarlo:
         for cls, name in ((DesignSample, "inner_products"), (DesignSample, "cross_moment"),
                           (CovOperator, "design_products")):
             monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
-        for kind in ("pinsker-oracle", "pinsker-data-driven"):
+        # n = 200 > J = 128: the oracle fit's 200 rows are streamed; the
+        # data-driven split leaves 37 training rows, fewer than J, so that
+        # replication holds its sample
+        for kind, held in (("pinsker-oracle", 0), ("pinsker-data-driven", 3)):
             calls.clear()
             est = EstimatorConfig(kind=kind, rho=default_rho(2.0))
             mise_monte_carlo(flr_model(mode="worst-case", n_grid=(200,)), est, 3, 2)
-            assert calls == ["cross_moment"] * 3
+            assert calls == ["cross_moment"] * held
 
     def test_oracle_level_solved_once_per_n(self, monkeypatch):
         # one solve per n, shared by the harness and the least-favorable test
@@ -623,6 +658,29 @@ class TestClassifierTvProxy:
 
 
 class TestPinskerDecomposition:
+    @pytest.mark.parametrize("n", [10, 500])
+    def test_bias_is_the_noiseless_fits_error(self, n):
+        # at n = 10 (J = 20, rank 10) part of theta lies outside the empirical
+        # range; the bias counts it, as the noiseless fit's error does
+        from flrlab.covariance import empirical_covariance
+        from flrlab.designs import sample_design
+        from flrlab.estimators import (flr_pinsker_fit, pinsker_conditional_risk,
+                                       pinsker_gamma_oracle, pinsker_weights)
+
+        lam, sigma, rho = SPEC.lambda_profile(), 1.0, default_rho(2.0)
+        gamma = pinsker_gamma_oracle(lam, TC, sigma, n)
+        theta = sample_theta(TC, "least-favorable", lam, sigma, n, 0, gamma=gamma)
+        weights = pinsker_weights(gamma, TC)
+        cov = empirical_covariance(sample_design(SPEC, n, 3))
+        bias, _ = pinsker_conditional_risk(cov, theta, weights, rho, sigma)
+        exact = flr_pinsker_fit(cov, cov.apply(theta), weights, rho).squared_error(theta)
+        assert abs(bias - exact) <= 1e-12 * exact
+        f = cov.eigen_coefficients(theta, count=cov.rank)
+        if n == 10:
+            assert cov.rank == 10 < cov.coeff_vectors.shape[0] == 20
+            assert theta @ theta - f @ f > 0.01 * exact
+
+
     def test_realized_error_matches_conditional_decomposition(self):
         # bias + variance given the designs has the same mean as the realized
         # squared error; the cross term vanishes conditionally
