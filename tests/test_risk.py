@@ -58,6 +58,10 @@ class TestMiseMonteCarlo:
             (seq_model(), EstimatorConfig(kind="pinsker-oracle"), 20),
             (flr_model(n_grid=(64,)), EstimatorConfig(kind="cutoff"), 6),
             (flr_model(n_grid=(64,)), EstimatorConfig(kind="pinsker-data-driven", rho=rho), 6),
+            # designs summed block by block: cutoff m = 2048 (two blocks),
+            # data-driven n = 3000 (its split inside the third)
+            (flr_model(n_grid=(4096,)), EstimatorConfig(kind="cutoff"), 3),
+            (flr_model(n_grid=(3000,)), EstimatorConfig(kind="pinsker-data-driven", rho=rho), 3),
         ):
             a = mise_monte_carlo(model, est, reps, 5, threads=1)
             b = mise_monte_carlo(model, est, reps, 5, threads=4)
@@ -81,31 +85,20 @@ class TestMiseMonteCarlo:
         b = delta56_study(model.n_grid, model, 2, 7, threads=2)
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
-    def test_threads_do_not_change_results_on_streamed_designs(self, monkeypatch):
-        # basis designs past J rows are summed block by block (cutoff: m =
-        # 2048, two blocks; data-driven: n = 3000, a split inside the third)
-        import flrlab.risk
-
-        def held(*args):
-            raise AssertionError("a streamed replication drew a held sample")
-
-        monkeypatch.setattr(flrlab.risk, "sample_design", held)
-        for n, est in ((4096, EstimatorConfig(kind="cutoff")),
-                       (3000, EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)))):
-            model = flr_model(mode="worst-case", n_grid=(n,))
-            a = mise_monte_carlo(model, est, 3, 5, threads=1)
-            b = mise_monte_carlo(model, est, 3, 5, threads=2)
-            assert np.array_equal(a.mise, b.mise) and np.array_equal(a.stderr, b.stderr)
-
     @pytest.mark.parametrize("kind, n", [("cutoff", 4096), ("pinsker-oracle", 1500),
                                          ("pinsker-data-driven", 3000)])
     def test_streamed_replications_agree_with_held_samples(self, kind, n, monkeypatch):
         # block sums change only the order of the additions
         import flrlab.risk
 
+        def no_sample(*args):
+            raise AssertionError("a streamed replication drew a held sample")
+
         model = flr_model(mode="worst-case", n_grid=(n,))
         est = EstimatorConfig(kind=kind, rho=default_rho(2.0))
-        streamed = mise_monte_carlo(model, est, 3, 4)
+        with monkeypatch.context() as patch:
+            patch.setattr(flrlab.risk, "sample_design", no_sample)
+            streamed = mise_monte_carlo(model, est, 3, 4)
         monkeypatch.setattr(flrlab.risk, "_streamed", lambda *args: False)
         held = mise_monte_carlo(model, est, 3, 4)
         assert streamed.worst_labels == held.worst_labels
