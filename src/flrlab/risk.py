@@ -55,8 +55,9 @@ n = 2^9..2^14, ``threads = 2``) went from a median wall time of 2.23 s with
 each worker driving a two-thread BLAS to 0.71 s (CPU 4.33 s to 1.31 s).
 Fitting the cutoff from k rows of Gamma-hat, without the J x J Gram matrix
 and its eigh, then took it from 0.59 s to 0.29 s (CPU 1.10 s to 0.51 s).
-Summing the designs block by block kept those times and took the study's
-peak RSS from about 60 MB to about 44 MB (see ``CHANGES.md``).
+Summing the designs block by block kept those times and took the
+benchmark process's peak RSS from a median of 56.3 MB (56.1-78.9 MB over 10
+runs) to 41.8 MB (41.3-43.3 MB).
 Worker processes were measured and rejected (see ``parallel``).
 """
 
