@@ -1,0 +1,376 @@
+"""Survival function of the two-sided Kolmogorov-Smirnov statistic, without scipy.stats.
+
+``kstwo_sf(d, n)`` is Pr(D_n >= d) for D_n = sup_t |F_n(t) - F(t)|, the
+one-sample statistic of n draws from a continuous F. It is a port of the code
+``scipy.stats.kstwo.sf`` reaches in scipy 1.17.1: the ``rv_continuous.sf``
+support handling, the ``kolmogn`` loop and ``_kolmogn`` with ``cdf=False``
+from ``scipy/stats/_ksstats.py``, with the Durbin matrix (DMTW), Pomeranz and
+Pelz-Good routines it dispatches to. The exact one-sided branches call
+``scipy.special.smirnov``, as scipy does. Every point is computed over 0-d
+arrays by the same numpy calls, in the same order and precision (including
+scipy's long-double rescaling), so the values equal ``kstwo.sf`` bit for bit.
+Nothing else of ``_ksstats`` (cdf, pdf, inverses) is ported.
+
+The KS battery (``risk.two_sample_equivalence_test``) is its only caller and
+imports it on its first call. Loading ``scipy.stats`` for one ``kstwo.sf``
+call cost a cold run 0.86-1.3 s and 66 MB on 2 vCPU; ``scipy.special`` costs
+0.24-0.30 s and 20 MB.
+
+The dispatch is Simard & L'Ecuyer's (2011): Ruben-Gambino closed forms at
+the ends (n d <= 1, n d >= n - 1), twice the one-sided ``smirnov`` for
+d >= 1/2, then by n and n d^2 among DMTW, Pomeranz, ``smirnov`` and the
+Pelz-Good asymptotic series.
+
+References: Durbin (1968), Ann. Math. Statist. 39, 398-411; Pomeranz (1974),
+Comm. ACM 17(12), 703-704; Marsaglia, Tsang & Wang (2003), J. Stat. Softw.
+8(18); Pelz & Good (1976), J. R. Stat. Soc. B 38(2), 152-156; Simard &
+L'Ecuyer (2011), J. Stat. Softw. 39(11), 1-18.
+
+Ported from SciPy 1.17.1, under its license:
+
+Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+All rights reserved.
+
+Redistribution and use in source and binary forms, with or without
+modification, are permitted provided that the following conditions
+are met:
+
+1. Redistributions of source code must retain the above copyright
+   notice, this list of conditions and the following disclaimer.
+
+2. Redistributions in binary form must reproduce the above
+   copyright notice, this list of conditions and the following
+   disclaimer in the documentation and/or other materials provided
+   with the distribution.
+
+3. Neither the name of the copyright holder nor the names of its
+   contributors may be used to endorse or promote products derived
+   from this software without specific prior written permission.
+
+THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+"AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+(INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.special import smirnov
+
+__all__ = ["kstwo_sf"]
+
+# Rescaling by 2^128 keeps the matrix powers and recursions in range; the
+# factors are long doubles, as in scipy, so rescaled values continue in long
+# double precision.
+_E128 = 128
+_EP128 = np.ldexp(np.longdouble(1), _E128)
+_EM128 = np.ldexp(np.longdouble(1), -_E128)
+
+_SQRT2PI = np.sqrt(2 * np.pi)
+_LOG_2PI = np.log(2 * np.pi)
+_MIN_LOG = -708
+_SQRT3 = np.sqrt(3)
+_PI_SQUARED = np.pi ** 2
+_PI_FOUR = np.pi ** 4
+_PI_SIX = np.pi ** 6
+
+# Stirling coefficients B_{2j} / (2j) / (2j - 1) for j = 8, ..., 1 (B_m the
+# Bernoulli numbers).
+_STIRLING_COEFFS = [-2.955065359477124183e-2, 6.4102564102564102564e-3,
+                    -1.9175269175269175269e-3, 8.4175084175084175084e-4,
+                    -5.952380952380952381e-4, 7.9365079365079365079e-4,
+                    -2.7777777777777777778e-3, 8.3333333333333333333e-2]
+
+
+def _clip(p):
+    return np.clip(p, 0.0, 1.0)
+
+
+def _log_nfactorial_div_n_pow_n(n):
+    """log(n! / n^n) by Stirling's series, with n log n removed up front
+    against cancellation."""
+    rn = 1.0 / n
+    return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
+
+
+def _dmtw_cdf(n, d):
+    """Pr(D_n <= d) by Durbin's matrix algorithm as Marsaglia, Tsang and Wang
+    evaluate it: with d = (k - h)/n, the k-th diagonal entry of (n!/n^n) H^n
+    for an m x m matrix H, m = 2k - 1, powered by squaring with rescaling.
+    Reached only for 1 < n d and d < 1/2."""
+    nd = n * d
+    k = int(np.ceil(nd))
+    h = k - nd
+    m = 2 * k - 1
+
+    H = np.zeros([m, m])
+
+    # v: first column (and, reversed, last row) of H, v[j] = (1 - h^(j+1)) / (j+1)!
+    # except v[-1]; w[j] = 1/j!
+    intm = np.arange(1, m + 1)
+    v = 1.0 - h ** intm
+    w = np.empty(m)
+    fac = 1.0
+    for j in intm:
+        w[j - 1] = fac
+        fac /= j  # may underflow, harmlessly
+        v[j - 1] *= fac
+    tt = max(2 * h - 1.0, 0)**m - 2*h**m
+    v[-1] = (1.0 + tt) * fac
+
+    for i in range(1, m):
+        H[i - 1:, i] = w[:m - i + 1]
+    H[:, 0] = v
+    H[-1, :] = np.flip(v, axis=0)
+
+    Hpwr = np.eye(np.shape(H)[0])  # the power built so far
+    nn = n
+    expnt = 0  # scaling of Hpwr
+    Hexpnt = 0  # scaling of H
+    while nn > 0:
+        if nn % 2:
+            Hpwr = np.matmul(Hpwr, H)
+            expnt += Hexpnt
+        H = np.matmul(H, H)
+        Hexpnt *= 2
+        if np.abs(H[k - 1, k - 1]) > _EP128:
+            H /= _EP128
+            Hexpnt += _E128
+        nn = nn // 2
+
+    p = Hpwr[k - 1, k - 1]
+
+    # times n!/n^n
+    for i in range(1, n + 1):
+        p = i * p / n
+        if np.abs(p) < _EM128:
+            p *= _EP128
+            expnt -= _E128
+
+    if expnt != 0:
+        p = np.ldexp(p, expnt)
+
+    return _clip(p)
+
+
+def _pomeranz_j1j2(i, n, ll, ceilf, roundf):
+    """Endpoints of the nonzero interval of row i of the Pomeranz recursion."""
+    if i == 0:
+        j1, j2 = -ll - ceilf - 1, ll + ceilf - 1
+    else:
+        # i + 1 = 2*ip1div2 + ip1mod2
+        ip1div2, ip1mod2 = divmod(i + 1, 2)
+        if ip1mod2 == 0:  # i is odd
+            if ip1div2 == n + 1:
+                j1, j2 = n - ll - ceilf - 1, n + ll + ceilf - 1
+            else:
+                j1, j2 = ip1div2 - 1 - ll - roundf - 1, ip1div2 + ll - 1 + ceilf - 1
+        else:
+            j1, j2 = ip1div2 - 1 - ll - 1, ip1div2 + ll + roundf - 1
+
+    return max(j1 + 2, 0), min(j2, n)
+
+
+def _pomeranz_cdf(n, x):
+    """Pr(D_n <= x) by Pomeranz's recursion: each of 2n + 1 rows is the
+    convolution of the previous row with (almost) Poisson probabilities, and
+    the answer is n! times the last entry. Two rows are kept, each only on
+    its nonzero interval, rescaled against underflow."""
+    t = n * x
+    ll = int(np.floor(t))
+    f = 1.0 * (t - ll)  # fractional part of t
+    g = min(f, 1.0 - f)
+    ceilf = (1 if f > 0 else 0)
+    roundf = (1 if f > 0.5 else 0)
+    npwrs = 2 * (ll + 1)    # most powers a convolution needs
+    gpower = np.empty(npwrs)  # (g/n)^m / m!
+    twogpower = np.empty(npwrs)  # (2g/n)^m / m!
+    onem2gpower = np.empty(npwrs)  # ((1 - 2g)/n)^m / m!
+
+    gpower[0] = 1.0
+    twogpower[0] = 1.0
+    onem2gpower[0] = 1.0
+    expnt = 0
+    g_over_n, two_g_over_n, one_minus_two_g_over_n = g/n, 2*g/n, (1 - 2*g)/n
+    for m in range(1, npwrs):
+        gpower[m] = gpower[m - 1] * g_over_n / m
+        twogpower[m] = twogpower[m - 1] * two_g_over_n / m
+        onem2gpower[m] = onem2gpower[m - 1] * one_minus_two_g_over_n / m
+
+    V0 = np.zeros([npwrs])
+    V1 = np.zeros([npwrs])
+    V1[0] = 1  # first row
+    V0s, V1s = 0, 0  # start indices of the two rows
+
+    j1, j2 = _pomeranz_j1j2(0, n, ll, ceilf, roundf)
+    for i in range(1, 2 * n + 2):
+        # keep j1, V1, V1s, V0s of the last row
+        k1 = j1
+        V0, V1 = V1, V0
+        V0s, V1s = V1s, V0s
+        V1.fill(0.0)
+        j1, j2 = _pomeranz_j1j2(i, n, ll, ceilf, roundf)
+        if i == 1 or i == 2 * n + 1:
+            pwrs = gpower
+        else:
+            pwrs = (twogpower if i % 2 else onem2gpower)
+        ln2 = j2 - k1 + 1
+        if ln2 > 0:
+            conv = np.convolve(V0[k1 - V0s:k1 - V0s + ln2], pwrs[:ln2])
+            conv_start = j1 - k1  # first index used from conv
+            conv_len = j2 - j1 + 1  # entries used from conv
+            V1[:conv_len] = conv[conv_start:conv_start + conv_len]
+            if 0 < np.max(V1) < _EM128:
+                V1 *= _EP128
+                expnt -= _E128
+            V1s = V0s + j1 - k1
+
+    # times n!
+    ans = V1[n - V1s]
+    for m in range(1, n + 1):
+        if np.abs(ans) > _EP128:
+            ans *= _EM128
+            expnt += _E128
+        ans *= m
+
+    if expnt != 0:
+        ans = np.ldexp(ans, expnt)
+    return _clip(ans)
+
+
+def _pelz_good_cdf(n, x):
+    """Pelz-Good approximation to Pr(D_n <= x), 0 <= x <= 1: the Li-Chien and
+    Korolyuk expansion K0(z) + K1(z)/sqrt(n) + K2(z)/n + K3(z)/n^1.5,
+    z = x sqrt(n), with each K_i rewritten through Jacobi theta functions into
+    series that converge fast for small z. Reached only for 1 < n x and
+    x < 1/2."""
+    z = np.sqrt(n) * x
+    zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
+
+    qlog = -_PI_SQUARED / 8 / zsquared
+    if qlog < _MIN_LOG:  # z ~ 0.041743441416853426
+        return _clip(0.0)
+
+    q = np.exp(qlog)
+
+    # coefficients of the terms of the sums for K1, K2 and K3
+    k1a = -zsquared
+    k1b = _PI_SQUARED / 4
+
+    k2a = 6 * zsix + 2 * zfour
+    k2b = (2 * zfour - 5 * zsquared) * _PI_SQUARED / 4
+    k2c = _PI_FOUR * (1 - 2 * zsquared) / 16
+
+    k3d = _PI_SIX * (5 - 30 * zsquared) / 64
+    k3c = _PI_FOUR * (-60 * zsquared + 212 * zfour) / 16
+    k3b = _PI_SQUARED * (135 * zfour - 96 * zsix) / 4
+    k3a = -30 * zsix - 90 * z**8
+
+    K0to3 = np.zeros(4)
+    # Horner scheme for sum c_i q^(i^2) over the odd integers
+    maxk = int(np.ceil(16 * z / np.pi))
+    for k in range(maxk, 0, -1):
+        m = 2 * k - 1
+        msquared, mfour, msix = m**2, m**4, m**6
+        qpower = np.power(q, 8 * k)
+        coeffs = np.array([1.0,
+                           k1a + k1b*msquared,
+                           k2a + k2b*msquared + k2c*mfour,
+                           k3a + k3b*msquared + k3c*mfour + k3d*msix])
+        K0to3 *= qpower
+        K0to3 += coeffs
+    K0to3 *= q
+    K0to3 *= _SQRT2PI
+    # z**10 > 0 as z > 0.04
+    K0to3 /= np.array([z, 6 * zfour, 72 * z**7, 6480 * z**10])
+
+    # The sums over all integers k, taken directly (little cancellation):
+    # K_2: (pi^2 k^2) q^(k^2), K_3: (3 pi^2 k^2 z^2 - pi^4 k^4) q^(k^2)
+    q = np.exp(-_PI_SQUARED / 2 / zsquared)
+    ks = np.arange(maxk, 0, -1)
+    ksquared = ks ** 2
+    sqrt3z = _SQRT3 * z
+    kspi = np.pi * ks
+    qpwers = q ** ksquared
+    k2extra = np.sum(ksquared * qpwers)
+    k2extra *= _PI_SQUARED * _SQRT2PI/(-36 * zthree)
+    K0to3[2] += k2extra
+    k3extra = np.sum((sqrt3z + kspi) * (sqrt3z - kspi) * ksquared * qpwers)
+    k3extra *= _PI_SQUARED * _SQRT2PI/(216 * zsix)
+    K0to3[3] += k3extra
+    powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
+    K0to3 /= powers_of_n
+
+    return sum(K0to3)
+
+
+def _kolmogn_sf(n, x):
+    """Pr(D_n >= x) for an integer n >= 1 and 1/(2n) < x < 1, Simard and
+    L'Ecuyer's dispatch."""
+    t = n * x
+    if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
+        if t <= 0.5:
+            return _clip(1.0)
+        if n <= 140:
+            prob = np.prod(np.arange(1, n+1) * (1.0/n) * (2*t - 1))
+        else:
+            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2*t-1))
+        return _clip(1.0 - prob)
+    if t >= n - 1:  # Ruben-Gambino
+        prob = 2 * (1.0 - x)**n
+        return _clip(prob)
+    if x >= 0.5:  # exact: twice the one-sided tail
+        prob = 2 * smirnov(n, x)
+        return _clip(prob)
+
+    nxsquared = t * x
+    if n <= 140:
+        if nxsquared <= 0.754693:
+            prob = _dmtw_cdf(n, x)
+            return _clip(1.0 - prob)
+        if nxsquared <= 4:
+            prob = _pomeranz_cdf(n, x)
+            return _clip(1.0 - prob)
+        # Miller's approximation: twice the one-sided tail
+        prob = 2 * smirnov(n, x)
+        return _clip(prob)
+
+    if nxsquared >= 370.0:
+        return 0.0
+    if nxsquared >= 2.2:
+        prob = 2 * smirnov(n, x)
+        return _clip(prob)
+    if n <= 100000 and n * x**1.5 <= 1.4:
+        cdfprob = _dmtw_cdf(n, x)
+    else:
+        cdfprob = _pelz_good_cdf(n, x)
+    return _clip(1.0 - cdfprob)
+
+
+def kstwo_sf(d, n):
+    """Pr(D_n >= d), the two-sided Kolmogorov-Smirnov survival function, at
+    statistics ``d`` for one sample size ``n``, an integer >= 1 (a float
+    holding one is accepted).
+
+    Equal, bit for bit, to ``scipy.stats.kstwo.sf(d, n)``: 1 for d <= 1/(2n),
+    0 for d >= 1, nan for a nan d; an array of d's shape, a float for a 0-d d.
+    """
+    if not (n >= 1 and float(n).is_integer()):
+        raise ValueError(f"the sample size must be an integer >= 1, got {n}")
+    n = int(n)
+    d = np.asarray(d, dtype=np.float64)
+    lower = 0.5 / n
+    inside = (lower < d) & (d < 1.0)
+    out = np.where(d <= lower, 1.0, 0.0)
+    out[np.isnan(d)] = np.nan
+    # one scalar call per point, over 0-d arrays, as scipy's kolmogn loop
+    out[inside] = [_kolmogn_sf(n, x) for x in np.nditer(d[inside], flags=["zerosize_ok"])]
+    return out[()] if out.ndim == 0 else out

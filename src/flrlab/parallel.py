@@ -56,9 +56,11 @@ Two other uses of the cores were measured and rejected:
 
 OpenBLAS is found among the shared objects mapped into the process (Linux
 ``/proc/self/maps``) and its thread count is set through ``ctypes``. Only
-libraries already loaded are capped: scipy is imported only by the KS battery
-(``risk.two_sample_equivalence_test``), so in a run without it the cap finds
-numpy's OpenBLAS alone. Where none is found, for example with another BLAS or
+libraries already loaded are capped: scipy's OpenBLAS is mapped by any scipy
+import that loads its compiled modules, ``scipy.special`` included, and
+scipy is imported only by the KS battery (``risk.two_sample_equivalence_test``,
+for ``scipy.special.smirnov``), so in a run without it the cap finds numpy's
+OpenBLAS alone. Where none is found, for example with another BLAS or
 on another platform, the cap does nothing.
 
 Results do not depend on the worker count. This includes integrated-Gaussian

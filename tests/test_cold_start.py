@@ -1,4 +1,6 @@
-"""A fresh interpreter loads scipy only for the KS battery.
+"""A fresh interpreter loads scipy only for the KS battery, and then only
+``scipy.special`` (the battery's ``kolmogorov.kstwo_sf`` calls ``smirnov``),
+never ``scipy.stats``.
 
 Each check runs in its own interpreter, because this test process has loaded
 scipy long before (the test oracles use it).
@@ -38,6 +40,30 @@ reps = 3
 seed = 7
 """
 
+FLR_CONFIG = """
+[design]
+kind = basis-expansion
+alpha = 2.0
+
+[theta]
+beta = 2.0
+c_theta = 1.0
+mode = boundary
+
+[model]
+kind = flr
+sigma = 1.0
+n_grid = 25
+
+[estimator]
+kind = pinsker-oracle
+
+[run]
+reps = 2
+seed = 7
+draws = 40
+"""
+
 
 def fresh(code: str, cwd: Path) -> str:
     """Standard output of ``code`` run in a new interpreter on the package sources."""
@@ -65,6 +91,20 @@ def test_risk_subcommand_loads_no_scipy(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "risk.csv").exists()
     assert loaded == []
+
+
+def test_equivalence_subcommand_loads_no_scipy_stats(tmp_path):
+    (tmp_path / "exp.ini").write_text(FLR_CONFIG, encoding="utf-8")
+    out = fresh(
+        "import json, sys\n"
+        "from flrlab.cli import main\n"
+        "rc = main(['equivalence', '--config', 'exp.ini', '--out', 'out'])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))",
+        tmp_path)
+    rc, loaded = json.loads(out.strip().splitlines()[-1])
+    assert rc == 0
+    assert (tmp_path / "out" / "ks.csv").exists()
+    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]] == []
 
 
 def test_battery_in_a_fresh_interpreter_matches_this_process(tmp_path):

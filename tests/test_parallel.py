@@ -6,7 +6,8 @@ import threading
 import numpy as np
 import pytest
 
-from flrlab import parallel
+from flrlab import DesignSpec, ThetaClass, parallel, pinsker_decomposition_draws, risk
+from flrlab.estimators import default_rho
 from flrlab.parallel import foreach
 
 CONTROLS = parallel._blas_controls()
@@ -54,6 +55,24 @@ def test_pool_replications_run_single_threaded_blas(two_blas_threads):
     seen[:] = [None] * 8
     foreach(record, 8, 1)   # serial loops hold BLAS at one thread too
     assert seen == [[1] * len(CONTROLS)] * 8
+    assert blas_counts() == [2] * len(CONTROLS)
+
+
+@needs_openblas
+def test_decomposition_replications_run_single_threaded_blas(two_blas_threads, monkeypatch):
+    # the bias/variance decomposition study runs its replications through foreach too
+    seen = []
+    empirical_covariance = risk.empirical_covariance
+
+    def record(*args, **kwargs):
+        seen.append(blas_counts())
+        return empirical_covariance(*args, **kwargs)
+
+    monkeypatch.setattr(risk, "empirical_covariance", record)
+    spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
+    pinsker_decomposition_draws(spec, ThetaClass(beta=2.0, c_theta=1.0), 1.0, default_rho(2.0),
+                                n=200, reps=2, seed=3)
+    assert seen == [[1] * len(CONTROLS)] * 2
     assert blas_counts() == [2] * len(CONTROLS)
 
 
