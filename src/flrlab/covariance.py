@@ -36,6 +36,10 @@ whitening transform has determinant +1. A caller that needs only
 Gamma-hat^(1/2) f passes the sample itself to ``sqrt_apply``, which uses
 the same eigenproblem and retained rank but builds no operator, so none of
 U, the sign convention or the determinant is computed.
+
+``eigh`` returns its eigenpairs ascending; they are read descending through
+reversed views (``_sorted_desc``), so no eigenproblem copies its r x r
+eigenvectors to reorder them (2 MB at r = 512).
 """
 
 from __future__ import annotations
@@ -172,8 +176,9 @@ def _coordinates(f, basis: str, j: int, grid_size: int) -> np.ndarray:
 
 
 def _sorted_desc(values: np.ndarray, vectors: np.ndarray):
-    order = np.argsort(values)[::-1]
-    return values[order], vectors[:, order]
+    """``eigh``'s ascending eigenpairs in descending order, as reversed views
+    (no copy of the vectors)."""
+    return values[::-1], vectors[:, ::-1]
 
 
 def _convention_signs(ref_coeffs: np.ndarray) -> np.ndarray:
@@ -239,7 +244,8 @@ def empirical_eigenvalues(sample) -> np.ndarray:
 
 def _gram_eigen(sample) -> tuple[np.ndarray, np.ndarray, bool]:
     """(lambda, V, dual): the retained eigenpairs of ``_gram(sample)``,
-    eigenvalues descending, with the branch taken."""
+    eigenvalues descending, with the branch taken; V is a view of eigh's
+    vectors (``_sorted_desc``)."""
     gram, dual = _gram(sample)
     vals, vecs = _sorted_desc(*np.linalg.eigh(gram))
     r = _retain(np.maximum(vals, 0.0))
@@ -259,7 +265,10 @@ def empirical_covariance(sample) -> CovOperator:
     u = (sample.coeffs.T @ vecs) / np.sqrt(n * lam)[None, :] if dual else vecs   # (J, r)
 
     signs = _convention_signs(u[: min(SIGN_REFERENCE_COUNT, u.shape[0]), :].T)[None, :]
-    u = u * signs
+    # On the J x J branch U is a reversed view of eigh's vectors; it is
+    # written out column-major, the layout an index gather gave it, so every
+    # later product with U rounds as before.
+    u = np.multiply(u, signs, order="C" if dual else "F")
     if r == n:
         # A = C U D^{-1} is the whitening matrix of this sample, and on the
         # dual route it is V itself; fix det = +1.
@@ -291,6 +300,10 @@ def sqrt_apply(op, f) -> np.ndarray:
     if isinstance(op, CovOperator):
         return op.coeff_vectors @ (np.sqrt(op.eigenvalues) * op.eigen_coefficients(f))
     lam, v, dual = _gram_eigen(op)
+    # The sums do not depend on the order of the eigenpairs: eigh's own
+    # ascending order is a view with positive strides, which BLAS reads
+    # directly, where the descending view would take numpy's slower loops.
+    lam, v = lam[::-1], v[:, ::-1]
     c = op.coeffs
     g = _coordinates(f, op.basis, c.shape[1], op.grid_size)
     if dual:

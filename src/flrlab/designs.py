@@ -18,14 +18,19 @@ names the basis (``DesignSpec.basis``), and only there:
 Grid values exist only to render a sample (``DesignSample.values``).
 
 A study replication reads its designs C and the n normals eps drawn after
-them only through sums: rows of C^T C and C^T eps (``DesignMoments``). For
-the uniform law, ``stream_moments`` draws the designs in blocks of
-``BLOCK_ROWS`` rows into one reused buffer and folds each block into those
-sums while it is still in cache, so a replication holds O(J^2 + BLOCK_ROWS J)
-numbers rather than n x J; its normals come from a copy of the PCG64 stream
-advanced past the n J uniform outputs (``streams.pcg64_ahead``), and the
-stream ends where ``sample_design`` followed by ``standard_normal(n)``
-leaves it. ``sample_moments`` folds a held sample as one block.
+them only through sums: rows of C^T C and C^T eps (``DesignMoments``).
+``stream_moments`` draws the designs in blocks of about 1 MB
+(``_block_rows``) into one reused buffer and folds each block into those
+sums while it is still in cache, and the stream ends where ``sample_design``
+followed by ``standard_normal(n)`` leaves it. For the uniform law the
+normals come from a copy of the PCG64 stream advanced past the n J uniform
+outputs (``streams.pcg64_ahead``), so a replication holds O(J^2 + block)
+numbers rather than n x J. A normal draw consumes a variable number of
+stream outputs, so for the normal law the normals follow the designs on the
+stream itself, and the fitted rows' ``lead`` columns (m x lead) are kept
+until they come. ``sample_moments`` folds a held sample as one block.
+A Brownian draw of some rows (``sample_design``'s ``rows``) likewise draws
+the rows outside them block by block and drops them.
 """
 
 from __future__ import annotations
@@ -53,8 +58,10 @@ DEFAULT_MAX_EXPANSION = 128
 # (OpenBLAS 0.3.31, one BLAS thread) the sums of a data-driven replication at
 # n = 1e4 took a median of 15.0 ms with 1024-row blocks, 15.5 ms with 512,
 # 16.4 ms with 2048 and 16.8 ms with 256, against 15.7 ms for the held
-# n x J draw and its Gram products.
+# n x J draw and its Gram products. Wider designs take fewer rows, so that a
+# block stays near BLOCK_DOUBLES numbers (1 MB).
 BLOCK_ROWS = 1024
+BLOCK_DOUBLES = 2**17
 
 KIND_BASIS = "basis-expansion"
 KIND_GAUSSIAN = "integrated-gaussian"
@@ -80,6 +87,22 @@ def _uniform_coefficients(rng: np.random.Generator, shape: tuple,
 def _basis_scales(j: int, alpha: float) -> np.ndarray:
     """lambda_k^(1/2) = k^(-alpha/2), k <= j: a basis design's coefficient scales."""
     return np.arange(1, j + 1, dtype=float) ** (-alpha / 2.0)
+
+
+def _block_rows(j: int) -> int:
+    """Rows per block of designs with J = j coordinates: ``BLOCK_ROWS``, or
+    fewer when that would exceed ``BLOCK_DOUBLES`` numbers."""
+    return max(min(BLOCK_ROWS, BLOCK_DOUBLES // j), 1)
+
+
+def _normal_blocks(rng: np.random.Generator, count: int, j: int):
+    """``rng.standard_normal((count, j))`` with the same bits, as (start, block)
+    pairs of consecutive row blocks, each a view of one reused buffer that
+    the next block overwrites."""
+    rows = _block_rows(j)
+    buffer = np.empty((min(rows, count), j))
+    for start in range(0, count, rows):
+        yield start, rng.standard_normal(out=buffer[:min(rows, count - start)])
 
 
 @dataclass(frozen=True)
@@ -227,17 +250,48 @@ def _brownian_profile(ks) -> np.ndarray:
     return 1.0 / (math.pi**2 * (np.asarray(ks, dtype=float) - 0.5) ** 2)
 
 
-def sample_gaussian_design(spec: DesignSpec, n: int, seed) -> DesignSample:
-    """Draw n Brownian designs from their Karhunen-Loeve coefficients
-    lambda_k^(1/2) G_k, G_k ~ N(0, 1), k <= J = min(2n, D - 1)."""
+def _gaussian_truncation(spec: DesignSpec, n: int) -> int:
+    """J for n Brownian designs, checked against the spec."""
     if spec.kind != KIND_GAUSSIAN:
         raise SpecValidationError("spec is not an integrated-gaussian design")
     if n < 1:
         raise ValueError("n must be >= 1")
-    j = spec.resolved_truncation(n)
-    coeffs = as_generator(seed).standard_normal((n, j))
-    coeffs *= np.sqrt(_brownian_profile(np.arange(1, j + 1, dtype=float)))
-    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed))
+    return spec.resolved_truncation(n)
+
+
+def _brownian_scales(j: int) -> np.ndarray:
+    """lambda_k^(1/2), k <= j: a Brownian design's coefficient scales."""
+    return np.sqrt(_brownian_profile(np.arange(1, j + 1, dtype=float)))
+
+
+def _discard_normals(rng: np.random.Generator, count: int, j: int) -> None:
+    """Move ``rng`` past ``count`` rows of j normals, drawn block by block."""
+    for _ in _normal_blocks(rng, count, j):
+        pass
+
+
+def sample_gaussian_design(spec: DesignSpec, n: int, seed,
+                           rows: slice = slice(None)) -> DesignSample:
+    """Draw n Brownian designs from their Karhunen-Loeve coefficients
+    lambda_k^(1/2) G_k, G_k ~ N(0, 1), k <= J = min(2n, D - 1).
+
+    ``rows`` (a slice with step 1) keeps only those designs, with the bits of
+    the full draw's rows; the rows before and after them are drawn block by
+    block and dropped, because a normal draw consumes a variable number of
+    stream outputs, so the stream cannot skip them. ``seed`` is left where
+    the full draw leaves it.
+    """
+    j = _gaussian_truncation(spec, n)
+    start, stop, step = rows.indices(n)
+    if step != 1:
+        raise ValueError("rows must be a contiguous slice")
+    rng = as_generator(seed)
+    _discard_normals(rng, start, j)
+    coeffs = rng.standard_normal((max(stop - start, 0), j))
+    _discard_normals(rng, n - max(stop, start), j)
+    coeffs *= _brownian_scales(j)
+    whole = coeffs.shape[0] == n
+    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed) if whole else None)
 
 
 def _int_seed(seed) -> int | None:
@@ -245,13 +299,13 @@ def _int_seed(seed) -> int | None:
 
 
 def sample_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
-    """Designs ``rows`` of n drawn from the spec, as in ``sample_basis_design``;
-    Brownian designs draw all n and keep those rows, because a normal draw
-    consumes a variable number of stream outputs."""
+    """Designs ``rows`` of n drawn from the spec: equal bit for bit to the
+    full draw's ``subset(rows)``, with the stream left where the full draw
+    leaves it, but holding only the kept rows (``sample_basis_design``,
+    ``sample_gaussian_design``)."""
     if spec.kind == KIND_BASIS:
         return sample_basis_design(spec, n, seed, rows)
-    sample = sample_gaussian_design(spec, n, seed)
-    return sample if rows.indices(n) == (0, n, 1) else sample.subset(rows)
+    return sample_gaussian_design(spec, n, seed, rows)
 
 
 @dataclass(frozen=True)
@@ -286,16 +340,19 @@ def _moment_sums(n: int, j: int, lead: int | None, split: int | None):
     return DesignMoments(n, m, np.zeros((lead, j)), np.zeros(lead), train)
 
 
-def _fold(sums: DesignMoments, start: int, c: np.ndarray, eps: np.ndarray) -> None:
-    """Add rows start..start + len(c) of C, with their normals, to ``sums``."""
+def _fold(sums: DesignMoments, start: int, c: np.ndarray, eps: np.ndarray | None) -> int:
+    """Add rows start..start + len(c) of C, with their normals unless ``eps``
+    is None, to ``sums``; returns how many of the rows are fitted ones."""
     lead = sums.gram.shape[0]
     cut = min(max(sums.m - start, 0), c.shape[0])
     fit, train = c[:cut], c[cut:]
     if cut:
         sums.gram[...] += fit[:, :lead].T @ fit
-        sums.noise[...] += fit[:, :lead].T @ eps[:cut]
+        if eps is not None:
+            sums.noise[...] += fit[:, :lead].T @ eps[:cut]
     if train.shape[0]:
         sums.train[...] += train.T @ train
+    return cut
 
 
 def sample_moments(sample: DesignSample, eps, *, lead: int | None = None,
@@ -314,29 +371,52 @@ def sample_moments(sample: DesignSample, eps, *, lead: int | None = None,
 
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
                    lead: int | None = None, split: int | None = None) -> DesignMoments:
-    """The ``DesignMoments`` of n basis-expansion designs drawn from ``rng``
-    and the n normals after them, equal to ``sample_moments`` of
-    ``sample_design(spec, n, rng)`` and ``rng.standard_normal(n)`` up to the
-    order of the additions, without the n x J sample.
+    """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
+    after them, equal to ``sample_moments`` of ``sample_design(spec, n, rng)``
+    and ``rng.standard_normal(n)`` up to the order of the additions, without
+    the n x J sample. ``rng`` ends where that draw and those normals leave it.
 
-    The designs are drawn in blocks of ``BLOCK_ROWS`` rows, with the bits of
-    the whole draw, from a copy of the stream; the normals from a copy
-    advanced past the n J uniform outputs. ``rng`` ends where that draw and
-    those normals leave it. ``rng`` must be a PCG64 Generator: anything else
-    raises ``TypeError`` (there is no fallback).
+    The designs are drawn in blocks of ``_block_rows(J)`` rows, with the bits
+    of the whole draw. Basis-expansion designs are drawn from a copy of the
+    stream and their normals from a copy advanced past the n J uniform
+    outputs, so each block is folded whole; ``rng`` must then be a PCG64
+    Generator, and anything else raises ``TypeError`` (there is no
+    fallback). Brownian designs are drawn from ``rng`` itself, with the
+    normals after them, so the first ``lead`` columns of the fitted rows are
+    kept (m x lead numbers) until the normals are drawn.
     """
+    if spec.kind == KIND_GAUSSIAN:
+        return _stream_normal_moments(spec, n, rng, lead, split)
     j = _basis_truncation(spec, n)
     sums = _moment_sums(n, j, lead, split)
     designs, normals = pcg64_ahead(rng), pcg64_ahead(rng, n * j)
     scales = _basis_scales(j, spec.alpha)
-    block = np.empty((min(BLOCK_ROWS, n), j))
+    rows = _block_rows(j)
+    block = np.empty((min(rows, n), j))
     eps = np.empty(block.shape[0])
-    for start in range(0, n, BLOCK_ROWS):
-        rows = min(BLOCK_ROWS, n - start)
-        c = _centered(designs.random(out=block[:rows]))
+    for start in range(0, n, rows):
+        count = min(rows, n - start)
+        c = _centered(designs.random(out=block[:count]))
         c *= scales
-        _fold(sums, start, c, normals.standard_normal(out=eps[:rows]))
+        _fold(sums, start, c, normals.standard_normal(out=eps[:count]))
     catch_up(rng, normals)
+    return sums
+
+
+def _stream_normal_moments(spec: DesignSpec, n: int, rng: np.random.Generator,
+                           lead: int | None, split: int | None) -> DesignMoments:
+    """``stream_moments`` of n Brownian designs: the normals follow the
+    designs on ``rng``, so the fitted rows' lead columns wait for them."""
+    j = _gaussian_truncation(spec, n)
+    sums = _moment_sums(n, j, lead, split)
+    scales = _brownian_scales(j)
+    lead_cols = np.empty((sums.m, sums.gram.shape[0]))
+    for start, c in _normal_blocks(rng, n, j):
+        c *= scales
+        cut = _fold(sums, start, c, None)
+        lead_cols[start:start + cut] = c[:cut, :lead_cols.shape[1]]
+    eps = rng.standard_normal(n)
+    sums.noise[...] = lead_cols.T @ eps[:sums.m]
     return sums
 
 

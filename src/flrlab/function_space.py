@@ -7,7 +7,9 @@ precision for products of Fourier modes below the Nyquist frequency and for
 the first D - 1 sine functions sqrt2 sin((k - 1/2) pi t) (to 1.3e-13 at
 D = 1024). These two orthonormal bases, named FOURIER and SINE, are the
 coordinates every design, operator and theta is written in; ``basis_matrix``
-renders either on the grid.
+renders either on the grid. Fourier rows are cached; sine rows, of which a
+Brownian design on 1024 nodes uses up to 1023 (8 MB), are computed for each
+render, only as many as it asks for.
 """
 
 from __future__ import annotations
@@ -202,11 +204,12 @@ def fourier_matrix(count: int, grid_size: int) -> np.ndarray:
     return fourier_basis(count, grid_size).functions
 
 
-@lru_cache(maxsize=4)
-def _sine_rows(grid_size: int) -> np.ndarray:
-    """All D - 1 rows sqrt2 sin((k - 1/2) pi t), k = 1..D - 1, read-only."""
+def _sine_rows(count: int, grid_size: int) -> np.ndarray:
+    """The rows sqrt2 sin((k - 1/2) pi t), k = 1..count, read-only. Each
+    entry is computed on its own, so the rows of a shorter matrix equal
+    those of a longer one bit for bit."""
     t = grid_nodes(grid_size)
-    ks = np.arange(1, grid_size, dtype=float) - 0.5
+    ks = np.arange(1, count + 1, dtype=float) - 0.5
     rows = math.sqrt(2.0) * np.sin(np.outer(ks * math.pi, t))
     rows.flags.writeable = False
     return rows
@@ -215,7 +218,8 @@ def _sine_rows(grid_size: int) -> np.ndarray:
 def sine_matrix(count: int, grid_size: int) -> np.ndarray:
     """Read-only (count, D) matrix of psi_k = sqrt2 sin((k - 1/2) pi t), the
     eigenfunctions of the Brownian covariance min(s, t); nested like
-    ``fourier_matrix``.
+    ``fourier_matrix``, but computed on each call and not cached: the full
+    table is 8 MB at D = 1024, and a study renders it rarely.
 
     The trapezoid rule keeps them orthonormal up to count = D - 1 and no
     further, so larger counts are rejected.
@@ -224,7 +228,7 @@ def sine_matrix(count: int, grid_size: int) -> np.ndarray:
         raise ValueError("count must be >= 1")
     if count > grid_size - 1:
         raise ResolutionError(f"grid of {grid_size} nodes cannot resolve {count} sine functions")
-    return _sine_rows(grid_size)[:count]
+    return _sine_rows(count, grid_size)
 
 
 FOURIER = "fourier"   # 1, sqrt2 cos(2 pi t), sqrt2 sin(2 pi t), ...

@@ -27,24 +27,25 @@ and their noise eps only through Gamma-hat = C^T C / m and the noise moment
 C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
 model's data, at J x r work per Pinsker fit and k x J per cutoff fit, with
-no pass over the designs. On basis-expansion designs whose fitted rows (and
-the data-driven level's training rows) number more than J, the replication
-never holds the n x J sample: ``designs.stream_moments`` draws the designs
-block by block and folds each block into the sums, the whole Gram matrix
-(an ``EmpiricalGram`` for ``empirical_covariance``) and the training rows'
-for a Pinsker fit, only its first k rows for a cutoff, and the noise
-moment. A replication's memory is then O(J^2 + BLOCK_ROWS J), and the sums
-equal the held sample's up to the order of the additions. Brownian designs
-and smaller parts (``_streamed``) keep the sample and read the same
-statistics from it as one block (``designs.sample_moments``, or the rows
-themselves where an eigenproblem takes the dual route). A cutoff
+no pass over the designs. One rule (``_streamed``) says when a replication
+never holds the n x J sample: ``designs.stream_moments`` then draws the
+designs block by block and folds each block into the sums. A cutoff fit
+reads only the first k rows of Gamma-hat and the noise moment, so its m
+designs are summed this way whenever k < J, of either kind: a basis-expansion
+replication then holds O(J^2 + block) numbers, and a Brownian one the m x k
+lead columns and one block. A Pinsker fit reads the whole Gram matrix (an
+``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
+is summed on basis-expansion designs whose fitted rows (and the data-driven
+level's training rows) number more than J. The sums equal the held
+sample's up to the order of the additions. Brownian Pinsker fits and
+smaller parts keep the sample, whose rows the dual route reads. A cutoff
 replication solves no eigenproblem: under the known design law its estimate
 is (X^T y / m)_k / lambda_k. The perturbation study's pilot is the same fit
-(``_cutoff_fit``) of its m held designs, so each replication there solves
-one eigenproblem, for its second sample's Gamma2-hat, whose square root
-``covariance.sqrt_apply`` applies from that eigenproblem without building
-an operator. The gamma-consistency study draws only the training rows its
-selector reads.
+(``_cutoff_fit``) of its m summed designs, so each replication there holds
+one design sample and solves one eigenproblem, for its second sample's
+Gamma2-hat, whose square root ``covariance.sqrt_apply`` applies from that
+eigenproblem without building an operator. The gamma-consistency study
+draws only the training rows its selector reads.
 
 Every study runs its replications through ``parallel.foreach``, serial or,
 with ``threads > 1``, on its pool; either way every OpenBLAS is held at one
@@ -72,6 +73,7 @@ from .config import EstimatorConfig, ModelConfig
 from .covariance import EmpiricalGram, empirical_covariance, empirical_eigenvalues, sqrt_apply
 from .designs import (
     KIND_BASIS,
+    DesignMoments,
     DesignSpec,
     sample_design,
     sample_moments,
@@ -331,14 +333,30 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     return run
 
 
-def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
+def _streamed(spec: DesignSpec, n: int, m: int, lead: int | None = None) -> bool:
     """Whether a replication's n designs, m of them fitted, are drawn block
-    by block (``stream_moments``): basis-expansion designs whose fitted rows
-    and training rows each number more than J, so that every Gram matrix an
-    eigenproblem reads is J x J. Brownian designs and smaller parts keep the
-    sample, which the dual route and the determinant convention read."""
+    by block (``stream_moments``) rather than held. A fit that reads only
+    the first ``lead`` < J rows of Gamma-hat (a cutoff fit, which solves no
+    eigenproblem) streams designs of either kind. A fit that reads all of it
+    streams basis-expansion designs whose fitted rows and training rows each
+    number more than J, so that every Gram matrix an eigenproblem reads is
+    J x J; Brownian designs and smaller parts keep the sample, which the dual
+    route and the determinant convention read."""
+    j = spec.resolved_truncation(n)
+    if lead is not None and lead < j:
+        return True
     parts = (m, n - m) if m < n else (n,)
-    return spec.kind == KIND_BASIS and min(parts) > spec.resolved_truncation(n)
+    return spec.kind == KIND_BASIS and min(parts) > j
+
+
+def _cutoff_moments(spec: DesignSpec, m: int, k: int, rng) -> DesignMoments:
+    """The sums a cutoff fit at k reads from m designs drawn from ``rng`` and
+    the m normals after them (``DesignMoments`` with lead k), streamed or
+    from the held sample as ``_streamed`` says."""
+    if _streamed(spec, m, m, k):
+        return stream_moments(spec, m, rng, lead=k)
+    sample = sample_design(spec, m, rng)
+    return sample_moments(sample, rng.standard_normal(m), lead=k)
 
 
 def _cutoff_fit(moments, sigma, true_cov, k):
@@ -386,12 +404,7 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
 
     if estimator.kind == "cutoff":
         m, k = _cutoff_split(model, n)
-        if _streamed(spec, m, m):
-            moments = stream_moments(spec, m, rng, lead=k)
-        else:
-            sample = sample_design(spec, m, rng)
-            moments = sample_moments(sample, rng.standard_normal(m), lead=k)
-        fit = _cutoff_fit(moments, sigma, true_covariance(spec, k), k)
+        fit = _cutoff_fit(_cutoff_moments(spec, m, k, rng), sigma, true_covariance(spec, k), k)
 
         def run(theta):
             return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
@@ -501,7 +514,8 @@ def delta56_study(
     Each replication draws the m pilot designs s1, then m normals eps, then
     the n - m designs s2 from its stream. The pilot is the cutoff fit of
     ``_cutoff_fit``: it reads (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m),
-    the first k coordinates of X^T y1 / m with y1 = C1 theta + sigma eps, and
+    the first k coordinates of X^T y1 / m with y1 = C1 theta + sigma eps,
+    summed block by block (``_cutoff_moments``), so s1 is never held, and
     solves no eigenproblem. Gamma2-hat is read only through its square root,
     which ``sqrt_apply`` applies from s2's Gram eigenpairs without building
     an operator (no J x r eigenvectors, sign convention or determinant). On
@@ -534,8 +548,7 @@ def delta56_study(
             if force_true_theta1:
                 theta1 = theta
             else:
-                s1 = sample_design(spec, m, rng)
-                moments = sample_moments(s1, rng.standard_normal(m), lead=k)
+                moments = _cutoff_moments(spec, m, k, rng)
                 theta1 = _cutoff_fit(moments, sigma, true_cov, k)(theta)
             cov2 = true_cov if force_true_cov2 else sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)

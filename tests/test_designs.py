@@ -122,6 +122,22 @@ class TestGaussianDesign:
         se = math.sqrt(2.0 / (s.n - 1))
         assert abs(v - 1.0) <= 3 * se
 
+    @pytest.mark.parametrize("rows", [slice(0, 600), slice(600, 1100), slice(37, 1061),
+                                      slice(1100, 1100)])
+    def test_row_slices_keep_the_full_draws_bits(self, rows):
+        # the rows outside the slice are drawn in blocks of 514 and dropped
+        from flrlab.designs import sample_design
+
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        full_rng, part_rng = np.random.default_rng(17), np.random.default_rng(17)
+        full = sample_design(spec, 1100, full_rng)
+        part = sample_design(spec, 1100, part_rng, rows)
+        assert part.coeffs.shape == full.coeffs[rows].shape
+        assert part.coeffs.tobytes() == full.coeffs[rows].tobytes()
+        np.testing.assert_equal(part_rng.bit_generator.state, full_rng.bit_generator.state)
+        with pytest.raises(ValueError, match="contiguous"):
+            sample_design(spec, 1100, np.random.default_rng(17), slice(0, 10, 2))
+
     def test_covariance_kernel_is_min(self):
         spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
         s = sample_gaussian_design(spec, 10_000, 22)
@@ -329,15 +345,56 @@ class TestStreamMoments:
             stream_moments(self.SPEC, 500, rng)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
-    def test_rejects_brownian_designs_and_bad_parts(self):
+    def test_rejects_bad_parts(self):
         from flrlab.designs import stream_moments
 
-        with pytest.raises(SpecValidationError):
-            stream_moments(DesignSpec(kind="integrated-gaussian", grid_size=256), 300,
-                           np.random.default_rng(0))
-        for kw in ({"split": 0}, {"split": 301}, {"lead": 0}, {"lead": 129}):
-            with pytest.raises(ValueError):
-                stream_moments(self.SPEC, 300, np.random.default_rng(0), **kw)
+        brownian = DesignSpec(kind="integrated-gaussian", grid_size=256)    # J = 255 at n = 300
+        for spec, j in ((self.SPEC, 128), (brownian, 255)):
+            for kw in ({"split": 0}, {"split": 301}, {"lead": 0}, {"lead": j + 1}):
+                with pytest.raises(ValueError):
+                    stream_moments(spec, 300, np.random.default_rng(0), **kw)
+
+    # Brownian designs at D = 256: J = 255 and blocks of 2**17 // 255 = 514
+    # rows, so n = 1100 is two blocks and 72 rows.
+    BROWNIAN = DesignSpec(kind="integrated-gaussian", grid_size=256)
+
+    @pytest.mark.parametrize("lead", [1, 7])
+    @pytest.mark.parametrize("split", [None, 700])
+    def test_normal_law_sums_equal_the_held_samples(self, lead, split):
+        from flrlab.designs import _block_rows, stream_moments
+
+        n = 1100
+        assert n % _block_rows(255) and (split or n) > _block_rows(255)
+        rng = np.random.default_rng(13)
+        got = stream_moments(self.BROWNIAN, n, rng, lead=lead, split=split)
+        ref, ref_rng = self.held(self.BROWNIAN, n, 13, lead=lead, split=split)
+        assert (got.n, got.m) == (ref.n, ref.m)
+        assert got.gram.shape == (lead, 255)
+        self.assert_close(got.gram, ref.gram)
+        self.assert_close(got.noise, ref.noise)
+        if split is None:
+            assert got.train is None and ref.train is None
+        else:
+            self.assert_close(got.train, ref.train)
+        # the stream ends where the sample and the normals leave it
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_normal_law_holds_the_lead_columns_only(self):
+        # the sample would be 5000 x 1023 doubles, 41 MB; the pilot holds
+        # 5000 x 3 lead columns, one 1 MB block and the normals
+        import tracemalloc
+
+        from flrlab.designs import stream_moments
+
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            sums = stream_moments(DesignSpec(kind="integrated-gaussian"), 5000, rng, lead=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sums.gram.shape == (3, 1023)
+        assert peak < 4 * 2**20
 
     def test_memory_stays_at_a_few_blocks(self):
         # the n x J sample would be 200 000 x 128 doubles, 205 MB

@@ -120,6 +120,19 @@ class TestSineBasis:
         with pytest.raises(ResolutionError):
             sine_matrix(grid_size, grid_size)
 
+    @pytest.mark.parametrize("grid_size", [65, 1001])
+    def test_rows_are_the_full_tables_bit_for_bit(self, grid_size):
+        # rows are rendered on demand; at row lengths that are not multiples
+        # of 8 a vectorized sin sees each entry in another lane than in the
+        # full table, and must still give the same bits
+        t = np.linspace(0.0, 1.0, grid_size)
+        ks = np.arange(1, grid_size, dtype=float) - 0.5
+        table = math.sqrt(2.0) * np.sin(np.outer(ks * math.pi, t))
+        for count in (1, 2, 7, 9, grid_size // 2, grid_size - 2, grid_size - 1):
+            rows = sine_matrix(count, grid_size)
+            assert not rows.flags.writeable
+            assert rows.tobytes() == table[:count].tobytes()
+
     def test_nested_and_named(self):
         assert np.array_equal(sine_matrix(5, 64), sine_matrix(40, 64)[:5])
         assert np.array_equal(basis_matrix(SINE, 3, 64), sine_matrix(3, 64))

@@ -85,16 +85,22 @@ class TestMiseMonteCarlo:
         b = delta56_study(model.n_grid, model, 2, 7, threads=2)
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
-    @pytest.mark.parametrize("kind, n", [("cutoff", 4096), ("pinsker-oracle", 1500),
-                                         ("pinsker-data-driven", 3000)])
-    def test_streamed_replications_agree_with_held_samples(self, kind, n, monkeypatch):
+    @pytest.mark.parametrize("kind, n, spec", [
+        pytest.param("cutoff", 4096, SPEC, id="cutoff-4096"),
+        pytest.param("pinsker-oracle", 1500, SPEC, id="pinsker-oracle-1500"),
+        pytest.param("pinsker-data-driven", 3000, SPEC, id="pinsker-data-driven-3000"),
+        # Brownian cutoff: m = 600 designs, J = 255, in blocks of 514 rows
+        pytest.param("cutoff", 1200, DesignSpec(kind="integrated-gaussian", grid_size=256),
+                     id="cutoff-1200-integrated-gaussian"),
+    ])
+    def test_streamed_replications_agree_with_held_samples(self, kind, n, spec, monkeypatch):
         # block sums change only the order of the additions
         import flrlab.risk
 
         def no_sample(*args):
             raise AssertionError("a streamed replication drew a held sample")
 
-        model = flr_model(mode="worst-case", n_grid=(n,))
+        model = flr_model(mode="worst-case", n_grid=(n,), spec=spec)
         est = EstimatorConfig(kind=kind, rho=default_rho(2.0))
         with monkeypatch.context() as patch:
             patch.setattr(flrlab.risk, "sample_design", no_sample)
@@ -353,6 +359,28 @@ class TestDeltaStudy:
         model = flr_model(spec=DesignSpec(kind="integrated-gaussian"), n_grid=(256, 512, 1024))
         report = delta56_study((64, 1024), model, 20, 7)
         assert report.mean_sq[1] * 1.5 <= report.mean_sq[0]
+
+    def test_brownian_replication_holds_one_design_sample(self):
+        # The cli-gaussian model at n = 1024: the pilot's m = 512 designs are
+        # summed block by block, so a replication holds the second sample
+        # (512 x 1023, 4.2 MB) and the Gram matrix, eigenvectors and
+        # products of its 512 x 512 dual eigenproblem; one sample and four
+        # 512 x 512 matrices are 12.6 MB. Holding the pilot's sample as well
+        # peaked at 15.5 MB; without it the peak is 9.2 MB.
+        import tracemalloc
+
+        model = ModelConfig(kind="flr", alpha=2.0, theta_class=TC, theta_mode="boundary",
+                            sigma=1.0, n_grid=(256, 512, 1024),
+                            design=DesignSpec(kind="integrated-gaussian"))
+        n2, j = 512, 1023
+        tracemalloc.start()
+        try:
+            report = delta56_study((1024,), model, 2, 7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(report.mean_sq))
+        assert peak < 8 * (n2 * j + 4 * n2 * n2)
 
     def test_basis_designs_work_in_coefficients(self, monkeypatch):
         # Basis-expansion designs compute the perturbation in Fourier
