@@ -1,7 +1,7 @@
 """Functional linear regression, its white-noise twin, and sharp-minimax estimation."""
 
 from .config import EstimatorConfig, ModelConfig
-from .covariance import CovOperator, empirical_covariance, eigen_gap_check, hs_distance, sqrt_apply
+from .covariance import CovOperator, empirical_covariance, sqrt_apply
 from .designs import (
     DesignSample,
     DesignSpec,
@@ -44,18 +44,7 @@ from .estimators import (
     select_cutoff,
     sharp_risk_constant,
 )
-from .function_space import (
-    Basis,
-    GridFunction,
-    constant_function,
-    fourier_basis,
-    fourier_function,
-    from_callable,
-    inner_product,
-    norm,
-    project,
-    synthesize,
-)
+from .function_space import Basis, GridFunction, fourier_basis, synthesize
 from .risk import (
     Delta56Report,
     KsReport,

@@ -23,8 +23,8 @@ from pathlib import Path
 
 from .designs import DEFAULT_MAX_EXPANSION, KIND_BASIS, DesignSpec
 from .errors import SpecValidationError
-from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, default_rho,
-                         power_lambda_profile, validate_rho)
+from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, cutoff_split,
+                         default_rho, power_lambda_profile, validate_rho)
 
 ESTIMATOR_KINDS = ("cutoff", "pinsker-oracle", "pinsker-data-driven")
 
@@ -46,6 +46,10 @@ class ModelConfig:
             raise SpecValidationError(f"unknown model kind {self.kind!r}", "kind")
         if self.kind == "flr" and self.design is None:
             raise SpecValidationError("flr models need a design spec")
+        if self.kind == "flr" and self.alpha != self.design.alpha:
+            raise SpecValidationError(
+                f"model alpha = {self.alpha} differs from the design's alpha = "
+                f"{self.design.alpha}, which sets its spectrum", "alpha")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
@@ -82,6 +86,15 @@ class EstimatorConfig:
             raise SpecValidationError(
                 f"pinsker-data-driven needs every n >= {DATA_DRIVEN_MIN_N} so both split "
                 f"halves are nonempty, got {min(model.n_grid)}", "n_grid")
+        if self.kind == "cutoff" and model.kind == "flr":
+            n = max(model.n_grid)
+            m, k = cutoff_split(n, model.alpha, model.theta_class.beta)
+            j = model.design.resolved_truncation(m)
+            if k > j:
+                raise SpecValidationError(
+                    f"the cutoff fit at n = {n} reads k = {k} coordinates of its m = {m} "
+                    f"designs, but they have J = {j}: set j_truncation >= {k} or lower the "
+                    f"largest n", "j_truncation")
 
 
 class ConfigError(ValueError):
@@ -276,7 +289,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         estimator = EstimatorConfig(kind=est_kind, rho=rho)
         if rho is not None:
             validate_rho(rho, alpha)
-    with rejecting_in("estimator", "model"):
+    with rejecting_in("estimator", "model", "design"):
         estimator.check_against(model)
 
     reps = get("run", "reps", 2)

@@ -159,11 +159,6 @@ class CovOperator:
         u = self._vectors
         return u @ (self.eigenvalues * (u.T @ self.coefficients(f)))
 
-    def coeff_matrix(self) -> np.ndarray:
-        """Operator matrix U diag(lambda) U^T in the operator's basis."""
-        u = self._vectors
-        return u @ (self.eigenvalues[:, None] * u.T)
-
 
 def _coordinates(f, basis: str, j: int, grid_size: int) -> np.ndarray:
     """f in the first j coordinates of ``basis`` on ``grid_size`` nodes: a
@@ -310,38 +305,3 @@ def sqrt_apply(op, f) -> np.ndarray:
         return c.T @ (v @ ((v.T @ (c @ g)) / (op.n * np.sqrt(lam))))
     return v @ (np.sqrt(lam) * (v.T @ g))
 
-
-def hs_distance(a: CovOperator, b: CovOperator) -> float:
-    """Hilbert-Schmidt distance of two operators in one basis on one grid."""
-    same_coordinates(a, b)
-    ca, cb = a.coeff_matrix(), b.coeff_matrix()
-    ja, jb = ca.shape[0], cb.shape[0]
-    j = max(ja, jb)
-    pa = np.zeros((j, j)); pa[:ja, :ja] = ca
-    pb = np.zeros((j, j)); pb[:jb, :jb] = cb
-    return float(np.linalg.norm(pa - pb))
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Scaled spacings (lambda_j - lambda_{j+1}) * j^(alpha+1) over the spectrum."""
-
-    scaled_gaps: np.ndarray
-    min_scaled_gap: float
-    argmin: int               # 1-based index of the worst spacing
-    threshold: float | None
-    flagged: bool
-
-
-def eigen_gap_check(op: CovOperator, alpha: float, *, threshold: float | None = None) -> GapReport:
-    """Diagnose the polynomial eigenvalue-spacing condition; never raises."""
-    lam = op.eigenvalues[: op.rank]
-    if lam.size < 2:
-        gaps = np.array([])
-        return GapReport(gaps, float("nan"), 0, threshold, flagged=lam.size < 2)
-    ks = np.arange(1, lam.size, dtype=float)
-    gaps = (lam[:-1] - lam[1:]) * ks ** (alpha + 1.0)
-    worst = int(np.argmin(gaps))
-    min_gap = float(gaps[worst])
-    flagged = min_gap <= 0.0 or (threshold is not None and min_gap < threshold)
-    return GapReport(gaps, min_gap, worst + 1, threshold, flagged)

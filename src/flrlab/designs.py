@@ -28,7 +28,7 @@ outputs (``streams.pcg64_ahead``), so a replication holds O(J^2 + block)
 numbers rather than n x J. A normal draw consumes a variable number of
 stream outputs, so for the normal law the normals follow the designs on the
 stream itself, and the fitted rows' ``lead`` columns (m x lead) are kept
-until they come. ``sample_moments`` folds a held sample as one block.
+until they come.
 A Brownian draw of some rows (``sample_design``'s ``rows``) likewise draws
 the rows outside them block by block and drops them.
 """
@@ -189,9 +189,6 @@ class DesignSample:
     def basis_matrix(self) -> np.ndarray:
         """(J, D) matrix of the basis the coefficients refer to."""
         return basis_matrix(self.basis, self._coeffs.shape[1], self.grid_size)
-
-    def function(self, i: int) -> GridFunction:
-        return GridFunction(self.values[i])
 
     def inner_products(self, theta) -> np.ndarray:
         """<X_j, theta> for every design; theta is a vector of coefficients in
@@ -355,26 +352,14 @@ def _fold(sums: DesignMoments, start: int, c: np.ndarray, eps: np.ndarray | None
     return cut
 
 
-def sample_moments(sample: DesignSample, eps, *, lead: int | None = None,
-                   split: int | None = None) -> DesignMoments:
-    """The ``DesignMoments`` of a held sample and its n normals ``eps``, as one
-    block: the fitted rows are the first ``split`` (default all n), and
-    ``lead`` (default J) rows of the Gram sum are formed."""
-    c = sample.coeffs
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (sample.n,):
-        raise ValueError(f"expected {sample.n} normals, got {eps.shape}")
-    sums = _moment_sums(sample.n, c.shape[1], lead, split)
-    _fold(sums, 0, c, eps)
-    return sums
-
-
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
                    lead: int | None = None, split: int | None = None) -> DesignMoments:
     """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
-    after them, equal to ``sample_moments`` of ``sample_design(spec, n, rng)``
-    and ``rng.standard_normal(n)`` up to the order of the additions, without
-    the n x J sample. ``rng`` ends where that draw and those normals leave it.
+    after them: the products of ``sample_design(spec, n, rng)`` and
+    ``rng.standard_normal(n)``, up to the order of the additions, without
+    the n x J sample. ``lead`` (default J) rows of the Gram sum are formed,
+    over the first ``split`` (default all n) designs. ``rng`` ends where
+    that draw and those normals leave it.
 
     The designs are drawn in blocks of ``_block_rows(J)`` rows, with the bits
     of the whole draw. Basis-expansion designs are drawn from a copy of the

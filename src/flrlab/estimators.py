@@ -46,11 +46,6 @@ class ThetaClass:
         k = np.asarray(k, dtype=float)
         return np.sqrt(1.0 + k ** (2.0 * self.beta))
 
-    def ellipsoid_sum(self, theta_coeffs) -> float:
-        c = np.asarray(theta_coeffs, dtype=float)
-        k = np.arange(1, c.size + 1, dtype=float)
-        return float(np.sum((1.0 + k ** (2.0 * self.beta)) * c * c))
-
     def check_against_alpha(self, alpha: float, *, plug_in: bool = False) -> None:
         """Approximability vs ill-posedness: beta > (alpha+1)/2 always, and
         beta > alpha + 3/2 when the plug-in (unknown-design) route is used."""
@@ -86,6 +81,13 @@ def select_cutoff(m: int, alpha: float, beta: float) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     return max(1, math.ceil(m ** (1.0 / (2.0 * beta + alpha + 1.0))))
+
+
+def cutoff_split(n: int, alpha: float, beta: float) -> tuple[int, int]:
+    """(m, k) of the cutoff fit on n pairs: it fits on m = n // 2 of them,
+    at the frequency cutoff k of that m."""
+    m = n // 2
+    return m, select_cutoff(m, alpha, beta)
 
 
 def cutoff_estimator(

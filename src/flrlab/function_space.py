@@ -1,15 +1,17 @@
-"""Grid-based L2([0,1]) arithmetic: inner products, norms, bases, projections.
+"""Grid functions and the orthonormal bases of L2([0,1]) that designs use.
 
 Functions are sampled on a uniform grid of D nodes including both endpoints.
-All integrals use the composite trapezoid rule, which is exact for
-piecewise-linear data and, on this periodic-friendly grid, exact to machine
-precision for products of Fourier modes below the Nyquist frequency and for
-the first D - 1 sine functions sqrt2 sin((k - 1/2) pi t) (to 1.3e-13 at
-D = 1024). These two orthonormal bases, named FOURIER and SINE, are the
-coordinates every design, operator and theta is written in; ``basis_matrix``
-renders either on the grid. Fourier rows are cached; sine rows, of which a
-Brownian design on 1024 nodes uses up to 1023 (8 MB), are computed for each
-render, only as many as it asks for.
+Coefficients in a basis are the working representation; the grid serves
+rendering and the projection of a grid input onto a basis. Projections use
+the composite trapezoid rule, which is exact for piecewise-linear data and,
+on this periodic-friendly grid, exact to machine precision for products of
+Fourier modes below the Nyquist frequency and for the first D - 1 sine
+functions sqrt2 sin((k - 1/2) pi t) (to 1.3e-13 at D = 1024). These two
+orthonormal bases, named FOURIER and SINE, are the coordinates every design,
+operator and theta is written in; ``basis_matrix`` renders either on the
+grid. Fourier rows are cached; sine rows, of which a Brownian design on 1024
+nodes uses up to 1023 (8 MB), are computed for each render, only as many as
+it asks for.
 """
 
 from __future__ import annotations
@@ -68,69 +70,6 @@ class GridFunction:
     def grid_size(self) -> int:
         return self.values.size
 
-    @property
-    def t(self) -> np.ndarray:
-        return grid_nodes(self.grid_size)
-
-    def _check_same_grid(self, other: "GridFunction") -> None:
-        if self.grid_size != other.grid_size:
-            raise DimensionError(
-                f"grid sizes differ: {self.grid_size} vs {other.grid_size}"
-            )
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        self._check_same_grid(other)
-        return GridFunction(self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GridFunction":
-        return GridFunction(-self.values)
-
-
-def constant_function(value: float, grid_size: int = DEFAULT_GRID_SIZE) -> GridFunction:
-    return GridFunction(np.full(grid_size, float(value)))
-
-
-def from_callable(fn, grid_size: int = DEFAULT_GRID_SIZE) -> GridFunction:
-    return GridFunction(np.asarray(fn(grid_nodes(grid_size)), dtype=float))
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Trapezoid approximation of the L2([0,1]) inner product of f and g."""
-    f._check_same_grid(g)
-    w = trapezoid_weights(f.grid_size)
-    return float(np.dot(w * f.values, g.values))
-
-
-def norm(f: GridFunction, p: float = 2.0) -> float:
-    """L_p([0,1]) norm for p in {1, 2, inf}."""
-    w = trapezoid_weights(f.grid_size)
-    if p == 2:
-        return float(math.sqrt(max(np.dot(w * f.values, f.values), 0.0)))
-    if p == 1:
-        return float(np.dot(w, np.abs(f.values)))
-    if math.isinf(p):
-        return float(np.max(np.abs(f.values)))
-    raise ValueError(f"unsupported norm order p={p}; use 1, 2 or inf")
-
-
-def pairwise_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of inner products between rows of a and rows of b (same grid)."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"grid sizes differ: {a.shape[1]} vs {b.shape[1]}")
-    w = trapezoid_weights(a.shape[1])
-    return (a * w) @ b.T
-
 
 @dataclass(frozen=True)
 class Basis:
@@ -154,19 +93,6 @@ class Basis:
     @property
     def grid_size(self) -> int:
         return self.functions.shape[1]
-
-    def function(self, k: int) -> GridFunction:
-        """k is zero-based."""
-        return GridFunction(self.functions[k])
-
-    def __iter__(self):
-        return (GridFunction(row) for row in self.functions)
-
-    def gram(self) -> np.ndarray:
-        return pairwise_inner(self.functions, self.functions)
-
-    def max_gram_defect(self) -> float:
-        return float(np.max(np.abs(self.gram() - np.eye(self.count))))
 
 
 def fourier_basis(count: int, grid_size: int = DEFAULT_GRID_SIZE) -> Basis:
@@ -264,22 +190,6 @@ def pad_coefficients(coefficients: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros(width)
     out[: min(coefficients.size, width)] = coefficients[:width]
     return out
-
-
-def fourier_function(coefficients, grid_size: int = DEFAULT_GRID_SIZE) -> GridFunction:
-    """sum_k c_k phi_k over the Fourier basis, rendered on the grid."""
-    return basis_function(coefficients, FOURIER, grid_size)
-
-
-def project(f: GridFunction, basis: Basis, count: int | None = None) -> np.ndarray:
-    """Coefficients (<f, phi_1>, ..., <f, phi_J>) of f against the basis."""
-    j = basis.count if count is None else int(count)
-    if j < 1 or j > basis.count:
-        raise ValueError(f"cannot project on {j} functions of a basis with {basis.count}")
-    if f.grid_size != basis.grid_size:
-        raise DimensionError("function and basis live on different grids")
-    w = trapezoid_weights(f.grid_size)
-    return (basis.functions[:j] * w) @ f.values
 
 
 def synthesize(basis: Basis, coefficients: np.ndarray) -> GridFunction:

@@ -7,12 +7,12 @@ estimator's cutoff (the bias-carrying direction that integer-valued cutoffs
 otherwise hide), and a handful of random draws.
 
 The harnesses only draw data and score fits: every estimate comes from
-``estimators``, every operator from ``covariance``. The two study rules live
-here once each: ``_cutoff_split`` gives the cutoff's (m, k) = (n // 2, its
-frequency cutoff) to the replications, the vertex test function and the
-perturbation study's pilot, and ``fitted_rows`` and ``pinsker_level`` give
-a Pinsker fit its fitted rows, level and weights, for the replications and
-``flrlab estimate``.
+``estimators``, every operator from ``covariance``. The study rules live
+once each: ``estimators.cutoff_split`` gives the cutoff's (m, k) = (n // 2,
+its frequency cutoff) to the replications, the vertex test function and the
+perturbation study's pilot, and ``fitted_rows`` and ``pinsker_level`` here
+give a Pinsker fit its fitted rows, level and weights, for the replications
+and ``flrlab estimate``.
 Every test function is a coefficient vector in its design's eigenbasis
 (Fourier for basis-expansion designs, sine for Brownian ones), the
 coordinates every fit works in, and every error is scored there by Parseval:
@@ -27,25 +27,25 @@ and their noise eps only through Gamma-hat = C^T C / m and the noise moment
 C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
 model's data, at J x r work per Pinsker fit and k x J per cutoff fit, with
-no pass over the designs. One rule (``_streamed``) says when a replication
-never holds the n x J sample: ``designs.stream_moments`` then draws the
-designs block by block and folds each block into the sums. A cutoff fit
-reads only the first k rows of Gamma-hat and the noise moment, so its m
-designs are summed this way whenever k < J, of either kind: a basis-expansion
+no pass over the designs. A replication that never holds the n x J sample draws its designs
+block by block (``designs.stream_moments``) and folds each block into the
+sums, which equal the held sample's up to the order of the additions. A
+cutoff fit reads only the first k rows of Gamma-hat and the noise moment, so
+its m designs are always summed this way, of either kind: a basis-expansion
 replication then holds O(J^2 + block) numbers, and a Brownian one the m x k
 lead columns and one block. A Pinsker fit reads the whole Gram matrix (an
 ``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
-is summed on basis-expansion designs whose fitted rows (and the data-driven
-level's training rows) number more than J. The sums equal the held
-sample's up to the order of the additions. Brownian Pinsker fits and
-smaller parts keep the sample, whose rows the dual route reads. A cutoff
-replication solves no eigenproblem: under the known design law its estimate
-is (X^T y / m)_k / lambda_k. The perturbation study's pilot is the same fit
-(``_cutoff_fit``) of its m summed designs, so each replication there holds
-one design sample and solves one eigenproblem, for its second sample's
-Gamma2-hat, whose square root ``covariance.sqrt_apply`` applies from that
-eigenproblem without building an operator. The gamma-consistency study
-draws only the training rows its selector reads.
+one rule (``_streamed``) sums it only on basis-expansion designs whose
+fitted rows (and the data-driven level's training rows) number more than J.
+Brownian Pinsker fits and smaller parts keep the sample, whose rows the dual
+route reads. A cutoff replication solves no eigenproblem: under the known
+design law its estimate is (X^T y / m)_k / lambda_k. The perturbation
+study's pilot is the same fit (``_cutoff_fit``) of its m summed designs, so
+each replication there holds one design sample and solves one eigenproblem,
+for its second sample's Gamma2-hat, whose square root
+``covariance.sqrt_apply`` applies from that eigenproblem without building an
+operator. The gamma-consistency study draws only the training rows its
+selector reads.
 
 Every study runs its replications through ``parallel.foreach``, serial or,
 with ``threads > 1``, on its pool; either way every OpenBLAS is held at one
@@ -71,15 +71,7 @@ import numpy as np
 
 from .config import EstimatorConfig, ModelConfig
 from .covariance import EmpiricalGram, empirical_covariance, empirical_eigenvalues, sqrt_apply
-from .designs import (
-    KIND_BASIS,
-    DesignMoments,
-    DesignSpec,
-    sample_design,
-    sample_moments,
-    stream_moments,
-    true_covariance,
-)
+from .designs import KIND_BASIS, DesignSpec, sample_design, stream_moments, true_covariance
 from .equivalence import (
     WnCoefficients,
     empirical_wn_drift,
@@ -91,6 +83,7 @@ from .estimators import (
     DEFAULT_COEFF_BUDGET,
     ThetaClass,
     cutoff_estimator,
+    cutoff_split,
     data_driven_gamma,
     data_driven_split,
     default_rho,
@@ -100,7 +93,6 @@ from .estimators import (
     pinsker_sequence_estimator,
     pinsker_weights,
     sample_theta,
-    select_cutoff,
     sharp_risk_constant,
 )
 from .function_space import pad_coefficients
@@ -187,18 +179,11 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
     return panel
 
 
-def _cutoff_split(model: ModelConfig, n: int) -> tuple[int, int]:
-    """(m, k) for the cutoff estimator at sample size n: it fits on m = n // 2
-    draws, at the frequency cutoff k of that m."""
-    m = n // 2
-    return m, select_cutoff(m, model.alpha, model.theta_class.beta)
-
-
 def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
                     oracle_gamma: float | None) -> int:
     """First coordinate the estimator cannot see: just past its cutoff or support."""
     if estimator.kind == "cutoff":
-        _, k = _cutoff_split(model, n)
+        _, k = cutoff_split(n, model.alpha, model.theta_class.beta)
         return min(k + 1, DEFAULT_COEFF_BUDGET)
     return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, DEFAULT_COEFF_BUDGET)
 
@@ -314,7 +299,7 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
         return simulate_sequence(th, lam, size, sigma, derive_rng(master_seed, f"seq-n{n}", rep))
 
     if estimator.kind == "cutoff":
-        m, k = _cutoff_split(model, n)
+        m, k = cutoff_split(n, alpha, tc.beta)
 
         def run(theta):
             th = pad_coefficients(theta, budget)
@@ -333,30 +318,16 @@ def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
     return run
 
 
-def _streamed(spec: DesignSpec, n: int, m: int, lead: int | None = None) -> bool:
-    """Whether a replication's n designs, m of them fitted, are drawn block
-    by block (``stream_moments``) rather than held. A fit that reads only
-    the first ``lead`` < J rows of Gamma-hat (a cutoff fit, which solves no
-    eigenproblem) streams designs of either kind. A fit that reads all of it
-    streams basis-expansion designs whose fitted rows and training rows each
-    number more than J, so that every Gram matrix an eigenproblem reads is
-    J x J; Brownian designs and smaller parts keep the sample, which the dual
-    route and the determinant convention read."""
+def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
+    """Whether a Pinsker replication's n designs, m of them fitted, are drawn
+    block by block (``stream_moments``) rather than held: basis-expansion
+    designs whose fitted rows and training rows each number more than J, so
+    that every Gram matrix an eigenproblem reads is J x J. Brownian designs
+    and smaller parts keep the sample, which the dual route and the
+    determinant convention read."""
     j = spec.resolved_truncation(n)
-    if lead is not None and lead < j:
-        return True
     parts = (m, n - m) if m < n else (n,)
     return spec.kind == KIND_BASIS and min(parts) > j
-
-
-def _cutoff_moments(spec: DesignSpec, m: int, k: int, rng) -> DesignMoments:
-    """The sums a cutoff fit at k reads from m designs drawn from ``rng`` and
-    the m normals after them (``DesignMoments`` with lead k), streamed or
-    from the held sample as ``_streamed`` says."""
-    if _streamed(spec, m, m, k):
-        return stream_moments(spec, m, rng, lead=k)
-    sample = sample_design(spec, m, rng)
-    return sample_moments(sample, rng.standard_normal(m), lead=k)
 
 
 def _cutoff_fit(moments, sigma, true_cov, k):
@@ -403,8 +374,8 @@ def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
     rng = derive_rng(master_seed, f"flr-n{n}", rep)
 
     if estimator.kind == "cutoff":
-        m, k = _cutoff_split(model, n)
-        fit = _cutoff_fit(_cutoff_moments(spec, m, k, rng), sigma, true_covariance(spec, k), k)
+        m, k = cutoff_split(n, alpha, model.theta_class.beta)
+        fit = _cutoff_fit(stream_moments(spec, m, rng, lead=k), sigma, true_covariance(spec, k), k)
 
         def run(theta):
             return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
@@ -515,7 +486,7 @@ def delta56_study(
     the n - m designs s2 from its stream. The pilot is the cutoff fit of
     ``_cutoff_fit``: it reads (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m),
     the first k coordinates of X^T y1 / m with y1 = C1 theta + sigma eps,
-    summed block by block (``_cutoff_moments``), so s1 is never held, and
+    summed block by block (``stream_moments``), so s1 is never held, and
     solves no eigenproblem. Gamma2-hat is read only through its square root,
     which ``sqrt_apply`` applies from s2's Gram eigenpairs without building
     an operator (no J x r eigenvectors, sign convention or determinant). On
@@ -538,7 +509,7 @@ def delta56_study(
 
     means, ses, tvs = [], [], []
     for n in n_grid:
-        m, k = _cutoff_split(model, n)
+        m, k = cutoff_split(n, model.alpha, tc.beta)
         vals = np.empty(reps)
 
         def run_rep(rep: int, n=n, m=m, k=k, vals=vals) -> None:
@@ -548,7 +519,7 @@ def delta56_study(
             if force_true_theta1:
                 theta1 = theta
             else:
-                moments = _cutoff_moments(spec, m, k, rng)
+                moments = stream_moments(spec, m, rng, lead=k)
                 theta1 = _cutoff_fit(moments, sigma, true_cov, k)(theta)
             cov2 = true_cov if force_true_cov2 else sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)
@@ -717,19 +688,15 @@ def pinsker_decomposition_draws(
     n: int,
     reps: int,
     seed: int,
-    *,
-    gamma: float | None = None,
-    theta_mode: str = "boundary",
 ):
     """Paired draws of the realized squared error and its conditional
-    bias + variance decomposition (``pinsker_conditional_risk``); the two
-    agree in expectation because the cross term vanishes given the designs."""
+    bias + variance decomposition (``pinsker_conditional_risk``) of the
+    oracle-level fit at the boundary theta; the two agree in expectation
+    because the cross term vanishes given the designs."""
     alpha = spec.alpha
     lam = spec.lambda_profile()
-    if gamma is None:
-        gamma = pinsker_gamma_oracle(lam, theta_class, sigma, n)
-    weights = pinsker_weights(gamma, theta_class)
-    theta = sample_theta(theta_class, theta_mode, lam, sigma, n, 0)
+    weights = pinsker_weights(pinsker_gamma_oracle(lam, theta_class, sigma, n), theta_class)
+    theta = sample_theta(theta_class, "boundary", lam, sigma, n, 0)
 
     lhs, rhs = np.empty(reps), np.empty(reps)
 

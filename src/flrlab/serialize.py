@@ -71,11 +71,6 @@ def write_grid_function(path: Path, f: GridFunction) -> None:
     _write_grid_columns(path, ["t", "value"], f.values[None, :])
 
 
-def read_grid_function(path: Path) -> GridFunction:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return GridFunction(data[:, 1])
-
-
 def write_basis(path: Path, basis: Basis, sidecar: Path | None = None) -> None:
     header = ["t"] + [f"f{k + 1}" for k in range(basis.count)]
     _write_grid_columns(path, header, basis.functions)
@@ -121,11 +116,6 @@ def read_responses(path: Path) -> np.ndarray:
 
 def write_wn_coefficients(path: Path, wn: WnCoefficients) -> None:
     _write_indexed(path, ["k", "z"], wn.z)
-
-
-def read_wn_coefficients(path: Path, sigma: float | None = None) -> WnCoefficients:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return WnCoefficients(z=data[:, 1], sigma=sigma)
 
 
 def write_seq_observation(path: Path, obs: SeqObservation, sidecar: Path | None = None,

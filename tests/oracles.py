@@ -3,13 +3,56 @@
 Everything here deliberately avoids the package's own solution paths: the
 minimax oracle runs a constrained optimizer over prior profiles, the Pinsker
 level is a generic bracketing root search, and the kernel eigen-solver
-diagonalizes the quadrature-symmetrized kernel directly.
+diagonalizes the quadrature-symmetrized kernel directly. The grid references
+are the trapezoid rule written out, and the design sums are the direct
+products of a held draw.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import brentq, minimize
+
+
+def grid_inner(a, b) -> np.ndarray:
+    """Trapezoid-rule L2([0,1]) inner products of the rows of a with the rows
+    of b, grid values on one equispaced grid (a vector is one row)."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return (a * (np.r_[0.5, np.ones(a.shape[1] - 2), 0.5] / (a.shape[1] - 1))) @ b.T
+
+
+def grid_norm(values) -> float:
+    """Trapezoid-rule L2([0,1]) norm of grid values."""
+    return math.sqrt(float(grid_inner(values, values)[0, 0]))
+
+
+def ellipsoid_sum(theta, beta: float) -> float:
+    """sum_k (1 + k^(2 beta)) theta_k^2, the quadratic form of the ellipsoid."""
+    k = np.arange(1, len(theta) + 1, dtype=float)
+    return float(np.sum((1.0 + k ** (2.0 * beta)) * np.square(theta)))
+
+
+def operator_matrix(op) -> np.ndarray:
+    """U diag(lambda) U^T: an operator's matrix in its basis coordinates."""
+    return (op.coeff_vectors * op.eigenvalues) @ op.coeff_vectors.T
+
+
+def held_moments(spec, n, rng, *, lead=None, split=None):
+    """The sums ``designs.stream_moments`` forms, from the held draw:
+    ``sample_design(spec, n, rng)``, then ``rng.standard_normal(n)``, then the
+    direct products of the first ``split`` rows (default all n) on the first
+    ``lead`` columns (default J)."""
+    from flrlab.designs import DesignMoments, sample_design
+
+    c = sample_design(spec, n, rng).coeffs
+    eps = rng.standard_normal(n)
+    m = n if split is None else split
+    fit = c[:m]
+    lead_cols = fit if lead is None else fit[:, :lead]
+    train = c[m:].T @ c[m:] if m < n else None
+    return DesignMoments(n, m, lead_cols.T @ fit, lead_cols.T @ eps[:m], train)
 
 
 def brute_force_linear_minimax(lambdas, beta, c_theta, sigma, n, restarts=8, seed=0):

@@ -157,6 +157,18 @@ class TestConfigParsing:
         assert load_config(write_config(tmp_path, gaussian.replace(
             "alpha = 2.0", "alpha = 2.0\ngrid_size = 128")))
 
+    def test_cutoff_beyond_the_expansion_is_line_referenced(self, tmp_path):
+        # k = 3 at the largest n = 2048 (m = 1024), more than J = 2
+        text = (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 2")
+                .replace("kind = pinsker-oracle", "kind = cutoff")
+                .replace("n_grid = 25", "n_grid = 512,1024,2048"))
+        path = write_config(tmp_path, text, "cut.ini")
+        with pytest.raises(ConfigError, match="k = 3 .* J = 2") as err:
+            load_config(path)
+        assert f"cut.ini:{text.splitlines().index('j_truncation = 2') + 1}:" in str(err.value)
+        assert load_config(write_config(tmp_path, text.replace("j_truncation = 2",
+                                                               "j_truncation = 3")))
+
     def test_cutoff_on_gaussian_designs_accepted(self, tmp_path):
         # theta and the cutoff fit share the sine eigenbasis of Brownian designs
         text = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian").replace(
@@ -188,6 +200,16 @@ class TestCliExitCodes:
         rc = main(["risk", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_cutoff_beyond_the_expansion_exits_2_at_its_line(self, tmp_path, capsys):
+        text = (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 2")
+                .replace("kind = pinsker-oracle", "kind = cutoff")
+                .replace("n_grid = 25", "n_grid = 512,1024,2048"))
+        path = write_config(tmp_path, text, "cut.ini")
+        assert main(["risk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"cut.ini:{text.splitlines().index('j_truncation = 2') + 1}:" in err
+        assert "lead" not in err and not (tmp_path / "o").exists()
 
     def test_reps_of_one_exits_2(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("reps = 5", "reps = 1"))

@@ -7,10 +7,6 @@ from flrlab import (
     DesignSpec,
     DimensionError,
     GridFunction,
-    eigen_gap_check,
-    hs_distance,
-    inner_product,
-    norm,
     sample_basis_design,
     sample_design,
     sample_gaussian_design,
@@ -27,13 +23,9 @@ from flrlab.covariance import (
 from flrlab.designs import DesignSample
 from flrlab.equivalence import WnCoefficients
 from flrlab.estimators import _eigen_overlap, cutoff_estimator
-from flrlab.function_space import (
-    FOURIER,
-    fourier_function,
-    fourier_matrix,
-    pairwise_inner,
-    trapezoid_weights,
-)
+from flrlab.function_space import FOURIER, basis_function, fourier_matrix, trapezoid_weights
+
+from oracles import grid_inner, grid_norm, operator_matrix
 
 
 def quadrature_apply(sample, f: GridFunction) -> np.ndarray:
@@ -48,20 +40,20 @@ class TestEmpiricalCovariance:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
         s = sample_basis_design(spec, 1, 4)
         op = empirical_covariance(s)
-        x = s.function(0)
+        x = s.values[0]
         assert op.rank == 1
-        assert op.eigenvalues[0] == pytest.approx(norm(x, 2) ** 2, rel=1e-10)
-        phi = op.eigenfunctions.function(0)
-        align = inner_product(phi, x) / norm(x, 2)
+        assert op.eigenvalues[0] == pytest.approx(grid_norm(x) ** 2, rel=1e-10)
+        phi = op.eigenfunctions.functions[0]
+        align = grid_inner(phi, x)[0, 0] / grid_norm(x)
         assert abs(abs(align) - 1.0) <= 1e-10
 
     def test_eigen_residuals(self, sample25, cov25):
         lam1 = cov25.eigenvalues[0]
         for k in range(cov25.rank):
-            phi = cov25.eigenfunctions.function(k)
+            phi = GridFunction(cov25.eigenfunctions.functions[k])
             applied = quadrature_apply(sample25, phi)
             resid = applied - cov25.eigenvalues[k] * phi.values
-            assert norm(GridFunction(resid), 2) <= 1e-8 * lam1
+            assert grid_norm(resid) <= 1e-8 * lam1
 
     def test_spectrum_tracks_truth(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
@@ -193,7 +185,8 @@ class TestCoefficientView:
             r = op.rank
             for count in (5, 64, 200):
                 theta = np.random.default_rng(count).standard_normal(count)
-                grid = op.eigen_coefficients(fourier_function(theta, s.grid_size), count=r)
+                grid = op.eigen_coefficients(basis_function(theta, FOURIER, s.grid_size),
+                                             count=r)
                 with monkeypatch.context() as m:
                     m.setattr(DesignSample, "values",
                               property(lambda self: pytest.fail("grid materialized")))
@@ -206,7 +199,7 @@ class TestCoefficientView:
     def test_design_products_match_grid(self, small_spec):
         s = sample_basis_design(small_spec, 200, 29)
         op = empirical_covariance(s)
-        grid = pairwise_inner(s.values, op.eigenfunctions.functions[:40])
+        grid = grid_inner(s.values, op.eigenfunctions.functions[:40])
         q = op.design_products(s, 40)
         assert np.array_equal(q, s.coeffs @ op.coeff_vectors[:, :40])
         assert np.max(np.abs(q - grid)) <= 1e-12 * np.max(np.abs(grid))
@@ -219,7 +212,6 @@ class TestCoefficientView:
         sine_op = empirical_covariance(gaussian)
         assert fourier_op.coeff_vectors.shape == sine_op.coeff_vectors.shape == (40, 20)
         for call in (lambda: fourier_op.design_products(gaussian, 5),
-                     lambda: hs_distance(fourier_op, sine_op),
                      lambda: _eigen_overlap(sine_op, true_covariance(small_spec, 4), 20, 4)):
             with pytest.raises(DimensionError, match="sine coefficients cannot meet fourier|"
                                                      "fourier coefficients cannot meet sine"):
@@ -252,9 +244,9 @@ class TestCoefficientView:
         truth = true_covariance(small_spec, 6)
         assert emp.coeff_vectors.shape[0] == 40 and truth.coeff_vectors.shape[0] == 128
         r = emp.rank
-        grid = pairwise_inner(emp.eigenfunctions.functions[:r], truth.eigenfunctions.functions)
+        grid = grid_inner(emp.eigenfunctions.functions[:r], truth.eigenfunctions.functions)
         assert np.max(np.abs(_eigen_overlap(emp, truth, r, 6) - grid)) <= 1e-12
-        grid_q = pairwise_inner(s.values, truth.eigenfunctions.functions)
+        grid_q = grid_inner(s.values, truth.eigenfunctions.functions)
         q = truth.design_products(s, 6)
         assert np.array_equal(q, s.coeffs @ truth.coeff_vectors[:40])
         assert np.max(np.abs(q - grid_q)) <= 1e-12 * np.max(np.abs(grid_q))
@@ -265,7 +257,7 @@ class TestSqrtApply:
         # a rendered eigenfunction is projected once and comes back scaled,
         # as coefficients
         for k in (0, 3, 10):
-            out = sqrt_apply(cov25, cov25.eigenfunctions.function(k))
+            out = sqrt_apply(cov25, GridFunction(cov25.eigenfunctions.functions[k]))
             expect = math.sqrt(cov25.eigenvalues[k]) * cov25.coeff_vectors[:, k]
             assert np.max(np.abs(out - expect)) <= 1e-8
 
@@ -287,7 +279,7 @@ class TestSqrtApply:
         for size in (10, op.coeff_vectors.shape[0], 100):
             f = rng.standard_normal(size)
             coeffs = sqrt_apply(op, f)
-            grid = sqrt_apply(op, fourier_function(f, small_spec.grid_size))
+            grid = sqrt_apply(op, basis_function(f, FOURIER, small_spec.grid_size))
             assert coeffs.shape == grid.shape == (op.coeff_vectors.shape[0],)
             assert np.max(np.abs(coeffs - grid)) <= 1e-12 * np.max(np.abs(grid))
 
@@ -326,57 +318,23 @@ class TestSqrtApply:
 
 
 class TestHsDistance:
-    def test_zero_on_equal(self, cov25):
-        assert hs_distance(cov25, cov25) == 0.0
-
-    def test_orthogonal_rank_ones(self):
-        u, v = (CovOperator(eigenvalues=np.array([1.0]), coeff_vectors=np.eye(2)[:, k:k + 1],
-                            basis=FOURIER, grid_size=256) for k in (0, 1))
-        assert hs_distance(u, v) == pytest.approx(math.sqrt(2.0), abs=1e-6)
-
     def test_one_over_n_scaling(self):
         # E || emp - true ||_HS^2 halves four-fold when n quadruples
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=64, grid_size=256)
-        truth = true_covariance(spec, 64)
+        truth = operator_matrix(true_covariance(spec, 64))
         sums = {}
         for n in (50, 200):
             acc = 0.0
             for rep in range(200):
                 s = sample_basis_design(spec, n, 1000 * n + rep)
-                acc += hs_distance(empirical_covariance(s), truth) ** 2
+                acc += np.sum((operator_matrix(empirical_covariance(s)) - truth) ** 2)
             sums[n] = acc / 200
         ratio = sums[50] / sums[200]
         assert 3.0 <= ratio <= 5.5
 
     def test_grid_mismatch(self, cov25):
+        # operators compare only in one basis on one grid
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
         other = empirical_covariance(sample_basis_design(spec, 5, 1))
-        with pytest.raises(Exception):
-            hs_distance(cov25, other)
-
-
-class TestEigenGaps:
-    def test_quadratic_decay_scaled_gaps(self):
-        lam = np.arange(1, 30, dtype=float) ** -2.0
-        op = CovOperator(eigenvalues=lam, coeff_vectors=np.eye(29), basis=FOURIER, grid_size=256)
-        rep = eigen_gap_check(op, 2.0)
-        # direct evaluation: j^3 (j^-2 - (j+1)^-2) = j(2j+1)/(j+1)^2, which
-        # starts at 3/4 and increases toward 2
-        js = np.arange(1, 29, dtype=float)
-        expect = js * (2 * js + 1) / (js + 1) ** 2
-        assert np.allclose(rep.scaled_gaps, expect, rtol=1e-12)
-        assert rep.min_scaled_gap == pytest.approx(0.75, abs=1e-12)
-        assert np.all(rep.scaled_gaps < 2.0)
-        assert not rep.flagged
-
-    def test_flat_spectrum_flagged(self):
-        op = CovOperator(eigenvalues=np.ones(4), coeff_vectors=np.eye(4), basis=FOURIER,
-                         grid_size=256)
-        assert eigen_gap_check(op, 2.0).flagged
-
-    def test_power_decay_all_positive(self):
-        for alpha in (2.0, 3.0):
-            lam = np.arange(1, 20, dtype=float) ** -alpha
-            op = CovOperator(eigenvalues=lam, coeff_vectors=np.eye(19), basis=FOURIER,
-                             grid_size=256)
-            assert np.all(eigen_gap_check(op, alpha).scaled_gaps > 0)
+        with pytest.raises(DimensionError, match="grid sizes differ"):
+            _eigen_overlap(other, cov25, 5, 5)

@@ -8,8 +8,6 @@ from flrlab import (
     ResolutionError,
     SpecValidationError,
     fourier_basis,
-    norm,
-    project,
     sample_basis_design,
     sample_gaussian_design,
     true_covariance,
@@ -18,7 +16,7 @@ from flrlab import (
 from flrlab.designs import _uniform_coefficients
 from flrlab.function_space import grid_nodes, sine_matrix, trapezoid_weights
 
-from oracles import eigh_quadrature_kernel
+from oracles import eigh_quadrature_kernel, grid_inner, grid_norm, held_moments
 
 
 class TestSpecValidation:
@@ -36,7 +34,7 @@ class TestBasisDesign:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=1, grid_size=128)
         s = sample_basis_design(spec, 1, 3)
         g = s.coeffs[0, 0]
-        assert norm(s.function(0), 2) == pytest.approx(abs(g), rel=1e-10)
+        assert grid_norm(s.values[0]) == pytest.approx(abs(g), rel=1e-10)
 
     def test_grid_too_coarse_for_the_expansion_is_rejected_at_the_draw(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=100)
@@ -53,8 +51,7 @@ class TestBasisDesign:
         # Monte Carlo moment check against the law of the expansion coefficients.
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=32, grid_size=256)
         s = sample_basis_design(spec, 500, 11)
-        basis = fourier_basis(8, 256)
-        coords = np.stack([project(s.function(i), basis) for i in range(s.n)])
+        coords = grid_inner(s.values, fourier_basis(8, 256).functions)
         emp_var = coords.var(axis=0)
         for j in range(8):
             target = (j + 1.0) ** -2.0
@@ -266,25 +263,24 @@ class TestStreamMoments:
 
     @staticmethod
     def held(spec, n, seed, **kw):
-        """Today's path: the n x J sample, then n normals, folded as one block."""
-        from flrlab.designs import sample_design, sample_moments
-
+        """The n x J sample, then n normals, and their direct products."""
         rng = np.random.default_rng(seed)
-        sample = sample_design(spec, n, rng)
-        return sample_moments(sample, rng.standard_normal(n), **kw), rng
+        return held_moments(spec, n, rng, **kw), rng
 
     @staticmethod
     def assert_close(a, b, rel=1e-13):
         assert a.shape == b.shape
         assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
-    @pytest.mark.parametrize("rows", ["J + 1", "one block", "one block + 1", "3 blocks + 17"])
+    @pytest.mark.parametrize("rows", ["fewer than J", "J + 1", "one block", "one block + 1",
+                                      "3 blocks + 17"])
     @pytest.mark.parametrize("lead, split", [(None, None), (3, None), (None, "inside a block")])
     def test_sums_equal_the_held_samples(self, rows, lead, split):
         from flrlab.designs import BLOCK_ROWS, stream_moments
 
-        n = {"J + 1": 129, "one block": BLOCK_ROWS, "one block + 1": BLOCK_ROWS + 1,
-             "3 blocks + 17": 3 * BLOCK_ROWS + 17}[rows]
+        # J = min(2n, 128): fewer designs than coordinates at n = 50
+        n = {"fewer than J": 50, "J + 1": 129, "one block": BLOCK_ROWS,
+             "one block + 1": BLOCK_ROWS + 1, "3 blocks + 17": 3 * BLOCK_ROWS + 17}[rows]
         # a data-driven style split that is not a block boundary
         m = None if split is None else n - max(n // 7, 1) - 5
         assert m is None or m % BLOCK_ROWS
@@ -303,13 +299,13 @@ class TestStreamMoments:
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_sums_are_the_products_they_name(self):
-        from flrlab.designs import sample_design, sample_moments
+        from flrlab.designs import sample_design, stream_moments
 
         rng = np.random.default_rng(2)
         sample = sample_design(self.SPEC, 300, rng)
         eps = rng.standard_normal(300)
         c = sample.coeffs
-        got = sample_moments(sample, eps, lead=4, split=250)
+        got = stream_moments(self.SPEC, 300, np.random.default_rng(2), lead=4, split=250)
         np.testing.assert_allclose(got.gram, c[:250, :4].T @ c[:250], rtol=1e-13)
         np.testing.assert_allclose(got.noise, c[:250, :4].T @ eps[:250], rtol=1e-13)
         np.testing.assert_allclose(got.train, c[250:].T @ c[250:], rtol=1e-13)

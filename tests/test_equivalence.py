@@ -22,7 +22,7 @@ from flrlab import (
     synthesize,
     whitenoise_to_flr,
 )
-from flrlab.function_space import fourier_function, trapezoid_weights
+from flrlab.function_space import FOURIER, basis_function, trapezoid_weights
 
 
 def random_theta(grid_size, seed, count=12, scale=0.4):
@@ -157,7 +157,7 @@ class TestDirectSimulation:
         g /= np.linalg.norm(g)
         from flrlab import sqrt_apply
 
-        drift = fourier_function(sqrt_apply(cov, theta), small_spec.grid_size)
+        drift = basis_function(sqrt_apply(cov, theta), FOURIER, small_spec.grid_size)
         assert abs(np.dot(w * g, drift.values)) <= 1e-10
 
 
@@ -190,7 +190,7 @@ class TestCoefficientRoute:
             coeffs = np.random.default_rng(count).standard_normal(count)
             padded = np.zeros(s.coeffs.shape[1])
             padded[: min(count, padded.size)] = coeffs[: padded.size]
-            rendered = fourier_function(coeffs, s.grid_size)
+            rendered = basis_function(coeffs, FOURIER, s.grid_size)
             y_grid = (grid_values @ (w * rendered.values)
                       + 0.3 * np.random.default_rng(5).standard_normal(s.n))
             with monkeypatch.context() as m:

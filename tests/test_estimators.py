@@ -27,10 +27,11 @@ from flrlab import (
     true_covariance,
 )
 from flrlab.covariance import empirical_eigenvalues
-from flrlab.estimators import pinsker_sequence_estimator, validate_rho
-from flrlab.function_space import GridFunction, basis_function, fourier_matrix, norm
+from flrlab.estimators import cutoff_split, pinsker_sequence_estimator, validate_rho
+from flrlab.function_space import GridFunction, basis_function, fourier_matrix
 
-from oracles import brute_force_linear_minimax, ols_slope, pinsker_level_brentq
+from oracles import (brute_force_linear_minimax, ellipsoid_sum, grid_norm, ols_slope,
+                     pinsker_level_brentq)
 
 TOY = ThetaClass(beta=1.0, c_theta=1.0)   # single-coefficient closed forms
 
@@ -63,6 +64,14 @@ class TestSelectCutoff:
     def test_monotone_in_m(self):
         ks = [select_cutoff(m, 2.0, 2.0) for m in range(1, 5000, 37)]
         assert all(b >= a for a, b in zip(ks, ks[1:]))
+
+    def test_split_fits_half_the_pairs(self):
+        # the cutoff fit on n pairs uses the first n // 2, at their cutoff
+        for n in (2, 3, 512, 2049):
+            assert cutoff_split(n, 2.0, 2.0) == (n // 2, select_cutoff(n // 2, 2.0, 2.0))
+        assert cutoff_split(2048, 2.0, 2.0) == (1024, 3)
+        with pytest.raises(ValueError):
+            cutoff_split(1, 2.0, 2.0)
 
 
 class TestCutoffEstimator:
@@ -281,24 +290,24 @@ class TestSampleTheta:
     def test_boundary_saturates_ellipsoid(self):
         tc = ThetaClass(beta=2.0, c_theta=1.0)
         theta = sample_theta(tc, "boundary", self.LAM, 1.0, 100, 0)
-        assert tc.ellipsoid_sum(theta) == pytest.approx(1.0, rel=1e-8)
+        assert ellipsoid_sum(theta, tc.beta) == pytest.approx(1.0, rel=1e-8)
 
     def test_vertex_saturates_ellipsoid(self):
         tc = ThetaClass(beta=2.0, c_theta=2.0)
         theta = sample_theta(tc, "vertex", self.LAM, 1.0, 100, 0, vertex_index=5)
-        assert tc.ellipsoid_sum(theta) == pytest.approx(2.0, rel=1e-8)
+        assert ellipsoid_sum(theta, tc.beta) == pytest.approx(2.0, rel=1e-8)
         assert np.count_nonzero(theta) == 1
 
     def test_random_stays_inside(self):
         tc = ThetaClass(beta=2.0, c_theta=1.0)
         for seed in range(50):
             theta = sample_theta(tc, "random", self.LAM, 1.0, 100, seed)
-            assert tc.ellipsoid_sum(theta) <= 1.0 + 1e-10
+            assert ellipsoid_sum(theta, tc.beta) <= 1.0 + 1e-10
 
     def test_least_favorable_single_coefficient(self):
         theta = sample_theta(TOY, "least-favorable", [1.0], 1.0, 1, 0, count=1)
         assert theta[0] ** 2 == pytest.approx(0.5, abs=1e-10)
-        assert TOY.ellipsoid_sum(theta) == pytest.approx(1.0, abs=1e-10)
+        assert ellipsoid_sum(theta, TOY.beta) == pytest.approx(1.0, abs=1e-10)
 
     def test_boundary_homogeneity(self):
         small = sample_theta(ThetaClass(beta=2.0, c_theta=1.0), "boundary", self.LAM, 1.0, 10, 0)
@@ -381,7 +390,8 @@ class TestPlugInEstimator:
         for new, old in ((fit.theta_hat, from_responses.theta_hat),
                          (fit.coefficients, from_responses.coefficients)):
             assert np.linalg.norm(new - old) <= 1e-10 * np.linalg.norm(old)
-        on_grid = norm(fit.estimate - basis_function(theta, s.basis, s.grid_size), 2) ** 2
+        on_grid = grid_norm(fit.estimate.values
+                            - basis_function(theta, s.basis, s.grid_size).values) ** 2
         assert abs(fit.squared_error(theta) - on_grid) <= 1e-10 * on_grid
         k = fit.coefficients.size
         rendered = fit.coefficients @ cov.eigenfunctions.functions[:k]

@@ -5,20 +5,32 @@ import pytest
 
 from flrlab import (
     Basis,
+    DesignSpec,
     DimensionError,
     GridFunction,
     ResolutionError,
-    constant_function,
     fourier_basis,
-    from_callable,
-    inner_product,
-    norm,
-    project,
     synthesize,
+    true_covariance,
 )
-from flrlab.function_space import (FOURIER, SINE, basis_function, basis_matrix, sine_matrix,
-                                   trapezoid_weights)
-from flrlab.serialize import read_grid_function, write_grid_function
+from flrlab.function_space import (FOURIER, SINE, basis_function, basis_matrix, grid_nodes,
+                                   sine_matrix, trapezoid_weights)
+from flrlab.serialize import write_grid_function
+
+from oracles import grid_inner
+
+
+def inner(f, g) -> float:
+    """The package's quadrature: trapezoid weights on the grid values."""
+    return float(trapezoid_weights(f.size) @ (f * g))
+
+
+def project(values, count: int) -> np.ndarray:
+    """Fourier coefficients of grid values, by the package's one projection
+    of a grid function (``CovOperator.coefficients``)."""
+    spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=count,
+                      grid_size=values.size)
+    return true_covariance(spec, count).coefficients(GridFunction(values))
 
 
 class TestGridFunction:
@@ -31,65 +43,47 @@ class TestGridFunction:
             GridFunction(np.array([0.0, np.nan, 1.0]))
 
     def test_values_are_immutable(self):
-        f = constant_function(1.0, 16)
+        f = GridFunction(np.ones(16))
         with pytest.raises(ValueError):
             f.values[0] = 2.0
-
-    def test_arithmetic_needs_same_grid(self):
-        with pytest.raises(DimensionError):
-            constant_function(1.0, 16) + constant_function(1.0, 32)
 
 
 class TestInnerProduct:
     def test_constants(self):
-        one = constant_function(1.0, 512)
-        assert inner_product(one, one) == pytest.approx(1.0, abs=1e-12)
+        one = np.ones(512)
+        assert inner(one, one) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_fourier_pair(self):
-        f = from_callable(lambda t: math.sqrt(2) * np.sin(2 * np.pi * t), 512)
-        g = from_callable(lambda t: math.sqrt(2) * np.cos(2 * np.pi * t), 512)
-        assert abs(inner_product(f, g)) <= 1e-8
+        t = grid_nodes(512)
+        f = math.sqrt(2) * np.sin(2 * np.pi * t)
+        g = math.sqrt(2) * np.cos(2 * np.pi * t)
+        assert abs(inner(f, g)) <= 1e-8
 
     def test_linear_ramp(self):
-        f = from_callable(lambda t: t, 1024)
-        assert inner_product(f, f) == pytest.approx(1.0 / 3.0, abs=1e-6)
+        t = grid_nodes(1024)
+        assert inner(t, t) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_grid_mismatch(self):
+        # a grid function meets a basis only on the basis's own grid
+        op = true_covariance(DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256), 4)
         with pytest.raises(DimensionError):
-            inner_product(constant_function(1.0, 16), constant_function(1.0, 32))
+            op.coefficients(GridFunction(np.ones(512)))
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(0)
-        f = GridFunction(rng.standard_normal(128))
-        g = GridFunction(rng.standard_normal(128))
-        h = GridFunction(rng.standard_normal(128))
-        assert inner_product(f, g) == pytest.approx(inner_product(g, f), rel=1e-14)
-        lhs = inner_product(f + 2.0 * g, h)
-        assert lhs == pytest.approx(inner_product(f, h) + 2.0 * inner_product(g, h), rel=1e-12)
+        f, g, h = rng.standard_normal((3, 256))
+        assert inner(f, g) == pytest.approx(inner(g, f), rel=1e-14)
+        lhs = inner(f + 2.0 * g, h)
+        assert lhs == pytest.approx(inner(f, h) + 2.0 * inner(g, h), rel=1e-12)
+        # the projection of a grid function is linear too
+        assert np.allclose(project(f + 2.0 * g, 8), project(f, 8) + 2.0 * project(g, 8),
+                           rtol=0.0, atol=1e-12)
 
 
 class TestNorm:
-    def test_constant_all_orders(self):
-        f = constant_function(-3.0, 64)
-        for p in (1, 2, math.inf):
-            assert norm(f, p) == pytest.approx(3.0, rel=1e-12)
-
     def test_normalized_sine(self):
-        f = from_callable(lambda t: math.sqrt(2) * np.sin(2 * np.pi * t), 512)
-        assert norm(f, 2) == pytest.approx(1.0, abs=1e-8)
-
-    def test_sup_norm_of_ramp(self):
-        f = from_callable(lambda t: t, 256)
-        assert norm(f, math.inf) == 1.0
-
-    def test_l2_matches_inner_product(self):
-        rng = np.random.default_rng(1)
-        f = GridFunction(rng.standard_normal(200))
-        assert norm(f, 2) ** 2 == pytest.approx(inner_product(f, f), abs=1e-10)
-
-    def test_unsupported_order(self):
-        with pytest.raises(ValueError):
-            norm(constant_function(1.0, 16), 3)
+        f = math.sqrt(2) * np.sin(2 * np.pi * grid_nodes(512))
+        assert math.sqrt(inner(f, f)) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestFourierBasis:
@@ -98,12 +92,12 @@ class TestFourierBasis:
         assert np.allclose(b.functions[0], 1.0)
 
     def test_gram_is_identity(self):
-        b = fourier_basis(3, 512)
-        assert b.max_gram_defect() <= 1e-8
+        b = fourier_basis(3, 512).functions
+        assert np.max(np.abs(grid_inner(b, b) - np.eye(3))) <= 1e-8
 
     def test_large_basis_still_orthonormal(self):
-        b = fourier_basis(64, 1024)
-        assert b.max_gram_defect() <= 1e-8
+        b = fourier_basis(64, 1024).functions
+        assert np.max(np.abs(grid_inner(b, b) - np.eye(64))) <= 1e-8
 
     def test_nyquist_guard(self):
         with pytest.raises(ResolutionError):
@@ -147,71 +141,71 @@ class TestSineBasis:
 class TestProject:
     def test_recovers_basis_function(self):
         b = fourier_basis(5, 512)
-        c = project(b.function(1), b)
+        c = project(b.functions[1], 5)
         expect = np.zeros(5)
         expect[1] = 1.0
         assert np.max(np.abs(c - expect)) <= 1e-8
 
     def test_zero_function(self):
-        b = fourier_basis(4, 512)
-        assert np.max(np.abs(project(constant_function(0.0, 512), b))) == 0.0
+        assert np.max(np.abs(project(np.zeros(512), 4))) == 0.0
 
     def test_linearity(self):
-        b = fourier_basis(3, 512)
-        f = 3.0 * b.function(0) + (-2.0) * b.function(2)
-        assert np.max(np.abs(project(f, b, 3) - np.array([3.0, 0.0, -2.0]))) <= 1e-7
+        b = fourier_basis(3, 512).functions
+        f = 3.0 * b[0] + (-2.0) * b[2]
+        assert np.max(np.abs(project(f, 3) - np.array([3.0, 0.0, -2.0]))) <= 1e-7
 
     def test_count_bound(self):
         b = fourier_basis(3, 512)
-        with pytest.raises(ValueError):
-            project(b.function(0), b, 4)
+        with pytest.raises(ValueError, match="longer than the basis"):
+            synthesize(b, np.ones(4))
 
     def test_synthesize_inverts_project(self):
         b = fourier_basis(8, 512)
         rng = np.random.default_rng(3)
         c = rng.standard_normal(8)
         f = synthesize(b, c)
-        assert np.max(np.abs(project(f, b) - c)) <= 1e-10
+        assert np.max(np.abs(project(f.values, 8) - c)) <= 1e-10
 
 
 class TestInvariants:
     def test_cauchy_schwarz_random_pairs(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
-            f = GridFunction(rng.standard_normal(64))
-            g = GridFunction(rng.standard_normal(64))
-            assert abs(inner_product(f, g)) <= norm(f, 2) * norm(g, 2) + 1e-12
+            f, g = rng.standard_normal((2, 64))
+            assert abs(inner(f, g)) <= math.sqrt(inner(f, f) * inner(g, g)) + 1e-12
 
     def test_parseval_on_span(self):
         b = fourier_basis(16, 512)
         rng = np.random.default_rng(5)
         for _ in range(20):
             c = rng.standard_normal(16)
-            f = synthesize(b, c)
-            assert np.sum(project(f, b) ** 2) == pytest.approx(norm(f, 2) ** 2, abs=1e-6)
+            f = synthesize(b, c).values
+            assert np.sum(project(f, 16) ** 2) == pytest.approx(inner(f, f), abs=1e-6)
 
     def test_quadrature_converged_at_default_resolution(self):
         # Fourier pairs integrate exactly; a smooth aperiodic pair moves
         # far less than 1e-6 when the grid doubles.
-        f1 = from_callable(lambda t: np.sin(2 * np.pi * t), 1024)
-        g1 = from_callable(lambda t: np.cos(4 * np.pi * t), 1024)
-        f2 = from_callable(lambda t: np.sin(2 * np.pi * t), 2048)
-        g2 = from_callable(lambda t: np.cos(4 * np.pi * t), 2048)
-        assert abs(inner_product(f1, g1) - inner_product(f2, g2)) < 1e-6
-        p1 = inner_product(from_callable(lambda t: t**2, 2048),
-                           from_callable(np.exp, 2048))
-        p2 = inner_product(from_callable(lambda t: t**2, 4096),
-                           from_callable(np.exp, 4096))
-        assert abs(p1 - p2) < 1e-6
+        def pair(f, g, grid_size):
+            t = grid_nodes(grid_size)
+            return inner(f(t), g(t))
+
+        def sin1(t):
+            return np.sin(2 * np.pi * t)
+
+        def cos2(t):
+            return np.cos(4 * np.pi * t)
+
+        assert abs(pair(sin1, cos2, 1024) - pair(sin1, cos2, 2048)) < 1e-6
+        assert abs(pair(np.square, np.exp, 2048) - pair(np.square, np.exp, 4096)) < 1e-6
 
 
 class TestSerialization:
     def test_grid_function_roundtrip(self, tmp_path):
-        f = from_callable(lambda t: np.sin(t), 128)
+        f = GridFunction(np.sin(grid_nodes(128)))
         path = tmp_path / "f.csv"
         write_grid_function(path, f)
-        g = read_grid_function(path)
-        assert np.array_equal(f.values, g.values)
+        back = np.loadtxt(path, delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(f.values, back)
 
     def test_basis_kind_validation(self):
         with pytest.raises(ValueError):

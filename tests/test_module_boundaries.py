@@ -1,6 +1,8 @@
 """Modules of the package use each other's public names only."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import flrlab
@@ -30,3 +32,42 @@ def test_sources_are_found():
 def test_no_module_imports_private_names():
     offenders = [hit for path in SOURCES for hit in private_imports(path)]
     assert not offenders, offenders
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public names whose only callers are tests: the acceptance criteria read
+# them as references. ``synthesize`` renders criterion 1's theta and the
+# equivalence tests' grid targets; the two log-likelihoods are the two sides
+# of criterion 3's reduction identity.
+TEST_REFERENCES = {"synthesize", "conditional_loglik", "reduced_loglik"}
+
+
+def public_definitions(path: Path) -> list[ast.AST]:
+    """Top-level functions and classes of a module whose names are public."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def name_reads(tree: ast.AST) -> Counter:
+    """How often each name is read in ``tree``, as a name or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_public_name_has_a_caller():
+    # Public API that nothing uses is deleted: every public top-level name is
+    # read somewhere in the package outside its own definition (exports in
+    # __init__ do not count), or used by the benchmark, or is an
+    # acceptance-criterion reference.
+    paths = [path for path in SOURCES if path.name != "__init__.py"]
+    reads = sum((name_reads(ast.parse(path.read_text(encoding="utf-8"))) for path in paths),
+                Counter())
+    benchmark = "\n".join(p.read_text(encoding="utf-8") for p in sorted(PERFBENCH.glob("*.py")))
+    unused = [f"{path.name}:{node.lineno}: {node.name}"
+              for path in paths for node in public_definitions(path)
+              if reads[node.name] == name_reads(node)[node.name]
+              and node.name not in TEST_REFERENCES
+              and not re.search(rf"\b{node.name}\b", benchmark)]
+    assert not unused, unused

@@ -7,6 +7,7 @@ from flrlab import (
     DesignSpec,
     EstimatorConfig,
     ModelConfig,
+    SpecValidationError,
     ThetaClass,
     classifier_tv_proxy,
     delta56_study,
@@ -44,6 +45,34 @@ class TestMiseMonteCarlo:
         gaussian = flr_model(spec=DesignSpec(kind="integrated-gaussian", grid_size=256))
         report = mise_monte_carlo(gaussian, EstimatorConfig(kind="cutoff"), 2, 1)
         assert np.all(np.isfinite(report.mise)) and report.mise[0] > 0.0
+
+    def test_cutoff_beyond_the_expansion_rejected_up_front(self, monkeypatch):
+        # k = 3 at every n here, more than J = 2 coordinates: rejected before
+        # any replication runs, on the field the config sets
+        import flrlab.risk
+
+        def expansion(j):
+            return DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=j, grid_size=256)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flrlab.risk, "foreach", lambda *args: pytest.fail("a replication ran"))
+            with pytest.raises(SpecValidationError, match="k = 3 .* J = 2") as err:
+                mise_monte_carlo(flr_model(n_grid=(512, 1024, 2048), spec=expansion(2)),
+                                 EstimatorConfig(kind="cutoff"), 2, 1)
+        assert err.value.field == "j_truncation"
+        report = mise_monte_carlo(flr_model(n_grid=(512, 1024, 2048), spec=expansion(3)),
+                                  EstimatorConfig(kind="cutoff"), 2, 1)
+        assert np.all(np.isfinite(report.mise))
+
+    def test_flr_model_takes_its_designs_alpha(self):
+        # the spectrum reads the design's alpha, the cutoff, support cap and
+        # rho check the model's: they must agree
+        spec = DesignSpec(kind="basis-expansion", alpha=3.0, grid_size=256)
+        with pytest.raises(SpecValidationError, match="alpha") as err:
+            flr_model(spec=spec)
+        assert err.value.field == "alpha"
+        assert ModelConfig(kind="flr", alpha=3.0, theta_class=TC, theta_mode="boundary",
+                           sigma=1.0, n_grid=(100,), design=spec).alpha == 3.0
 
     def test_stderr_shrinks_with_reps(self):
         est = EstimatorConfig(kind="pinsker-oracle")
@@ -92,10 +121,17 @@ class TestMiseMonteCarlo:
         # Brownian cutoff: m = 600 designs, J = 255, in blocks of 514 rows
         pytest.param("cutoff", 1200, DesignSpec(kind="integrated-gaussian", grid_size=256),
                      id="cutoff-1200-integrated-gaussian"),
+        # m = 1 design with k = J = 1: the cutoff reads every coordinate
+        pytest.param("cutoff", 2, DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=1,
+                                             grid_size=256), id="cutoff-2-k-equals-j"),
     ])
     def test_streamed_replications_agree_with_held_samples(self, kind, n, spec, monkeypatch):
-        # block sums change only the order of the additions
+        # block sums change only the order of the additions; the held
+        # reference keeps each Pinsker sample, and takes each cutoff fit's
+        # sums as the direct products of its held draw
         import flrlab.risk
+
+        from oracles import held_moments
 
         def no_sample(*args):
             raise AssertionError("a streamed replication drew a held sample")
@@ -106,6 +142,7 @@ class TestMiseMonteCarlo:
             patch.setattr(flrlab.risk, "sample_design", no_sample)
             streamed = mise_monte_carlo(model, est, 3, 4)
         monkeypatch.setattr(flrlab.risk, "_streamed", lambda *args: False)
+        monkeypatch.setattr(flrlab.risk, "stream_moments", held_moments)
         held = mise_monte_carlo(model, est, 3, 4)
         assert streamed.worst_labels == held.worst_labels
         np.testing.assert_allclose(streamed.mise, held.mise, rtol=1e-13)
@@ -407,8 +444,10 @@ class TestDeltaStudy:
             true_covariance,
         )
         from flrlab.estimators import DEFAULT_COEFF_BUDGET
-        from flrlab.function_space import Basis, basis_function, norm
+        from flrlab.function_space import Basis, GridFunction, basis_function
         from flrlab.streams import derive_rng
+
+        from oracles import grid_norm
 
         built = []
         post_init = Basis.__post_init__
@@ -442,10 +481,10 @@ class TestDeltaStudy:
                 s1 = sample_design(spec, m, rng)
                 y1 = simulate_flr_responses(s1, theta_grid, sigma, rng)
                 theta1 = cutoff_estimator(s1.cross_moment(y1), true_cov, k)
-                g = theta_grid - render(theta1)
+                g = GridFunction(theta_grid.values - render(theta1).values)
                 cov2 = empirical_covariance(sample_design(spec, n - m, rng))
                 a, b = (render(sqrt_apply(op, g)) for op in (true_cov, cov2))
-                vals.append((n - m) * norm(a - b, 2) ** 2)
+                vals.append((n - m) * grid_norm(a.values - b.values) ** 2)
             assert report.mean_sq[i] == pytest.approx(np.mean(vals), rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
