@@ -237,7 +237,7 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     plan.update(
         gamma=gamma,
         weights=[float(w) for w in weights],
-        sharp_risk=sharp_risk_constant(lam, model.theta_class, model.sigma, n, gamma=oracle_gamma),
+        sharp_risk=sharp_risk_constant(lam, model.theta_class, model.sigma, n),
         support_cap=fit.support_cap,
         cap_binding=fit.cap_binding,
     )

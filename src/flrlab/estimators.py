@@ -220,20 +220,16 @@ def _active_count(x: float, beta: float, k_cap: int | None) -> int:
     return k
 
 
-def pinsker_gamma_oracle(
-    lambdas: LambdaLike,
-    theta_class: ThetaClass,
-    sigma: float,
-    n: int,
-) -> float:
-    """Unique zero of Phi_1(x) - Phi_2(x), in closed form on its linear piece.
+def _oracle_piece(lambdas: LambdaLike, theta_class: ThetaClass, sigma: float, n: int):
+    """(b, lam, K, s, k_cap) of the linear piece that holds the oracle level.
 
     Phi_1(x) = sum lambda_k^-1 b_k (1 - x b_k)_+ is linear between breakpoints
     1/b_k; Phi_2(x) = s x with s = c_theta n / sigma^2. With S1(K), S2(K) the
     sums of b_k/lambda_k and b_k^2/lambda_k over k <= K, Phi_1 - Phi_2 at
     1/b_{K+1} is S1(K) - (S2(K) + s)/b_{K+1}; the root lies on the piece of the
-    first K where that is >= 0 (else the cap of a finite profile) and equals
-    S1(K)/(S2(K) + s). A callable profile is searched in doubling blocks.
+    first K where that is >= 0 (else the cap ``k_cap`` of a finite profile)
+    and equals S1(K)/(S2(K) + s). A callable profile is searched in doubling
+    blocks; ``b`` and ``lam`` hold the last block searched, K or more terms.
     """
     if sigma <= 0 or n < 1:
         raise ValueError("need sigma > 0 and n >= 1")
@@ -249,10 +245,21 @@ def pinsker_gamma_oracle(
         hits = np.flatnonzero(at_break >= 0.0)
         if hits.size or k_cap is not None:
             kk = int(hits[0]) + 1 if hits.size else size
-            break
+            return b, lam, kk, slope2, k_cap
         if size >= 1 << 20:
             raise ArithmeticError(f"Phi_1 - Phi_2 stays negative on the first {size} breakpoints")
         size *= 2
+
+
+def pinsker_gamma_oracle(
+    lambdas: LambdaLike,
+    theta_class: ThetaClass,
+    sigma: float,
+    n: int,
+) -> float:
+    """Unique zero of Phi_1(x) - Phi_2(x), in closed form on its linear piece
+    S1(K)/(S2(K) + s) (see ``_oracle_piece``)."""
+    b, lam, kk, slope2, k_cap = _oracle_piece(lambdas, theta_class, sigma, n)
     bk, lk = b[:kk], lam[:kk]
     gamma = float(np.sum(bk / lk)) / (float(np.sum(bk * bk / lk)) + slope2)
 
@@ -275,22 +282,25 @@ def sharp_risk_constant(
     theta_class: ThetaClass,
     sigma: float,
     n: int,
-    *,
-    gamma: float | None = None,
 ) -> float:
-    """a_n = (sigma^2/n) sum lambda_k^-1 (1 - gamma b_k)_+ at the oracle gamma."""
-    if gamma is None:
-        gamma = pinsker_gamma_oracle(lambdas, theta_class, sigma, n)
-    if gamma >= 1.0 / theta_class.beta_k(1):
-        return 0.0
-    lam_fn, k_cap = _as_lambda_fn(lambdas)
-    kk = _active_count(gamma, theta_class.beta, k_cap)
-    if kk == 0:
-        return 0.0
-    ks = np.arange(1, kk + 1, dtype=float)
-    b = theta_class.beta_k(ks)
-    lam = lam_fn(ks)
-    return float(sigma**2 / n * np.sum((1.0 - gamma * b) / lam))
+    """a_n = (sigma^2/n) sum lambda_k^-1 (1 - gamma b_k)_+ at the oracle gamma.
+
+    On the level's piece (``_oracle_piece``), gamma = S1/(S2 + s), so each
+    active margin is 1 - gamma b_k = (s + sum_{j<=K} b_j (b_j - b_k)/lambda_j)
+    / (S2 + s). The sum is taken as D - (b_k - b_1) S1 with
+    D = sum_j b_j (b_j - b_1)/lambda_j, a sum of terms >= 0, so the first
+    margin is (s + D)/(S2 + s) without cancellation: 1 - gamma b_k itself
+    loses every digit once s falls below the rounding of S2 (a one-term a_n
+    read 0.0 at s = 2e-16, against c_theta/(b_1^2 + s lambda_1)).
+    ``pinsker_weights`` takes gamma alone and keeps 1 - gamma b_k.
+    """
+    b, lam, kk, s, _ = _oracle_piece(lambdas, theta_class, sigma, n)
+    bk, lk = b[:kk], lam[:kk]
+    weight = bk / lk
+    head = s + float(np.sum(weight * (bk - bk[0])))
+    margins = np.clip(head - (bk - bk[0]) * float(np.sum(weight)), 0.0, None)
+    total = float(np.sum(weight * bk)) + s
+    return float(sigma**2 / n * np.sum(margins / total / lk))
 
 
 def pinsker_sequence_estimator(obs: SeqObservation, weights: np.ndarray) -> np.ndarray:

@@ -47,19 +47,27 @@ for its second sample's Gamma2-hat, whose square root
 operator. The gamma-consistency study draws only the training rows its
 selector reads.
 
-Every study runs its replications through ``parallel.foreach``, serial or,
-with ``threads > 1``, on its pool; either way every OpenBLAS is held at one
-thread while they run. Replications are independent given their named
-streams, so results do not depend on the worker count. On 2 vCPU (OpenBLAS
-0.3.31), the benchmark's criterion-6 cutoff study (30 replications over
-n = 2^9..2^14, ``threads = 2``) went from a median wall time of 2.23 s with
-each worker driving a two-thread BLAS to 0.71 s (CPU 4.33 s to 1.31 s).
-Fitting the cutoff from k rows of Gamma-hat, without the J x J Gram matrix
-and its eigh, then took it from 0.59 s to 0.29 s (CPU 1.10 s to 0.51 s).
-Summing the designs block by block kept those times and took the
-benchmark process's peak RSS from a median of 56.3 MB (56.1-78.9 MB over 10
-runs) to 41.8 MB (41.3-43.3 MB).
-Worker processes were measured and rejected (see ``parallel``).
+A study first builds what the replications at each n share (the oracle
+level, the test-function panel, the cutoff's split and true operator, the
+result arrays), then runs every (n, rep) replication of its grid in one
+``parallel.foreach`` (``_replicate_grid``), largest n first: serial or, with
+``threads > 1``, on the persistent pool that the calling thread joins;
+either way every OpenBLAS is held at one thread while they run.
+Replications are independent given their named streams and each writes its
+own slot, so results depend neither on the worker count nor on the order.
+On 2 vCPU (OpenBLAS 0.3.31), the benchmark's criterion-6 cutoff study (30
+replications over n = 2^9..2^14, ``threads = 2``) went from a median wall
+time of 2.23 s with each worker driving a two-thread BLAS to 0.71 s (CPU
+4.33 s to 1.31 s). Fitting the cutoff from k rows of Gamma-hat, without the
+J x J Gram matrix and its eigh, then took it from 0.59 s to 0.29 s (CPU
+1.10 s to 0.51 s). Summing the designs block by block kept those times and
+took the benchmark process's peak RSS from a median of 56.3 MB (56.1-78.9 MB
+over 10 runs) to 41.8 MB (41.3-43.3 MB). One loop over the whole grid on the
+persistent pool, with the cutoff's true operator built once per n rather
+than in every replication, then took the median wall time from 0.364 s to
+0.307 s (CPU 0.619 s to 0.553 s, 10 alternating pairs on a busier host than
+the figures before). Worker processes were measured and rejected (see
+``parallel``).
 """
 
 from __future__ import annotations
@@ -214,6 +222,26 @@ def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, n: int, train,
     return gamma, pinsker_weights(gamma, model.theta_class), selection
 
 
+def _replicate_grid(n_grid, reps: int, threads: int, setup):
+    """Run every replication of a study over its n grid in one ``foreach``.
+
+    ``setup(n)`` builds what every replication at n shares and returns it
+    with n's replication ``run(rep)``, which writes its own slot. The
+    (n, rep) tasks run largest n first, so the longest ones start early;
+    each draws from its own named stream, so neither the order nor the
+    worker count changes a bit. Returns the per-n states in grid order.
+    """
+    built = [setup(n) for n in n_grid]
+    order = sorted(range(len(built)), key=lambda i: n_grid[i], reverse=True)
+
+    def task(t: int) -> None:
+        i, rep = divmod(t, reps)
+        built[order[i]][1](rep)
+
+    foreach(task, len(built) * reps, threads)
+    return [state for state, _ in built]
+
+
 def mise_monte_carlo(
     model: ModelConfig,
     estimator: EstimatorConfig,
@@ -233,28 +261,31 @@ def mise_monte_carlo(
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
     estimator.check_against(model)
-    mise, stderr, ratios, labels = [], [], [], []
     lam_profile = model.lambda_profile()
-    for n in model.n_grid:
+
+    def setup(n):
         oracle_gamma = None if estimator.kind == "cutoff" else pinsker_gamma_oracle(
             lam_profile, model.theta_class, model.sigma, n)
         panel = _theta_panel(model, estimator, n, seed, oracle_gamma)
         errs = np.empty((len(panel), reps))
+        replicate = _replication(model, estimator, n, seed, oracle_gamma)
 
-        def run_rep(rep: int) -> None:
-            ctx = _make_rep_context(model, estimator, n, seed, rep, oracle_gamma)
+        def run(rep: int) -> None:
+            score = replicate(rep)
             for t_idx, (_, theta) in enumerate(panel):
-                errs[t_idx, rep] = ctx(theta)
+                errs[t_idx, rep] = score(theta)
 
-        foreach(run_rep, reps, threads)
+        return (n, panel, errs), run
+
+    mise, stderr, ratios, labels = [], [], [], []
+    for n, panel, errs in _replicate_grid(model.n_grid, reps, threads, setup):
         means = errs.mean(axis=1)
         best = int(np.argmax(means))
         mise.append(float(means[best]))
         stderr.append(float(errs[best].std(ddof=1) / math.sqrt(reps)))
         labels.append(panel[best][0])
         if estimator.kind.startswith("pinsker"):
-            a_n = sharp_risk_constant(lam_profile, model.theta_class, model.sigma, n,
-                                      gamma=oracle_gamma)
+            a_n = sharp_risk_constant(lam_profile, model.theta_class, model.sigma, n)
             ratios.append(mise[-1] / a_n if a_n > 0 else math.inf)
     mise = np.array(mise)
     stderr = np.array(stderr)
@@ -281,41 +312,43 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _make_rep_context(model, estimator, n, master_seed, rep, gamma):
-    """One replication's data, closed over so every test function reuses it."""
+def _replication(model, estimator, n, master_seed, gamma):
+    """n's replication: rep -> that replication's scorer of test functions,
+    closed over its data so every test function reuses it. What every
+    replication at n shares (the split, the true operator, the weights) is
+    built here, once."""
     if model.kind == "sequence":
-        return _sequence_rep_context(model, estimator, n, master_seed, rep, gamma)
-    return _flr_rep_context(model, estimator, n, master_seed, rep, gamma)
+        return _sequence_replication(model, estimator, n, master_seed, gamma)
+    return _flr_replication(model, estimator, n, master_seed, gamma)
 
 
-def _sequence_rep_context(model, estimator, n, master_seed, rep, gamma):
+def _sequence_replication(model, estimator, n, master_seed, gamma):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     budget = max(DEFAULT_COEFF_BUDGET, default_frequency_budget(n, alpha, tc.beta))
     lam = np.arange(1, budget + 1, dtype=float) ** (-alpha)
-
-    def observe(th, size):
-        # The replication's stream is derived afresh for every test function,
-        # so the whole panel sees the same noise.
-        return simulate_sequence(th, lam, size, sigma, derive_rng(master_seed, f"seq-n{n}", rep))
-
     if estimator.kind == "cutoff":
         m, k = cutoff_split(n, alpha, tc.beta)
+    else:
+        w = pinsker_weights(gamma, tc, budget)
+
+    def replicate(rep):
+        def observe(th, size):
+            # The replication's stream is derived afresh for every test
+            # function, so the whole panel sees the same noise.
+            return simulate_sequence(th, lam, size, sigma,
+                                     derive_rng(master_seed, f"seq-n{n}", rep))
 
         def run(theta):
             th = pad_coefficients(theta, budget)
-            est = cutoff_estimator(observe(th, m), None, k)
-            return float(np.sum((est - th[:k]) ** 2)) + _tail_sq(th, k)
+            if estimator.kind == "cutoff":
+                est = cutoff_estimator(observe(th, m), None, k)
+                return float(np.sum((est - th[:k]) ** 2)) + _tail_sq(th, k)
+            est = pinsker_sequence_estimator(observe(th, n), w)
+            return float(np.sum((est - th) ** 2))
 
         return run
 
-    w = pinsker_weights(gamma, tc, budget)
-
-    def run(theta):
-        th = pad_coefficients(theta, budget)
-        est = pinsker_sequence_estimator(observe(th, n), w)
-        return float(np.sum((est - th) ** 2))
-
-    return run
+    return replicate
 
 
 def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
@@ -368,34 +401,45 @@ def _pinsker_statistics(spec: DesignSpec, n: int, m: int, rng):
     return fit, train, fit.cross_moment(noise[:m])
 
 
-def _flr_rep_context(model, estimator, n, master_seed, rep, gamma):
+def _flr_replication(model, estimator, n, master_seed, gamma):
     spec = model.design
     alpha, sigma = model.alpha, model.sigma
-    rng = derive_rng(master_seed, f"flr-n{n}", rep)
+
+    def stream(rep):
+        return derive_rng(master_seed, f"flr-n{n}", rep)
 
     if estimator.kind == "cutoff":
         m, k = cutoff_split(n, alpha, model.theta_class.beta)
-        fit = _cutoff_fit(stream_moments(spec, m, rng, lead=k), sigma, true_covariance(spec, k), k)
+        true_cov = true_covariance(spec, k)
 
-        def run(theta):
-            return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
+        def replicate(rep):
+            fit = _cutoff_fit(stream_moments(spec, m, stream(rep), lead=k), sigma, true_cov, k)
 
-        return run
+            def run(theta):
+                return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
+
+            return run
+
+        return replicate
 
     rho = estimator.rho if estimator.rho is not None else default_rho(alpha)
     m = fitted_rows(estimator, n)
-    fit_rows, train, noise_moment = _pinsker_statistics(spec, n, m, rng)
-    _, w, _ = pinsker_level(estimator, model, n, train, rho, gamma)
-    cov = empirical_covariance(fit_rows)
-    # X^T y / m = Gamma-hat theta + sigma C^T eps / m on the fitted rows: the
-    # noise moment is shared by the panel.
-    noise_moment = sigma * noise_moment
 
-    def run(theta):
-        fit = flr_pinsker_fit(cov, cov.apply(theta) + noise_moment, w, rho, alpha=alpha)
-        return fit.squared_error(theta)
+    def replicate(rep):
+        fit_rows, train, noise_moment = _pinsker_statistics(spec, n, m, stream(rep))
+        _, w, _ = pinsker_level(estimator, model, n, train, rho, gamma)
+        cov = empirical_covariance(fit_rows)
+        # X^T y / m = Gamma-hat theta + sigma C^T eps / m on the fitted rows:
+        # the noise moment is shared by the panel.
+        noise_moment = sigma * noise_moment
 
-    return run
+        def run(theta):
+            fit = flr_pinsker_fit(cov, cov.apply(theta) + noise_moment, w, rho, alpha=alpha)
+            return fit.squared_error(theta)
+
+        return run
+
+    return replicate
 
 
 # ----------------------------------------------------------------------------
@@ -425,27 +469,27 @@ def gamma_consistency_study(
     so only those rows are drawn (with the bits of the full draw's rows,
     see ``sample_design``) and no responses are."""
     lam = spec.lambda_profile()
-    medians, all_errors, oracles = [], [], []
-    for n in n_grid:
+
+    def setup(n):
         gamma_n = pinsker_gamma_oracle(lam, theta_class, sigma, n)
         train = slice(data_driven_split(n), n)
         errs = np.empty(reps)
 
-        def run_rep(rep: int, n=n, gamma_n=gamma_n, train=train, errs=errs) -> None:
+        def run(rep: int) -> None:
             sample = sample_design(spec, n, derive_rng(seed, f"gamma-n{n}", rep), train)
             sel = data_driven_gamma(empirical_eigenvalues(sample), n, theta_class, sigma, rho,
                                     alpha=spec.alpha)
             errs[rep] = abs(sel.gamma_hat - gamma_n) / gamma_n
 
-        foreach(run_rep, reps, 1)       # serial, with foreach's one BLAS thread
-        medians.append(float(np.median(errs)))
-        all_errors.append(errs)
-        oracles.append(gamma_n)
+        return (gamma_n, errs), run
+
+    # serial, with foreach's one BLAS thread
+    states = _replicate_grid(n_grid, reps, 1, setup)
     return GammaConsistencyReport(
         n_grid=tuple(n_grid),
-        median_rel_error=np.array(medians),
-        rel_errors=all_errors,
-        oracle_gammas=np.array(oracles),
+        median_rel_error=np.array([float(np.median(errs)) for _, errs in states]),
+        rel_errors=[errs for _, errs in states],
+        oracle_gammas=np.array([gamma_n for gamma_n, _ in states]),
     )
 
 
@@ -507,12 +551,11 @@ def delta56_study(
                          model.lambda_profile(), sigma, max(n_grid), 0)
     true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
 
-    means, ses, tvs = [], [], []
-    for n in n_grid:
+    def setup(n):
         m, k = cutoff_split(n, model.alpha, tc.beta)
         vals = np.empty(reps)
 
-        def run_rep(rep: int, n=n, m=m, k=k, vals=vals) -> None:
+        def run(rep: int) -> None:
             # One stream per replication across the whole n grid: the shared
             # leading draws couple the per-n estimates, tightening trend tests.
             rng = derive_rng(seed, "delta", rep)
@@ -529,7 +572,10 @@ def delta56_study(
             sq = float(np.sum((pad_coefficients(a, width) - pad_coefficients(b, width)) ** 2))
             vals[rep] = (n - m) * sq
 
-        foreach(run_rep, reps, threads)
+        return vals, run
+
+    means, ses, tvs = [], [], []
+    for vals in _replicate_grid(n_grid, reps, threads, setup):
         means.append(float(vals.mean()))
         ses.append(float(vals.std(ddof=1) / math.sqrt(reps)))
         tvs.append(tv_bound(means[-1], sigma))

@@ -11,6 +11,7 @@ products of a held draw.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -99,6 +100,26 @@ def pinsker_level_brentq(lambdas, beta, c_theta, sigma, n):
 
     return brentq(balance, 0.0, 1.0 / b[0], xtol=1e-300, rtol=4 * np.finfo(float).eps,
                   maxiter=500)
+
+
+def sharp_risk_exact(lambdas, beta, c_theta, sigma, n) -> float:
+    """a_n on a finite profile in exact rational arithmetic on the doubles
+    b_k, lambda_k and s = c_theta n / sigma^2: the level S1(K)/(S2(K) + s) on
+    the first piece K whose level reaches 1/b_{K+1} (or on the whole profile),
+    then (sigma^2/n) sum_{k<=K} (1 - gamma b_k)_+ / lambda_k."""
+    lam = [Fraction(float(x)) for x in lambdas]
+    k = np.arange(1, len(lam) + 1, dtype=float)
+    b = [Fraction(float(x)) for x in np.sqrt(1.0 + k ** (2.0 * beta))]
+    s = Fraction(c_theta) * n / Fraction(sigma) ** 2
+    s1 = s2 = Fraction(0)
+    for kk in range(len(lam)):
+        s1 += b[kk] / lam[kk]
+        s2 += b[kk] ** 2 / lam[kk]
+        gamma = s1 / (s2 + s)
+        if kk + 1 == len(lam) or gamma * b[kk + 1] >= 1:
+            break
+    total = sum(max(1 - gamma * bk, Fraction(0)) / lk for bk, lk in zip(b[:kk + 1], lam))
+    return float(Fraction(sigma) ** 2 / n * total)
 
 
 def eigh_quadrature_kernel(kernel: np.ndarray, weights: np.ndarray, count: int):

@@ -118,7 +118,7 @@ class TestCriterion4PinskerOracle:
     def test_toy_and_brute_force(self):
         toy = ThetaClass(beta=1.0, c_theta=1.0)
         gamma = pinsker_gamma_oracle([1.0], toy, 1.0, 1)
-        a1 = sharp_risk_constant([1.0], toy, 1.0, 1, gamma=gamma)
+        a1 = sharp_risk_constant([1.0], toy, 1.0, 1)
         gamma_err = abs(gamma - math.sqrt(2.0) / 3.0)
         a_err = abs(a1 - 1.0 / 3.0)
 

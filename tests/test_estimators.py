@@ -31,7 +31,7 @@ from flrlab.estimators import cutoff_split, pinsker_sequence_estimator, validate
 from flrlab.function_space import GridFunction, basis_function, fourier_matrix
 
 from oracles import (brute_force_linear_minimax, ellipsoid_sum, grid_norm, ols_slope,
-                     pinsker_level_brentq)
+                     pinsker_level_brentq, sharp_risk_exact)
 
 TOY = ThetaClass(beta=1.0, c_theta=1.0)   # single-coefficient closed forms
 
@@ -270,11 +270,42 @@ class TestGammaOracleProperties:
 
 class TestSharpRiskConstant:
     def test_single_coefficient_value(self):
-        gamma = pinsker_gamma_oracle([1.0], TOY, 1.0, 1)
-        assert abs(sharp_risk_constant([1.0], TOY, 1.0, 1, gamma=gamma) - 1.0 / 3.0) <= 1e-10
+        assert abs(sharp_risk_constant([1.0], TOY, 1.0, 1) - 1.0 / 3.0) <= 1e-10
 
-    def test_vanishes_under_total_shrinkage(self):
-        assert sharp_risk_constant([1.0], TOY, 1.0, 1, gamma=0.9) == 0.0
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_one_term_at_vanishing_signal(self, n):
+        # s = c_theta n / sigma^2 = 2e-16 and 2e-15, below the rounding of
+        # S2 = b_1^2 / lambda_1 = 2: 1 - gamma b_1 cancelled to 0.0 at n = 2
+        # and read 11 % high at n = 20
+        tc, sigma = ThetaClass(beta=2.0, c_theta=1e-8), 1e4
+        s = tc.c_theta * n / sigma**2
+        exact = tc.c_theta / (tc.beta_k(1) ** 2 + s * 1.0)
+        a_n = sharp_risk_constant(power_lambda_profile(2.0), tc, sigma, n)
+        assert abs(a_n - exact) <= 1e-12 * exact
+
+    def test_matches_the_active_sum_where_nothing_cancels(self):
+        # the configs the studies run (s >= 1): the margin form gives the
+        # values of (sigma^2/n) sum (1 - gamma b_k) / lambda_k at the oracle gamma
+        for alpha, beta, c, sigma, n in ((2.0, 2.0, 1.0, 0.3, 512), (2.0, 2.0, 1.0, 1.0, 10**4),
+                                         (2.0, 4.0, 1.0, 8.0, 10**4), (3.7, 3.0, 50.0, 0.1, 10**5),
+                                         (8.0, 5.0, 1e-3, 1e-3, 10**9), (2.0, 1.6, 1.0, 1.0, 300)):
+            lam, tc = power_lambda_profile(alpha), ThetaClass(beta=beta, c_theta=c)
+            gamma = pinsker_gamma_oracle(lam, tc, sigma, n)
+            ks = np.arange(1, int((1.0 / gamma) ** (1.0 / beta)) + 3, dtype=float)
+            margins = np.clip(1.0 - gamma * tc.beta_k(ks), 0.0, None)
+            today = sigma**2 / n * float(np.sum(margins / lam(ks)))
+            assert abs(sharp_risk_constant(lam, tc, sigma, n) - today) <= 1e-12 * today
+
+    def test_matches_exact_arithmetic_across_scales(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            alpha = rng.uniform(2.0, 6.0)
+            beta, c = (alpha + 1.0) / 2.0 + rng.uniform(0.0, 6.0), 10.0 ** rng.uniform(-8.0, 8.0)
+            sigma, n = 10.0 ** rng.uniform(-6.0, 4.0), int(10.0 ** rng.uniform(0.0, 12.0))
+            lam = np.arange(1, 129, dtype=float) ** -alpha
+            a_n = sharp_risk_constant(lam, ThetaClass(beta=beta, c_theta=c), sigma, n)
+            exact = sharp_risk_exact(lam, beta, c, sigma, n)
+            assert abs(a_n - exact) <= 1e-13 * exact
 
     def test_matches_brute_force_minimax(self):
         lam = np.arange(1, 9, dtype=float) ** -2.0

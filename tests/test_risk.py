@@ -100,6 +100,24 @@ class TestMiseMonteCarlo:
         b = delta56_study(small.n_grid, small, 4, 5, threads=2)
         assert np.array_equal(a.mean_sq, b.mean_sq) and np.array_equal(a.stderr, b.stderr)
 
+    @pytest.mark.parametrize("kind", ["cutoff", "pinsker-oracle"])
+    def test_grid_bits_do_not_depend_on_the_worker_count(self, kind):
+        # every (n, rep) of the grid in one pooled loop, largest n first: the
+        # same bits as the serial loop at every n, at two and three workers
+        model = flr_model(n_grid=(64, 128, 256, 512))
+        reports = [mise_monte_carlo(model, EstimatorConfig(kind=kind), 5, 3, threads=t)
+                   for t in (1, 2, 3)]
+        for other in reports[1:]:
+            assert np.array_equal(other.mise, reports[0].mise)
+            assert np.array_equal(other.stderr, reports[0].stderr)
+            assert other.worst_labels == reports[0].worst_labels
+            if kind != "cutoff":
+                assert np.array_equal(other.sharp_ratio, reports[0].sharp_ratio)
+        small = flr_model(n_grid=(32, 64, 128))
+        serial, pooled = (delta56_study(small.n_grid, small, 5, 3, threads=t) for t in (1, 2))
+        assert np.array_equal(serial.mean_sq, pooled.mean_sq)
+        assert np.array_equal(serial.stderr, pooled.stderr)
+
     def test_threads_do_not_change_results_on_gaussian_designs(self):
         # n x n dual eigenproblems (J = min(2n, 1023) > n): serial loops hold
         # BLAS at one thread like pool workers, so they round alike; with a
@@ -259,13 +277,13 @@ class TestMiseMonteCarlo:
         # the shared-replication fast path reproduces the composed operations:
         # the first k coordinates of X^T y / m = G_k theta + sigma C_k^T eps / m
         from flrlab import cutoff_estimator, sample_design, select_cutoff, true_covariance
-        from flrlab.risk import _make_rep_context
+        from flrlab.risk import _replication
         from flrlab.streams import derive_rng
 
         model = flr_model(n_grid=(64,))
         est = EstimatorConfig(kind="cutoff")
         theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, 64, 0)
-        ctx_val = _make_rep_context(model, est, 64, 11, 0, None)(theta)
+        ctx_val = _replication(model, est, 64, 11, None)(0)(theta)
 
         rng = derive_rng(11, "flr-n64", 0)
         m = 32
@@ -357,7 +375,8 @@ class TestGammaConsistencyStudy:
         # reads the training spectrum
         rho, sigma, grid = default_rho(2.0), 3.0, (200, 400)
         study = gamma_consistency_study(SPEC, TC, sigma, rho, grid, 3, 11)
-        assert drawn == [n - data_driven_split(n) for n in grid for _ in range(3)]
+        # largest n first (risk._replicate_grid)
+        assert drawn == [n - data_driven_split(n) for n in reversed(grid) for _ in range(3)]
         for i, n in enumerate(grid):
             gamma_n = pinsker_gamma_oracle(SPEC.lambda_profile(), TC, sigma, n)
             assert study.oracle_gammas[i] == gamma_n
