@@ -37,6 +37,7 @@ from .estimators import (
     flr_pinsker_estimator,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
+    pinsker_oracle_weights,
     pinsker_sequence_estimator,
     pinsker_weights,
     power_lambda_profile,

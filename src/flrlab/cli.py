@@ -34,7 +34,6 @@ from .equivalence import (
 from .errors import DegenerateDesignError
 from .estimators import (
     flr_pinsker_fit,
-    pinsker_gamma_oracle,
     sample_theta,
     sharp_risk_constant,
 )
@@ -43,6 +42,7 @@ from .risk import (
     delta56_study,
     fitted_rows,
     mise_monte_carlo,
+    oracle_level,
     pinsker_level,
     two_route_draws,
     two_sample_equivalence_test,
@@ -217,16 +217,16 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     if est.kind == "cutoff":
         raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
     lam = model.lambda_profile()
-    oracle_gamma = pinsker_gamma_oracle(lam, model.theta_class, model.sigma, n)
+    oracle = oracle_level(model, n)
     sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
-    theta = _theta_for(cfg, n, oracle_gamma)
+    theta = _theta_for(cfg, n, oracle[0])
     theta_grid = basis_function(theta, model.design.basis, model.design.grid_size)
     y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
 
     plan: dict = {"estimator": est.kind, "rho": est.rho}
     m = fitted_rows(est, n)
     train = sample.subset(slice(m, n)) if m < n else None
-    gamma, weights, sel = pinsker_level(est, model, n, train, est.rho, oracle_gamma)
+    gamma, weights, sel = pinsker_level(est, model, n, train, est.rho, oracle)
     if sel is not None:
         plan.update(gamma_tilde=sel.gamma_tilde, split_m=sel.split_m)
     fit_sample = sample.subset(slice(m))

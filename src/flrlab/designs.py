@@ -17,20 +17,27 @@ names the basis (``DesignSpec.basis``), and only there:
 
 Grid values exist only to render a sample (``DesignSample.values``).
 
-A study replication reads its designs C and the n normals eps drawn after
-them only through sums: rows of C^T C and C^T eps (``DesignMoments``).
-``stream_moments`` draws the designs in blocks of about 1 MB
-(``_block_rows``) into one reused buffer and folds each block into those
-sums while it is still in cache, and the stream ends where ``sample_design``
-followed by ``standard_normal(n)`` leaves it. For the uniform law the
-normals come from a copy of the PCG64 stream advanced past the n J uniform
-outputs (``streams.pcg64_ahead``), so a replication holds O(J^2 + block)
-numbers rather than n x J. A normal draw consumes a variable number of
-stream outputs, so for the normal law the normals follow the designs on the
-stream itself, and the fitted rows' ``lead`` columns (m x lead) are kept
-until they come.
-A Brownian draw of some rows (``sample_design``'s ``rows``) likewise draws
-the rows outside them block by block and drops them.
+Every row of a draw comes from one source, ``_row_blocks``: consecutive
+blocks of the coefficients, about 1 MB each (``_block_rows``) in one reused
+buffer, with the bits of the whole n x J draw, after which the stream stands
+where that draw leaves it. A uniform double takes exactly one 64-bit output
+of a PCG64 stream, so uniform rows are drawn from a copy of the stream
+advanced past the rows before them (``streams.pcg64_ahead``), and the stream
+then skips all n J outputs (``streams.catch_up``); a uniform draw therefore
+needs a PCG64 stream, and anything else raises ``TypeError`` before the
+stream moves. A normal draw takes a variable number of outputs, so normal
+rows outside the ones asked for are drawn and dropped. The source has two
+readers:
+
+* ``sample_design`` copies the blocks of the rows it keeps into its sample;
+* ``stream_moments`` folds every block, while it is still in cache, into
+  the sums a study replication reads of its designs C and the n normals eps
+  drawn after them (``DesignMoments``: rows of C^T C and C^T eps), so a
+  replication holds O(J^2 + block) numbers rather than n x J. Only the
+  normals depend on the law: uniform designs take them block by block from
+  a copy of the stream advanced past the n J uniform outputs, and Brownian
+  ones draw them after the designs from the stream itself, keeping the
+  fitted rows' ``lead`` columns (m x lead) until they come.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .covariance import CovOperator
 from .errors import ResolutionError, SpecValidationError
 from .estimators import power_lambda_profile
 from .function_space import (
@@ -51,10 +59,10 @@ from .function_space import (
     pad_coefficients,
     trapezoid_weights,
 )
-from .streams import as_generator, catch_up, pcg64_ahead, uniform_rows
+from .streams import as_generator, catch_up, pcg64_ahead
 
 DEFAULT_MAX_EXPANSION = 128
-# Rows per block of ``stream_moments``: a 1 MB buffer at J = 128. On 2 vCPU
+# Rows per block of ``_row_blocks``: a 1 MB buffer at J = 128. On 2 vCPU
 # (OpenBLAS 0.3.31, one BLAS thread) the sums of a data-driven replication at
 # n = 1e4 took a median of 15.0 ms with 1024-row blocks, 15.5 ms with 512,
 # 16.4 ms with 2048 and 16.8 ms with 256, against 15.7 ms for the held
@@ -77,32 +85,10 @@ def _centered(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _uniform_coefficients(rng: np.random.Generator, shape: tuple,
-                          rows: slice = slice(None)) -> np.ndarray:
-    """Fresh writeable draws uniform on [-sqrt3, sqrt3] (mean 0, variance 1),
-    of the rows ``rows`` of ``shape``."""
-    return _centered(uniform_rows(rng, shape, rows))
-
-
-def _basis_scales(j: int, alpha: float) -> np.ndarray:
-    """lambda_k^(1/2) = k^(-alpha/2), k <= j: a basis design's coefficient scales."""
-    return np.arange(1, j + 1, dtype=float) ** (-alpha / 2.0)
-
-
 def _block_rows(j: int) -> int:
     """Rows per block of designs with J = j coordinates: ``BLOCK_ROWS``, or
     fewer when that would exceed ``BLOCK_DOUBLES`` numbers."""
     return max(min(BLOCK_ROWS, BLOCK_DOUBLES // j), 1)
-
-
-def _normal_blocks(rng: np.random.Generator, count: int, j: int):
-    """``rng.standard_normal((count, j))`` with the same bits, as (start, block)
-    pairs of consecutive row blocks, each a view of one reused buffer that
-    the next block overwrites."""
-    rows = _block_rows(j)
-    buffer = np.empty((min(rows, count), j))
-    for start in range(0, count, rows):
-        yield start, rng.standard_normal(out=buffer[:min(rows, count - start)])
 
 
 @dataclass(frozen=True)
@@ -163,10 +149,9 @@ class DesignSample:
     ``values`` (n x D, built on first access) renders them on the grid.
     """
 
-    def __init__(self, *, coeffs: np.ndarray, spec: DesignSpec, seed: int | None = None):
+    def __init__(self, *, coeffs: np.ndarray, spec: DesignSpec):
         self.n, self.grid_size = coeffs.shape[0], spec.grid_size
         self.spec = spec
-        self.seed = seed
         self._coeffs = coeffs
         self._values = None
 
@@ -213,93 +198,101 @@ class DesignSample:
         return DesignSample(coeffs=self._coeffs[rows], spec=self.spec)
 
 
-def _basis_truncation(spec: DesignSpec, n: int) -> int:
-    """J for n basis-expansion designs, checked against the spec and grid."""
-    if spec.kind != KIND_BASIS:
-        raise SpecValidationError("spec is not a basis-expansion design")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    j = spec.resolved_truncation(n)
-    if spec.grid_size < 2 * j:
-        raise ResolutionError(
-            f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
-    return j
-
-
-def sample_basis_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
-    """Draw n basis-expansion designs; deterministic given the seed.
-
-    ``rows`` (a slice with step 1) keeps only those designs: the result
-    equals ``sample_basis_design(spec, n, seed).subset(rows)`` bit for bit,
-    and a Generator seed is left where the full draw leaves it, but on a
-    PCG64 stream only the kept rows are drawn (``streams.uniform_rows``).
-    """
-    rng = as_generator(seed)
-    j = _basis_truncation(spec, n)
-    coeffs = _uniform_coefficients(rng, (n, j), rows)
-    coeffs *= _basis_scales(j, spec.alpha)
-    whole = coeffs.shape[0] == n
-    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed) if whole else None)
-
-
 def _brownian_profile(ks) -> np.ndarray:
     """lambda_k = 1/(pi^2 (k - 1/2)^2): the spectrum of min(s, t)."""
     return 1.0 / (math.pi**2 * (np.asarray(ks, dtype=float) - 0.5) ** 2)
 
 
-def _gaussian_truncation(spec: DesignSpec, n: int) -> int:
-    """J for n Brownian designs, checked against the spec."""
-    if spec.kind != KIND_GAUSSIAN:
-        raise SpecValidationError("spec is not an integrated-gaussian design")
+def _truncation(spec: DesignSpec, n: int) -> int:
+    """J for n designs of the spec, checked against its grid: D nodes resolve
+    at most D/2 Fourier functions (Brownian designs take J <= D - 1 sine
+    functions by construction)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return spec.resolved_truncation(n)
+    j = spec.resolved_truncation(n)
+    if spec.kind == KIND_BASIS and spec.grid_size < 2 * j:
+        raise ResolutionError(
+            f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
+    return j
 
 
-def _brownian_scales(j: int) -> np.ndarray:
-    """lambda_k^(1/2), k <= j: a Brownian design's coefficient scales."""
-    return np.sqrt(_brownian_profile(np.arange(1, j + 1, dtype=float)))
+def _scales(spec: DesignSpec, j: int) -> np.ndarray:
+    """lambda_k^(1/2), k <= j: the coefficient scales of the spec's designs.
+    Basis-expansion designs take k^(-alpha/2), which rounds differently from
+    sqrt(k^-alpha)."""
+    ks = np.arange(1, j + 1, dtype=float)
+    if spec.kind == KIND_BASIS:
+        return ks ** (-spec.alpha / 2.0)
+    return np.sqrt(_brownian_profile(ks))
 
 
-def _discard_normals(rng: np.random.Generator, count: int, j: int) -> None:
-    """Move ``rng`` past ``count`` rows of j normals, drawn block by block."""
-    for _ in _normal_blocks(rng, count, j):
-        pass
+def _row_blocks(spec: DesignSpec, n: int, rng: np.random.Generator, rows: range):
+    """The rows ``rows`` (a step-1 range inside range(n)) of n designs drawn
+    from ``rng``, as (start, block) pairs: ``block`` holds the coefficients
+    lambda_k^(1/2) G_k of rows start..start + len(block) with the bits of the
+    whole n x J draw, in a view of one reused buffer of about 1 MB that the
+    next block overwrites. Once the blocks run out, ``rng`` stands where the
+    whole draw leaves it.
+
+    Uniform rows come from a copy of the PCG64 stream advanced past the rows
+    before ``rows``; any other stream raises ``TypeError`` and does not
+    move. Normal rows outside ``rows`` are drawn and dropped.
+    """
+    j = _truncation(spec, n)
+    uniform = spec.kind == KIND_BASIS
+    source, drawn = (pcg64_ahead(rng, rows.start * j), rows) if uniform else (rng, range(n))
+    scales = _scales(spec, j)
+    size = _block_rows(j)
+    buffer = np.empty((min(size, len(drawn)), j))
+    for lo in range(drawn.start, drawn.stop, size):
+        block = buffer[:min(size, drawn.stop - lo)]
+        if uniform:
+            _centered(source.random(out=block))
+        else:
+            source.standard_normal(out=block)
+        first, last = max(rows.start - lo, 0), min(rows.stop - lo, block.shape[0])
+        if first < last:
+            block = block[first:last]
+            block *= scales
+            yield lo + first, block
+    if uniform:
+        catch_up(rng, pcg64_ahead(rng, n * j))
+
+
+def _sample(spec: DesignSpec, n: int, seed, rows: slice) -> DesignSample:
+    """Designs ``rows`` of n drawn from ``seed``, copied from ``_row_blocks``."""
+    span = range(n)[rows]
+    if span.step != 1:
+        raise ValueError("rows must be a contiguous slice")
+    rng = as_generator(seed)
+    coeffs = np.empty((len(span), _truncation(spec, n)))
+    for start, block in _row_blocks(spec, n, rng, span):
+        coeffs[start - span.start:start - span.start + block.shape[0]] = block
+    return DesignSample(coeffs=coeffs, spec=spec)
+
+
+def sample_basis_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
+    """``sample_design`` of a basis-expansion spec; any other kind is an error."""
+    if spec.kind != KIND_BASIS:
+        raise SpecValidationError("spec is not a basis-expansion design")
+    return _sample(spec, n, seed, rows)
 
 
 def sample_gaussian_design(spec: DesignSpec, n: int, seed,
                            rows: slice = slice(None)) -> DesignSample:
-    """Draw n Brownian designs from their Karhunen-Loeve coefficients
-    lambda_k^(1/2) G_k, G_k ~ N(0, 1), k <= J = min(2n, D - 1).
-
-    ``rows`` (a slice with step 1) keeps only those designs, with the bits of
-    the full draw's rows; the rows before and after them are drawn block by
-    block and dropped, because a normal draw consumes a variable number of
-    stream outputs, so the stream cannot skip them. ``seed`` is left where
-    the full draw leaves it.
-    """
-    j = _gaussian_truncation(spec, n)
-    start, stop, step = rows.indices(n)
-    if step != 1:
-        raise ValueError("rows must be a contiguous slice")
-    rng = as_generator(seed)
-    _discard_normals(rng, start, j)
-    coeffs = rng.standard_normal((max(stop - start, 0), j))
-    _discard_normals(rng, n - max(stop, start), j)
-    coeffs *= _brownian_scales(j)
-    whole = coeffs.shape[0] == n
-    return DesignSample(coeffs=coeffs, spec=spec, seed=_int_seed(seed) if whole else None)
-
-
-def _int_seed(seed) -> int | None:
-    return seed if isinstance(seed, (int, np.integer)) else None
+    """``sample_design`` of an integrated-Gaussian spec; any other kind is an error."""
+    if spec.kind != KIND_GAUSSIAN:
+        raise SpecValidationError("spec is not an integrated-gaussian design")
+    return _sample(spec, n, seed, rows)
 
 
 def sample_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> DesignSample:
-    """Designs ``rows`` of n drawn from the spec: equal bit for bit to the
-    full draw's ``subset(rows)``, with the stream left where the full draw
-    leaves it, but holding only the kept rows (``sample_basis_design``,
-    ``sample_gaussian_design``)."""
+    """Designs ``rows`` (a slice with step 1) of n drawn from the spec, from
+    an int seed or a Generator: equal bit for bit to the whole draw's
+    ``subset(rows)``, with the stream left where the whole draw leaves it,
+    but holding only the kept rows. Basis-expansion designs need a PCG64
+    stream (``_row_blocks``); anything else raises ``TypeError`` and leaves
+    the stream where it was."""
     if spec.kind == KIND_BASIS:
         return sample_basis_design(spec, n, seed, rows)
     return sample_gaussian_design(spec, n, seed, rows)
@@ -337,21 +330,6 @@ def _moment_sums(n: int, j: int, lead: int | None, split: int | None):
     return DesignMoments(n, m, np.zeros((lead, j)), np.zeros(lead), train)
 
 
-def _fold(sums: DesignMoments, start: int, c: np.ndarray, eps: np.ndarray | None) -> int:
-    """Add rows start..start + len(c) of C, with their normals unless ``eps``
-    is None, to ``sums``; returns how many of the rows are fitted ones."""
-    lead = sums.gram.shape[0]
-    cut = min(max(sums.m - start, 0), c.shape[0])
-    fit, train = c[:cut], c[cut:]
-    if cut:
-        sums.gram[...] += fit[:, :lead].T @ fit
-        if eps is not None:
-            sums.noise[...] += fit[:, :lead].T @ eps[:cut]
-    if train.shape[0]:
-        sums.train[...] += train.T @ train
-    return cut
-
-
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
                    lead: int | None = None, split: int | None = None) -> DesignMoments:
     """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
@@ -361,54 +339,46 @@ def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
     over the first ``split`` (default all n) designs. ``rng`` ends where
     that draw and those normals leave it.
 
-    The designs are drawn in blocks of ``_block_rows(J)`` rows, with the bits
-    of the whole draw. Basis-expansion designs are drawn from a copy of the
-    stream and their normals from a copy advanced past the n J uniform
-    outputs, so each block is folded whole; ``rng`` must then be a PCG64
-    Generator, and anything else raises ``TypeError`` (there is no
-    fallback). Brownian designs are drawn from ``rng`` itself, with the
-    normals after them, so the first ``lead`` columns of the fitted rows are
-    kept (m x lead numbers) until the normals are drawn.
+    Each block of ``_row_blocks`` is folded into the sums as it comes. The
+    normals of basis-expansion designs come from a copy of the stream
+    advanced past the n J uniform outputs, block by block, so ``rng`` must
+    be a PCG64 Generator, and anything else raises ``TypeError`` (there is
+    no fallback). Brownian designs take their normals from ``rng`` after
+    the designs, so the first ``lead`` columns of the fitted rows are kept
+    (m x lead numbers) until they are drawn.
     """
-    if spec.kind == KIND_GAUSSIAN:
-        return _stream_normal_moments(spec, n, rng, lead, split)
-    j = _basis_truncation(spec, n)
+    j = _truncation(spec, n)
     sums = _moment_sums(n, j, lead, split)
-    designs, normals = pcg64_ahead(rng), pcg64_ahead(rng, n * j)
-    scales = _basis_scales(j, spec.alpha)
-    rows = _block_rows(j)
-    block = np.empty((min(rows, n), j))
-    eps = np.empty(block.shape[0])
-    for start in range(0, n, rows):
-        count = min(rows, n - start)
-        c = _centered(designs.random(out=block[:count]))
-        c *= scales
-        _fold(sums, start, c, normals.standard_normal(out=eps[:count]))
-    catch_up(rng, normals)
-    return sums
-
-
-def _stream_normal_moments(spec: DesignSpec, n: int, rng: np.random.Generator,
-                           lead: int | None, split: int | None) -> DesignMoments:
-    """``stream_moments`` of n Brownian designs: the normals follow the
-    designs on ``rng``, so the fitted rows' lead columns wait for them."""
-    j = _gaussian_truncation(spec, n)
-    sums = _moment_sums(n, j, lead, split)
-    scales = _brownian_scales(j)
-    lead_cols = np.empty((sums.m, sums.gram.shape[0]))
-    for start, c in _normal_blocks(rng, n, j):
-        c *= scales
-        cut = _fold(sums, start, c, None)
-        lead_cols[start:start + cut] = c[:cut, :lead_cols.shape[1]]
-    eps = rng.standard_normal(n)
-    sums.noise[...] = lead_cols.T @ eps[:sums.m]
+    m, lead = sums.m, sums.gram.shape[0]
+    uniform = spec.kind == KIND_BASIS
+    if uniform:
+        normals = pcg64_ahead(rng, n * j)
+        eps = np.empty(min(_block_rows(j), n))
+    else:
+        lead_cols = np.empty((m, lead))
+    for start, c in _row_blocks(spec, n, rng, range(n)):
+        cut = min(max(m - start, 0), c.shape[0])
+        fit, train = c[:cut], c[cut:]
+        if cut:
+            sums.gram[...] += fit[:, :lead].T @ fit
+        if train.shape[0]:
+            sums.train[...] += train.T @ train
+        if uniform:
+            # every row's normal is drawn, so the copy keeps pace with the rows
+            block_eps = normals.standard_normal(out=eps[:c.shape[0]])
+            if cut:
+                sums.noise[...] += fit[:, :lead].T @ block_eps[:cut]
+        else:
+            lead_cols[start:start + cut] = fit[:, :lead]
+    if uniform:
+        catch_up(rng, normals)
+    else:
+        sums.noise[...] = lead_cols.T @ rng.standard_normal(n)[:m]
     return sums
 
 
 def true_covariance(spec: DesignSpec, count: int):
     """Ground-truth covariance operator with its leading ``count`` eigenpairs."""
-    from .covariance import CovOperator  # local import to avoid a cycle
-
     if count < 1:
         raise ValueError("count must be >= 1")
     if spec.kind == KIND_BASIS:
@@ -464,15 +434,13 @@ def verify_condition_x(spec: DesignSpec, sample: DesignSample) -> ConditionXRepo
     scale = float(np.mean(norms)) / math.sqrt(sample.n)
     rank = int(np.sum(eig > 1e-10 * max(eig.max(), 0.0)))
 
-    truncated = False
+    j = c.shape[1]
+    truncated = j < sample.n
     notes = []
-    if spec.kind == KIND_BASIS:
-        j = c.shape[1]
-        if j < sample.n:
-            truncated = True
-            notes.append(
-                f"expansion truncated at J={j} < n={sample.n}: rank is capped at J by construction"
-            )
+    if truncated:
+        notes.append(
+            f"expansion truncated at J={j} < n={sample.n}: rank is capped at J by construction"
+        )
     full = rank == sample.n
     if not full and not truncated:
         notes.append("sample Gram matrix is numerically rank deficient")

@@ -66,10 +66,11 @@ def default_rho(alpha: float) -> float:
     return 0.5 * (lo + 0.5)
 
 
-def validate_rho(rho: float, alpha: float | None = None) -> None:
+def validate_rho(rho: float, alpha: float) -> None:
+    """rho in (alpha/(2 alpha + 3), 1/2), the admissible truncation exponents."""
     if not 0.0 < rho < 0.5:
         raise SpecValidationError(f"rho must lie in (0, 1/2), got {rho}", "rho")
-    if alpha is not None and rho <= alpha / (2.0 * alpha + 3.0):
+    if rho <= alpha / (2.0 * alpha + 3.0):
         raise SpecValidationError(
             f"rho must exceed alpha/(2 alpha + 3) = {alpha / (2 * alpha + 3):.4f}, got {rho}",
             "rho",
@@ -165,7 +166,10 @@ def pinsker_weights(gamma: float, theta_class: ThetaClass, count: int | None = N
     """w_k = (1 - gamma b_k)_+ for k = 1..count.
 
     The default count is the active support: the number of k with
-    b_k < 1/gamma, at least one.
+    b_k < 1/gamma, at least one. 1 - gamma b_k cancels once gamma b_1 nears
+    1, so the oracle level's weights come from its piece instead
+    (``pinsker_oracle_weights``); the data-driven level's guard rails keep
+    1 - gamma b_1 >= 0.19 at every n >= 8 (beta > 3/2).
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
@@ -277,22 +281,16 @@ def pinsker_gamma_oracle(
     return gamma
 
 
-def sharp_risk_constant(
-    lambdas: LambdaLike,
-    theta_class: ThetaClass,
-    sigma: float,
-    n: int,
-) -> float:
-    """a_n = (sigma^2/n) sum lambda_k^-1 (1 - gamma b_k)_+ at the oracle gamma.
+def _oracle_margins(lambdas: LambdaLike, theta_class: ThetaClass, sigma: float, n: int):
+    """(w, lam): the weights 1 - gamma_n b_k at the oracle level and lambda_k,
+    for k <= K on the level's piece (``_oracle_piece``).
 
-    On the level's piece (``_oracle_piece``), gamma = S1/(S2 + s), so each
-    active margin is 1 - gamma b_k = (s + sum_{j<=K} b_j (b_j - b_k)/lambda_j)
-    / (S2 + s). The sum is taken as D - (b_k - b_1) S1 with
-    D = sum_j b_j (b_j - b_1)/lambda_j, a sum of terms >= 0, so the first
-    margin is (s + D)/(S2 + s) without cancellation: 1 - gamma b_k itself
-    loses every digit once s falls below the rounding of S2 (a one-term a_n
-    read 0.0 at s = 2e-16, against c_theta/(b_1^2 + s lambda_1)).
-    ``pinsker_weights`` takes gamma alone and keeps 1 - gamma b_k.
+    There gamma_n = S1/(S2 + s), so each margin is
+    1 - gamma_n b_k = (s + sum_{j<=K} b_j (b_j - b_k)/lambda_j) / (S2 + s).
+    The sum is taken as D - (b_k - b_1) S1 with D = sum_j b_j (b_j - b_1)/lambda_j,
+    a sum of terms >= 0, so the first margin is (s + D)/(S2 + s) without
+    cancellation: 1 - gamma_n b_k itself loses every digit once s falls below
+    the rounding of S2 (w_1 read 0.0 at s = 2e-16, against s/(S2 + s)).
     """
     b, lam, kk, s, _ = _oracle_piece(lambdas, theta_class, sigma, n)
     bk, lk = b[:kk], lam[:kk]
@@ -300,7 +298,33 @@ def sharp_risk_constant(
     head = s + float(np.sum(weight * (bk - bk[0])))
     margins = np.clip(head - (bk - bk[0]) * float(np.sum(weight)), 0.0, None)
     total = float(np.sum(weight * bk)) + s
-    return float(sigma**2 / n * np.sum(margins / total / lk))
+    return margins / total, lk
+
+
+def pinsker_oracle_weights(
+    lambdas: LambdaLike,
+    theta_class: ThetaClass,
+    sigma: float,
+    n: int,
+) -> np.ndarray:
+    """w_k = (1 - gamma_n b_k)_+ at the oracle level gamma_n, over its active
+    support k <= K, from the level's piece without cancellation (see
+    ``_oracle_margins``). Every oracle-level fit reads these;
+    ``pinsker_weights`` serves a level known only as a number, the
+    data-driven one."""
+    return _oracle_margins(lambdas, theta_class, sigma, n)[0]
+
+
+def sharp_risk_constant(
+    lambdas: LambdaLike,
+    theta_class: ThetaClass,
+    sigma: float,
+    n: int,
+) -> float:
+    """a_n = (sigma^2/n) sum lambda_k^-1 (1 - gamma b_k)_+ at the oracle gamma,
+    from the weights of ``pinsker_oracle_weights``."""
+    w, lk = _oracle_margins(lambdas, theta_class, sigma, n)
+    return float(sigma**2 / n * np.sum(w / lk))
 
 
 def pinsker_sequence_estimator(obs: SeqObservation, weights: np.ndarray) -> np.ndarray:
@@ -322,7 +346,7 @@ class PinskerFit:
     coefficients: np.ndarray        # shrunk coefficients in the empirical eigenbasis
     weights: np.ndarray
     floored: np.ndarray             # where the eigenvalue floor n^-rho was active
-    support_cap: int | None
+    support_cap: int
     cap_binding: bool
     basis: str
     grid_size: int
@@ -346,7 +370,7 @@ def flr_pinsker_fit(
     weights: np.ndarray,
     rho: float,
     *,
-    alpha: float | None = None,
+    alpha: float,
 ) -> PinskerFit:
     """Weighted spectral estimator in the empirical white-noise model.
 
@@ -362,11 +386,11 @@ def flr_pinsker_fit(
     For responses y = C theta + sigma eps on designs with coefficients C,
     X^T y / n = Gamma-hat theta + sigma C^T eps / n in exact arithmetic, so a
     caller holding theta and the noise moment C^T eps / n needs no pass over
-    the designs. Weights must be non-negative. With alpha given, the support
-    cap k <= n^(rho/alpha)/log n is reported, not applied: ``support_cap``
-    is the raw cap raised to the weight support, and ``cap_binding`` flags
-    when the raw cap falls below that support, since at moderate n it would
-    zero out every weight.
+    the designs. Weights must be non-negative. The support cap
+    k <= n^(rho/alpha)/log n is reported, not applied: ``support_cap`` is the
+    raw cap raised to the weight support, and ``cap_binding`` flags when the
+    raw cap falls below that support, since at moderate n it would zero out
+    every weight.
     """
     validate_rho(rho, alpha)
     n = cov.n_samples
@@ -381,12 +405,7 @@ def flr_pinsker_fit(
         raise ValueError("weights must be non-negative")
 
     support = int(np.max(np.nonzero(w > 0.0)[0]) + 1) if np.any(w > 0.0) else 0
-    cap = None
-    binding = False
-    if alpha is not None:
-        raw_cap = int(math.floor(n ** (rho / alpha) / math.log(n))) if n > 1 else 0
-        binding = raw_cap < support
-        cap = max(raw_cap, support)
+    raw_cap = int(math.floor(n ** (rho / alpha) / math.log(n))) if n > 1 else 0
 
     k = min(w.size, cov.rank)
     lam = cov.eigenvalues[:k]
@@ -397,8 +416,8 @@ def flr_pinsker_fit(
         coefficients=coeffs,
         weights=w[:k],
         floored=lam < float(n) ** (-rho),
-        support_cap=cap,
-        cap_binding=binding,
+        support_cap=max(raw_cap, support),
+        cap_binding=raw_cap < support,
         basis=cov.basis,
         grid_size=cov.grid_size,
     )
@@ -439,9 +458,10 @@ def pinsker_conditional_risk(cov: CovOperator, theta, weights, rho: float,
     return bias, variance
 
 
-def flr_pinsker_estimator(cov: CovOperator, xty, weights, rho: float, **kwargs) -> GridFunction:
+def flr_pinsker_estimator(cov: CovOperator, xty, weights, rho: float, *,
+                          alpha: float) -> GridFunction:
     """Convenience wrapper returning only the fitted grid function."""
-    return flr_pinsker_fit(cov, xty, weights, rho, **kwargs).estimate
+    return flr_pinsker_fit(cov, xty, weights, rho, alpha=alpha).estimate
 
 
 @dataclass(frozen=True)
@@ -472,7 +492,7 @@ def data_driven_gamma(
     sigma: float,
     rho: float,
     *,
-    alpha: float | None = None,
+    alpha: float,
 ) -> GammaSelection:
     """Split-sample selector of the shrinkage level for a fit on n pairs.
 

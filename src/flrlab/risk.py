@@ -98,6 +98,7 @@ from .estimators import (
     flr_pinsker_fit,
     pinsker_conditional_risk,
     pinsker_gamma_oracle,
+    pinsker_oracle_weights,
     pinsker_sequence_estimator,
     pinsker_weights,
     sample_theta,
@@ -165,8 +166,10 @@ def tv_bound(mean_sq_delta: float, sigma: float) -> float:
 
 
 def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_seed: int,
-                 oracle_gamma: float | None):
-    """Test functions evaluated at sample size n, as (label, coefficients) pairs."""
+                 oracle: tuple | None):
+    """Test functions evaluated at sample size n, as (label, coefficients)
+    pairs; ``oracle`` is n's ``oracle_level``, None for the cutoff."""
+    oracle_gamma = None if oracle is None else oracle[0]
     lam = model.lambda_profile()
     tc = model.theta_class
     if model.theta_mode != "worst-case":
@@ -178,7 +181,7 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
         ("least-favorable", sample_theta(tc, "least-favorable", lam, model.sigma, n, 0,
                                          gamma=oracle_gamma)),
     ]
-    vertex = _default_vertex(model, estimator, n, oracle_gamma)
+    vertex = _default_vertex(model, estimator, n, oracle)
     panel.append((f"vertex-{vertex}", sample_theta(tc, "vertex", lam, model.sigma, n, 0,
                                                    vertex_index=vertex)))
     for i in range(8):
@@ -188,12 +191,13 @@ def _theta_panel(model: ModelConfig, estimator: EstimatorConfig, n: int, master_
 
 
 def _default_vertex(model: ModelConfig, estimator: EstimatorConfig, n: int,
-                    oracle_gamma: float | None) -> int:
-    """First coordinate the estimator cannot see: just past its cutoff or support."""
+                    oracle: tuple | None) -> int:
+    """First coordinate the estimator cannot see: just past its cutoff or the
+    oracle level's support."""
     if estimator.kind == "cutoff":
         _, k = cutoff_split(n, model.alpha, model.theta_class.beta)
         return min(k + 1, DEFAULT_COEFF_BUDGET)
-    return min(pinsker_weights(oracle_gamma, model.theta_class).size + 1, DEFAULT_COEFF_BUDGET)
+    return min(oracle[1].size + 1, DEFAULT_COEFF_BUDGET)
 
 
 def fitted_rows(estimator: EstimatorConfig, n: int) -> int:
@@ -203,22 +207,31 @@ def fitted_rows(estimator: EstimatorConfig, n: int) -> int:
     return data_driven_split(n) if estimator.kind == "pinsker-data-driven" else n
 
 
+def oracle_level(model: ModelConfig, n: int) -> tuple:
+    """(gamma_n, weights) of the oracle Pinsker level at n, the weights from
+    the level's piece (``pinsker_oracle_weights``). A study builds it once
+    per n, for every replication there."""
+    lam, tc, sigma = model.lambda_profile(), model.theta_class, model.sigma
+    return pinsker_gamma_oracle(lam, tc, sigma, n), pinsker_oracle_weights(lam, tc, sigma, n)
+
+
 def pinsker_level(estimator: EstimatorConfig, model: ModelConfig, n: int, train, rho: float,
-                  gamma: float | None):
+                  oracle: tuple):
     """(gamma, weights, selection) of a Pinsker fit on n pairs.
 
     The data-driven kind selects its level from ``train``, the training
     designs ``fitted_rows(estimator, n)``..n as a sample or an
-    ``EmpiricalGram``; the oracle kind takes the oracle level ``gamma``,
-    reads no ``train`` and has no selection.
+    ``EmpiricalGram``; the oracle kind takes ``oracle``, n's
+    ``oracle_level``, reads no ``train`` and has no selection.
     """
-    selection = None
-    if estimator.kind == "pinsker-data-driven":
-        if train is None:
-            raise ValueError("the data-driven level needs its training designs")
-        selection = data_driven_gamma(empirical_eigenvalues(train), n, model.theta_class,
-                                      model.sigma, rho, alpha=model.alpha)
-        gamma = selection.gamma_hat
+    if estimator.kind != "pinsker-data-driven":
+        gamma, weights = oracle
+        return gamma, weights, None
+    if train is None:
+        raise ValueError("the data-driven level needs its training designs")
+    selection = data_driven_gamma(empirical_eigenvalues(train), n, model.theta_class,
+                                  model.sigma, rho, alpha=model.alpha)
+    gamma = selection.gamma_hat
     return gamma, pinsker_weights(gamma, model.theta_class), selection
 
 
@@ -256,7 +269,7 @@ def mise_monte_carlo(
     Within each replication every test function sees the same designs and
     noise (common random numbers), so worst-case maximization is stable and
     the per-replication work is shared. The oracle Pinsker level is solved
-    once per n, for the Pinsker kinds.
+    once per n, with its weights, for the Pinsker kinds (``oracle_level``).
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")
@@ -264,11 +277,10 @@ def mise_monte_carlo(
     lam_profile = model.lambda_profile()
 
     def setup(n):
-        oracle_gamma = None if estimator.kind == "cutoff" else pinsker_gamma_oracle(
-            lam_profile, model.theta_class, model.sigma, n)
-        panel = _theta_panel(model, estimator, n, seed, oracle_gamma)
+        oracle = None if estimator.kind == "cutoff" else oracle_level(model, n)
+        panel = _theta_panel(model, estimator, n, seed, oracle)
         errs = np.empty((len(panel), reps))
-        replicate = _replication(model, estimator, n, seed, oracle_gamma)
+        replicate = _replication(model, estimator, n, seed, oracle)
 
         def run(rep: int) -> None:
             score = replicate(rep)
@@ -312,24 +324,24 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _replication(model, estimator, n, master_seed, gamma):
+def _replication(model, estimator, n, master_seed, oracle):
     """n's replication: rep -> that replication's scorer of test functions,
     closed over its data so every test function reuses it. What every
-    replication at n shares (the split, the true operator, the weights) is
-    built here, once."""
+    replication at n shares (the split, the true operator, the oracle
+    level's weights in ``oracle``) is built here or before, once."""
     if model.kind == "sequence":
-        return _sequence_replication(model, estimator, n, master_seed, gamma)
-    return _flr_replication(model, estimator, n, master_seed, gamma)
+        return _sequence_replication(model, estimator, n, master_seed, oracle)
+    return _flr_replication(model, estimator, n, master_seed, oracle)
 
 
-def _sequence_replication(model, estimator, n, master_seed, gamma):
+def _sequence_replication(model, estimator, n, master_seed, oracle):
     alpha, tc, sigma = model.alpha, model.theta_class, model.sigma
     budget = max(DEFAULT_COEFF_BUDGET, default_frequency_budget(n, alpha, tc.beta))
     lam = np.arange(1, budget + 1, dtype=float) ** (-alpha)
     if estimator.kind == "cutoff":
         m, k = cutoff_split(n, alpha, tc.beta)
     else:
-        w = pinsker_weights(gamma, tc, budget)
+        _, w = oracle
 
     def replicate(rep):
         def observe(th, size):
@@ -401,7 +413,7 @@ def _pinsker_statistics(spec: DesignSpec, n: int, m: int, rng):
     return fit, train, fit.cross_moment(noise[:m])
 
 
-def _flr_replication(model, estimator, n, master_seed, gamma):
+def _flr_replication(model, estimator, n, master_seed, oracle):
     spec = model.design
     alpha, sigma = model.alpha, model.sigma
 
@@ -427,7 +439,7 @@ def _flr_replication(model, estimator, n, master_seed, gamma):
 
     def replicate(rep):
         fit_rows, train, noise_moment = _pinsker_statistics(spec, n, m, stream(rep))
-        _, w, _ = pinsker_level(estimator, model, n, train, rho, gamma)
+        _, w, _ = pinsker_level(estimator, model, n, train, rho, oracle)
         cov = empirical_covariance(fit_rows)
         # X^T y / m = Gamma-hat theta + sigma C^T eps / m on the fitted rows:
         # the noise moment is shared by the panel.
@@ -741,7 +753,7 @@ def pinsker_decomposition_draws(
     because the cross term vanishes given the designs."""
     alpha = spec.alpha
     lam = spec.lambda_profile()
-    weights = pinsker_weights(pinsker_gamma_oracle(lam, theta_class, sigma, n), theta_class)
+    weights = pinsker_oracle_weights(lam, theta_class, sigma, n)
     theta = sample_theta(theta_class, "boundary", lam, sigma, n, 0)
 
     lhs, rhs = np.empty(reps), np.empty(reps)

@@ -86,7 +86,9 @@ def write_design_sample(path: Path, sample: DesignSample, sidecar: Path | None =
         write_json(sidecar, {
             "n": sample.n,
             "grid_size": sample.grid_size,
-            "seed": sample.seed,
+            # a sample does not keep its seed (every run draws from a
+            # Generator); the key stays in the file
+            "seed": None,
             "design": design_spec_payload(sample.spec),
         })
 

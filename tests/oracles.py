@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own solution paths: the
 minimax oracle runs a constrained optimizer over prior profiles, the Pinsker
 level is a generic bracketing root search, and the kernel eigen-solver
 diagonalizes the quadrature-symmetrized kernel directly. The grid references
-are the trapezoid rule written out, and the design sums are the direct
-products of a held draw.
+are the trapezoid rule written out, the design draw is numpy's own uniform
+and normal draws times the coefficient scales, and the design sums are the
+direct products of that draw.
 """
 
 from __future__ import annotations
@@ -40,14 +41,26 @@ def operator_matrix(op) -> np.ndarray:
     return (op.coeff_vectors * op.eigenvalues) @ op.coeff_vectors.T
 
 
+def design_draw(spec, n, rng) -> np.ndarray:
+    """The whole n x J coefficient draw of ``designs.sample_design``, written
+    out in numpy: uniform G_k on [-sqrt3, sqrt3] scaled by k^(-alpha/2) for
+    basis-expansion designs, N(0, 1) G_k scaled by lambda_k^(1/2),
+    lambda_k = 1/(pi^2 (k - 1/2)^2), for Brownian ones."""
+    j = spec.resolved_truncation(n)
+    k = np.arange(1, j + 1, dtype=float)
+    if spec.kind == "basis-expansion":
+        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n, j)) * k ** (-spec.alpha / 2.0)
+    return rng.standard_normal((n, j)) * np.sqrt(1.0 / (math.pi**2 * (k - 0.5) ** 2))
+
+
 def held_moments(spec, n, rng, *, lead=None, split=None):
     """The sums ``designs.stream_moments`` forms, from the held draw:
-    ``sample_design(spec, n, rng)``, then ``rng.standard_normal(n)``, then the
+    ``design_draw(spec, n, rng)``, then ``rng.standard_normal(n)``, then the
     direct products of the first ``split`` rows (default all n) on the first
     ``lead`` columns (default J)."""
-    from flrlab.designs import DesignMoments, sample_design
+    from flrlab.designs import DesignMoments
 
-    c = sample_design(spec, n, rng).coeffs
+    c = design_draw(spec, n, rng)
     eps = rng.standard_normal(n)
     m = n if split is None else split
     fit = c[:m]

@@ -284,9 +284,10 @@ class TestSubcommands:
         assert plan["gamma"] > 0 and plan["sharp_risk"] > 0
 
     def test_estimate_solves_the_oracle_level_once(self, tmp_path, monkeypatch):
-        # the least-favorable theta takes the level the plan already holds
-        import flrlab.cli
+        # the least-favorable theta takes the level the plan already holds,
+        # which risk.oracle_level solves for the command
         import flrlab.estimators
+        import flrlab.risk
         from flrlab.estimators import pinsker_gamma_oracle
 
         calls = []
@@ -296,7 +297,7 @@ class TestSubcommands:
             return pinsker_gamma_oracle(*args)
 
         monkeypatch.setattr(flrlab.estimators, "pinsker_gamma_oracle", counting)
-        monkeypatch.setattr(flrlab.cli, "pinsker_gamma_oracle", counting)
+        monkeypatch.setattr(flrlab.risk, "pinsker_gamma_oracle", counting)
         path = write_config(tmp_path, BASE.replace("mode = boundary", "mode = least-favorable"))
         assert main(["estimate", "--config", str(path), "--out", str(tmp_path / "est")]) == 0
         assert calls == [25]

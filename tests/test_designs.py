@@ -9,14 +9,14 @@ from flrlab import (
     SpecValidationError,
     fourier_basis,
     sample_basis_design,
+    sample_design,
     sample_gaussian_design,
     true_covariance,
     verify_condition_x,
 )
-from flrlab.designs import _uniform_coefficients
 from flrlab.function_space import grid_nodes, sine_matrix, trapezoid_weights
 
-from oracles import eigh_quadrature_kernel, grid_inner, grid_norm, held_moments
+from oracles import design_draw, eigh_quadrature_kernel, grid_inner, grid_norm, held_moments
 
 
 class TestSpecValidation:
@@ -63,13 +63,13 @@ class TestBasisDesign:
         assert np.array_equal(s.values, rebuilt)
 
 
-    def test_uniform_sampler_matches_rng_uniform_bits(self):
-        r = math.sqrt(3.0)
-        for shape in [(7,), (50, 128), (3, 4, 5)]:
+    def test_uniform_sampler_matches_rng_uniform_bits(self, small_spec):
+        # rng.uniform(-sqrt3, sqrt3) draws times k^(-alpha/2), one block and three
+        for n in (7, 50, 1500, 3000):
             rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
-            a = _uniform_coefficients(rng_a, shape)
-            b = rng_b.uniform(-r, r, shape)
-            assert a.dtype == np.float64 and a.flags.writeable and a.shape == shape
+            a = sample_basis_design(small_spec, n, rng_a).coeffs
+            b = design_draw(small_spec, n, rng_b)
+            assert a.dtype == np.float64 and a.flags.writeable and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
@@ -150,6 +150,70 @@ class TestGaussianDesign:
                 assert abs(emp[a, b] - target) <= 3 * se
 
 
+class TestDesignRows:
+    """``sample_design`` against the plain-numpy draw of ``oracles.design_draw``:
+    the same bits, whole or sliced, and the stream left where the whole draw
+    leaves it."""
+
+    # J = 128 at n = 3000 (blocks of 1024 rows); J = 255 at n = 1100 on the
+    # Brownian grid (blocks of 2**17 // 255 = 514 rows)
+    SIZES = {"basis-expansion": 3000, "integrated-gaussian": 1100}
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    def test_row_range_equals_the_subset_of_the_full_draw(self, kind):
+        spec = DesignSpec(kind=kind, alpha=2.0, grid_size=256)
+        rng_a, rng_b = np.random.default_rng(2), np.random.default_rng(2)
+        part = sample_design(spec, 3000, rng_a, slice(2600, 3000))
+        full = sample_design(spec, 3000, rng_b)
+        assert part.coeffs.tobytes() == full.subset(slice(2600, 3000)).coeffs.tobytes()
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    @staticmethod
+    def stream(state):
+        """A PCG64 stream after none, one or two 32-bit draws: the second
+        spends the buffered half but leaves its value in the state. Double
+        and normal draws leave both as they are."""
+        rng = np.random.default_rng(8)
+        for _ in range({"plain": 0, "buffered": 1, "spent": 2}[state]):
+            rng.integers(0, 2**32, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == (state == "buffered")
+        return rng
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    @pytest.mark.parametrize("where", ["whole", "from inside a block", "to inside a block",
+                                       "inside one block", "last rows", "empty", "past the end"])
+    @pytest.mark.parametrize("state", ["plain", "buffered", "spent"])
+    def test_rows_equal_the_reference_draw(self, kind, where, state):
+        spec = DesignSpec(kind=kind, alpha=2.0, grid_size=256)
+        n = self.SIZES[kind]
+        rows = {"whole": slice(None), "from inside a block": slice(700, None),
+                "to inside a block": slice(0, 900), "inside one block": slice(1030, 1040),
+                "last rows": slice(-3, None), "empty": slice(600, 600),
+                "past the end": slice(n + 5, None)}[where]
+
+        got_rng, ref_rng = self.stream(state), self.stream(state)
+        got = sample_design(spec, n, got_rng, rows).coeffs
+        ref = design_draw(spec, n, ref_rng)[rows]
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        np.testing.assert_equal(got_rng.bit_generator.state, ref_rng.bit_generator.state)
+        assert got_rng.integers(0, 2**32, dtype=np.uint32) \
+            == ref_rng.integers(0, 2**32, dtype=np.uint32)
+
+    def test_step_slices_are_rejected(self):
+        # as on Brownian designs (TestGaussianDesign)
+        spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
+        with pytest.raises(ValueError, match="contiguous"):
+            sample_design(spec, 100, np.random.default_rng(0), slice(0, 10, 2))
+
+    def test_entry_points_check_the_kind(self):
+        basis = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
+        brownian = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        with pytest.raises(SpecValidationError):
+            sample_basis_design(brownian, 10, 0)
+        with pytest.raises(SpecValidationError):
+            sample_gaussian_design(basis, 10, 0)
+
+
 class TestTrueCovariance:
     def test_basis_eigenvalues_exact(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
@@ -218,6 +282,13 @@ class TestConditionX:
         s = sample_basis_design(spec, 120, 13)
         rep = verify_condition_x(spec, s)
         assert rep.gram_rank == 32 and not rep.full_rank and rep.truncation_limited
+
+    def test_brownian_truncation_is_flagged(self):
+        # J = min(2n, D - 1) = 255 sine terms for n = 300 designs on 256 nodes
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
+        rep = verify_condition_x(spec, sample_design(spec, 300, 16))
+        assert rep.gram_rank == 255 and not rep.full_rank and rep.truncation_limited
+        assert rep.notes.startswith("expansion truncated at J=255 < n=300")
 
     @pytest.mark.parametrize("j_truncation, n, seed", [(128, 100, 12), (32, 120, 13),
                                                        (None, 300, 14), (256, 200, 15)])
@@ -339,6 +410,9 @@ class TestStreamMoments:
         state = rng.bit_generator.state
         with pytest.raises(TypeError, match="PCG64"):
             stream_moments(self.SPEC, 500, rng)
+        for rows in (slice(None), slice(100, 200)):
+            with pytest.raises(TypeError, match="PCG64"):
+                sample_design(self.SPEC, 500, rng, rows)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
     def test_rejects_bad_parts(self):

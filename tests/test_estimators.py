@@ -15,6 +15,7 @@ from flrlab import (
     empirical_covariance,
     flr_pinsker_fit,
     pinsker_gamma_oracle,
+    pinsker_oracle_weights,
     pinsker_weights,
     power_lambda_profile,
     sample_basis_design,
@@ -176,6 +177,30 @@ class TestPinskerWeights:
             support = max(int(np.count_nonzero(full)), 1)
             assert w.size == support
             assert np.array_equal(w, full[:support])
+
+
+class TestOracleWeights:
+    @pytest.mark.parametrize("n", [2, 20])
+    def test_first_weight_at_vanishing_signal(self, n):
+        # s = c_theta n / sigma^2 = 2e-16 and 2e-15, below the rounding of
+        # S2 = b_1^2 / lambda_1 = 2: 1 - gamma b_1 read 0.0 at n = 2 and
+        # 1.11e-15 at n = 20, against s/(2 + s)
+        tc, sigma = ThetaClass(beta=2.0, c_theta=1e-8), 1e4
+        s = tc.c_theta * n / sigma**2
+        w = pinsker_oracle_weights(power_lambda_profile(2.0), tc, sigma, n)
+        exact = s / (2.0 + s)
+        assert w.size == 1 and abs(w[0] - exact) <= 1e-12 * exact
+
+    def test_are_the_levels_weights_where_nothing_cancels(self):
+        # the configs the studies run: 1 - gamma b_k at the oracle gamma, on
+        # its active support, to rounding
+        for alpha, beta, c, sigma, n in ((2.0, 2.0, 1.0, 0.3, 512), (2.0, 4.0, 1.0, 8.0, 10**4),
+                                         (3.7, 3.0, 50.0, 0.1, 10**5), (2.0, 1.6, 1.0, 1.0, 300)):
+            lam, tc = power_lambda_profile(alpha), ThetaClass(beta=beta, c_theta=c)
+            w = pinsker_oracle_weights(lam, tc, sigma, n)
+            ref = pinsker_weights(pinsker_gamma_oracle(lam, tc, sigma, n), tc)
+            assert w.size == ref.size and np.all(w > 0.0)
+            assert np.max(np.abs(w - ref)) <= 1e-15
 
 
 class TestGammaOracle:
@@ -376,7 +401,7 @@ class TestPlugInEstimator:
         s = sample_basis_design(self.SPEC, 20, 1)
         cov, xty = empirical_covariance(s), s.cross_moment(np.ones(20))
         with pytest.raises(ValueError):
-            flr_pinsker_fit(cov, xty, np.ones(3), 0.6)
+            flr_pinsker_fit(cov, xty, np.ones(3), 0.6, alpha=2.0)
         with pytest.raises(ValueError):
             flr_pinsker_fit(cov, xty, np.ones(3), 0.2, alpha=2.0)
 
@@ -432,7 +457,7 @@ class TestPlugInEstimator:
         s = sample_basis_design(self.SPEC, 20, 1)
         with pytest.raises(ValueError, match="non-negative"):
             flr_pinsker_fit(empirical_covariance(s), s.cross_moment(np.ones(20)),
-                            np.array([0.5, -0.1]), default_rho(2.0))
+                            np.array([0.5, -0.1]), default_rho(2.0), alpha=2.0)
 
 
 class TestDataDrivenGamma:
@@ -461,7 +486,7 @@ class TestDataDrivenGamma:
     def test_needs_enough_data(self):
         tc, lam = self._dataset(200)
         with pytest.raises(ValueError):
-            data_driven_gamma(lam, 4, tc, 1.0, default_rho(2.0))
+            data_driven_gamma(lam, 4, tc, 1.0, default_rho(2.0), alpha=2.0)
         with pytest.raises(ValueError):
             data_driven_split(4)
 

@@ -241,6 +241,28 @@ class TestMiseMonteCarlo:
             mise_monte_carlo(model, est, 20, 4)
             assert calls == list(model.n_grid)
 
+    def test_oracle_weights_built_once_per_n(self, monkeypatch):
+        # the oracle level's weights come from its piece, once per n, and no
+        # oracle fit forms 1 - gamma b_k from the level alone
+        import flrlab.risk
+        from flrlab.estimators import pinsker_oracle_weights
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args[3])
+            return pinsker_oracle_weights(*args)
+
+        monkeypatch.setattr(flrlab.risk, "pinsker_oracle_weights", counting)
+        monkeypatch.setattr(flrlab.risk, "pinsker_weights",
+                            lambda *args: pytest.fail("weights formed from the level alone"))
+        pinsker = EstimatorConfig(kind="pinsker-oracle")
+        for model in (seq_model(mode="worst-case", n_grid=(100, 400)),
+                      flr_model(mode="worst-case", n_grid=(64, 200))):
+            calls.clear()
+            mise_monte_carlo(model, pinsker, 5, 4)
+            assert sorted(calls) == sorted(model.n_grid)
+
     def test_basis_designs_render_no_grid_eigenfunctions(self, monkeypatch):
         # Operators of basis-expansion designs live in Fourier coefficients:
         # neither the cutoff study (full-rank m <= J and rank-capped m > J),
@@ -263,7 +285,8 @@ class TestMiseMonteCarlo:
         mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64,)),
                          EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)), 3, 2)
         train = sample_design(SPEC, 400, 3, slice(data_driven_split(400), 400))
-        sel = data_driven_gamma(empirical_eigenvalues(train), 400, TC, 1.0, default_rho(2.0))
+        sel = data_driven_gamma(empirical_eigenvalues(train), 400, TC, 1.0, default_rho(2.0),
+                                alpha=2.0)
         assert sel.gamma_hat > 0
         assert built == []
 
@@ -752,7 +775,8 @@ class TestPinskerDecomposition:
         weights = pinsker_weights(gamma, TC)
         cov = empirical_covariance(sample_design(SPEC, n, 3))
         bias, _ = pinsker_conditional_risk(cov, theta, weights, rho, sigma)
-        exact = flr_pinsker_fit(cov, cov.apply(theta), weights, rho).squared_error(theta)
+        exact = flr_pinsker_fit(cov, cov.apply(theta), weights, rho,
+                                alpha=2.0).squared_error(theta)
         assert abs(bias - exact) <= 1e-12 * exact
         f = cov.eigen_coefficients(theta, count=cov.rank)
         if n == 10:
