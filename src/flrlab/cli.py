@@ -11,6 +11,8 @@ report       merge study CSVs in the output directory into SVG plots
 
 Exit codes: 0 success, 2 config error, 3 numerical failure. Artifacts are
 deterministic given config + seed; a failed run removes its partial outputs.
+Every subcommand runs with OpenBLAS held at one thread, so its artifacts do
+not depend on the BLAS thread count it was started with.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .estimators import (
     sharp_risk_constant,
 )
 from .function_space import basis_function
+from .parallel import one_blas_thread
 from .risk import (
     delta56_study,
     fitted_rows,
@@ -69,13 +72,15 @@ def main(argv=None) -> int:
         parser.print_help()
         return 0
     try:
-        return _dispatch(args)
-    except ValueError as exc:        # ConfigError and SpecValidationError included
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        with one_blas_thread():
+            return _dispatch(args)
+    # LinAlgError subclasses ValueError, so it is caught first
     except (DegenerateDesignError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:        # ConfigError and SpecValidationError included
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,7 +184,7 @@ def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     write_grid_function(ws.path("theta.csv"), theta_grid)
     extra = {"n": n, "sigma": cfg.model.sigma, "design": design_spec_payload(cfg.model.design)}
     if n >= 100:
-        report = verify_condition_x(cfg.model.design, sample)
+        report = verify_condition_x(sample)
         extra["condition_x"] = {
             "gram_rank": report.gram_rank,
             "full_rank": report.full_rank,

@@ -18,9 +18,9 @@ names the basis (``DesignSpec.basis``), and only there:
 Grid values exist only to render a sample (``DesignSample.values``).
 
 Every row of a draw comes from one source, ``_row_blocks``: consecutive
-blocks of the coefficients, about 1 MB each (``_block_rows``) in one reused
-buffer, with the bits of the whole n x J draw, after which the stream stands
-where that draw leaves it. A uniform double takes exactly one 64-bit output
+blocks of the coefficients, about 1 MB each (``_block_rows``), with the
+bits of the whole n x J draw, after which the stream stands where that draw
+leaves it. A uniform double takes exactly one 64-bit output
 of a PCG64 stream, so uniform rows are drawn from a copy of the stream
 advanced past the rows before them (``streams.pcg64_ahead``), and the stream
 then skips all n J outputs (``streams.catch_up``); a uniform draw therefore
@@ -29,8 +29,11 @@ stream moves. A normal draw takes a variable number of outputs, so normal
 rows outside the ones asked for are drawn and dropped. The source has two
 readers:
 
-* ``sample_design`` copies the blocks of the rows it keeps into its sample;
-* ``stream_moments`` folds every block, while it is still in cache, into
+* ``sample_design`` has the rows it keeps drawn in place, as blocks that
+  are views of its sample, so a held draw allocates the sample alone (and,
+  for normal rows it drops, the buffer);
+* ``stream_moments`` folds every block, drawn into one reused buffer and
+  while it is still in cache, into
   the sums a study replication reads of its designs C and the n normals eps
   drawn after them (``DesignMoments``: rows of C^T C and C^T eps), so a
   replication holds O(J^2 + block) numbers rather than n x J. Only the
@@ -226,48 +229,62 @@ def _scales(spec: DesignSpec, j: int) -> np.ndarray:
     return np.sqrt(_brownian_profile(ks))
 
 
-def _row_blocks(spec: DesignSpec, n: int, rng: np.random.Generator, rows: range):
+def _row_blocks(spec: DesignSpec, n: int, rng: np.random.Generator, rows: range,
+                out: np.ndarray | None = None):
     """The rows ``rows`` (a step-1 range inside range(n)) of n designs drawn
     from ``rng``, as (start, block) pairs: ``block`` holds the coefficients
     lambda_k^(1/2) G_k of rows start..start + len(block) with the bits of the
-    whole n x J draw, in a view of one reused buffer of about 1 MB that the
-    next block overwrites. Once the blocks run out, ``rng`` stands where the
-    whole draw leaves it.
+    whole n x J draw. Without ``out`` each block is a view of one reused
+    buffer of about 1 MB that the next block overwrites; with ``out``
+    (len(rows) x J, C-contiguous) it is a view of that block's rows of
+    ``out``, drawn in place. Once the blocks run out, ``rng`` stands where
+    the whole draw leaves it.
 
     Uniform rows come from a copy of the PCG64 stream advanced past the rows
     before ``rows``; any other stream raises ``TypeError`` and does not
-    move. Normal rows outside ``rows`` are drawn and dropped.
+    move. Normal rows outside ``rows`` are drawn into the reused buffer and
+    dropped.
     """
     j = _truncation(spec, n)
     uniform = spec.kind == KIND_BASIS
-    source, drawn = (pcg64_ahead(rng, rows.start * j), rows) if uniform else (rng, range(n))
+    if uniform:
+        source, spans = pcg64_ahead(rng, rows.start * j), [(rows, True)]
+    else:
+        source = rng
+        spans = [(range(rows.start), False), (rows, True), (range(rows.stop, n), False)]
     scales = _scales(spec, j)
     size = _block_rows(j)
-    buffer = np.empty((min(size, len(drawn)), j))
-    for lo in range(drawn.start, drawn.stop, size):
-        block = buffer[:min(size, drawn.stop - lo)]
-        if uniform:
-            _centered(source.random(out=block))
-        else:
-            source.standard_normal(out=block)
-        first, last = max(rows.start - lo, 0), min(rows.stop - lo, block.shape[0])
-        if first < last:
-            block = block[first:last]
-            block *= scales
-            yield lo + first, block
+    # the reused buffer takes the dropped rows, and the kept ones without ``out``
+    buffered = max((len(span) for span, kept in spans if not kept or out is None), default=0)
+    buffer = np.empty((min(size, buffered), j))
+    for span, kept in spans:
+        for lo in range(span.start, span.stop, size):
+            hi = min(lo + size, span.stop)
+            if kept and out is not None:
+                block = out[lo - rows.start:hi - rows.start]
+            else:
+                block = buffer[:hi - lo]
+            if uniform:
+                _centered(source.random(out=block))
+            else:
+                source.standard_normal(out=block)
+            if kept:
+                block *= scales
+                yield lo, block
     if uniform:
         catch_up(rng, pcg64_ahead(rng, n * j))
 
 
 def _sample(spec: DesignSpec, n: int, seed, rows: slice) -> DesignSample:
-    """Designs ``rows`` of n drawn from ``seed``, copied from ``_row_blocks``."""
+    """Designs ``rows`` of n drawn from ``seed``: ``_row_blocks`` draws them
+    in place into the sample's coefficients."""
     span = range(n)[rows]
     if span.step != 1:
         raise ValueError("rows must be a contiguous slice")
     rng = as_generator(seed)
     coeffs = np.empty((len(span), _truncation(spec, n)))
-    for start, block in _row_blocks(spec, n, rng, span):
-        coeffs[start - span.start:start - span.start + block.shape[0]] = block
+    for _ in _row_blocks(spec, n, rng, span, out=coeffs):
+        pass
     return DesignSample(coeffs=coeffs, spec=spec)
 
 
@@ -411,7 +428,7 @@ class ConditionXReport:
     notes: str
 
 
-def verify_condition_x(spec: DesignSpec, sample: DesignSample) -> ConditionXReport:
+def verify_condition_x(sample: DesignSample) -> ConditionXReport:
     """Report empirical tail frequencies, centering, and the Gram-matrix rank.
 
     Purely diagnostic: a finite truncation J < n necessarily caps the rank at

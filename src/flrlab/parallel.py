@@ -1,5 +1,6 @@
 """Replication loops: independent Monte Carlo replications, serial or on one
-persistent pool of helper threads that the calling thread joins.
+persistent pool of helper threads that the calling thread joins; and the cap
+that holds OpenBLAS at one thread while they, or a CLI subcommand, run.
 
 Each replication writes its own slot of a result array and spends its time in
 numpy's linear algebra, which releases the interpreter lock, so threads run
@@ -23,11 +24,20 @@ OpenBLAS, however, also starts its own threads inside every call:
 ``threads`` workers, each driving a BLAS with nproc threads, oversubscribe
 the machine, and in a serial loop the BLAS threads spin on the other cores
 between the small calls of a replication, burning CPU for little speed. So
-every loop of ``foreach``, serial or pooled, holds every loaded OpenBLAS at
-one thread, and restores the previous counts when it has finished, also when
-a replication raises: every replication solves its linear algebra
-single-threaded, whatever ``threads`` is. Work outside a loop (one fit, one
-transform) keeps the default BLAS threading.
+``one_blas_thread`` holds every loaded OpenBLAS at one thread and restores
+the previous counts when its last holder leaves, also when the work raises.
+Every loop of ``foreach``, serial or pooled, holds it, so every replication
+solves its linear algebra single-threaded, whatever ``threads`` is; and the
+CLI holds it around each whole subcommand, so one fit, one transform or one
+report runs on one BLAS thread too, and its artifacts do not depend on the
+BLAS thread count it was started with. There the spare BLAS thread mostly
+spun: at the config of the benchmark's cli-gaussian workload (integrated-
+Gaussian designs, n = 256; 2 vCPU, in-process after a warm-up, three
+processes of three runs each) the CPU time of ``simulate`` went from
+0.34-0.47 s to 0.20-0.29 s and that of ``transform`` from 0.37-0.49 s to
+0.20-0.28 s, with wall times of 0.20-0.32 s before and 0.20-0.29 s after.
+The holders share one counter, so a loop inside a subcommand, or loops on
+several threads at once, nest.
 
 Measured on 2 vCPU of a shared host (OpenBLAS 0.3.31 from the numpy 2.4.6
 and scipy 1.17.1 wheels, Python 3.11.7), in-process after a warm-up, with
@@ -80,14 +90,18 @@ Two other uses of the cores were measured and rejected:
 
 OpenBLAS is found among the shared objects mapped into the process (Linux
 ``/proc/self/maps``) and its thread count is set through ``ctypes``. Only
-libraries already loaded are capped: scipy's OpenBLAS is mapped by any scipy
+libraries already loaded when the first holder enters are capped; a library
+first loaded while the cap is held keeps its default count until a later
+holder enters with none outstanding. scipy's OpenBLAS is mapped by any scipy
 import that loads its compiled modules, ``scipy.special`` included, and
 scipy is imported only by the KS battery (``risk.two_sample_equivalence_test``,
-for ``scipy.special.smirnov``), so in a run without it the cap finds numpy's
-OpenBLAS alone. Where none is found, for example with another BLAS or
-on another platform, the cap does nothing.
+for ``scipy.special.smirnov``), inside the subcommand's cap, so that
+OpenBLAS is not capped there; no CLI path calls into it, so nothing runs on
+it. Where none is found, for example with another BLAS or on another
+platform, the cap does nothing.
 
-Results do not depend on the worker count. This includes integrated-Gaussian
+Results do not depend on the worker count, nor, under the CLI, on the
+BLAS thread count. This includes integrated-Gaussian
 designs, where J = min(2n, D - 1) exceeds n and every replication solves an
 n x n dual eigenproblem (n up to 512 in the perturbation study): a serial
 loop with a multi-threaded OpenBLAS rounded it differently from a pool
@@ -156,29 +170,35 @@ def _blas_controls() -> list[_BlasThreads]:
     return [c for c in map(_controls_of, _mapped_openblas()) if c is not None]
 
 
-# The BLAS thread count is process-wide, so loops that overlap (foreach called
-# from several threads) share one cap: the first loop to start saves the
-# counts, the last one to finish restores them.
+# The BLAS thread count is process-wide, so holders that overlap (a CLI
+# subcommand and its loops, or foreach called from several threads) share one
+# cap: the first holder to enter saves the counts, the last one to leave
+# restores them.
 _cap_lock = threading.Lock()
-_cap_loops = 0
+_cap_holders = 0
 _cap_saved: list = []
 
 
 @contextlib.contextmanager
-def _single_threaded_blas():
-    global _cap_loops, _cap_saved
+def one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread; on exit, also by an exception,
+    the counts saved on entry come back once no other holder remains.
+
+    Holders nest and overlap across threads. A library first loaded while
+    the cap is held is not capped."""
+    global _cap_holders, _cap_saved
     with _cap_lock:
-        if _cap_loops == 0:
+        if _cap_holders == 0:
             _cap_saved = [(c, c.get()) for c in _blas_controls()]
             for c, _ in _cap_saved:
                 c.set(1)
-        _cap_loops += 1
+        _cap_holders += 1
     try:
         yield
     finally:
         with _cap_lock:
-            _cap_loops -= 1
-            if _cap_loops == 0:
+            _cap_holders -= 1
+            if _cap_holders == 0:
                 for c, count in _cap_saved:
                     c.set(count)
                 _cap_saved = []
@@ -215,7 +235,7 @@ def foreach(fn: Callable[[int], object], count: int, threads: int) -> None:
     first exception a call raises stops the others taking new indices and
     propagates once every running call has returned.
     """
-    with _single_threaded_blas():
+    with one_blas_thread():
         if threads <= 1:
             for i in range(count):
                 fn(i)

@@ -1,13 +1,33 @@
 import pytest
 from hypothesis import settings
 
-from flrlab import DesignSpec, ThetaClass, sample_basis_design, sample_design
+from flrlab import DesignSpec, ThetaClass, parallel, sample_basis_design, sample_design
 from flrlab.covariance import empirical_covariance
 
 # Property tests draw the same examples on every run and leave no example
 # database behind, so the suite stays deterministic.
 settings.register_profile("flrlab", derandomize=True, database=None, deadline=None)
 settings.load_profile("flrlab")
+
+# Thread controls of the OpenBLAS builds loaded at collection (numpy's).
+CONTROLS = parallel._blas_controls()
+needs_openblas = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS thread setter is loaded")
+
+
+def blas_counts():
+    return [c.get() for c in CONTROLS]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every OpenBLAS at 2 threads, so a count of 1 inside a loop or a
+    subcommand is the cap's doing; the counts are restored afterwards."""
+    saved = blas_counts()
+    for c in CONTROLS:
+        c.set(2)
+    yield
+    for c, count in zip(CONTROLS, saved):
+        c.set(count)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,8 @@ import pytest
 from flrlab.cli import main
 from flrlab.config import ConfigError, load_config
 
+from conftest import CONTROLS, blas_counts, needs_openblas
+
 BASE = """
 [design]
 kind = basis-expansion
@@ -236,6 +238,28 @@ class TestCliExitCodes:
         assert "numerically rank deficient" not in err
 
 
+    def test_linear_algebra_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a numerical failure; eigh
+        # fails in the perturbation study, after ks.csv has been written
+        out = tmp_path / "o"
+        eigh, failed = np.linalg.eigh, []
+
+        def failing(*args, **kwargs):
+            if (out / "ks.csv").exists():
+                failed.append(True)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        path = write_config(tmp_path, BASE.replace("n_grid = 25", "n_grid = 25,50")
+                            + "draws = 40\n")
+        rc = main(["equivalence", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and failed
+        assert "numerical failure: Eigenvalues did not converge" in err
+        assert "config error" not in err
+        assert not any(out.iterdir()), "partial outputs must be removed"
+
     def test_transform_failures_say_why(self, tmp_path, capsys, monkeypatch):
         # Brownian designs carry J = min(2n, D - 1) sine terms, so n >= D is
         # rank deficient by construction
@@ -409,3 +433,64 @@ class TestCsvSchema:
                 else:
                     expected.append(column)
             assert header == expected, name
+
+
+# Integrated-Gaussian designs on the default grid: n = 256 takes J = 512 sine
+# terms, so the transform and the fit solve a 256 x 256 dual eigenproblem,
+# large enough for OpenBLAS to split it over its threads.
+BROWNIAN = (BASE.replace("kind = basis-expansion", "kind = integrated-gaussian")
+            .replace("n_grid = 25", "n_grid = 256,512"))
+
+
+@needs_openblas
+class TestOneBlasThread:
+    """Every subcommand runs with OpenBLAS held at one thread, whatever count
+    the process started with, and the counts come back when main returns."""
+
+    @pytest.mark.parametrize("failure, code", [
+        (None, 0),
+        (ConfigError("rejected"), 2),
+        (np.linalg.LinAlgError("Eigenvalues did not converge"), 3),
+    ], ids=["success", "config-error", "numerical-failure"])
+    def test_subcommand_runs_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads,
+                                           failure, code):
+        import flrlab.cli
+
+        seen, covariance = [], flrlab.cli.empirical_covariance
+
+        def record(sample):
+            seen.append(blas_counts())
+            if failure is not None:
+                raise failure
+            return covariance(sample)
+
+        monkeypatch.setattr(flrlab.cli, "empirical_covariance", record)
+        path = write_config(tmp_path, BASE)
+        assert main(["transform", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+        assert seen == [[1] * len(CONTROLS)]
+        assert blas_counts() == [2] * len(CONTROLS)
+
+    def test_report_runs_on_one_thread(self, tmp_path, monkeypatch, two_blas_threads):
+        import flrlab.cli
+
+        seen = []
+        monkeypatch.setattr(flrlab.cli, "line_plot", lambda *a, **k: seen.append(blas_counts()))
+        (tmp_path / "risk.csv").write_text("n,mise,stderr\n100,1.0,0.1\n200,0.5,0.05\n")
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert seen == [[1] * len(CONTROLS)]
+        assert main(["report", "--out", str(tmp_path / "empty")]) == 2
+        assert blas_counts() == [2] * len(CONTROLS)
+
+    def test_artifacts_do_not_depend_on_the_blas_thread_count(self, tmp_path,
+                                                               two_blas_threads):
+        path = write_config(tmp_path, BROWNIAN)
+        written = []
+        for threads in (2, 1):
+            for c in CONTROLS:
+                c.set(threads)
+            out = tmp_path / f"blas-{threads}"
+            for command in ("transform", "estimate"):
+                assert main([command, "--config", str(path), "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0].keys() == written[1].keys()
+        assert [name for name in written[0] if written[0][name] != written[1][name]] == []

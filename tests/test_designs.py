@@ -199,6 +199,27 @@ class TestDesignRows:
         assert got_rng.integers(0, 2**32, dtype=np.uint32) \
             == ref_rng.integers(0, 2**32, dtype=np.uint32)
 
+    @pytest.mark.parametrize("kind, n, rows", [
+        ("basis-expansion", 10_000, slice(None)),
+        ("basis-expansion", 10_000, slice(10_000 - 1085, None)),
+        ("integrated-gaussian", 512, slice(None)),
+    ], ids=["uniform-whole", "uniform-rows", "normal-whole"])
+    def test_held_draws_allocate_their_result_alone(self, kind, n, rows):
+        # the blocks are drawn in place into the result: a block buffer beside
+        # it would add 1 MB. numpy's broadcasting multiply, which scales each
+        # block, holds a ufunc buffer of its own (8192 doubles, 64 KiB).
+        import tracemalloc
+
+        spec = DesignSpec(kind=kind, alpha=2.0)
+        rng = np.random.default_rng(4)
+        tracemalloc.start()
+        try:
+            coeffs = sample_design(spec, n, rng, rows).coeffs
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= coeffs.nbytes + 128 * 2**10
+
     def test_step_slices_are_rejected(self):
         # as on Brownian designs (TestGaussianDesign)
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
@@ -269,24 +290,24 @@ class TestConditionX:
     def test_needs_hundred(self, small_spec):
         s = sample_basis_design(small_spec, 50, 1)
         with pytest.raises(ValueError):
-            verify_condition_x(small_spec, s)
+            verify_condition_x(s)
 
     def test_full_rank_when_expansion_covers(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=128, grid_size=256)
         s = sample_basis_design(spec, 100, 12)
-        rep = verify_condition_x(spec, s)
+        rep = verify_condition_x(s)
         assert rep.gram_rank == 100 and rep.full_rank and not rep.truncation_limited
 
     def test_truncation_capped_rank_is_flagged(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=32, grid_size=256)
         s = sample_basis_design(spec, 120, 13)
-        rep = verify_condition_x(spec, s)
+        rep = verify_condition_x(s)
         assert rep.gram_rank == 32 and not rep.full_rank and rep.truncation_limited
 
     def test_brownian_truncation_is_flagged(self):
         # J = min(2n, D - 1) = 255 sine terms for n = 300 designs on 256 nodes
         spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
-        rep = verify_condition_x(spec, sample_design(spec, 300, 16))
+        rep = verify_condition_x(sample_design(spec, 300, 16))
         assert rep.gram_rank == 255 and not rep.full_rank and rep.truncation_limited
         assert rep.notes.startswith("expansion truncated at J=255 < n=300")
 
@@ -297,7 +318,7 @@ class TestConditionX:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=j_truncation,
                           grid_size=grid_size)
         s = sample_basis_design(spec, n, seed)
-        rep = verify_condition_x(spec, s)
+        rep = verify_condition_x(s)
         assert s._values is None          # the coefficient route never builds the grid
         # reference: the same diagnostics by quadrature on the rendered grid
         x, w = s.values, trapezoid_weights(grid_size)

@@ -11,23 +11,7 @@ from flrlab import DesignSpec, ThetaClass, parallel, pinsker_decomposition_draws
 from flrlab.estimators import default_rho
 from flrlab.parallel import foreach
 
-CONTROLS = parallel._blas_controls()
-needs_openblas = pytest.mark.skipif(not CONTROLS, reason="no OpenBLAS thread setter is loaded")
-
-
-def blas_counts():
-    return [c.get() for c in CONTROLS]
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Every OpenBLAS at 2 threads, so a count of 1 inside the pool is the cap's doing."""
-    saved = blas_counts()
-    for c in CONTROLS:
-        c.set(2)
-    yield
-    for c, count in zip(CONTROLS, saved):
-        c.set(count)
+from conftest import CONTROLS, blas_counts, needs_openblas
 
 
 def eigen_work(out):
