@@ -126,11 +126,9 @@ def _dispatch(args) -> int:
     if args.command == "report":
         out = Path(args.out or ".")
         return _cmd_report(out)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.threads is not None:
-        cfg = replace(cfg, threads=args.threads)
+    # replace re-runs the run record's checks, so an override obeys its key's rule
+    overrides = {"seed": args.seed, "threads": args.threads}
+    cfg = replace(load_config(args.config), **{k: v for k, v in overrides.items() if v is not None})
     out = Path(args.out or cfg.out or ".")
     ws = _Workspace(out)
     try:
@@ -158,30 +156,36 @@ def _meta(cfg: ExperimentConfig, extra: dict | None = None) -> dict:
     return payload
 
 
-def _theta_for(cfg: ExperimentConfig, n: int, oracle_gamma: float | None = None) -> np.ndarray:
-    mode = cfg.model.theta_mode if cfg.model.theta_mode != "worst-case" else "boundary"
-    return sample_theta(
-        cfg.model.theta_class, mode,
-        cfg.model.lambda_profile(),
-        cfg.model.sigma, n, derive_rng(cfg.seed, "theta"), gamma=oracle_gamma,
-    )
-
-
 def _require_flr(cfg: ExperimentConfig, command: str) -> None:
     if cfg.model.kind != "flr":
         raise ConfigError(f"{command} needs model.kind = flr", cfg.source_path)
 
 
-def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
-    _require_flr(cfg, "simulate")
-    n = cfg.model.n_grid[0]
-    sample = sample_design(cfg.model.design, n, derive_rng(cfg.seed, "design"))
-    theta = _theta_for(cfg, n)
-    theta_grid = basis_function(theta, cfg.model.design.basis, cfg.model.design.grid_size)
-    y = simulate_flr_responses(sample, theta, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
+def _draw_experiment(cfg: ExperimentConfig, oracle_gamma: float | None = None):
+    """(n, sample, theta, y) at the first n of the grid: the designs, theta
+    and the responses, drawn from the ``design``, ``theta`` and ``noise``
+    streams; ``oracle_gamma`` is the level a least-favorable theta takes."""
+    model = cfg.model
+    n = model.n_grid[0]
+    sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
+    theta = sample_theta(model.theta_class, model.drawn_theta_mode, model.lambda_profile(),
+                         model.sigma, n, derive_rng(cfg.seed, "theta"), gamma=oracle_gamma)
+    y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
+    return n, sample, theta, y
+
+
+def _write_data(ws: _Workspace, sample, y: np.ndarray) -> None:
+    """``designs.csv``, its ``designs.json`` sidecar and ``responses.csv``."""
     write_design_sample(ws.path("designs.csv"), sample, ws.path("designs.json"))
     write_responses(ws.path("responses.csv"), y)
-    write_grid_function(ws.path("theta.csv"), theta_grid)
+
+
+def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
+    _require_flr(cfg, "simulate")
+    n, sample, theta, y = _draw_experiment(cfg)
+    _write_data(ws, sample, y)
+    write_grid_function(ws.path("theta.csv"),
+                        basis_function(theta, cfg.model.design.basis, cfg.model.design.grid_size))
     extra = {"n": n, "sigma": cfg.model.sigma, "design": design_spec_payload(cfg.model.design)}
     if n >= 100:
         report = verify_condition_x(sample)
@@ -196,16 +200,12 @@ def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
 
 def _cmd_transform(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "transform")
-    n = cfg.model.n_grid[0]
-    sample = sample_design(cfg.model.design, n, derive_rng(cfg.seed, "design"))
-    theta = _theta_for(cfg, n)
-    y = simulate_flr_responses(sample, theta, cfg.model.sigma, derive_rng(cfg.seed, "noise"))
+    n, sample, _, y = _draw_experiment(cfg)
     cov = empirical_covariance(sample)
     transform = build_gram_transform(sample, cov)
     wn = flr_to_whitenoise(y, transform, cfg.model.sigma)
     roundtrip = whitenoise_to_flr(wn, transform)
-    write_design_sample(ws.path("designs.csv"), sample, ws.path("designs.json"))
-    write_responses(ws.path("responses.csv"), y)
+    _write_data(ws, sample, y)
     write_wn_coefficients(ws.path("wn_coefficients.csv"), wn)
     write_responses(ws.path("responses_roundtrip.csv"), roundtrip)
     write_json(ws.path("transform.json"), _meta(cfg, {
@@ -217,16 +217,11 @@ def _cmd_transform(cfg: ExperimentConfig, ws: _Workspace) -> None:
 
 def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "estimate")
-    n = cfg.model.n_grid[0]
     model, est = cfg.model, cfg.estimator
     if est.kind == "cutoff":
         raise ConfigError("estimate supports the pinsker estimator kinds", cfg.source_path)
-    lam = model.lambda_profile()
-    oracle = oracle_level(model, n)
-    sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
-    theta = _theta_for(cfg, n, oracle[0])
-    theta_grid = basis_function(theta, model.design.basis, model.design.grid_size)
-    y = simulate_flr_responses(sample, theta, model.sigma, derive_rng(cfg.seed, "noise"))
+    oracle = oracle_level(model, model.n_grid[0])
+    n, sample, theta, y = _draw_experiment(cfg, oracle[0])
 
     plan: dict = {"estimator": est.kind, "rho": est.rho}
     m = fitted_rows(est, n)
@@ -242,12 +237,13 @@ def _cmd_estimate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     plan.update(
         gamma=gamma,
         weights=[float(w) for w in weights],
-        sharp_risk=sharp_risk_constant(lam, model.theta_class, model.sigma, n),
+        sharp_risk=sharp_risk_constant(model.lambda_profile(), model.theta_class, model.sigma, n),
         support_cap=fit.support_cap,
         cap_binding=fit.cap_binding,
     )
     write_grid_function(ws.path("theta_hat.csv"), fit.estimate)
-    write_grid_function(ws.path("theta.csv"), theta_grid)
+    write_grid_function(ws.path("theta.csv"),
+                        basis_function(theta, model.design.basis, model.design.grid_size))
     write_json(ws.path("plan.json"), _meta(cfg, plan))
     write_json(ws.path("fit.json"), _meta(cfg, {"n": n, "squared_error": float(err)}))
 

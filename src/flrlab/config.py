@@ -3,10 +3,12 @@
 The format is a plain text file of ``[section]`` headers and ``key = value``
 lines; ``#`` starts a comment. The parser keeps line numbers so validation
 errors can point at the offending line, and unknown sections or keys are
-rejected outright. The model and estimator records the Monte Carlo harness
-consumes are defined here too, with their own validation; pairings of the two
-that no study can run are rejected by ``EstimatorConfig.check_against``, which
-the loader and ``risk.mise_monte_carlo`` both call.
+rejected outright. The model, estimator and run records are defined here too,
+each checking its own fields, so a record built by the loader, by a library
+caller or by a CLI override obeys the same rules; pairings of a model and an
+estimator that no study can run are rejected by
+``EstimatorConfig.check_against``, which the loader and
+``risk.mise_monte_carlo`` both call.
 
 There are three estimator kinds, the three the paper's claims rest on: the
 spectral cutoff (the rate), Pinsker shrinkage at the oracle level (known
@@ -27,6 +29,7 @@ from .estimators import (DATA_DRIVEN_MIN_N, DEFAULT_COEFF_BUDGET, ThetaClass, cu
                          default_rho, power_lambda_profile, validate_rho)
 
 ESTIMATOR_KINDS = ("cutoff", "pinsker-oracle", "pinsker-data-driven")
+_THETA_MODES = ("boundary", "random", "least-favorable", "vertex", "worst-case")
 
 
 @dataclass(frozen=True)
@@ -44,6 +47,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("sequence", "flr"):
             raise SpecValidationError(f"unknown model kind {self.kind!r}", "kind")
+        if self.theta_mode not in _THETA_MODES:
+            raise SpecValidationError(f"unknown theta mode {self.theta_mode!r}", "mode")
         if self.kind == "flr" and self.design is None:
             raise SpecValidationError("flr models need a design spec")
         if self.kind == "flr" and self.alpha != self.design.alpha:
@@ -54,6 +59,13 @@ class ModelConfig:
             raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise SpecValidationError(f"sigma must be finite and > 0, got {self.sigma}", "sigma")
+
+    @property
+    def drawn_theta_mode(self) -> str:
+        """The mode of a study's one drawn theta: a worst-case study maximizes
+        over a panel of test functions where it can (``risk._theta_panel``),
+        and a single draw takes the boundary function."""
+        return self.theta_mode if self.theta_mode != "worst-case" else "boundary"
 
     def lambda_profile(self):
         """k -> lambda_k, the model's true spectrum: the design's
@@ -178,8 +190,6 @@ _REQUIRED = {
     "run": ("seed",),
 }
 
-_THETA_MODES = ("boundary", "random", "least-favorable", "vertex", "worst-case")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -195,6 +205,18 @@ class ExperimentConfig:
     level: float
     config_sha256: str
     source_path: str
+
+    def __post_init__(self):
+        for key, ok, rule in (
+            ("reps", self.reps >= 2, ">= 2"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("threads", self.threads >= 1, ">= 1"),
+            ("draws", self.draws >= 2, ">= 2"),
+            ("level", 0.0 < self.level < 1.0, "in (0, 1)"),
+        ):
+            if not ok:
+                raise SpecValidationError(
+                    f"run.{key} must be {rule}, got {getattr(self, key)}", key)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -257,16 +279,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with rejecting_in("theta"):
         theta_class = ThetaClass(beta=get("theta", "beta"), c_theta=get("theta", "c_theta"))
         theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
-    theta_mode = get("theta", "mode", "boundary")
-    if theta_mode not in _THETA_MODES:
-        raise ConfigError(f"unknown theta mode {theta_mode!r}", str(path),
-                          line_of("theta", "mode"))
-    with rejecting_in("model"):
+    with rejecting_in("model", "theta"):
         model = ModelConfig(
             kind=model_kind,
             alpha=alpha,
             theta_class=theta_class,
-            theta_mode=theta_mode,
+            theta_mode=get("theta", "mode", "boundary"),
             sigma=get("model", "sigma"),
             n_grid=get("model", "n_grid"),
             design=design,
@@ -292,27 +310,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with rejecting_in("estimator", "model", "design"):
         estimator.check_against(model)
 
-    reps = get("run", "reps", 2)
-    threads = get("run", "threads", 1)
-    level = get("run", "level", 0.05)
-    draws = get("run", "draws", 2000)
-    if reps < 2:
-        raise ConfigError("run.reps must be >= 2", str(path), line_of("run", "reps"))
-    if draws < 2:
-        raise ConfigError("run.draws must be >= 2", str(path), line_of("run", "draws"))
-    if threads < 1:
-        raise ConfigError("run.threads must be >= 1", str(path), line_of("run", "threads"))
-    if not 0.0 < level < 1.0:
-        raise ConfigError("run.level must lie in (0, 1)", str(path), line_of("run", "level"))
-    return ExperimentConfig(
-        model=model,
-        estimator=estimator,
-        reps=reps,
-        seed=get("run", "seed"),
-        out=get("run", "out"),
-        threads=threads,
-        draws=draws,
-        level=level,
-        config_sha256=digest,
-        source_path=str(path),
-    )
+    with rejecting_in("run"):
+        return ExperimentConfig(
+            model=model,
+            estimator=estimator,
+            reps=get("run", "reps", 2),
+            seed=get("run", "seed"),
+            out=get("run", "out"),
+            threads=get("run", "threads", 1),
+            draws=get("run", "draws", 2000),
+            level=get("run", "level", 0.05),
+            config_sha256=digest,
+            source_path=str(path),
+        )

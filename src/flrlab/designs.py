@@ -106,9 +106,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in (KIND_BASIS, KIND_GAUSSIAN):
             raise SpecValidationError(f"unknown design kind {self.kind!r}", "kind")
-        if self.alpha < 2.0:
-            raise SpecValidationError(f"eigenvalue decay exponent must be >= 2, got {self.alpha}",
-                                      "alpha")
+        if not (math.isfinite(self.alpha) and self.alpha >= 2.0):
+            raise SpecValidationError(
+                f"eigenvalue decay exponent must be finite and >= 2, got {self.alpha}", "alpha")
         if self.kind == KIND_BASIS:
             if self.j_truncation is not None and self.j_truncation < 1:
                 raise SpecValidationError("j_truncation must be >= 1", "j_truncation")

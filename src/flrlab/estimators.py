@@ -37,10 +37,12 @@ class ThetaClass:
     c_theta: float
 
     def __post_init__(self):
-        if self.beta <= 0.5:
-            raise SpecValidationError("smoothness exponent must exceed 1/2", "beta")
-        if self.c_theta <= 0:
-            raise SpecValidationError("ellipsoid radius must be positive", "c_theta")
+        if not (math.isfinite(self.beta) and self.beta > 0.5):
+            raise SpecValidationError(
+                f"smoothness exponent must be finite and exceed 1/2, got {self.beta}", "beta")
+        if not (math.isfinite(self.c_theta) and self.c_theta > 0):
+            raise SpecValidationError(
+                f"ellipsoid radius must be finite and positive, got {self.c_theta}", "c_theta")
 
     def beta_k(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=float)

@@ -72,7 +72,7 @@ replications fit from (Gamma-hat, X^T y / n), one BLAS thread costs no wall
 time and half the CPU there (5.97 s and 5.6 s of CPU against 6.18 s and
 11.5 s, medians of nine alternating runs).
 
-Two other uses of the cores were measured and rejected:
+Three other uses of the cores were measured and rejected:
 
 * worker processes: a spawned worker pays a fresh ``import flrlab,
   flrlab.risk`` of 0.20-0.25 s wall and about 0.35 s CPU (median of 9), and
@@ -86,7 +86,17 @@ Two other uses of the cores were measured and rejected:
   helper thread sharing chunks it was slower in 6 of 6 runs (by 0.3-0.9 s).
   One draw takes about 6 ms, too short for the second vCPU to help: two
   threads drawing at once ran at about the speed of one unless both had
-  been busy for a while.
+  been busy for a while;
+* prefetching the next row block of ``designs.stream_moments`` on a helper
+  thread while the caller folds the current one into its sums (the same
+  bits; each block handed over as a copy). In the benchmark's workloads
+  (``perfbench/run.py --trace 0 --seed 7 --seconds 10``, 4 alternating
+  pairs), the serial dd-pinsker-flr study took a median wall time of
+  4.83 s against 5.46 s (faster in 4 of 4 pairs, by 3-14 %), but 6.84 s of
+  CPU against 5.45 s (21-32 % more in every pair) and a peak RSS of 47 MB
+  against 43 MB; on cutoff-flr, whose pool already keeps both cores busy
+  with whole replications, the helper competes with it, and the median wall
+  time went from 0.26 s to 0.60 s.
 
 OpenBLAS is found among the shared objects mapped into the process (Linux
 ``/proc/self/maps``) and its thread count is set through ``ctypes``. Only

@@ -525,8 +525,6 @@ def delta56_study(
     reps: int,
     seed: int,
     *,
-    force_true_cov2: bool = False,
-    force_true_theta1: bool = False,
     threads: int = 1,
 ) -> Delta56Report:
     """Monte Carlo size of the operator-square-root perturbation
@@ -559,8 +557,8 @@ def delta56_study(
         raise SpecValidationError("the perturbation study needs an flr model")
     spec = model.design
     tc, sigma = model.theta_class, model.sigma
-    theta = sample_theta(tc, model.theta_mode if model.theta_mode != "worst-case" else "boundary",
-                         model.lambda_profile(), sigma, max(n_grid), 0)
+    theta = sample_theta(tc, model.drawn_theta_mode, model.lambda_profile(), sigma,
+                         max(n_grid), 0)
     true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
 
     def setup(n):
@@ -571,15 +569,11 @@ def delta56_study(
             # One stream per replication across the whole n grid: the shared
             # leading draws couple the per-n estimates, tightening trend tests.
             rng = derive_rng(seed, "delta", rep)
-            if force_true_theta1:
-                theta1 = theta
-            else:
-                moments = stream_moments(spec, m, rng, lead=k)
-                theta1 = _cutoff_fit(moments, sigma, true_cov, k)(theta)
-            cov2 = true_cov if force_true_cov2 else sample_design(spec, n - m, rng)
+            theta1 = _cutoff_fit(stream_moments(spec, m, rng, lead=k), sigma, true_cov, k)(theta)
+            s2 = sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)
             g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
-            a, b = sqrt_apply(true_cov, g), sqrt_apply(cov2, g)
+            a, b = sqrt_apply(true_cov, g), sqrt_apply(s2, g)
             width = max(a.size, b.size)
             sq = float(np.sum((pad_coefficients(a, width) - pad_coefficients(b, width)) ** 2))
             vals[rep] = (n - m) * sq

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+_WIDTH, _HEIGHT = 640, 420
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -46,8 +47,6 @@ def line_plot(
     ylabel: str = "",
     logx: bool = False,
     logy: bool = False,
-    width: int = 640,
-    height: int = 420,
 ) -> None:
     """Write one SVG with a line per entry of ``series`` (label -> y values)."""
     xs = [float(x) for x in xs]
@@ -60,7 +59,7 @@ def line_plot(
         raise ValueError("log y-axis needs positive y")
 
     ml, mr, mt, mb = 70, 20, 34, 50
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = _WIDTH - ml - mr, _HEIGHT - mt - mb
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_lo == x_hi:
@@ -79,13 +78,13 @@ def line_plot(
         return mt + ph * (1.0 - (u - a) / (b - a))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+        parts.append(f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-size="14">{title}</text>')
     for v in _ticks(x_lo, x_hi, logx):
         if not x_lo <= v <= x_hi:
@@ -100,7 +99,7 @@ def line_plot(
         parts.append(f'<line x1="{ml - 5}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{ml - 8}" y="{y + 4:.1f}" text-anchor="end">{_fmt_tick(v)}</text>')
     if xlabel:
-        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>')
+        parts.append(f'<text x="{ml + pw / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle">{xlabel}</text>')
     if ylabel:
         parts.append(f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
                      f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>')

@@ -7,6 +7,12 @@ import pytest
 
 from flrlab.cli import main
 from flrlab.config import ConfigError, load_config
+from flrlab.covariance import empirical_covariance
+from flrlab.designs import sample_design
+from flrlab.estimators import flr_pinsker_fit, sample_theta
+from flrlab.risk import oracle_level, pinsker_level
+from flrlab.serialize import read_responses
+from flrlab.streams import derive_rng
 
 from conftest import CONTROLS, blas_counts, needs_openblas
 
@@ -124,12 +130,22 @@ class TestConfigParsing:
                           "kind = integrated-gaussian\nj_truncation = 8"), "j_truncation = 8"),
             (BASE + "draws = 0\n", "draws = 0"),
             (BASE + "draws = 1\n", "draws = 1"),
+            (BASE.replace("seed = 7", "seed = -3"), "seed = -3"),
         ):
             lines = text.splitlines()
             path = write_config(tmp_path, text, "fixed0.ini")
             with pytest.raises(ConfigError) as err:
                 load_config(path)
             assert f"fixed0.ini:{lines.index(key) + 1}:" in str(err.value), (key, str(err.value))
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["alpha", "beta", "c_theta"])
+    def test_non_finite_parameters_are_line_referenced(self, tmp_path, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", BASE, flags=re.M)
+        path = write_config(tmp_path, text, "finite.ini")
+        with pytest.raises(ConfigError, match="must be finite") as err:
+            load_config(path)
+        assert f"finite.ini:{text.splitlines().index(f'{key} = {value}') + 1}:" in str(err.value)
 
     def test_rho_checked_at_load_time(self, tmp_path):
         # rho must lie in (alpha/(2 alpha + 3), 1/2) = (2/7, 1/2) at alpha = 2
@@ -212,6 +228,18 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert f"cut.ini:{text.splitlines().index('j_truncation = 2') + 1}:" in err
         assert "lead" not in err and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--threads", "0"), ("--threads", "-4"),
+                                             ("--seed", "-1")])
+    def test_bad_override_exits_2(self, tmp_path, capsys, flag, value):
+        # an override is checked by the same rule as its config key
+        out = tmp_path / "o"
+        rc = main(["simulate", "--config", str(write_config(tmp_path, BASE)), flag, value,
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"config error: run.{flag[2:]} must be" in err, err
+        assert not out.exists()
 
     def test_reps_of_one_exits_2(self, tmp_path):
         path = write_config(tmp_path, BASE.replace("reps = 5", "reps = 1"))
@@ -306,6 +334,27 @@ class TestSubcommands:
         assert main(["estimate", "--config", str(path), "--out", str(out)]) == 0
         plan = json.loads((out / "plan.json").read_text())
         assert plan["gamma"] > 0 and plan["sharp_risk"] > 0
+
+    def test_estimate_fits_the_data_simulate_wrote(self, tmp_path):
+        # simulate and estimate draw one experiment: the library's fit to the
+        # responses simulate wrote has the squared error estimate reports
+        path = write_config(tmp_path, BASE)
+        sim, est = tmp_path / "sim", tmp_path / "est"
+        assert main(["simulate", "--config", str(path), "--out", str(sim)]) == 0
+        assert main(["estimate", "--config", str(path), "--out", str(est)]) == 0
+        cfg = load_config(path)
+        model, n, rho = cfg.model, cfg.model.n_grid[0], cfg.estimator.rho
+        sample = sample_design(model.design, n, derive_rng(cfg.seed, "design"))
+        written = np.loadtxt(sim / "designs.csv", delimiter=",", skiprows=1)[:, 1:]
+        np.testing.assert_allclose(written, sample.values.T, rtol=0, atol=1e-12)
+        theta = sample_theta(model.theta_class, model.theta_mode, model.lambda_profile(),
+                             model.sigma, n, derive_rng(cfg.seed, "theta"))
+        _, weights, _ = pinsker_level(cfg.estimator, model, n, None, rho, oracle_level(model, n))
+        y = read_responses(sim / "responses.csv")
+        fit = flr_pinsker_fit(empirical_covariance(sample), sample.cross_moment(y), weights, rho,
+                              alpha=model.alpha)
+        reported = json.loads((est / "fit.json").read_text())["squared_error"]
+        assert fit.squared_error(theta) == pytest.approx(reported, rel=1e-12)
 
     def test_estimate_solves_the_oracle_level_once(self, tmp_path, monkeypatch):
         # the least-favorable theta takes the level the plan already holds,

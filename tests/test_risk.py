@@ -412,14 +412,6 @@ class TestGammaConsistencyStudy:
 
 
 class TestDeltaStudy:
-    def test_forced_true_operator_gives_zero(self):
-        report = delta56_study((64,), flr_model(), 3, 1, force_true_cov2=True)
-        assert np.all(report.mean_sq == 0.0)
-
-    def test_forced_true_estimate_gives_zero(self):
-        report = delta56_study((64,), flr_model(), 3, 1, force_true_theta1=True)
-        assert np.max(report.mean_sq) <= 1e-18
-
     def test_decreasing_trend(self):
         report = delta56_study((256, 1024), flr_model(sigma=0.5), 30, 7)
         assert report.mean_sq[1] < report.mean_sq[0]
@@ -553,10 +545,6 @@ class TestDeltaStudy:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         delta56_study((32, 64), model, 2, 3)
         assert operators == [] and len(eighs) == 4
-        operators.clear()
-        eighs.clear()
-        delta56_study((32, 64), model, 2, 3, force_true_cov2=True)
-        assert operators == [] and eighs == []
 
 
 class TestTvBound:
