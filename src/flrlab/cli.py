@@ -211,7 +211,7 @@ def _cmd_transform(cfg: ExperimentConfig, ws: _Workspace) -> None:
     write_json(ws.path("transform.json"), _meta(cfg, {
         "n": n,
         "roundtrip_max_error": float(np.max(np.abs(y - roundtrip))),
-        "orthogonality_defect": float(np.max(np.abs(transform.a.T @ transform.a - np.eye(n)))),
+        "orthogonality_defect": transform.orthogonality_defect,
     }))
 
 

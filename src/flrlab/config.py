@@ -47,6 +47,9 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("sequence", "flr"):
             raise SpecValidationError(f"unknown model kind {self.kind!r}", "kind")
+        if not (math.isfinite(self.alpha) and self.alpha >= 2.0):
+            raise SpecValidationError(
+                f"alpha must be finite and >= 2, got {self.alpha}", "alpha")
         if self.theta_mode not in _THETA_MODES:
             raise SpecValidationError(f"unknown theta mode {self.theta_mode!r}", "mode")
         if self.kind == "flr" and self.design is None:
@@ -278,8 +281,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     est_kind = get("estimator", "kind", "pinsker-oracle")
     with rejecting_in("theta"):
         theta_class = ThetaClass(beta=get("theta", "beta"), c_theta=get("theta", "c_theta"))
-        theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
-    with rejecting_in("model", "theta"):
+    # the model checks alpha, which a sequence model builds no design to
+    # check, before beta is checked against it
+    with rejecting_in("model", "theta", "design"):
         model = ModelConfig(
             kind=model_kind,
             alpha=alpha,
@@ -289,6 +293,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             n_grid=get("model", "n_grid"),
             design=design,
         )
+    with rejecting_in("theta"):
+        theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
     if design is not None:
         # Every Fourier function in play (theta's coefficients, the expansion)
         # must stay below the grid's Nyquist limit; the same bound leaves the

@@ -10,16 +10,20 @@ The empirical operator of n designs with coefficients C (n x J) is the
 J x J matrix C^T C / n, of rank at most min(n, J). One rule picks the
 smaller of two exact eigenproblems from the input size:
 
-* n >= J: ``eigh`` of C^T C / n gives U directly;
-* n < J: ``eigh`` of the n x n matrix C C^T / n = V diag(lambda) V^T has
+* n > J: ``eigh`` of C^T C / n gives U directly;
+* n <= J: ``eigh`` of the n x n matrix C C^T / n = V diag(lambda) V^T has
   the same nonzero spectrum, and U = C^T V diag(n lambda)^(-1/2).
+
+Only the dual branch can reach full rank n, and there V is the whitening
+matrix A = C U diag(n lambda)^(-1/2) of the sample, which the operator keeps
+(``CovOperator.whitening``) for ``equivalence.build_gram_transform``.
 
 The primal branch reads C only through C^T C / n, so a caller that summed
 that Gram matrix block by block (``designs.stream_moments``) passes it as an
 ``EmpiricalGram`` of n > J designs in place of the sample, to
 ``empirical_covariance`` and ``empirical_eigenvalues`` alike: the same
 eigenproblem, retained rank and sign convention. With at most J designs the
-dual branch or the determinant below reads C, so those take the sample.
+dual branch reads C, so those take the sample.
 
 Per sample of n Brownian designs on 1024 nodes (J = min(2n, 1023)), the
 draw, the covariance and ``design_products`` take, as medians of 5 on
@@ -31,11 +35,11 @@ n x n branch.
 
 Eigenvector signs follow a fixed convention (largest-magnitude coefficient
 among the first 64 positive), and for full-rank empirical operators the last
-eigenvector is flipped if needed so the change-of-basis matrix used by the
-whitening transform has determinant +1. A caller that needs only
-Gamma-hat^(1/2) f passes the sample itself to ``sqrt_apply``, which uses
-the same eigenproblem and retained rank but builds no operator, so none of
-U, the sign convention or the determinant is computed.
+eigenvector is flipped if needed so the whitening matrix V has determinant
++1. A caller that needs only Gamma-hat^(1/2) f passes the sample itself to
+``sqrt_apply``, which uses the same eigenproblem and retained rank but
+builds no operator, so none of U, the sign convention or the determinant is
+computed.
 
 ``eigh`` returns its eigenpairs ascending; they are read descending through
 reversed views (``_sorted_desc``), so no eigenproblem copies its r x r
@@ -101,6 +105,7 @@ class CovOperator:
         self.grid_size = int(grid_size)
         self._vectors = coeff_vectors
         self._functions = None
+        self._whitening = None
 
     @property
     def eigenfunctions(self) -> Basis:
@@ -118,6 +123,13 @@ class CovOperator:
     def coeff_vectors(self) -> np.ndarray:
         """(J, r) eigenvectors in the operator's basis."""
         return self._vectors
+
+    @property
+    def whitening(self) -> np.ndarray | None:
+        """The n x n whitening matrix A = C U diag(n lambda)^(-1/2) of a
+        full-rank empirical operator, formed as the dual eigenvectors V under
+        the sign and determinant conventions; None for every other operator."""
+        return self._whitening
 
     @property
     def rank(self) -> int:
@@ -184,11 +196,6 @@ def _convention_signs(ref_coeffs: np.ndarray) -> np.ndarray:
     return np.where(lead < 0.0, -1.0, 1.0)
 
 
-def _det_sign_orthogonal(a: np.ndarray) -> float:
-    sign, _ = np.linalg.slogdet(a)
-    return float(sign)
-
-
 def _retain(lam: np.ndarray) -> int:
     if lam.size == 0 or lam[0] <= 0.0:
         return 0
@@ -212,11 +219,11 @@ class EmpiricalGram:
             raise ValueError(f"a Gram matrix is square, got {self.matrix.shape}")
         if self.n <= j:
             raise ValueError(f"{self.n} designs with J = {j}: at most J designs need "
-                             "the sample itself (dual branch or determinant)")
+                             "the sample itself (dual branch)")
 
 
 def _gram(sample) -> tuple[np.ndarray, bool]:
-    """The smaller of C C^T / n (dual, n < J) and C^T C / n, with the branch
+    """The smaller of C C^T / n (dual, n <= J) and C^T C / n, with the branch
     taken; an ``EmpiricalGram`` is already the latter."""
     if isinstance(sample, EmpiricalGram):
         return sample.matrix, False
@@ -224,7 +231,7 @@ def _gram(sample) -> tuple[np.ndarray, bool]:
         raise ValueError("empty sample")
     c = sample.coeffs           # (n, J), columns are coordinates in the sample's basis
     n, j = c.shape
-    dual = n < j
+    dual = n <= j
     return ((c @ c.T) / n if dual else (c.T @ c) / n), dual
 
 
@@ -252,8 +259,10 @@ def empirical_covariance(sample) -> CovOperator:
 
     Keeps only the numerically nonzero eigenpairs (at most min(n, J)); the
     operator's range equals the span of the designs. The eigenproblem is the
-    smaller of the J x J and n x n ones (see the module docstring).
-    ``sample`` is a design sample or an ``EmpiricalGram`` of n > J designs.
+    smaller of the J x J and n x n ones (see the module docstring). At full
+    rank n the operator also keeps that eigenproblem's eigenvectors as its
+    ``whitening`` matrix. ``sample`` is a design sample or an
+    ``EmpiricalGram`` of n > J designs.
     """
     lam, vecs, dual = _gram_eigen(sample)
     n, r = sample.n, lam.size
@@ -264,13 +273,15 @@ def empirical_covariance(sample) -> CovOperator:
     # written out column-major, the layout an index gather gave it, so every
     # later product with U rounds as before.
     u = np.multiply(u, signs, order="C" if dual else "F")
+    whitening = None
     if r == n:
-        # A = C U D^{-1} is the whitening matrix of this sample, and on the
-        # dual route it is V itself; fix det = +1.
-        a = vecs * signs if dual else (sample.coeffs @ u) / np.sqrt(n * lam)[None, :]
-        if _det_sign_orthogonal(a) < 0:
+        # rank n needs n <= J, the dual branch, where A = C U D^{-1} is V
+        # itself; fix det = +1.
+        whitening = vecs * signs
+        if np.linalg.slogdet(whitening)[0] < 0:
             u[:, -1] *= -1.0
-    return CovOperator(
+            whitening[:, -1] *= -1.0
+    op = CovOperator(
         eigenvalues=lam,
         coeff_vectors=u,
         basis=sample.basis,
@@ -278,6 +289,8 @@ def empirical_covariance(sample) -> CovOperator:
         kind="empirical",
         n_samples=n,
     )
+    op._whitening = whitening
+    return op
 
 
 def sqrt_apply(op, f) -> np.ndarray:

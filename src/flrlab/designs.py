@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovOperator
+from .covariance import CovOperator, empirical_eigenvalues
 from .errors import ResolutionError, SpecValidationError
 from .estimators import power_lambda_profile
 from .function_space import (
@@ -434,22 +434,23 @@ def verify_condition_x(sample: DesignSample) -> ConditionXReport:
     Purely diagnostic: a finite truncation J < n necessarily caps the rank at
     J, which is flagged rather than raised. Nothing touches the grid: the
     basis is orthonormal under the quadrature, so the Gram matrix of the
-    coefficients C (n x J) is C C^T, with the squared singular values as
-    eigenvalues.
+    designs is that of their coefficients C (n x J). The rank is the
+    empirical operator's (``covariance.empirical_eigenvalues``, the same
+    eigenproblem and ``RANK_TOL`` cut), so ``full_rank`` holds exactly when
+    ``equivalence.build_gram_transform`` finds rank n.
     """
     if sample.n < 100:
         raise ValueError("diagnostics need n >= 100")
     c = sample.coeffs
     sq_norms = np.einsum("ij,ij->i", c, c)
     mean_sq = float(np.sum(c.mean(axis=0) ** 2))
-    eig = np.linalg.svd(c, compute_uv=False) ** 2
     norms = np.sqrt(np.maximum(sq_norms, 0.0))
     xs = np.linspace(0.0, float(np.max(norms)) * 1.05 + 1e-12, 20)
     freq = np.array([np.mean(norms >= x) for x in xs])
 
     mean_norm = float(np.sqrt(max(mean_sq, 0.0)))
     scale = float(np.mean(norms)) / math.sqrt(sample.n)
-    rank = int(np.sum(eig > 1e-10 * max(eig.max(), 0.0)))
+    rank = empirical_eigenvalues(sample).size
 
     j = c.shape[1]
     truncated = j < sample.n

@@ -20,20 +20,22 @@ from .errors import DegenerateDesignError, DimensionError
 from .function_space import FOURIER, GridFunction
 from .streams import as_generator
 
-ORTHOGONALITY_TOL = 1e-8   # largest off-diagonal of Q^T Q / (n lambda_1) and of A^T A - I
+ORTHOGONALITY_TOL = 1e-8   # max |Q^T Q - diag(n lambda)| / (n lambda_1) and max |A^T A - I|
 
 
 @dataclass(frozen=True)
 class GramTransform:
     """Change of coordinates built from a full-rank design sample.
 
-    q has entries <X_j, phi_k>, dvec holds sqrt(n lambda_k), and a = q / dvec
-    is orthogonal with determinant +1 under the package sign convention.
+    q has entries <X_j, phi_k>, dvec holds sqrt(n lambda_k), and a, equal to
+    q / dvec, is orthogonal with determinant +1 under the package sign
+    convention; ``orthogonality_defect`` is its max |A^T A - I|.
     """
 
     q: np.ndarray
     dvec: np.ndarray
     a: np.ndarray
+    orthogonality_defect: float
 
     @property
     def n(self) -> int:
@@ -77,7 +79,12 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     Requires the operator to be the sample's own empirical covariance at full
     numerical rank n; a rank-deficient design aborts rather than pseudo-invert.
     An expansion of J < n terms is rank deficient by construction, and the
-    error says so. Q = C U comes from the coefficients; no grid is built.
+    error says so. A is the operator's ``whitening`` matrix, the eigenvectors
+    of the n x n eigenproblem ``empirical_covariance`` solved, so no
+    eigenvalue divides it. Q = C U comes from the coefficients, and no grid is
+    built. Q^T Q = diag(n lambda) ties the operator to this sample: an
+    operator of other designs leaves it off-diagonal, and one with mis-scaled
+    eigenvalues misses its diagonal.
     """
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
@@ -96,20 +103,28 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
         )
     q = cov.design_products(sample, n)
     dvec = np.sqrt(n * cov.eigenvalues[:n])
-    a = q / dvec[None, :]
 
     qtq = q.T @ q
-    off = float(np.max(np.abs(qtq - np.diag(np.diag(qtq))))) / (n * cov.eigenvalues[0])
+    scale = n * cov.eigenvalues[0]
+    off = float(np.max(np.abs(qtq - np.diag(np.diag(qtq))))) / scale
     if off > ORTHOGONALITY_TOL:
         raise DegenerateDesignError(
             f"Q^T Q is not numerically diagonal: largest off-diagonal entry over "
             f"n lambda_1 is {off:.3e} > ORTHOGONALITY_TOL = {ORTHOGONALITY_TOL:g}")
+    misfit = float(np.max(np.abs(np.diag(qtq) - dvec**2))) / scale
+    if misfit > ORTHOGONALITY_TOL:
+        raise DegenerateDesignError(
+            f"diag(Q^T Q) is not n lambda: largest gap over n lambda_1 is "
+            f"{misfit:.3e} > ORTHOGONALITY_TOL = {ORTHOGONALITY_TOL:g}")
+    a = cov.whitening
+    if a is None:
+        raise ValueError("cov carries no whitening matrix: build it with empirical_covariance")
     defect = float(np.max(np.abs(a.T @ a - np.eye(n))))
     if defect > ORTHOGONALITY_TOL:
         raise DegenerateDesignError(
             f"whitening matrix A is not numerically orthogonal: max |A^T A - I| is "
             f"{defect:.3e} > ORTHOGONALITY_TOL = {ORTHOGONALITY_TOL:g}")
-    return GramTransform(q=q, dvec=dvec, a=a)
+    return GramTransform(q=q, dvec=dvec, a=a, orthogonality_defect=defect)
 
 
 def flr_to_whitenoise(y: np.ndarray, transform: GramTransform, sigma: float | None = None) -> WnCoefficients:

@@ -368,8 +368,7 @@ def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
     block by block (``stream_moments``) rather than held: basis-expansion
     designs whose fitted rows and training rows each number more than J, so
     that every Gram matrix an eigenproblem reads is J x J. Brownian designs
-    and smaller parts keep the sample, which the dual route and the
-    determinant convention read."""
+    and smaller parts keep the sample, which the dual route reads."""
     j = spec.resolved_truncation(n)
     parts = (m, n - m) if m < n else (n,)
     return spec.kind == KIND_BASIS and min(parts) > j

@@ -58,7 +58,7 @@ def theta_class22():
 
 
 @pytest.fixture(scope="session", params=[
-    ("basis-expansion", 300),      # n >= J = 128: the J x J eigenproblem
+    ("basis-expansion", 300),      # n > J = 128: the J x J eigenproblem
     ("basis-expansion", 20),       # rank 20 < J = 40: rank deficient
     ("integrated-gaussian", 64),   # n < J = 128 sine terms: the dual n x n route
 ], ids=lambda p: f"{p[0]}-n{p[1]}")

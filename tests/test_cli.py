@@ -131,6 +131,7 @@ class TestConfigParsing:
             (BASE + "draws = 0\n", "draws = 0"),
             (BASE + "draws = 1\n", "draws = 1"),
             (BASE.replace("seed = 7", "seed = -3"), "seed = -3"),
+            (RISK.replace("alpha = 2.0", "alpha = 1.0"), "alpha = 1.0"),
         ):
             lines = text.splitlines()
             path = write_config(tmp_path, text, "fixed0.ini")
@@ -138,10 +139,13 @@ class TestConfigParsing:
                 load_config(path)
             assert f"fixed0.ini:{lines.index(key) + 1}:" in str(err.value), (key, str(err.value))
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", ["alpha", "beta", "c_theta"])
-    def test_non_finite_parameters_are_line_referenced(self, tmp_path, key, value):
-        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", BASE, flags=re.M)
+    @pytest.mark.parametrize("config, key, value", [
+        *(pytest.param(BASE, key, value, id=f"{key}-{value}")
+          for key in ("alpha", "beta", "c_theta") for value in ("nan", "inf")),
+        pytest.param(RISK, "alpha", "nan", id="sequence-alpha-nan"),
+    ])
+    def test_non_finite_parameters_are_line_referenced(self, tmp_path, config, key, value):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", config, flags=re.M)
         path = write_config(tmp_path, text, "finite.ini")
         with pytest.raises(ConfigError, match="must be finite") as err:
             load_config(path)
@@ -288,6 +292,25 @@ class TestCliExitCodes:
         assert "config error" not in err
         assert not any(out.iterdir()), "partial outputs must be removed"
 
+    @pytest.mark.parametrize("alpha, beta, seed", [(3.5, 4.0, 7), (4.0, 4.0, 7), (4.0, 4.0, 11),
+                                                   (5.0, 4.0, 7), (5.0, 4.0, 11)])
+    def test_steep_spectra_transform(self, tmp_path, alpha, beta, seed):
+        # full-rank basis designs whiten at machine precision, however steep
+        # their spectrum
+        text = (BASE.replace("alpha = 2.0", f"alpha = {alpha}")
+                .replace("beta = 2.0", f"beta = {beta}")
+                .replace("n_grid = 25", "n_grid = 100")
+                .replace("seed = 7", f"seed = {seed}") + "draws = 50\n")
+        path, out = write_config(tmp_path, text), tmp_path / "o"
+        for sub in ("simulate", "transform", "equivalence"):
+            assert main([sub, "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "transform.json").read_text())
+        y = read_responses(out / "responses.csv")
+        assert meta["orthogonality_defect"] <= 1e-13
+        assert meta["roundtrip_max_error"] <= 1e-12 * np.max(np.abs(y))
+        cond = json.loads((out / "simulate.json").read_text())["condition_x"]
+        assert (cond["gram_rank"], cond["full_rank"]) == (100, True)
+
     def test_transform_failures_say_why(self, tmp_path, capsys, monkeypatch):
         # Brownian designs carry J = min(2n, D - 1) sine terms, so n >= D is
         # rank deficient by construction
@@ -298,6 +321,14 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert rc == 3
         assert "J = 127 sine terms" in err and "n = 200" in err and "grid_size" in err
+        # a spectrum steep enough falls below the rank rule
+        steep = (BASE.replace("alpha = 2.0", "alpha = 7.0").replace("beta = 2.0", "beta = 5.0")
+                 .replace("n_grid = 25", "n_grid = 100"))
+        rc = main(["transform", "--config", str(write_config(tmp_path, steep, "s.ini")),
+                   "--out", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.search(r"numerically rank deficient: rank \d+ < n 100", err), err
         # an orthogonality check names the matrix, its defect and the tolerance
         import flrlab.equivalence
 

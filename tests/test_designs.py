@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from flrlab import (
+    DegenerateDesignError,
     DesignSpec,
     ResolutionError,
     SpecValidationError,
+    build_gram_transform,
+    empirical_covariance,
     fourier_basis,
     sample_basis_design,
     sample_design,
@@ -14,6 +17,7 @@ from flrlab import (
     true_covariance,
     verify_condition_x,
 )
+from flrlab.covariance import RANK_TOL
 from flrlab.function_space import grid_nodes, sine_matrix, trapezoid_weights
 
 from oracles import design_draw, eigh_quadrature_kernel, grid_inner, grid_norm, held_moments
@@ -311,6 +315,22 @@ class TestConditionX:
         assert rep.gram_rank == 255 and not rep.full_rank and rep.truncation_limited
         assert rep.notes.startswith("expansion truncated at J=255 < n=300")
 
+    @pytest.mark.parametrize("n", [100, 128])
+    @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
+    def test_rank_is_the_operators(self, alpha, n):
+        # one rank rule: the report, the operator and the transform agree on
+        # full rank; at J = 128, alpha = 5 with n = 128 falls short of it
+        s = sample_basis_design(DesignSpec(kind="basis-expansion", alpha=alpha), n, 11)
+        rep = verify_condition_x(s)
+        cov = empirical_covariance(s)
+        assert rep.gram_rank == cov.rank
+        try:
+            build_gram_transform(s, cov)
+            whitened = True
+        except DegenerateDesignError:
+            whitened = False
+        assert rep.full_rank == whitened
+
     @pytest.mark.parametrize("j_truncation, n, seed", [(128, 100, 12), (32, 120, 13),
                                                        (None, 300, 14), (256, 200, 15)])
     def test_coefficient_route_matches_grid_route(self, j_truncation, n, seed):
@@ -325,7 +345,7 @@ class TestConditionX:
         norms = np.sqrt(np.einsum("ij,j,ij->i", x, w, x))
         mean = x.mean(axis=0)
         eig = np.linalg.eigvalsh((x * w) @ x.T)
-        rank = int(np.sum(eig > 1e-10 * eig.max()))
+        rank = int(np.sum(eig > RANK_TOL * eig.max()))
         assert (rep.gram_rank, rep.full_rank, rep.truncation_limited) \
             == (rank, rank == n, spec.resolved_truncation(n) < n)
         assert rep.mean_norm == pytest.approx(math.sqrt(np.dot(w * mean, mean)), rel=1e-12)

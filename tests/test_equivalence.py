@@ -76,11 +76,11 @@ class TestGramTransform:
             return CovOperator(eigenvalues=eigenvalues, coeff_vectors=vectors, basis=cov25.basis,
                                grid_size=cov25.grid_size, kind="empirical", n_samples=25)
 
-        # eigenvalues twice too large: Q^T Q stays diagonal, A^T A = I / 2
+        # eigenvalues twice too large: Q^T Q stays diagonal, at half of n lambda
         bad_scale = operator(2.0 * cov25.eigenvalues, cov25.coeff_vectors)
         with pytest.raises(DegenerateDesignError,
-                           match=r"whitening matrix A is not numerically orthogonal: "
-                                 r"max \|A\^T A - I\| is 5\.000e-01 > ORTHOGONALITY_TOL = 1e-08"):
+                           match=r"diag\(Q\^T Q\) is not n lambda: largest gap over n lambda_1 "
+                                 r"is 5\.000e-01 > ORTHOGONALITY_TOL = 1e-08"):
             build_gram_transform(sample25, bad_scale)
         # orthonormal vectors that are not eigenvectors: Q^T Q is not diagonal
         mixed = np.linalg.qr(cov25.coeff_vectors + 0.1)[0]
@@ -88,6 +88,21 @@ class TestGramTransform:
                            match=r"Q\^T Q is not numerically diagonal: .* is \d\.\d{3}e-\d+ > "
                                  r"ORTHOGONALITY_TOL = 1e-08"):
             build_gram_transform(sample25, operator(cov25.eigenvalues, mixed))
+        # the operator's own eigenpairs, but no whitening matrix to take A from
+        with pytest.raises(ValueError, match="no whitening matrix"):
+            build_gram_transform(sample25, operator(cov25.eigenvalues, cov25.coeff_vectors))
+
+    @pytest.mark.parametrize("alpha", [4.0, 5.0])
+    def test_steep_spectra_whiten_exactly(self, alpha):
+        # lambda_1 / lambda_n is 2e11 at alpha = 5, n = 100; A is the
+        # eigenvector matrix itself, so that ratio never enters it
+        s = sample_basis_design(DesignSpec(kind="basis-expansion", alpha=alpha), 100, 7)
+        t = build_gram_transform(s, empirical_covariance(s))
+        defect = np.max(np.abs(t.a.T @ t.a - np.eye(100)))
+        assert t.orthogonality_defect == defect <= 1e-13
+        y = simulate_flr_responses(s, random_theta(s.grid_size, 3), 1.0, 4)
+        back = whitenoise_to_flr(flr_to_whitenoise(y, t), t)
+        assert np.max(np.abs(back - y)) <= 1e-12 * np.max(np.abs(y))
 
     def test_requires_matching_operator(self, sample25, small_spec):
         other = empirical_covariance(sample_basis_design(small_spec, 25, 1))
