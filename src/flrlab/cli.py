@@ -18,6 +18,8 @@ not depend on the BLAS thread count it was started with.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -51,6 +53,7 @@ from .risk import (
     two_sample_equivalence_test,
 )
 from .serialize import (
+    design_sample_payload,
     design_spec_payload,
     read_table,
     write_design_sample,
@@ -174,16 +177,34 @@ def _draw_experiment(cfg: ExperimentConfig, oracle_gamma: float | None = None):
     return n, sample, theta, y
 
 
-def _write_data(ws: _Workspace, sample, y: np.ndarray) -> None:
-    """``designs.csv``, its ``designs.json`` sidecar and ``responses.csv``."""
-    write_design_sample(ws.path("designs.csv"), sample, ws.path("designs.json"))
+def _write_data(cfg: ExperimentConfig, ws: _Workspace, sample, y: np.ndarray) -> None:
+    """``designs.csv``, ``responses.csv`` and, last, their ``designs.json``
+    sidecar, which records the draw's provenance (``_meta``) and the digest
+    of the responses' bits, so a draw that changed under one version is not
+    taken for the one on disk. When the sidecar in the output directory
+    already records the same provenance and the other two files exist, the
+    draw is there (``simulate`` then ``transform``) and nothing is written,
+    or registered with ``ws``, so a failing run keeps them. Otherwise the
+    old sidecar goes first, so a partial write is never vouched for."""
+    sidecar = ws.out_dir / "designs.json"
+    provenance = _meta(cfg, {"responses_sha256": hashlib.sha256(y.tobytes()).hexdigest()})
+    try:
+        written = json.loads(sidecar.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        written = None
+    if (isinstance(written, dict) and all(written.get(k) == v for k, v in provenance.items())
+            and all((ws.out_dir / name).is_file() for name in ("designs.csv", "responses.csv"))):
+        return
+    sidecar.unlink(missing_ok=True)
+    write_design_sample(ws.path("designs.csv"), sample)
     write_responses(ws.path("responses.csv"), y)
+    write_json(ws.path("designs.json"), {**design_sample_payload(sample), **provenance})
 
 
 def _cmd_simulate(cfg: ExperimentConfig, ws: _Workspace) -> None:
     _require_flr(cfg, "simulate")
     n, sample, theta, y = _draw_experiment(cfg)
-    _write_data(ws, sample, y)
+    _write_data(cfg, ws, sample, y)
     write_grid_function(ws.path("theta.csv"),
                         basis_function(theta, cfg.model.design.basis, cfg.model.design.grid_size))
     extra = {"n": n, "sigma": cfg.model.sigma, "design": design_spec_payload(cfg.model.design)}
@@ -205,7 +226,7 @@ def _cmd_transform(cfg: ExperimentConfig, ws: _Workspace) -> None:
     transform = build_gram_transform(sample, cov)
     wn = flr_to_whitenoise(y, transform, cfg.model.sigma)
     roundtrip = whitenoise_to_flr(wn, transform)
-    _write_data(ws, sample, y)
+    _write_data(cfg, ws, sample, y)
     write_wn_coefficients(ws.path("wn_coefficients.csv"), wn)
     write_responses(ws.path("responses_roundtrip.csv"), roundtrip)
     write_json(ws.path("transform.json"), _meta(cfg, {

@@ -17,7 +17,7 @@ names the basis (``DesignSpec.basis``), and only there:
 
 Grid values exist only to render a sample (``DesignSample.values``).
 
-Every row of a draw comes from one source, ``_row_blocks``: consecutive
+Every row of a held draw comes from one source, ``_row_blocks``: consecutive
 blocks of the coefficients, about 1 MB each (``_block_rows``), with the
 bits of the whole n x J draw, after which the stream stands where that draw
 leaves it. A uniform double takes exactly one 64-bit output
@@ -26,21 +26,27 @@ advanced past the rows before them (``streams.pcg64_ahead``), and the stream
 then skips all n J outputs (``streams.catch_up``); a uniform draw therefore
 needs a PCG64 stream, and anything else raises ``TypeError`` before the
 stream moves. A normal draw takes a variable number of outputs, so normal
-rows outside the ones asked for are drawn and dropped. The source has two
-readers:
+rows outside the ones asked for are drawn and dropped.
 
-* ``sample_design`` has the rows it keeps drawn in place, as blocks that
-  are views of its sample, so a held draw allocates the sample alone (and,
-  for normal rows it drops, the buffer);
-* ``stream_moments`` folds every block, drawn into one reused buffer and
-  while it is still in cache, into
-  the sums a study replication reads of its designs C and the n normals eps
-  drawn after them (``DesignMoments``: rows of C^T C and C^T eps), so a
-  replication holds O(J^2 + block) numbers rather than n x J. Only the
-  normals depend on the law: uniform designs take them block by block from
-  a copy of the stream advanced past the n J uniform outputs, and Brownian
-  ones draw them after the designs from the stream itself, keeping the
-  fitted rows' ``lead`` columns (m x lead) until they come.
+``sample_design`` has the rows it keeps drawn in place, as blocks that are
+views of its sample, so a held draw allocates the sample alone (and, for
+normal rows it drops, the buffer). ``stream_moments`` returns the sums a
+study replication reads of its designs C and the n normals eps after them
+(``DesignMoments``: rows of C^T C and C^T eps), without the n x J sample,
+in one of two ways:
+
+* basis-expansion designs fold every block of ``_row_blocks``, drawn into
+  one reused buffer and while it is still in cache, into the sums, and take
+  the normals block by block from a copy of the stream advanced past the
+  n J uniform outputs, so a replication holds O(J^2 + block) numbers and
+  the sums equal the held draw's up to the order of the additions;
+* integrated-Gaussian designs draw the sums from their joint law
+  (``_wishart_moments``). With C = G Lambda^(1/2), G the n x J standard
+  normals, the lead columns G_k of G give G_k^T G_k = L L^T, a Wishart
+  matrix with the Bartlett factor L, and, given G_k, G_k^T G[:, k:] = L Z
+  and G_k^T eps = L z with Z and z standard normals. So O(lead J) random
+  numbers stand in for n J, whatever n is, and the stream moves by those
+  alone.
 """
 
 from __future__ import annotations
@@ -325,6 +331,9 @@ class DesignMoments:
       over the fitted rows (all J rows without a lead);
     * ``noise`` = C[:m, :lead]^T eps[:m];
     * ``train`` = C[m:]^T C[m:], or None when m = n.
+
+    Integrated-Gaussian designs hold a draw of their joint law, with m = n
+    and no ``train``.
     """
 
     n: int
@@ -334,63 +343,93 @@ class DesignMoments:
     train: np.ndarray | None
 
 
-def _moment_sums(n: int, j: int, lead: int | None, split: int | None):
-    """Zeroed ``DesignMoments`` of n designs with J = j coordinates, after
-    checking the split and the lead."""
+def _parts(spec: DesignSpec, n: int, j: int, lead: int | None,
+           split: int | None) -> tuple[int, int]:
+    """(m, lead) of n designs with J = j coordinates, checked: m defaults to
+    n and lead to j. Integrated-Gaussian designs take no split, since their
+    sums are drawn from the law of the fitted rows alone, and need
+    lead <= n, the most columns whose Gram matrix has a Bartlett factor."""
     m = n if split is None else int(split)
     lead = j if lead is None else int(lead)
     if not 1 <= m <= n:
         raise ValueError(f"the split must lie in 1..{n}, got {m}")
     if not 1 <= lead <= j:
         raise ValueError(f"the lead must lie in 1..{j}, got {lead}")
-    train = np.zeros((j, j)) if m < n else None
-    return DesignMoments(n, m, np.zeros((lead, j)), np.zeros(lead), train)
+    if spec.kind == KIND_GAUSSIAN:
+        if split is not None:
+            raise ValueError("integrated-gaussian designs take no split: their moments are "
+                             "drawn from the law of the fitted designs, with no training rows")
+        if lead > n:
+            raise ValueError(f"the lead must not exceed the {n} designs, got {lead}: the Gram "
+                             f"matrix of {lead} columns over {n} rows has no Bartlett factor")
+    return m, lead
+
+
+def _wishart_moments(spec: DesignSpec, n: int, j: int, lead: int,
+                     rng: np.random.Generator) -> DesignMoments:
+    """The ``DesignMoments`` of n integrated-Gaussian designs, drawn from
+    their joint law. With G the n x J standard normals of the designs, G_k
+    their first k = ``lead`` columns and Lambda the spectrum:
+
+    * L, the Bartlett factor of G_k^T G_k: L_ii^2 ~ chi^2 with n - i + 1
+      degrees of freedom (i = 1..k), standard normals below the diagonal;
+    * Z, k x (J - k) standard normals, and z, k standard normals;
+
+    then gram = Lambda_k^(1/2) [L L^T, L Z] Lambda^(1/2) and
+    noise = Lambda_k^(1/2) L z. ``rng`` gives, in this order, the k
+    chi-squares, the k (k - 1) / 2 normals below the diagonal row by row,
+    Z row by row, then z.
+    """
+    factor = np.diag(np.sqrt(rng.chisquare(n - np.arange(lead, dtype=float))))
+    factor[np.tril_indices(lead, -1)] = rng.standard_normal(lead * (lead - 1) // 2)
+    rows = np.empty((lead, j))
+    rows[:, :lead] = factor @ factor.T
+    rows[:, lead:] = factor @ rng.standard_normal((lead, j - lead))
+    noise = factor @ rng.standard_normal(lead)
+    scales = _scales(spec, j)
+    rows *= scales
+    rows *= scales[:lead, None]
+    noise *= scales[:lead]
+    return DesignMoments(n, n, rows, noise, None)
 
 
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
                    lead: int | None = None, split: int | None = None) -> DesignMoments:
     """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
-    after them: the products of ``sample_design(spec, n, rng)`` and
-    ``rng.standard_normal(n)``, up to the order of the additions, without
-    the n x J sample. ``lead`` (default J) rows of the Gram sum are formed,
-    over the first ``split`` (default all n) designs. ``rng`` ends where
-    that draw and those normals leave it.
+    after them, without the n x J sample. ``lead`` (default J) rows of the
+    Gram sum are formed, over the first ``split`` (default all n) designs.
 
-    Each block of ``_row_blocks`` is folded into the sums as it comes. The
-    normals of basis-expansion designs come from a copy of the stream
-    advanced past the n J uniform outputs, block by block, so ``rng`` must
-    be a PCG64 Generator, and anything else raises ``TypeError`` (there is
-    no fallback). Brownian designs take their normals from ``rng`` after
-    the designs, so the first ``lead`` columns of the fitted rows are kept
-    (m x lead numbers) until they are drawn.
+    Basis-expansion designs give the products of ``sample_design(spec, n,
+    rng)`` and ``rng.standard_normal(n)``, up to the order of the additions,
+    and ``rng`` ends where that draw and those normals leave it: each block
+    of ``_row_blocks`` is folded into the sums as it comes, and the normals
+    come from a copy of the stream advanced past the n J uniform outputs,
+    block by block, so ``rng`` must be a PCG64 Generator, and anything else
+    raises ``TypeError`` (there is no fallback).
+
+    Integrated-Gaussian designs draw the sums from their exact joint law
+    (``_wishart_moments``), from O(lead J) random numbers. They take no
+    ``split`` and need ``lead`` <= n (``ValueError`` otherwise).
     """
     j = _truncation(spec, n)
-    sums = _moment_sums(n, j, lead, split)
-    m, lead = sums.m, sums.gram.shape[0]
-    uniform = spec.kind == KIND_BASIS
-    if uniform:
-        normals = pcg64_ahead(rng, n * j)
-        eps = np.empty(min(_block_rows(j), n))
-    else:
-        lead_cols = np.empty((m, lead))
+    m, lead = _parts(spec, n, j, lead, split)
+    if spec.kind == KIND_GAUSSIAN:
+        return _wishart_moments(spec, n, j, lead, rng)
+    sums = DesignMoments(n, m, np.zeros((lead, j)), np.zeros(lead),
+                         np.zeros((j, j)) if m < n else None)
+    normals = pcg64_ahead(rng, n * j)
+    eps = np.empty(min(_block_rows(j), n))
     for start, c in _row_blocks(spec, n, rng, range(n)):
         cut = min(max(m - start, 0), c.shape[0])
         fit, train = c[:cut], c[cut:]
+        # every row's normal is drawn, so the copy keeps pace with the rows
+        block_eps = normals.standard_normal(out=eps[:c.shape[0]])
         if cut:
             sums.gram[...] += fit[:, :lead].T @ fit
+            sums.noise[...] += fit[:, :lead].T @ block_eps[:cut]
         if train.shape[0]:
             sums.train[...] += train.T @ train
-        if uniform:
-            # every row's normal is drawn, so the copy keeps pace with the rows
-            block_eps = normals.standard_normal(out=eps[:c.shape[0]])
-            if cut:
-                sums.noise[...] += fit[:, :lead].T @ block_eps[:cut]
-        else:
-            lead_cols[start:start + cut] = fit[:, :lead]
-    if uniform:
-        catch_up(rng, normals)
-    else:
-        sums.noise[...] = lead_cols.T @ rng.standard_normal(n)[:m]
+    catch_up(rng, normals)
     return sums
 
 

@@ -27,24 +27,31 @@ and their noise eps only through Gamma-hat = C^T C / m and the noise moment
 C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
 model's data, at J x r work per Pinsker fit and k x J per cutoff fit, with
-no pass over the designs. A replication that never holds the n x J sample draws its designs
-block by block (``designs.stream_moments``) and folds each block into the
-sums, which equal the held sample's up to the order of the additions. A
-cutoff fit reads only the first k rows of Gamma-hat and the noise moment, so
-its m designs are always summed this way, of either kind: a basis-expansion
-replication then holds O(J^2 + block) numbers, and a Brownian one the m x k
-lead columns and one block. A Pinsker fit reads the whole Gram matrix (an
+no pass over the designs. A replication that never holds the n x J sample
+takes these sums from ``designs.stream_moments``: basis-expansion designs are
+drawn block by block and each block folded into the sums, which equal the
+held sample's up to the order of the additions; Brownian designs have the
+sums drawn from their exact joint law (a Bartlett-factored Wishart matrix),
+from O(k J) random numbers instead of m J. A cutoff fit reads only the
+first k rows of Gamma-hat and the noise moment, so its m designs are always
+summed this way, of either kind: a basis-expansion replication then holds
+O(J^2 + block) numbers, and a Brownian one O(k J), whatever m is. A
+Pinsker fit reads the whole Gram matrix (an
 ``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
 one rule (``_streamed``) sums it only on basis-expansion designs whose
 fitted rows (and the data-driven level's training rows) number more than J.
 Brownian Pinsker fits and smaller parts keep the sample, whose rows the dual
-route reads. A cutoff replication solves no eigenproblem: under the known
+route reads: their law draw takes no split, and the dual route needs rows. A cutoff replication solves no eigenproblem: under the known
 design law its estimate is (X^T y / m)_k / lambda_k. The perturbation
 study's pilot is the same fit (``_cutoff_fit``) of its m summed designs, so
 each replication there holds one design sample and solves one eigenproblem,
 for its second sample's Gamma2-hat, whose square root
 ``covariance.sqrt_apply`` applies from that eigenproblem without building an
-operator. The gamma-consistency study draws only the training rows its
+operator. A replication's stream therefore gives, on basis-expansion designs,
+the m pilot designs, their m normals, then the second sample; on Brownian
+designs, the pilot's law draw (k chi-squares, the k (k - 1) / 2 normals
+below its Bartlett factor's diagonal, k (J - k) normals, then k), then the
+second sample. The gamma-consistency study draws only the training rows its
 selector reads.
 
 A study first builds what the replications at each n share (the oracle
@@ -535,20 +542,24 @@ def delta56_study(
     design's eigenbasis, so the whole perturbation is computed in those
     coefficients and its norm by Parseval.
 
-    Each replication draws the m pilot designs s1, then m normals eps, then
-    the n - m designs s2 from its stream. The pilot is the cutoff fit of
-    ``_cutoff_fit``: it reads (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m),
-    the first k coordinates of X^T y1 / m with y1 = C1 theta + sigma eps,
-    summed block by block (``stream_moments``), so s1 is never held, and
-    solves no eigenproblem. Gamma2-hat is read only through its square root,
+    Each replication takes the pilot's sums over m designs s1 and m normals
+    eps from its stream (``stream_moments``), then the n - m designs s2. The
+    pilot is the cutoff fit of ``_cutoff_fit``: it reads
+    (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m), the first k coordinates
+    of X^T y1 / m with y1 = C1 theta + sigma eps, summed block by block on
+    basis-expansion designs and drawn from their joint law on Brownian ones,
+    so s1 is never held, and solves no eigenproblem. Gamma2-hat is read only through its square root,
     which ``sqrt_apply`` applies from s2's Gram eigenpairs without building
     an operator (no J x r eigenvectors, sign convention or determinant). On
     the cli-gaussian model (integrated-Gaussian designs, n = 256, 512, 1024,
-    20 replications, seed 7, serial; 2 vCPU, OpenBLAS 0.3.31) the study
-    takes 2.0-2.4 s (CPU 2.0-2.1 s) this way; with an operator built per
-    replication and a multi-threaded BLAS it took 2.4-2.5 s (CPU 4.6-4.8 s),
-    and with the pilot on the white-noise route of ``cutoff_estimator`` (a
-    second empirical operator per replication) 3.3-3.4 s (medians of 5).
+    20 replications, seed 7, serial; 2 vCPU, OpenBLAS 0.3.31, one BLAS
+    thread) the study takes 1.6-1.9 s (median 1.65 s, CPU the same) this
+    way, against 1.7-2.1 s (median 2.10 s) with the pilot's m x J normals
+    summed block by block (5 alternating runs). Earlier, on the same box,
+    with an operator built per replication and a multi-threaded BLAS it
+    took 2.4-2.5 s (CPU 4.6-4.8 s), and with the pilot on the white-noise
+    route of ``cutoff_estimator`` (a second empirical operator per
+    replication) 3.3-3.4 s (medians of 5).
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")

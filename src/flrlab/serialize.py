@@ -79,18 +79,22 @@ def write_basis(path: Path, basis: Basis, sidecar: Path | None = None) -> None:
                              "grid_size": basis.grid_size})
 
 
-def write_design_sample(path: Path, sample: DesignSample, sidecar: Path | None = None) -> None:
+def write_design_sample(path: Path, sample: DesignSample) -> None:
     header = ["t"] + [f"x{j + 1}" for j in range(sample.n)]
     _write_grid_columns(path, header, sample.values)
-    if sidecar is not None:
-        write_json(sidecar, {
-            "n": sample.n,
-            "grid_size": sample.grid_size,
-            # a sample does not keep its seed (every run draws from a
-            # Generator); the key stays in the file
-            "seed": None,
-            "design": design_spec_payload(sample.spec),
-        })
+
+
+def design_sample_payload(sample: DesignSample) -> dict:
+    """The sidecar of a design sample, as ``flrlab simulate`` and
+    ``transform`` write it to ``designs.json`` with the draw's provenance."""
+    return {
+        "n": sample.n,
+        "grid_size": sample.grid_size,
+        # a sample does not keep its seed (every run draws from a Generator);
+        # the key stays in the file, and a writer that knows the seed sets it
+        "seed": None,
+        "design": design_spec_payload(sample.spec),
+    }
 
 
 def design_spec_payload(spec: DesignSpec) -> dict:

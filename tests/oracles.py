@@ -6,7 +6,8 @@ level is a generic bracketing root search, and the kernel eigen-solver
 diagonalizes the quadrature-symmetrized kernel directly. The grid references
 are the trapezoid rule written out, the design draw is numpy's own uniform
 and normal draws times the coefficient scales, and the design sums are the
-direct products of that draw.
+direct products of that draw. The law draw of Brownian design sums is the
+Bartlett construction written out entry by entry.
 """
 
 from __future__ import annotations
@@ -67,6 +68,32 @@ def held_moments(spec, n, rng, *, lead=None, split=None):
     lead_cols = fit if lead is None else fit[:, :lead]
     train = c[m:].T @ c[m:] if m < n else None
     return DesignMoments(n, m, lead_cols.T @ fit, lead_cols.T @ eps[:m], train)
+
+
+def law_moments(spec, n, rng, lead):
+    """The sums ``designs.stream_moments`` draws for n integrated-Gaussian
+    designs, from the same stream in the same order, written out: the
+    Bartlett factor L (lead x lead; diagonal sqrt(chi^2_{n - i + 1}), then
+    the normals below it row by row), Z (lead x (J - lead), row by row) and
+    z (lead); gram_ab = sqrt(lambda_a lambda_b) (L [L^T, Z])_ab and
+    noise_a = sqrt(lambda_a) (L z)_a."""
+    from flrlab.designs import DesignMoments
+
+    j = spec.resolved_truncation(n)
+    diag = np.sqrt(rng.chisquare([n - i for i in range(lead)]))
+    below = iter(rng.standard_normal(lead * (lead - 1) // 2))
+    factor = np.zeros((lead, lead))
+    for a in range(lead):
+        factor[a, a] = diag[a]
+        for b in range(a):
+            factor[a, b] = next(below)
+    z_rest = rng.standard_normal((lead, j - lead))
+    z = rng.standard_normal(lead)
+    g = np.hstack([factor @ factor.T, factor @ z_rest])
+    k = np.arange(1, j + 1, dtype=float)
+    scale = np.sqrt(1.0 / (math.pi**2 * (k - 0.5) ** 2))
+    return DesignMoments(n, n, np.outer(scale[:lead], scale) * g, scale[:lead] * (factor @ z),
+                         None)
 
 
 def brute_force_linear_minimax(lambdas, beta, c_theta, sigma, n, restarts=8, seed=0):

@@ -359,6 +359,58 @@ class TestSubcommands:
         back = np.loadtxt(out / "responses_roundtrip.csv", delimiter=",", skiprows=1)[:, 1]
         assert np.max(np.abs(y - back)) <= 1e-10
 
+    def test_transform_reuses_the_data_simulate_wrote(self, tmp_path, monkeypatch):
+        # simulate and transform draw one experiment: designs.json records its
+        # provenance, so transform writes the data files only where they are
+        # missing or from another draw, and leaves the same bytes either way
+        import flrlab.cli
+
+        written = []
+        write = flrlab.cli.write_design_sample
+
+        def counting(path, *args, **kwargs):
+            written.append(path.parent.name)
+            return write(path, *args, **kwargs)
+
+        monkeypatch.setattr(flrlab.cli, "write_design_sample", counting)
+        path = write_config(tmp_path, BASE)
+        out, alone = tmp_path / "o", tmp_path / "alone"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        meta = json.loads((out / "designs.json").read_text())
+        assert (meta["seed"], meta["config_sha256"]) == (7, load_config(path).config_sha256)
+        assert main(["transform", "--config", str(path), "--out", str(out)]) == 0
+        assert written == ["o"]
+        assert main(["transform", "--config", str(path), "--out", str(alone)]) == 0
+        assert written == ["o", "alone"]
+        for name in ("designs.csv", "designs.json", "responses.csv"):
+            assert (out / name).read_bytes() == (alone / name).read_bytes(), name
+        # a sidecar from another draw under the same config, seed and version
+        # (the draw's code changed) vouches for nothing
+        meta["responses_sha256"] = "0" * 64
+        (alone / "designs.json").write_text(json.dumps(meta))
+        assert main(["transform", "--config", str(path), "--out", str(alone)]) == 0
+        assert written == ["o", "alone", "alone"]
+        assert (alone / "designs.json").read_bytes() == (out / "designs.json").read_bytes()
+        # another seed is another draw: its transform rewrites all three
+        assert main(["transform", "--config", str(path), "--seed", "8", "--out", str(out)]) == 0
+        assert written == ["o", "alone", "alone", "o"]
+        assert json.loads((out / "designs.json").read_text())["seed"] == 8
+        assert (out / "responses.csv").read_bytes() != (alone / "responses.csv").read_bytes()
+
+    def test_failed_transform_keeps_the_data_simulate_wrote(self, tmp_path, monkeypatch):
+        import flrlab.cli
+
+        path, out = write_config(tmp_path, BASE), tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def failing(*args):
+            raise ArithmeticError("the coefficients could not be written")
+
+        monkeypatch.setattr(flrlab.cli, "write_wn_coefficients", failing)
+        assert main(["transform", "--config", str(path), "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_estimate_reports_plan(self, tmp_path):
         path = write_config(tmp_path, BASE)
         out = tmp_path / "est"

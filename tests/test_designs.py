@@ -369,7 +369,8 @@ class TestConditionX:
 
 
 class TestStreamMoments:
-    """Block-by-block sums against the held sample and its normals."""
+    """Block-by-block sums against the held sample and its normals, and the
+    law draw of Brownian sums against its construction and the held law."""
 
     SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
 
@@ -465,47 +466,111 @@ class TestStreamMoments:
                 with pytest.raises(ValueError):
                     stream_moments(spec, 300, np.random.default_rng(0), **kw)
 
-    # Brownian designs at D = 256: J = 255 and blocks of 2**17 // 255 = 514
-    # rows, so n = 1100 is two blocks and 72 rows.
+    # Brownian designs: the sums are drawn from their joint law, the
+    # Bartlett construction of G_k^T G_k, G_k^T G[:, k:] and G_k^T eps.
     BROWNIAN = DesignSpec(kind="integrated-gaussian", grid_size=256)
 
-    @pytest.mark.parametrize("lead", [1, 7])
-    @pytest.mark.parametrize("split", [None, 700])
-    def test_normal_law_sums_equal_the_held_samples(self, lead, split):
-        from flrlab.designs import _block_rows, stream_moments
+    @pytest.mark.parametrize("n, lead", [(1, 1), (7, 7), (1100, 1), (1100, 7), (10**9, 5)])
+    def test_normal_law_is_the_bartlett_construction(self, n, lead):
+        # the construction's algebra, given its draws, to rounding; the
+        # stream gives the draws in the stated order and then stands after
+        # them
+        from flrlab.designs import stream_moments
 
-        n = 1100
-        assert n % _block_rows(255) and (split or n) > _block_rows(255)
-        rng = np.random.default_rng(13)
-        got = stream_moments(self.BROWNIAN, n, rng, lead=lead, split=split)
-        ref, ref_rng = self.held(self.BROWNIAN, n, 13, lead=lead, split=split)
-        assert (got.n, got.m) == (ref.n, ref.m)
-        assert got.gram.shape == (lead, 255)
+        from oracles import law_moments
+
+        rng, ref_rng = np.random.default_rng(13), np.random.default_rng(13)
+        got = stream_moments(self.BROWNIAN, n, rng, lead=lead)
+        ref = law_moments(self.BROWNIAN, n, ref_rng, lead)
+        j = self.BROWNIAN.resolved_truncation(n)
+        assert (got.n, got.m, got.train) == (n, n, None)
+        assert got.gram.shape == (lead, j) and got.noise.shape == (lead,)
         self.assert_close(got.gram, ref.gram)
         self.assert_close(got.noise, ref.noise)
-        if split is None:
-            assert got.train is None and ref.train is None
-        else:
-            self.assert_close(got.train, ref.train)
-        # the stream ends where the sample and the normals leave it
         np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
+    def test_normal_law_diagonal_is_chi_square(self):
+        # m Gamma-hat_ii / lambda_i is a sum of m squared standard normals
+        from scipy.stats import kstest
+
+        from flrlab.designs import stream_moments
+
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=64)
+        n, lead, draws = 30, 5, 2000
+        lam = spec.lambda_profile()(np.arange(1, lead + 1))
+        rng = np.random.default_rng(5)
+        diag = np.array([np.diag(stream_moments(spec, n, rng, lead=lead).gram[:, :lead])
+                         for _ in range(draws)]) / lam
+        for i in range(lead):
+            assert kstest(diag[:, i], "chi2", args=(n,)).pvalue > 1e-3, i
+
+    def test_normal_law_moments_match_the_held_draw(self):
+        # means and covariances of Gram entries inside and beyond the lead
+        # block and of the noise, against the direct products of held draws
+        from flrlab.designs import stream_moments
+
+        spec = DesignSpec(kind="integrated-gaussian", grid_size=64)   # J = 63 at n = 40
+        n, lead, draws = 40, 3, 2000
+
+        def entries(sums):
+            g = sums.gram
+            return [g[0, 0], g[0, 1], g[1, 1], g[1, 4], sums.noise[0], sums.noise[1]]
+
+        law_rng, held_rng = np.random.default_rng(21), np.random.default_rng(22)
+        law = np.array([entries(stream_moments(spec, n, law_rng, lead=lead))
+                        for _ in range(draws)])
+        held = np.array([entries(held_moments(spec, n, held_rng, lead=lead))
+                         for _ in range(draws)])
+
+        def mean_and_se(x):
+            return x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(draws)
+
+        def within_3_se(a, b):
+            (ma, sa), (mb, sb) = mean_and_se(a), mean_and_se(b)
+            assert np.all(np.abs(ma - mb) <= 3.0 * np.hypot(sa, sb)), (ma, mb)
+
+        within_3_se(law, held)
+        rows, cols = np.triu_indices(law.shape[1])
+
+        def products(x):
+            c = x - x.mean(axis=0)
+            return c[:, rows] * c[:, cols]
+
+        within_3_se(products(law), products(held))
+
+    def test_normal_law_rejects_a_lead_beyond_n_and_a_split(self):
+        from flrlab.designs import stream_moments
+
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must not exceed the 5 designs"):
+            stream_moments(self.BROWNIAN, 5, rng, lead=6)
+        with pytest.raises(ValueError, match="must not exceed the 5 designs"):
+            stream_moments(self.BROWNIAN, 5, rng)           # lead J = 10 by default
+        with pytest.raises(ValueError, match="take no split"):
+            stream_moments(self.BROWNIAN, 300, rng, lead=3, split=200)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+        assert stream_moments(self.BROWNIAN, 5, rng, lead=5).gram.shape == (5, 10)
+
     def test_normal_law_holds_the_lead_columns_only(self):
-        # the sample would be 5000 x 1023 doubles, 41 MB; the pilot holds
-        # 5000 x 3 lead columns, one 1 MB block and the normals
+        # the sample would be 5000 x 1023 doubles, 41 MB, and at n = 1e9 far
+        # more; the draw holds O(lead J) numbers whatever n is: its lead x J
+        # rows, the lead x (J - lead) normals and their product
         import tracemalloc
 
         from flrlab.designs import stream_moments
 
-        rng = np.random.default_rng(3)
-        tracemalloc.start()
-        try:
-            sums = stream_moments(DesignSpec(kind="integrated-gaussian"), 5000, rng, lead=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sums.gram.shape == (3, 1023)
-        assert peak < 4 * 2**20
+        j, lead = 1023, 3
+        for n in (5000, 10**9):
+            rng = np.random.default_rng(3)
+            tracemalloc.start()
+            try:
+                sums = stream_moments(DesignSpec(kind="integrated-gaussian"), n, rng, lead=lead)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert sums.gram.shape == (lead, j)
+            assert peak < 4 * 8 * lead * j
 
     def test_memory_stays_at_a_few_blocks(self):
         # the n x J sample would be 200 000 x 128 doubles, 205 MB

@@ -75,6 +75,17 @@ class TestSelectCutoff:
             cutoff_split(1, 2.0, 2.0)
 
 
+class TestCutoffSplitProperties:
+    # The Brownian law draw of the cutoff's sums needs its lead k <= m rows
+    # (designs.stream_moments), which the split keeps on the whole range.
+    @given(log_n=st.floats(math.log10(2.0), 12.0), alpha=st.floats(2.0, 50.0),
+           excess=st.floats(0.0, 50.0, exclude_min=True))
+    def test_cutoff_lies_in_one_to_m(self, log_n, alpha, excess):
+        n = max(2, round(10.0**log_n))
+        m, k = cutoff_split(n, alpha, (alpha + 1.0) / 2.0 + excess)
+        assert 1 <= k <= m == n // 2
+
+
 class TestCutoffEstimator:
     def test_sequence_route_noiseless(self):
         lam = np.arange(1, 9, dtype=float) ** -2.0

@@ -20,6 +20,7 @@ from flrlab import (
 from flrlab.equivalence import WnCoefficients
 from flrlab.function_space import grid_nodes
 from flrlab.serialize import (
+    design_sample_payload,
     design_spec_payload,
     read_table,
     write_basis,
@@ -40,11 +41,11 @@ SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=128)
 
 def test_design_sample_layout(tmp_path):
     s = sample_basis_design(SPEC, 3, 5)
-    csv, sidecar = tmp_path / "d.csv", tmp_path / "d.json"
-    write_design_sample(csv, s, sidecar)
+    csv = tmp_path / "d.csv"
+    write_design_sample(csv, s)
     header = csv.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3"
-    meta = json.loads(sidecar.read_text())
+    meta = design_sample_payload(s)
     # a sample does not keep its seed; the key stays in the file, as null
     assert meta["n"] == 3 and "seed" in meta and meta["seed"] is None
     assert meta["design"]["kind"] == "basis-expansion"
