@@ -45,7 +45,7 @@ from .estimators import (
     select_cutoff,
     sharp_risk_constant,
 )
-from .function_space import Basis, GridFunction, fourier_basis, synthesize
+from .function_space import Basis, GridFunction, fourier_basis
 from .risk import (
     Delta56Report,
     KsReport,

@@ -3,7 +3,9 @@
 An operator is held as its eigenvalues and its (J, r) eigenvectors U in the
 coordinates of its design's orthonormal eigenbasis (``function_space``: the
 Fourier basis for basis-expansion designs, the sine basis for Brownian
-ones); grid eigenfunctions are only rendered from U, on first read. Products
+ones). Every input f is a coefficient vector in that basis; an operator
+holds no grid values, and the writers render eigenfunctions and the kernel
+from U (``serialize.write_eigenfunctions``, ``write_kernel``). Products
 between two coefficient views need the same basis and grid.
 
 The empirical operator of n designs with coefficients C (n x J) is the
@@ -52,17 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .function_space import (
-    FOURIER,
-    SINE,
-    Basis,
-    GridFunction,
-    basis_matrix,
-    pad_coefficients,
-    same_coordinates,
-    trapezoid_weights,
-)
+from .function_space import FOURIER, SINE, pad_coefficients, same_coordinates
 
 RANK_TOL = 1e-12          # eigenvalues below RANK_TOL * lambda_1 count as zero
 SIGN_REFERENCE_COUNT = 64  # coefficients consulted by the sign convention
@@ -73,9 +65,9 @@ class CovOperator:
 
     ``coeff_vectors`` holds the (J, r) eigenvectors in the named ``basis``
     (``function_space.FOURIER`` or ``SINE``) of ``grid_size`` nodes, so
-    phi_k = coeff_vectors[:, k] @ basis_matrix(basis, J, D), rendered on the
-    first read of ``eigenfunctions``. Both bases are nested, so two views of
-    different lengths J meet exactly on their first min(J) rows.
+    phi_k = coeff_vectors[:, k] @ basis_matrix(basis, J, D). Both bases are
+    nested, so two views of different lengths J meet exactly on their first
+    min(J) rows.
     """
 
     def __init__(
@@ -104,20 +96,7 @@ class CovOperator:
         self.basis = basis
         self.grid_size = int(grid_size)
         self._vectors = coeff_vectors
-        self._functions = None
         self._whitening = None
-
-    @property
-    def eigenfunctions(self) -> Basis:
-        """Eigenfunctions rendered on the grid, once.
-
-        Rendering is deterministic, so threads that race on a shared operator's
-        first read each get the same values."""
-        if self._functions is None:
-            u = self._vectors
-            self._functions = Basis(u.T @ basis_matrix(self.basis, u.shape[0], self.grid_size),
-                                    kind="eigen")
-        return self._functions
 
     @property
     def coeff_vectors(self) -> np.ndarray:
@@ -138,20 +117,14 @@ class CovOperator:
             return 0
         return int(np.sum(self.eigenvalues > RANK_TOL * self.eigenvalues[0]))
 
-    @property
-    def kernel(self) -> np.ndarray:
-        """(D, D) kernel sum_k lambda_k phi_k(s) phi_k(t), rendered on each read."""
-        phi = self.eigenfunctions.functions
-        return phi.T @ (self.eigenvalues[:, None] * phi)
-
     def coefficients(self, f) -> np.ndarray:
-        """f in the operator's J coordinates: a coefficient vector in its
-        basis, truncated or zero-padded, or a GridFunction, projected once."""
-        return _coordinates(f, self.basis, self._vectors.shape[0], self.grid_size)
+        """The coefficient vector f in the operator's J coordinates,
+        truncated or zero-padded."""
+        return pad_coefficients(np.asarray(f, dtype=float), self._vectors.shape[0])
 
     def eigen_coefficients(self, f, count: int | None = None) -> np.ndarray:
-        """(<f, phi_1>, ..., <f, phi_K>), f as in ``coefficients``; exact for a
-        coefficient vector, coeff_vectors^T pad(f)."""
+        """(<f, phi_1>, ..., <f, phi_K>) = coeff_vectors^T pad(f), f as in
+        ``coefficients``."""
         k = self.eigenvalues.size if count is None else int(count)
         if k > self.eigenvalues.size:
             raise ValueError("not enough retained eigenpairs")
@@ -170,16 +143,6 @@ class CovOperator:
         U (lambda * U^T f), without forming the J x J matrix."""
         u = self._vectors
         return u @ (self.eigenvalues * (u.T @ self.coefficients(f)))
-
-
-def _coordinates(f, basis: str, j: int, grid_size: int) -> np.ndarray:
-    """f in the first j coordinates of ``basis`` on ``grid_size`` nodes: a
-    coefficient vector truncated or zero-padded, or a GridFunction projected."""
-    if isinstance(f, GridFunction):
-        if f.grid_size != grid_size:
-            raise DimensionError("function and operator live on different grids")
-        return basis_matrix(basis, j, grid_size) @ (trapezoid_weights(grid_size) * f.values)
-    return pad_coefficients(np.asarray(f, dtype=float), j)
 
 
 def _sorted_desc(values: np.ndarray, vectors: np.ndarray):
@@ -313,7 +276,7 @@ def sqrt_apply(op, f) -> np.ndarray:
     # directly, where the descending view would take numpy's slower loops.
     lam, v = lam[::-1], v[:, ::-1]
     c = op.coeffs
-    g = _coordinates(f, op.basis, c.shape[1], op.grid_size)
+    g = pad_coefficients(np.asarray(f, dtype=float), c.shape[1])
     if dual:
         return c.T @ (v @ ((v.T @ (c @ g)) / (op.n * np.sqrt(lam))))
     return v @ (np.sqrt(lam) * (v.T @ g))

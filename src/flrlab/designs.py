@@ -15,7 +15,9 @@ names the basis (``DesignSpec.basis``), and only there:
   orthonormal on D nodes. The omitted variance is sum_{k > J} lambda_k,
   about 1/(pi^2 J) of the total 1/2.
 
-Grid values exist only to render a sample (``DesignSample.values``).
+Every input is a coefficient vector in that basis (theta in
+``DesignSample.inner_products``), and grid values exist only to render a
+sample (``DesignSample.values``).
 
 Every row of a held draw comes from one source, ``_row_blocks``: consecutive
 blocks of the coefficients, about 1 MB each (``_block_rows``), with the
@@ -63,10 +65,8 @@ from .function_space import (
     DEFAULT_GRID_SIZE,
     FOURIER,
     SINE,
-    GridFunction,
     basis_matrix,
     pad_coefficients,
-    trapezoid_weights,
 )
 from .streams import as_generator, catch_up, pcg64_ahead
 
@@ -102,7 +102,15 @@ def _block_rows(j: int) -> int:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Configuration of a design distribution satisfying the tail and decay conditions."""
+    """Configuration of a design distribution satisfying the tail and decay conditions.
+
+    The grid of ``grid_size`` nodes only renders the designs, with one
+    coupling: a Brownian design's J is min(2n, grid_size - 1), because the
+    trapezoid rule keeps only the first grid_size - 1 sine functions
+    orthonormal on that grid (``function_space.sine_matrix``). A
+    basis-expansion draw only checks that the grid can render its J Fourier
+    functions (grid_size >= 2J).
+    """
 
     kind: str = KIND_BASIS
     alpha: float = 2.0
@@ -185,13 +193,9 @@ class DesignSample:
         return basis_matrix(self.basis, self._coeffs.shape[1], self.grid_size)
 
     def inner_products(self, theta) -> np.ndarray:
-        """<X_j, theta> for every design; theta is a vector of coefficients in
-        the sample's basis, or a GridFunction, which is projected once on that
-        basis (equal to the grid result up to rounding, since trapezoid
-        quadrature is linear). The grid is never built."""
+        """<X_j, theta> for every design, theta a vector of coefficients in the
+        sample's basis (truncated or zero-padded to J)."""
         c = self._coeffs
-        if isinstance(theta, GridFunction):
-            return c @ (self.basis_matrix @ (trapezoid_weights(self.grid_size) * theta.values))
         return c @ pad_coefficients(np.asarray(theta, dtype=float), c.shape[1])
 
     def cross_moment(self, y) -> np.ndarray:

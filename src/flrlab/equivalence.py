@@ -17,7 +17,7 @@ import numpy as np
 
 from .covariance import CovOperator
 from .errors import DegenerateDesignError, DimensionError
-from .function_space import FOURIER, GridFunction
+from .function_space import FOURIER
 from .streams import as_generator
 
 ORTHOGONALITY_TOL = 1e-8   # max |Q^T Q - diag(n lambda)| / (n lambda_1) and max |A^T A - I|
@@ -127,7 +127,8 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     return GramTransform(q=q, dvec=dvec, a=a, orthogonality_defect=defect)
 
 
-def flr_to_whitenoise(y: np.ndarray, transform: GramTransform, sigma: float | None = None) -> WnCoefficients:
+def flr_to_whitenoise(y: np.ndarray, transform: GramTransform,
+                      sigma: float | None = None) -> WnCoefficients:
     """z = A^T y: regression responses to white-noise coefficients."""
     y = np.asarray(y, dtype=float)
     if y.shape != (transform.n,):
@@ -145,16 +146,16 @@ def whitenoise_to_flr(z, transform: GramTransform) -> np.ndarray:
 
 def simulate_flr_responses(sample, theta, sigma: float, seed) -> np.ndarray:
     """Y_j = <X_j, theta> + sigma eps_j with fresh standard normal errors;
-    theta is a GridFunction or a vector of coefficients in the sample's basis."""
+    theta is a vector of coefficients in the sample's basis."""
     return gaussian_draw(sample.inner_products(theta), sigma, seed)
 
 
-def empirical_wn_drift(theta: GridFunction | np.ndarray, sample, cov: CovOperator) -> np.ndarray:
+def empirical_wn_drift(theta: np.ndarray, sample, cov: CovOperator) -> np.ndarray:
     """Mean of the coefficient law, sqrt(n lambda_k) <phi_k, theta>; zero for
-    coordinates beyond the operator rank. theta is a GridFunction or a vector
-    of coefficients in the operator's basis (see ``CovOperator.coefficients``). It
-    depends on the design sample and theta only, so repeated draws at a fixed
-    pair compute it once."""
+    coordinates beyond the operator rank. theta is a vector of coefficients
+    in the operator's basis (see ``CovOperator.coefficients``). It depends on
+    the design sample and theta only, so repeated draws at a fixed pair
+    compute it once."""
     if cov.kind != "empirical" or cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
@@ -166,7 +167,7 @@ def empirical_wn_drift(theta: GridFunction | np.ndarray, sample, cov: CovOperato
 
 
 def simulate_empirical_wn(
-    theta: GridFunction | np.ndarray,
+    theta: np.ndarray,
     sample,
     cov: CovOperator,
     sigma: float,
@@ -196,7 +197,7 @@ def reduced_loglik(
     y: np.ndarray,
     transform: GramTransform,
     cov: CovOperator,
-    theta: GridFunction,
+    theta: np.ndarray,
     sigma: float,
 ) -> float:
     """Same density after the orthogonal reduction: mean D f with

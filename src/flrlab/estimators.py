@@ -19,9 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covariance import CovOperator
-from .equivalence import WnCoefficients
 from .errors import SpecValidationError
-from .function_space import GridFunction, basis_function, pad_coefficients, same_coordinates
+from .function_space import GridFunction, basis_function, pad_coefficients
 from .streams import as_generator
 from .whitenoise import SeqObservation
 
@@ -93,17 +92,10 @@ def cutoff_split(n: int, alpha: float, beta: float) -> tuple[int, int]:
     return m, select_cutoff(m, alpha, beta)
 
 
-def cutoff_estimator(
-    obs,
-    cov: CovOperator | None,
-    cutoff: int,
-    m: int | None = None,
-    *,
-    emp_cov: CovOperator | None = None,
-) -> np.ndarray:
+def cutoff_estimator(obs, cov: CovOperator | None, cutoff: int) -> np.ndarray:
     """Projection estimator on the first ``cutoff`` coordinates of the true eigenbasis.
 
-    Three kinds of observation are read:
+    Two kinds of observation are read:
 
     * a SeqObservation: theta-hat_k = y_k / sqrt(lambda_k), and ``cov`` is
       not used;
@@ -111,17 +103,7 @@ def cutoff_estimator(
       coefficients in the design's eigenbasis (``DesignSample.cross_moment``),
       with ``cov`` the true operator (lambda_k, phi_k): theta-hat_k =
       <X^T y / m, phi_k> / lambda_k, which is ``xty[:cutoff] /
-      cov.eigenvalues[:cutoff]`` for ``designs.true_covariance``;
-    * white-noise coefficients z = A^T y in the empirical eigenbasis
-      (lam-hat_j, phi-hat_j) of the same m designs, with ``emp_cov`` that
-      operator: raw_k = sum_j z_j sqrt(lam-hat_j) <phi-hat_j, phi_k>, and
-      theta-hat_k = raw_k / (sqrt(m) lambda_k).
-
-    The last two agree: with C the design coefficients and A = C U D^-1,
-    D = diag(sqrt(m lam-hat)), raw_k = y^T C U U^T e_k / sqrt(m) =
-    y^T C e_k / sqrt(m) = sqrt(m) (X^T y / m)_k, because C U U^T = C.
-    Every study fits from the cross moment; the white-noise branch is the
-    reference route that the tests compare it against.
+      cov.eigenvalues[:cutoff]`` for ``designs.true_covariance``.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -132,36 +114,16 @@ def cutoff_estimator(
         lam = obs.lambdas[:cutoff]
         return obs.y[:cutoff] / np.sqrt(lam)
 
-    if not isinstance(obs, (np.ndarray, WnCoefficients)):
+    if not isinstance(obs, np.ndarray):
         raise TypeError(f"unsupported observation type {type(obs).__name__}")
     if cov is None:
-        raise ValueError("cross-moment and coefficient observations need the true operator")
+        raise ValueError("cross-moment observations need the true operator")
     if cutoff > cov.eigenvalues.size:
         raise ValueError("cutoff exceeds the available true spectrum")
     lam = cov.eigenvalues[:cutoff]
     if np.any(lam <= 0.0):
         raise ValueError("true eigenvalues must be positive up to the cutoff")
-
-    if isinstance(obs, np.ndarray):
-        return cov.eigen_coefficients(obs, count=cutoff) / lam
-
-    if emp_cov is None:
-        raise ValueError("coefficient observations need the empirical operator")
-    if m is None:
-        m = obs.n
-    r = emp_cov.rank
-    overlap = _eigen_overlap(emp_cov, cov, r, cutoff)   # (r, cutoff)
-    weighted = np.sqrt(emp_cov.eigenvalues[:r])[:, None] * overlap
-    raw = obs.z[:r] @ weighted
-    return raw / (math.sqrt(m) * lam)
-
-
-def _eigen_overlap(emp_cov: CovOperator, cov: CovOperator, r: int, k: int) -> np.ndarray:
-    """<phi-hat_j, phi_k> matrix from the coefficients over their common length."""
-    same_coordinates(emp_cov, cov)
-    u, v = emp_cov.coeff_vectors, cov.coeff_vectors
-    j = min(u.shape[0], v.shape[0])
-    return u[:j, :r].T @ v[:j, :k]
+    return cov.eigen_coefficients(obs, count=cutoff) / lam
 
 
 def pinsker_weights(gamma: float, theta_class: ThetaClass, count: int | None = None) -> np.ndarray:

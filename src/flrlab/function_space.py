@@ -1,17 +1,17 @@
 """Grid functions and the orthonormal bases of L2([0,1]) that designs use.
 
 Functions are sampled on a uniform grid of D nodes including both endpoints.
-Coefficients in a basis are the working representation; the grid serves
-rendering and the projection of a grid input onto a basis. Projections use
-the composite trapezoid rule, which is exact for piecewise-linear data and,
-on this periodic-friendly grid, exact to machine precision for products of
-Fourier modes below the Nyquist frequency and for the first D - 1 sine
-functions sqrt2 sin((k - 1/2) pi t) (to 1.3e-13 at D = 1024). These two
-orthonormal bases, named FOURIER and SINE, are the coordinates every design,
-operator and theta is written in; ``basis_matrix`` renders either on the
-grid. Fourier rows are cached; sine rows, of which a Brownian design on 1024
-nodes uses up to 1023 (8 MB), are computed for each render, only as many as
-it asks for.
+Coefficients in a basis are the working representation and the only input
+the library takes; the grid serves rendering alone (``basis_function``,
+``basis_matrix`` and the writers in ``serialize``). Under the composite
+trapezoid rule on this grid, the Fourier functions below the Nyquist
+frequency and the first D - 1 sine functions sqrt2 sin((k - 1/2) pi t) are
+orthonormal to machine precision (to 1.3e-13 at D = 1024), which is why a
+Brownian design takes at most D - 1 sine terms. These two orthonormal bases,
+named FOURIER and SINE, are the coordinates every design, operator and theta
+is written in; ``basis_matrix`` renders either on the grid. Fourier rows are
+cached; sine rows, of which a Brownian design on 1024 nodes uses up to 1023
+(8 MB), are computed for each render, only as many as it asks for.
 """
 
 from __future__ import annotations
@@ -32,18 +32,6 @@ def grid_nodes(grid_size: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, grid_size)
     t.flags.writeable = False
     return t
-
-
-@lru_cache(maxsize=32)
-def trapezoid_weights(grid_size: int) -> np.ndarray:
-    """Composite trapezoid quadrature weights on the uniform grid."""
-    if grid_size < 2:
-        raise ResolutionError("grid needs at least 2 nodes")
-    h = 1.0 / (grid_size - 1)
-    w = np.full(grid_size, h)
-    w[0] = w[-1] = h / 2.0
-    w.flags.writeable = False
-    return w
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -190,11 +178,3 @@ def pad_coefficients(coefficients: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros(width)
     out[: min(coefficients.size, width)] = coefficients[:width]
     return out
-
-
-def synthesize(basis: Basis, coefficients: np.ndarray) -> GridFunction:
-    """Linear combination sum_k c_k phi_k as a grid function."""
-    c = np.asarray(coefficients, dtype=float)
-    if c.ndim != 1 or c.size > basis.count:
-        raise ValueError("coefficient vector longer than the basis")
-    return GridFunction(c @ basis.functions[: c.size])

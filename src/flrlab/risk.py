@@ -41,18 +41,19 @@ Pinsker fit reads the whole Gram matrix (an
 one rule (``_streamed``) sums it only on basis-expansion designs whose
 fitted rows (and the data-driven level's training rows) number more than J.
 Brownian Pinsker fits and smaller parts keep the sample, whose rows the dual
-route reads: their law draw takes no split, and the dual route needs rows. A cutoff replication solves no eigenproblem: under the known
-design law its estimate is (X^T y / m)_k / lambda_k. The perturbation
-study's pilot is the same fit (``_cutoff_fit``) of its m summed designs, so
-each replication there holds one design sample and solves one eigenproblem,
-for its second sample's Gamma2-hat, whose square root
-``covariance.sqrt_apply`` applies from that eigenproblem without building an
-operator. A replication's stream therefore gives, on basis-expansion designs,
-the m pilot designs, their m normals, then the second sample; on Brownian
-designs, the pilot's law draw (k chi-squares, the k (k - 1) / 2 normals
-below its Bartlett factor's diagonal, k (J - k) normals, then k), then the
-second sample. The gamma-consistency study draws only the training rows its
-selector reads.
+route reads: their law draw takes no split, and the dual route needs rows.
+
+A cutoff replication solves no eigenproblem: under the known design law its
+estimate is (X^T y / m)_k / lambda_k. The perturbation study's pilot is the
+same fit (``_cutoff_fit``) of its m summed designs, so each replication
+there holds one design sample and solves one eigenproblem, for its second
+sample's Gamma2-hat, whose square root ``covariance.sqrt_apply`` applies
+from that eigenproblem without building an operator. A replication's stream
+therefore gives, on basis-expansion designs, the m pilot designs, their m
+normals, then the second sample; on Brownian designs, the pilot's law draw
+(k chi-squares, the k (k - 1) / 2 normals below its Bartlett factor's
+diagonal, k (J - k) normals, then k), then the second sample. The
+gamma-consistency study draws only the training rows its selector reads.
 
 A study first builds what the replications at each n share (the oracle
 level, the test-function panel, the cutoff's split and true operator, the
@@ -548,18 +549,18 @@ def delta56_study(
     (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m), the first k coordinates
     of X^T y1 / m with y1 = C1 theta + sigma eps, summed block by block on
     basis-expansion designs and drawn from their joint law on Brownian ones,
-    so s1 is never held, and solves no eigenproblem. Gamma2-hat is read only through its square root,
-    which ``sqrt_apply`` applies from s2's Gram eigenpairs without building
-    an operator (no J x r eigenvectors, sign convention or determinant). On
-    the cli-gaussian model (integrated-Gaussian designs, n = 256, 512, 1024,
-    20 replications, seed 7, serial; 2 vCPU, OpenBLAS 0.3.31, one BLAS
-    thread) the study takes 1.6-1.9 s (median 1.65 s, CPU the same) this
-    way, against 1.7-2.1 s (median 2.10 s) with the pilot's m x J normals
-    summed block by block (5 alternating runs). Earlier, on the same box,
-    with an operator built per replication and a multi-threaded BLAS it
-    took 2.4-2.5 s (CPU 4.6-4.8 s), and with the pilot on the white-noise
-    route of ``cutoff_estimator`` (a second empirical operator per
-    replication) 3.3-3.4 s (medians of 5).
+    so s1 is never held, and solves no eigenproblem. Gamma2-hat is read only
+    through its square root, which ``sqrt_apply`` applies from s2's Gram
+    eigenpairs without building an operator (no J x r eigenvectors, sign
+    convention or determinant). On the cli-gaussian model
+    (integrated-Gaussian designs, n = 256, 512, 1024, 20 replications, seed
+    7, serial; 2 vCPU, OpenBLAS 0.3.31, one BLAS thread) the study takes
+    1.6-1.9 s (median 1.65 s, CPU the same) this way, against 1.7-2.1 s
+    (median 2.10 s) with the pilot's m x J normals summed block by block
+    (5 alternating runs). Earlier, on the same box, with an operator built
+    per replication and a multi-threaded BLAS it took 2.4-2.5 s (CPU
+    4.6-4.8 s), and with the pilot on the white-noise route (a second
+    empirical operator per replication) 3.3-3.4 s (medians of 5).
     """
     if reps < 2:
         raise ValueError("need reps >= 2 for a standard error")

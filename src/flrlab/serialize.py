@@ -27,7 +27,7 @@ import numpy as np
 from .covariance import CovOperator
 from .designs import KIND_BASIS, DesignSample, DesignSpec
 from .equivalence import WnCoefficients
-from .function_space import Basis, GridFunction, grid_nodes
+from .function_space import Basis, GridFunction, basis_matrix, grid_nodes
 from .whitenoise import SeqObservation
 
 FLOAT_FMT = "%.17g"
@@ -137,12 +137,21 @@ def write_eigenpairs(path: Path, op: CovOperator) -> None:
     _write_indexed(path, ["k", "lambda"], op.eigenvalues)
 
 
+def _eigenfunctions(op: CovOperator) -> Basis:
+    """The operator's eigenfunctions rendered on its grid: the rows of
+    U^T B, B the (J, D) matrix of its basis."""
+    u = op.coeff_vectors
+    return Basis(u.T @ basis_matrix(op.basis, u.shape[0], op.grid_size), kind="eigen")
+
+
 def write_eigenfunctions(path: Path, op: CovOperator) -> None:
-    write_basis(path, op.eigenfunctions)
+    write_basis(path, _eigenfunctions(op))
 
 
 def write_kernel(path: Path, op: CovOperator) -> None:
-    write_matrix(path, op.kernel)
+    """The (D, D) kernel sum_k lambda_k phi_k(s) phi_k(t) on the grid."""
+    phi = _eigenfunctions(op).functions
+    write_matrix(path, phi.T @ (op.eigenvalues[:, None] * phi))
 
 
 def write_matrix(path: Path, matrix: np.ndarray) -> None:

@@ -4,10 +4,13 @@ Everything here deliberately avoids the package's own solution paths: the
 minimax oracle runs a constrained optimizer over prior profiles, the Pinsker
 level is a generic bracketing root search, and the kernel eigen-solver
 diagonalizes the quadrature-symmetrized kernel directly. The grid references
-are the trapezoid rule written out, the design draw is numpy's own uniform
-and normal draws times the coefficient scales, and the design sums are the
-direct products of that draw. The law draw of Brownian design sums is the
-Bartlett construction written out entry by entry.
+are the trapezoid rule written out, with the projection of grid values onto
+a basis and the rendering of an operator's eigenfunctions and kernel. The
+white-noise route of the cutoff fit reads z = A^T y through the empirical
+eigenbasis. The design draw is numpy's own uniform and normal draws times
+the coefficient scales, and the design sums are the direct products of that
+draw. The law draw of Brownian design sums is the Bartlett construction
+written out entry by entry.
 """
 
 from __future__ import annotations
@@ -19,11 +22,77 @@ import numpy as np
 from scipy.optimize import brentq, minimize
 
 
+def trapezoid_weights(grid_size: int) -> np.ndarray:
+    """Composite trapezoid weights on ``grid_size`` equispaced nodes of [0, 1]."""
+    return np.r_[0.5, np.ones(grid_size - 2), 0.5] / (grid_size - 1)
+
+
 def grid_inner(a, b) -> np.ndarray:
     """Trapezoid-rule L2([0,1]) inner products of the rows of a with the rows
     of b, grid values on one equispaced grid (a vector is one row)."""
     a, b = np.atleast_2d(a), np.atleast_2d(b)
-    return (a * (np.r_[0.5, np.ones(a.shape[1] - 2), 0.5] / (a.shape[1] - 1))) @ b.T
+    return (a * trapezoid_weights(a.shape[1])) @ b.T
+
+
+def grid_project(values, basis: str, count: int) -> np.ndarray:
+    """The first ``count`` coefficients of grid values in the named basis, by
+    the trapezoid rule: B (w * values), B the (count, D) matrix of
+    ``function_space.basis_matrix``."""
+    from flrlab.function_space import basis_matrix
+
+    return basis_matrix(basis, count, values.size) @ (trapezoid_weights(values.size) * values)
+
+
+def synthesize(basis, coefficients):
+    """sum_k c_k phi_k over the rows of a ``function_space.Basis``, as a
+    ``GridFunction``."""
+    from flrlab.function_space import GridFunction
+
+    c = np.asarray(coefficients, dtype=float)
+    if c.ndim != 1 or c.size > basis.count:
+        raise ValueError("coefficient vector longer than the basis")
+    return GridFunction(c @ basis.functions[: c.size])
+
+
+def eigenfunctions(op) -> np.ndarray:
+    """(r, D) grid values of an operator's eigenfunctions: U^T B, the
+    rendering ``serialize.write_eigenfunctions`` writes."""
+    from flrlab.function_space import basis_matrix
+
+    u = op.coeff_vectors
+    return u.T @ basis_matrix(op.basis, u.shape[0], op.grid_size)
+
+
+def kernel(op) -> np.ndarray:
+    """(D, D) kernel sum_k lambda_k phi_k(s) phi_k(t) of an operator on its
+    grid, as ``serialize.write_kernel`` writes it."""
+    phi = eigenfunctions(op)
+    return phi.T @ (op.eigenvalues[:, None] * phi)
+
+
+def white_noise_cutoff(z, cov, emp_cov, cutoff: int, m: int | None = None) -> np.ndarray:
+    """The cutoff fit read from white-noise coefficients z = A^T y (a
+    ``WnCoefficients``) in the empirical eigenbasis (lam-hat_j, phi-hat_j) of
+    the same m designs, ``emp_cov`` that operator and ``cov`` the true one
+    (lambda_k, phi_k): raw_k = sum_j z_j sqrt(lam-hat_j) <phi-hat_j, phi_k>
+    and theta-hat_k = raw_k / (sqrt(m) lambda_k), m = z.n by default.
+
+    This is the white-noise reference route of ``estimators.cutoff_estimator``
+    on the cross moment X^T y / m. The two agree: with C the design
+    coefficients and A = C U D^-1, D = diag(sqrt(m lam-hat)),
+    raw_k = y^T C U U^T e_k / sqrt(m) = y^T C e_k / sqrt(m)
+    = sqrt(m) (X^T y / m)_k, because C U U^T = C."""
+    from flrlab.function_space import same_coordinates
+
+    lam = cov.eigenvalues[:cutoff]
+    m = z.n if m is None else m
+    r = emp_cov.rank
+    same_coordinates(emp_cov, cov)
+    u, v = emp_cov.coeff_vectors, cov.coeff_vectors
+    j = min(u.shape[0], v.shape[0])
+    overlap = u[:j, :r].T @ v[:j, :cutoff]     # <phi-hat_j, phi_k>, (r, cutoff)
+    weighted = np.sqrt(emp_cov.eigenvalues[:r])[:, None] * overlap
+    return (z.z[:r] @ weighted) / (math.sqrt(m) * lam)
 
 
 def grid_norm(values) -> float:

@@ -19,7 +19,6 @@ from flrlab import (
     delta56_study,
     empirical_covariance,
     flr_to_whitenoise,
-    fourier_basis,
     gamma_consistency_study,
     mise_monte_carlo,
     pinsker_decomposition_draws,
@@ -28,7 +27,6 @@ from flrlab import (
     sample_basis_design,
     sample_gaussian_design,
     sharp_risk_constant,
-    synthesize,
     two_route_draws,
     two_sample_equivalence_test,
     whitenoise_to_flr,
@@ -102,8 +100,7 @@ class TestCriterion3LikelihoodReduction:
             sample = sample_basis_design(spec, n, 4000 + trial)
             cov = empirical_covariance(sample)
             transform = build_gram_transform(sample, cov)
-            basis = fourier_basis(12, 512)
-            theta = synthesize(basis, 0.4 * rng.standard_normal(12))
+            theta = 0.4 * rng.standard_normal(12)    # Fourier coefficients
             y = rng.standard_normal(n)
             sigma = float(rng.uniform(0.5, 2.0))
             gap = abs(conditional_loglik(y, sample, theta, sigma)

@@ -6,32 +6,32 @@ import pytest
 from flrlab import (
     DesignSpec,
     DimensionError,
-    GridFunction,
     sample_basis_design,
     sample_design,
     sample_gaussian_design,
     sqrt_apply,
     true_covariance,
 )
-from flrlab import covariance
 from flrlab.covariance import (
     CovOperator,
     EmpiricalGram,
     empirical_covariance,
     empirical_eigenvalues,
 )
+from flrlab import function_space
 from flrlab.designs import DesignSample
-from flrlab.equivalence import WnCoefficients
-from flrlab.estimators import _eigen_overlap, cutoff_estimator
-from flrlab.function_space import FOURIER, basis_function, fourier_matrix, trapezoid_weights
+from flrlab.estimators import cutoff_estimator
+from flrlab.function_space import FOURIER, basis_function, fourier_matrix, same_coordinates
 
-from oracles import grid_inner, grid_norm, operator_matrix
+from oracles import (eigenfunctions, grid_inner, grid_norm, grid_project, kernel,
+                     operator_matrix, trapezoid_weights)
 
 
-def quadrature_apply(sample, f: GridFunction) -> np.ndarray:
-    """Oracle: (1/n) sum_j X_j <X_j, f> straight from the sample values."""
+def quadrature_apply(sample, f: np.ndarray) -> np.ndarray:
+    """Oracle: (1/n) sum_j X_j <X_j, f> straight from the sample values, f
+    the grid values of a function."""
     w = trapezoid_weights(sample.grid_size)
-    coeffs = sample.values @ (w * f.values)
+    coeffs = sample.values @ (w * f)
     return coeffs @ sample.values / sample.n
 
 
@@ -43,16 +43,16 @@ class TestEmpiricalCovariance:
         x = s.values[0]
         assert op.rank == 1
         assert op.eigenvalues[0] == pytest.approx(grid_norm(x) ** 2, rel=1e-10)
-        phi = op.eigenfunctions.functions[0]
+        phi = eigenfunctions(op)[0]
         align = grid_inner(phi, x)[0, 0] / grid_norm(x)
         assert abs(abs(align) - 1.0) <= 1e-10
 
     def test_eigen_residuals(self, sample25, cov25):
         lam1 = cov25.eigenvalues[0]
         for k in range(cov25.rank):
-            phi = GridFunction(cov25.eigenfunctions.functions[k])
+            phi = eigenfunctions(cov25)[k]
             applied = quadrature_apply(sample25, phi)
-            resid = applied - cov25.eigenvalues[k] * phi.values
+            resid = applied - cov25.eigenvalues[k] * phi
             assert grid_norm(resid) <= 1e-8 * lam1
 
     def test_spectrum_tracks_truth(self):
@@ -87,14 +87,6 @@ class TestEmpiricalCovariance:
             lead = last[np.argmax(np.abs(last[:64]))]
             flipped.add(bool(lead < 0.0))
         assert flipped == {False, True}
-
-    def test_coefficient_view_renders_on_first_read(self, small_spec):
-        s = sample_basis_design(small_spec, 20, 5)
-        for op in (empirical_covariance(s), true_covariance(small_spec, 6)):
-            u = op.coeff_vectors
-            phi = op.eigenfunctions
-            assert op.eigenfunctions is phi
-            assert np.array_equal(phi.functions, u.T @ fourier_matrix(u.shape[0], s.grid_size))
 
     def test_one_representation_per_operator(self):
         # coefficients in a named basis, nothing else: no grid eigenfunctions
@@ -138,7 +130,7 @@ class TestEmpiricalCovariance:
         s = sample_basis_design(small_spec, 20, 3)
         op = empirical_covariance(s)
         direct = (s.values.T @ s.values) / s.n
-        rebuilt = op.kernel
+        rebuilt = kernel(op)
         rel = np.linalg.norm(rebuilt - direct) / np.linalg.norm(direct)
         assert rel <= 1e-6
 
@@ -149,7 +141,7 @@ class TestEmpiricalCovariance:
         w = trapezoid_weights(small_spec.grid_size)
         fs = rng.standard_normal((1000, small_spec.grid_size))
         weighted = fs * w
-        quad = np.einsum("id,de,ie->i", weighted, op.kernel, weighted)
+        quad = np.einsum("id,de,ie->i", weighted, kernel(op), weighted)
         assert np.min(quad) >= -1e-10
 
 
@@ -185,8 +177,9 @@ class TestCoefficientView:
             r = op.rank
             for count in (5, 64, 200):
                 theta = np.random.default_rng(count).standard_normal(count)
-                grid = op.eigen_coefficients(basis_function(theta, FOURIER, s.grid_size),
-                                             count=r)
+                rendered = basis_function(theta, FOURIER, s.grid_size)
+                grid = op.eigen_coefficients(
+                    grid_project(rendered.values, FOURIER, op.coeff_vectors.shape[0]), count=r)
                 with monkeypatch.context() as m:
                     m.setattr(DesignSample, "values",
                               property(lambda self: pytest.fail("grid materialized")))
@@ -199,7 +192,7 @@ class TestCoefficientView:
     def test_design_products_match_grid(self, small_spec):
         s = sample_basis_design(small_spec, 200, 29)
         op = empirical_covariance(s)
-        grid = grid_inner(s.values, op.eigenfunctions.functions[:40])
+        grid = grid_inner(s.values, eigenfunctions(op)[:40])
         q = op.design_products(s, 40)
         assert np.array_equal(q, s.coeffs @ op.coeff_vectors[:, :40])
         assert np.max(np.abs(q - grid)) <= 1e-12 * np.max(np.abs(grid))
@@ -212,12 +205,12 @@ class TestCoefficientView:
         sine_op = empirical_covariance(gaussian)
         assert fourier_op.coeff_vectors.shape == sine_op.coeff_vectors.shape == (40, 20)
         for call in (lambda: fourier_op.design_products(gaussian, 5),
-                     lambda: _eigen_overlap(sine_op, true_covariance(small_spec, 4), 20, 4)):
+                     lambda: same_coordinates(sine_op, true_covariance(small_spec, 4))):
             with pytest.raises(DimensionError, match="sine coefficients cannot meet fourier|"
                                                      "fourier coefficients cannot meet sine"):
                 call()
         assert sine_op.design_products(gaussian, 5).shape == (20, 5)
-        assert _eigen_overlap(sine_op, true_covariance(gaussian_spec, 4), 20, 4).shape == (20, 4)
+        same_coordinates(sine_op, true_covariance(gaussian_spec, 4))
 
     def test_coefficient_route_survives_a_cold_fourier_cache(self, small_spec, monkeypatch):
         # The operators answer from what they hold, not from which cached
@@ -226,13 +219,16 @@ class TestCoefficientView:
         emp = empirical_covariance(s)
         fourier_matrix.cache_clear()
         truth = true_covariance(small_spec, 4)
-        z = WnCoefficients(np.random.default_rng(0).standard_normal(s.n))
+        y = np.random.default_rng(0).standard_normal(s.n)
 
         def no_grid(*args):
             raise AssertionError("grid rendered")
 
-        monkeypatch.setattr(covariance, "basis_matrix", no_grid)
-        assert cutoff_estimator(z, truth, 4, s.n, emp_cov=emp).shape == (4,)
+        # every rendering reads these two through ``basis_matrix``
+        for name in ("fourier_matrix", "sine_matrix"):
+            monkeypatch.setattr(function_space, name, no_grid)
+        assert cutoff_estimator(s.cross_moment(y), truth, 4).shape == (4,)
+        assert sqrt_apply(emp, s.cross_moment(y)).shape == (128,)
         assert truth.design_products(s, 4).shape == (s.n, 4)
         assert emp.design_products(s, s.n).shape == (s.n, s.n)
 
@@ -244,9 +240,12 @@ class TestCoefficientView:
         truth = true_covariance(small_spec, 6)
         assert emp.coeff_vectors.shape[0] == 40 and truth.coeff_vectors.shape[0] == 128
         r = emp.rank
-        grid = grid_inner(emp.eigenfunctions.functions[:r], truth.eigenfunctions.functions)
-        assert np.max(np.abs(_eigen_overlap(emp, truth, r, 6) - grid)) <= 1e-12
-        grid_q = grid_inner(s.values, truth.eigenfunctions.functions)
+        grid = grid_inner(eigenfunctions(emp)[:r], eigenfunctions(truth))
+        # each true eigenvector, cut to the empirical operator's 40 rows
+        overlap = np.column_stack([emp.eigen_coefficients(truth.coeff_vectors[:, k], count=r)
+                                   for k in range(6)])
+        assert np.max(np.abs(overlap - grid)) <= 1e-12
+        grid_q = grid_inner(s.values, eigenfunctions(truth))
         q = truth.design_products(s, 6)
         assert np.array_equal(q, s.coeffs @ truth.coeff_vectors[:40])
         assert np.max(np.abs(q - grid_q)) <= 1e-12 * np.max(np.abs(grid_q))
@@ -254,10 +253,11 @@ class TestCoefficientView:
 
 class TestSqrtApply:
     def test_eigenfunction_scaling(self, cov25):
-        # a rendered eigenfunction is projected once and comes back scaled,
-        # as coefficients
+        # a rendered eigenfunction, projected back onto the basis, comes back
+        # scaled, as coefficients
+        j = cov25.coeff_vectors.shape[0]
         for k in (0, 3, 10):
-            out = sqrt_apply(cov25, GridFunction(cov25.eigenfunctions.functions[k]))
+            out = sqrt_apply(cov25, grid_project(eigenfunctions(cov25)[k], FOURIER, j))
             expect = math.sqrt(cov25.eigenvalues[k]) * cov25.coeff_vectors[:, k]
             assert np.max(np.abs(out - expect)) <= 1e-8
 
@@ -265,9 +265,9 @@ class TestSqrtApply:
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cov25.grid_size)
         w = trapezoid_weights(cov25.grid_size)
-        phi = cov25.eigenfunctions.functions
+        phi = eigenfunctions(cov25)
         f = f - (phi * w) @ f @ phi          # project out the range
-        out = sqrt_apply(cov25, GridFunction(f))
+        out = sqrt_apply(cov25, grid_project(f, FOURIER, cov25.coeff_vectors.shape[0]))
         assert np.linalg.norm(out) <= 1e-8 * np.linalg.norm(f)
 
     def test_coefficient_vector_matches_grid(self, small_spec):
@@ -279,7 +279,8 @@ class TestSqrtApply:
         for size in (10, op.coeff_vectors.shape[0], 100):
             f = rng.standard_normal(size)
             coeffs = sqrt_apply(op, f)
-            grid = sqrt_apply(op, basis_function(f, FOURIER, small_spec.grid_size))
+            rendered = basis_function(f, FOURIER, small_spec.grid_size)
+            grid = sqrt_apply(op, grid_project(rendered.values, FOURIER, op.coeff_vectors.shape[0]))
             assert coeffs.shape == grid.shape == (op.coeff_vectors.shape[0],)
             assert np.max(np.abs(coeffs - grid)) <= 1e-12 * np.max(np.abs(grid))
 
@@ -288,7 +289,8 @@ class TestSqrtApply:
         op = empirical_covariance(s)
         rng = np.random.default_rng(3)
         for _ in range(100):
-            f = GridFunction(rng.standard_normal(small_spec.grid_size))
+            f = grid_project(rng.standard_normal(small_spec.grid_size), FOURIER,
+                             op.coeff_vectors.shape[0])
             twice = sqrt_apply(op, sqrt_apply(op, f))
             direct = op.apply(f)
             denom = max(np.linalg.norm(direct), 1e-12)
@@ -310,7 +312,7 @@ class TestSqrtApply:
         monkeypatch.setattr(CovOperator, "__init__", counting)
         rng = np.random.default_rng(6)
         for f in (rng.standard_normal(s.coeffs.shape[1]), rng.standard_normal(7),
-                  GridFunction(rng.standard_normal(256))):
+                  grid_project(rng.standard_normal(256), s.basis, s.coeffs.shape[1])):
             direct, via_op = sqrt_apply(s, f), sqrt_apply(op, f)
             assert direct.shape == via_op.shape
             assert np.linalg.norm(direct - via_op) <= 1e-12 * np.linalg.norm(via_op)
@@ -332,9 +334,9 @@ class TestHsDistance:
         ratio = sums[50] / sums[200]
         assert 3.0 <= ratio <= 5.5
 
-    def test_grid_mismatch(self, cov25):
-        # operators compare only in one basis on one grid
+    def test_grid_mismatch(self, sample25):
+        # operators and samples meet only in one basis on one grid
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
         other = empirical_covariance(sample_basis_design(spec, 5, 1))
         with pytest.raises(DimensionError, match="grid sizes differ"):
-            _eigen_overlap(other, cov25, 5, 5)
+            other.design_products(sample25, 5)

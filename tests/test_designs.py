@@ -18,9 +18,10 @@ from flrlab import (
     verify_condition_x,
 )
 from flrlab.covariance import RANK_TOL
-from flrlab.function_space import grid_nodes, sine_matrix, trapezoid_weights
+from flrlab.function_space import grid_nodes, sine_matrix
 
-from oracles import design_draw, eigh_quadrature_kernel, grid_inner, grid_norm, held_moments
+from oracles import (design_draw, eigh_quadrature_kernel, grid_inner, grid_norm, held_moments,
+                     trapezoid_weights)
 
 
 class TestSpecValidation:

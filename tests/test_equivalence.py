@@ -8,27 +8,26 @@ from flrlab import (
     DegenerateDesignError,
     DesignSample,
     DesignSpec,
-    GridFunction,
     build_gram_transform,
     conditional_loglik,
     empirical_covariance,
     flr_to_whitenoise,
-    fourier_basis,
     reduced_loglik,
     sample_basis_design,
     sample_gaussian_design,
     simulate_empirical_wn,
     simulate_flr_responses,
-    synthesize,
+    sqrt_apply,
     whitenoise_to_flr,
 )
-from flrlab.function_space import FOURIER, basis_function, trapezoid_weights
+from flrlab.function_space import FOURIER, basis_function
+
+from oracles import eigenfunctions, trapezoid_weights
 
 
-def random_theta(grid_size, seed, count=12, scale=0.4):
-    rng = np.random.default_rng(seed)
-    basis = fourier_basis(count, grid_size)
-    return synthesize(basis, scale * rng.standard_normal(count))
+def random_theta(seed, count=12, scale=0.4):
+    """The first ``count`` Fourier coefficients of a random theta."""
+    return scale * np.random.default_rng(seed).standard_normal(count)
 
 
 class TestGramTransform:
@@ -100,7 +99,7 @@ class TestGramTransform:
         t = build_gram_transform(s, empirical_covariance(s))
         defect = np.max(np.abs(t.a.T @ t.a - np.eye(100)))
         assert t.orthogonality_defect == defect <= 1e-13
-        y = simulate_flr_responses(s, random_theta(s.grid_size, 3), 1.0, 4)
+        y = simulate_flr_responses(s, random_theta(3), 1.0, 4)
         back = whitenoise_to_flr(flr_to_whitenoise(y, t), t)
         assert np.max(np.abs(back - y)) <= 1e-12 * np.max(np.abs(y))
 
@@ -141,7 +140,7 @@ class TestTransformRoundtrip:
 
 class TestDirectSimulation:
     def test_noiseless_matches_transform_route(self, sample25, cov25):
-        theta = random_theta(cov25.grid_size, 11)
+        theta = random_theta(11)
         t = build_gram_transform(sample25, cov25)
         y = simulate_flr_responses(sample25, theta, 0.0, 1)
         z_transform = flr_to_whitenoise(y, t).z
@@ -151,7 +150,7 @@ class TestDirectSimulation:
     def test_pure_noise_variance(self, small_spec):
         s = sample_basis_design(small_spec, 10, 14)
         cov = empirical_covariance(s)
-        theta = GridFunction(np.zeros(small_spec.grid_size))
+        theta = np.zeros(12)
         draws = np.stack([
             simulate_empirical_wn(theta, s, cov, 2.0, 100 + i).z for i in range(10_000)
         ])
@@ -163,15 +162,13 @@ class TestDirectSimulation:
         # coefficients beyond the operator rank carry no signal
         s = sample_basis_design(small_spec, 10, 15)
         cov = empirical_covariance(s)
-        theta = random_theta(small_spec.grid_size, 16)
+        theta = random_theta(16)
         rng = np.random.default_rng(0)
         g = rng.standard_normal(small_spec.grid_size)
         w = trapezoid_weights(small_spec.grid_size)
-        phi = cov.eigenfunctions.functions
+        phi = eigenfunctions(cov)
         g = g - (phi * w) @ g @ phi
         g /= np.linalg.norm(g)
-        from flrlab import sqrt_apply
-
         drift = basis_function(sqrt_apply(cov, theta), FOURIER, small_spec.grid_size)
         assert abs(np.dot(w * g, drift.values)) <= 1e-10
 
@@ -187,9 +184,10 @@ class TestCoefficientRoute:
 
     def test_matches_grid_route_without_building_it(self, monkeypatch):
         s, grid_values = self._pair(41)
-        theta = random_theta(s.grid_size, 42, count=40, scale=0.6)
+        theta = random_theta(42, count=40, scale=0.6)
         noise = 0.5 * np.random.default_rng(9).standard_normal(s.n)
-        y_grid = grid_values @ (trapezoid_weights(s.grid_size) * theta.values) + noise
+        rendered = basis_function(theta, FOURIER, s.grid_size)
+        y_grid = grid_values @ (trapezoid_weights(s.grid_size) * rendered.values) + noise
         monkeypatch.setattr(DesignSample, "values",
                             property(lambda self: pytest.fail("grid materialized")))
         y = simulate_flr_responses(s, theta, 0.5, 9)
@@ -226,7 +224,7 @@ class TestCoefficientRoute:
         cov = empirical_covariance(s)
         t = build_gram_transform(s, cov)
         w = trapezoid_weights(s.grid_size)
-        grid_a = ((grid_values * w) @ cov.eigenfunctions.functions.T) / t.dvec
+        grid_a = ((grid_values * w) @ eigenfunctions(cov).T) / t.dvec
         assert np.linalg.norm(t.a - grid_a) <= 1e-12 * np.linalg.norm(grid_a)
         assert np.linalg.det(t.a) == pytest.approx(1.0, abs=1e-10)
 
@@ -234,21 +232,21 @@ class TestCoefficientRoute:
 class TestConditionalLikelihood:
     def test_zero_residual_value(self, small_spec):
         s = sample_basis_design(small_spec, 1, 21)
-        theta = random_theta(small_spec.grid_size, 22)
+        theta = random_theta(22)
         y = simulate_flr_responses(s, theta, 0.0, 1)
         sigma = 0.7
         assert conditional_loglik(y, s, theta, sigma) \
             == pytest.approx(-0.5 * math.log(2 * math.pi) - math.log(sigma), abs=1e-10)
 
     def test_sigma_doubling_with_zero_residual(self, sample25):
-        theta = random_theta(1024, 23)
+        theta = random_theta(23)
         y = simulate_flr_responses(sample25, theta, 0.0, 1)
         l1 = conditional_loglik(y, sample25, theta, 1.0)
         l2 = conditional_loglik(y, sample25, theta, 2.0)
         assert l1 - l2 == pytest.approx(25 * math.log(2.0), abs=1e-9)
 
     def test_sigma_must_be_positive(self, sample25):
-        theta = random_theta(1024, 24)
+        theta = random_theta(24)
         with pytest.raises(ValueError):
             conditional_loglik(np.zeros(25), sample25, theta, 0.0)
 
@@ -261,7 +259,7 @@ class TestConditionalLikelihood:
             s = sample_basis_design(spec, n, 2000 + trial)
             cov = empirical_covariance(s)
             t = build_gram_transform(s, cov)
-            theta = random_theta(512, 3000 + trial)
+            theta = random_theta(3000 + trial)
             y = rng.standard_normal(n)
             sigma = float(rng.uniform(0.5, 2.0))
             direct = conditional_loglik(y, s, theta, sigma)

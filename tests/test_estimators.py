@@ -29,10 +29,10 @@ from flrlab import (
 )
 from flrlab.covariance import empirical_eigenvalues
 from flrlab.estimators import cutoff_split, pinsker_sequence_estimator, validate_rho
-from flrlab.function_space import GridFunction, basis_function, fourier_matrix
+from flrlab.function_space import basis_function
 
-from oracles import (brute_force_linear_minimax, ellipsoid_sum, grid_norm, ols_slope,
-                     pinsker_level_brentq, sharp_risk_exact)
+from oracles import (brute_force_linear_minimax, eigenfunctions, ellipsoid_sum, grid_norm,
+                     ols_slope, pinsker_level_brentq, sharp_risk_exact, white_noise_cutoff)
 
 TOY = ThetaClass(beta=1.0, c_theta=1.0)   # single-coefficient closed forms
 
@@ -99,14 +99,8 @@ class TestCutoffEstimator:
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=16)
         truth = true_covariance(spec, 8)
         theta_coeffs = np.concatenate([[1.0], np.zeros(15)])
-        basis = fourier_matrix(16, 256)
-        theta = GridFunction(theta_coeffs @ basis)
-        from flrlab import WnCoefficients
-
-        m = 40
-        drift = np.sqrt(m * truth.eigenvalues) * truth.eigen_coefficients(theta, count=8)
-        z = WnCoefficients(z=drift, sigma=0.0)
-        est = cutoff_estimator(z, truth, 3, m, emp_cov=truth)
+        # the noiseless cross moment with Gamma in place of Gamma-hat
+        est = cutoff_estimator(truth.apply(theta_coeffs), truth, 3)
         assert np.max(np.abs(est - theta_coeffs[:3])) <= 1e-10
 
     def test_orthogonal_target_gives_zero(self):
@@ -114,13 +108,7 @@ class TestCutoffEstimator:
         truth = true_covariance(spec, 8)
         theta_coeffs = np.zeros(16)
         theta_coeffs[10] = 1.0     # beyond the cutoff
-        basis = fourier_matrix(16, 256)
-        theta = GridFunction(theta_coeffs @ basis)
-        from flrlab import WnCoefficients
-
-        drift = np.sqrt(40 * truth.eigenvalues) * truth.eigen_coefficients(theta, count=8)
-        z = WnCoefficients(z=drift, sigma=0.0)
-        est = cutoff_estimator(z, truth, 4, 40, emp_cov=truth)
+        est = cutoff_estimator(truth.apply(theta_coeffs), truth, 4)
         assert np.max(np.abs(est)) <= 1e-10
 
     @pytest.mark.parametrize("kind,n", [
@@ -131,6 +119,7 @@ class TestCutoffEstimator:
     def test_cross_moment_route_is_the_white_noise_route(self, kind, n):
         # theta-hat_k = (X^T y / n)_k / lambda_k equals the rotation of the
         # white-noise coefficients of the same responses through the overlap
+        # (the reference route ``white_noise_cutoff``)
         from flrlab import WnCoefficients, build_gram_transform, flr_to_whitenoise
 
         spec = DesignSpec(kind=kind, alpha=2.0, grid_size=256)
@@ -146,7 +135,7 @@ class TestCutoffEstimator:
             z = (y @ emp.design_products(s, r)) / np.sqrt(n * emp.eigenvalues[:r])
         k = 4
         truth = true_covariance(spec, k)
-        old = cutoff_estimator(WnCoefficients(z), truth, k, n, emp_cov=emp)
+        old = white_noise_cutoff(WnCoefficients(z), truth, emp, k, n)
         new = cutoff_estimator(s.cross_moment(y), truth, k)
         assert np.linalg.norm(new - old) <= 1e-10 * np.linalg.norm(old)
         assert np.array_equal(new, s.cross_moment(y)[:k] / truth.eigenvalues)
@@ -303,6 +292,31 @@ class TestGammaOracleProperties:
         n1, n2 = sorted(max(1, round(10.0**e)) for e in (log_n, log_n2))
         assert pinsker_gamma_oracle(lam, tc, sigma, n2) <= pinsker_gamma_oracle(lam, tc, sigma, n1)
 
+    @given(**ADMISSIBLE)
+    def test_oracle_weights_and_sharp_constant(self, alpha, excess, log_sigma, log_n, log_c):
+        lam, tc, sigma = _admissible(alpha, excess, log_sigma, log_c)
+        n = max(1, round(10.0**log_n))
+        w = pinsker_oracle_weights(lam, tc, sigma, n)
+        assert w.size >= 1 and np.all(np.isfinite(w))
+        assert np.all((w >= 0.0) & (w <= 1.0)) and np.all(np.diff(w) <= 0.0)
+        a_n = sharp_risk_constant(lam, tc, sigma, n)
+        assert math.isfinite(a_n) and a_n > 0.0
+        if w.size == 1:
+            # one active coordinate, lambda_1 = 1, b_1^2 = 2: w_1 = s/(2 + s)
+            s = tc.c_theta * n / sigma**2
+            assert w[0] == pytest.approx(s / (2.0 + s), rel=1e-15)
+
+    @given(**ADMISSIBLE)
+    def test_data_driven_level_above_the_plug_in_bound(self, alpha, excess, log_sigma, log_n,
+                                                       log_c):
+        # beta > alpha + 3/2, the plug-in fit's condition, on the spectrum
+        # k^-alpha of J = 128 training coordinates
+        tc = ThetaClass(beta=alpha + 1.5 + excess, c_theta=10.0**log_c)
+        n = max(8, round(10.0**log_n))
+        spectrum = np.arange(1, 129, dtype=float) ** -alpha
+        sel = data_driven_gamma(spectrum, n, tc, 10.0**log_sigma, default_rho(alpha), alpha=alpha)
+        assert math.isfinite(sel.gamma_tilde) and sel.gamma_tilde > 0.0
+
 
 class TestSharpRiskConstant:
     def test_single_coefficient_value(self):
@@ -419,15 +433,14 @@ class TestPlugInEstimator:
     def test_plug_in_consistency(self):
         # noiseless fit of the first eigenfunction: leading coefficient near 1
         rho = default_rho(2.0)
-        basis = fourier_matrix(8, 256)
-        theta = GridFunction(basis[0])
+        theta = np.array([1.0])      # the constant, the first Fourier function
         vals = []
         for rep in range(30):
             s = sample_basis_design(self.SPEC, 400, 500 + rep)
             y = simulate_flr_responses(s, theta, 0.0, rep)
             cov = empirical_covariance(s)
             fit = flr_pinsker_fit(cov, s.cross_moment(y), np.array([1.0]), rho, alpha=2.0)
-            vals.append(cov.eigen_coefficients(fit.estimate, count=1)[0])
+            vals.append(cov.eigen_coefficients(fit.theta_hat, count=1)[0])
         assert abs(np.mean(vals) - 1.0) <= 0.05
 
     def test_support_cap_flagged_at_desk_scale(self):
@@ -461,7 +474,7 @@ class TestPlugInEstimator:
                             - basis_function(theta, s.basis, s.grid_size).values) ** 2
         assert abs(fit.squared_error(theta) - on_grid) <= 1e-10 * on_grid
         k = fit.coefficients.size
-        rendered = fit.coefficients @ cov.eigenfunctions.functions[:k]
+        rendered = fit.coefficients @ eigenfunctions(cov)[:k]
         assert np.max(np.abs(fit.estimate.values - rendered)) <= 1e-10
 
     def test_negative_weights_rejected(self):

@@ -3,34 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from flrlab import (
-    Basis,
-    DesignSpec,
-    DimensionError,
-    GridFunction,
-    ResolutionError,
-    fourier_basis,
-    synthesize,
-    true_covariance,
-)
+from flrlab import Basis, GridFunction, ResolutionError, fourier_basis
 from flrlab.function_space import (FOURIER, SINE, basis_function, basis_matrix, grid_nodes,
-                                   sine_matrix, trapezoid_weights)
+                                   sine_matrix)
 from flrlab.serialize import write_grid_function
 
-from oracles import grid_inner
+from oracles import grid_inner, grid_project, synthesize, trapezoid_weights
 
 
 def inner(f, g) -> float:
-    """The package's quadrature: trapezoid weights on the grid values."""
+    """Trapezoid quadrature of f g on the grid values."""
     return float(trapezoid_weights(f.size) @ (f * g))
 
 
 def project(values, count: int) -> np.ndarray:
-    """Fourier coefficients of grid values, by the package's one projection
-    of a grid function (``CovOperator.coefficients``)."""
-    spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=count,
-                      grid_size=values.size)
-    return true_covariance(spec, count).coefficients(GridFunction(values))
+    """The first ``count`` Fourier coefficients of grid values."""
+    return grid_project(values, FOURIER, count)
 
 
 class TestGridFunction:
@@ -62,12 +50,6 @@ class TestInnerProduct:
     def test_linear_ramp(self):
         t = grid_nodes(1024)
         assert inner(t, t) == pytest.approx(1.0 / 3.0, abs=1e-6)
-
-    def test_grid_mismatch(self):
-        # a grid function meets a basis only on the basis's own grid
-        op = true_covariance(DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256), 4)
-        with pytest.raises(DimensionError):
-            op.coefficients(GridFunction(np.ones(512)))
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(0)

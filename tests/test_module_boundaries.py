@@ -34,13 +34,37 @@ def test_no_module_imports_private_names():
     assert not offenders, offenders
 
 
+def grid_input_checks(source: str) -> list[int]:
+    """Lines of ``isinstance(x, GridFunction)`` calls, also with GridFunction
+    in a tuple of types or read as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        types = node.args[1]
+        for t in types.elts if isinstance(types, ast.Tuple) else [types]:
+            if (t.id if isinstance(t, ast.Name) else getattr(t, "attr", None)) == "GridFunction":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_takes_grid_input():
+    # The library reads coefficient vectors only; grid values are rendered
+    # for output and never come back in.
+    assert grid_input_checks("isinstance(f, (np.ndarray, fs.GridFunction))\n"
+                             "isinstance(f, GridFunction)") == [1, 2]
+    offenders = [f"{path.name}:{line}" for path in SOURCES
+                 for line in grid_input_checks(path.read_text(encoding="utf-8"))]
+    assert not offenders, offenders
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Public names whose only callers are tests: the acceptance criteria read
-# them as references. ``synthesize`` renders criterion 1's theta and the
-# equivalence tests' grid targets; the two log-likelihoods are the two sides
-# of criterion 3's reduction identity.
-TEST_REFERENCES = {"synthesize", "conditional_loglik", "reduced_loglik"}
+# them as references. The two log-likelihoods are the two sides of
+# criterion 3's reduction identity.
+TEST_REFERENCES = {"conditional_loglik", "reduced_loglik"}
 
 
 def public_definitions(path: Path) -> list[ast.AST]:

@@ -288,20 +288,14 @@ class TestMiseMonteCarlo:
     def test_basis_designs_render_no_grid_eigenfunctions(self, monkeypatch):
         # Operators of basis-expansion designs live in Fourier coefficients:
         # neither the cutoff study (full-rank m <= J and rank-capped m > J),
-        # the data-driven level nor a Pinsker study builds an eigenfunction grid.
-        from flrlab import data_driven_gamma, data_driven_split, sample_design
+        # the data-driven level nor a Pinsker study renders a basis on the
+        # grid, which every rendering does through these two.
+        from flrlab import data_driven_gamma, data_driven_split, function_space, sample_design
         from flrlab.covariance import empirical_eigenvalues
-        from flrlab.function_space import Basis
 
         built = []
-        post_init = Basis.__post_init__
-
-        def counting(self):
-            post_init(self)
-            if self.kind == "eigen":
-                built.append(self.functions.shape)
-
-        monkeypatch.setattr(Basis, "__post_init__", counting)
+        for name in ("fourier_matrix", "sine_matrix"):
+            monkeypatch.setattr(function_space, name, lambda *args: built.append(args))
         mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64, 512)),
                          EstimatorConfig(kind="cutoff"), 3, 2)
         mise_monte_carlo(flr_model(mode="worst-case", n_grid=(64,)),
@@ -367,13 +361,14 @@ class TestMiseMonteCarlo:
         # same law, N(Gamma-hat theta, sigma^2 Gamma-hat / m) given the designs.
         from flrlab import (
             WnCoefficients,
-            cutoff_estimator,
             empirical_covariance,
             sample_design,
             select_cutoff,
             true_covariance,
         )
         from flrlab.streams import derive_rng
+
+        from oracles import white_noise_cutoff
 
         # J = 64 < m keeps the reference's J x J eigenproblems cheap
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=64)
@@ -394,7 +389,7 @@ class TestMiseMonteCarlo:
                 r = emp.rank
                 z = np.sqrt(m * emp.eigenvalues[:r]) * emp.eigen_coefficients(theta, count=r)
                 z += noise[:r]
-                est_k = cutoff_estimator(WnCoefficients(z), truth, k, m, emp_cov=emp)
+                est_k = white_noise_cutoff(WnCoefficients(z), truth, emp, k, m)
                 errs[rep] = np.sum((est_k - theta[:k]) ** 2) + np.sum(theta[k:] ** 2)
             ref_se = errs.std(ddof=1) / math.sqrt(reps)
             assert abs(report.mise[i] - errs.mean()) <= 3.0 * math.hypot(report.stderr[i], ref_se)
@@ -501,21 +496,16 @@ class TestDeltaStudy:
             true_covariance,
         )
         from flrlab.estimators import DEFAULT_COEFF_BUDGET
-        from flrlab.function_space import Basis, GridFunction, basis_function, basis_matrix
+        from flrlab import function_space
+        from flrlab.function_space import basis_function, basis_matrix
         from flrlab.streams import derive_rng
 
-        from oracles import grid_inner, grid_norm, law_moments
+        from oracles import grid_inner, grid_norm, grid_project, law_moments
 
         built = []
-        post_init = Basis.__post_init__
-
-        def counting(self):
-            post_init(self)
-            if self.kind == "eigen":
-                built.append(self.functions.shape)
-
         with monkeypatch.context() as m:
-            m.setattr(Basis, "__post_init__", counting)
+            for name in ("fourier_matrix", "sine_matrix"):
+                m.setattr(function_space, name, lambda *args: built.append(args))
             report = delta56_study(n_grid, model, reps, seed)
         assert built == []
 
@@ -546,11 +536,14 @@ class TestDeltaStudy:
                     xty = (sums.gram @ theta_j + sigma * sums.noise) / m
                 else:
                     s1 = sample_design(spec, m, rng)
-                    xty = s1.cross_moment(simulate_flr_responses(s1, theta_grid, sigma, rng))
+                    theta_j = grid_project(theta_grid.values, spec.basis, s1.coeffs.shape[1])
+                    xty = s1.cross_moment(simulate_flr_responses(s1, theta_j, sigma, rng))
                 theta1 = cutoff_estimator(xty, true_cov, k)
-                g = GridFunction(theta_grid.values - render(theta1).values)
+                g = theta_grid.values - render(theta1).values
                 cov2 = empirical_covariance(sample_design(spec, n - m, rng))
-                a, b = (render(sqrt_apply(op, g)) for op in (true_cov, cov2))
+                a, b = (render(sqrt_apply(op, grid_project(g, spec.basis,
+                                                           op.coeff_vectors.shape[0])))
+                        for op in (true_cov, cov2))
                 vals.append((n - m) * grid_norm(a.values - b.values) ** 2)
             assert report.mean_sq[i] == pytest.approx(np.mean(vals), rel=1e-12)
 

@@ -17,14 +17,16 @@ from flrlab import (
     sample_basis_design,
     simulate_sequence,
 )
+from flrlab.covariance import CovOperator
 from flrlab.equivalence import WnCoefficients
-from flrlab.function_space import grid_nodes
+from flrlab.function_space import FOURIER, grid_nodes
 from flrlab.serialize import (
     design_sample_payload,
     design_spec_payload,
     read_table,
     write_basis,
     write_design_sample,
+    write_eigenfunctions,
     write_eigenpairs,
     write_grid_function,
     write_kernel,
@@ -35,6 +37,8 @@ from flrlab.serialize import (
     write_wn_coefficients,
 )
 from flrlab.whitenoise import SeqObservation
+
+from oracles import eigenfunctions, kernel
 
 SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=128)
 
@@ -154,6 +158,13 @@ class RenderedSample(DesignSample):
         return self._given
 
 
+def small_operator() -> CovOperator:
+    """Three eigenpairs in the first four Fourier coordinates on 9 nodes."""
+    u = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 3)))[0]
+    return CovOperator(eigenvalues=np.array([2.0, 0.5, 1e-300]), coeff_vectors=u,
+                       basis=FOURIER, grid_size=9)
+
+
 class TestWritersKeepTheirBytes:
     """Every CSV writer produces exactly the reference bytes on awkward values."""
 
@@ -199,8 +210,17 @@ class TestWritersKeepTheirBytes:
         assert (tmp_path / "m.csv").read_bytes() == reference_savetxt(tmp_path, matrix)
         write_matrix(tmp_path / "v.csv", AWKWARD)
         assert (tmp_path / "v.csv").read_bytes() == reference_savetxt(tmp_path, AWKWARD)
-        write_kernel(tmp_path / "k.csv", SimpleNamespace(kernel=matrix.T))
-        assert (tmp_path / "k.csv").read_bytes() == reference_savetxt(tmp_path, matrix.T)
+        # an operator's kernel is rendered from its coefficients and written
+        # like any matrix
+        op = small_operator()
+        write_kernel(tmp_path / "k.csv", op)
+        assert (tmp_path / "k.csv").read_bytes() == reference_savetxt(tmp_path, kernel(op))
+
+    def test_eigenfunctions_render_from_coefficients(self, tmp_path):
+        op = small_operator()
+        write_eigenfunctions(tmp_path / "phi.csv", op)
+        write_basis(tmp_path / "b.csv", Basis(eigenfunctions(op)))
+        assert (tmp_path / "phi.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_table_columns_keep_their_spelling(self, tmp_path):
         columns = [list(range(1, 11)), list(AWKWARD), [i % 3 == 0 for i in range(10)],
