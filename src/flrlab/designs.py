@@ -19,36 +19,46 @@ Every input is a coefficient vector in that basis (theta in
 ``DesignSample.inner_products``), and grid values exist only to render a
 sample (``DesignSample.values``).
 
-Every row of a held draw comes from one source, ``_row_blocks``: consecutive
-blocks of the coefficients, about 1 MB each (``_block_rows``), with the
-bits of the whole n x J draw, after which the stream stands where that draw
-leaves it. A uniform double takes exactly one 64-bit output
-of a PCG64 stream, so uniform rows are drawn from a copy of the stream
-advanced past the rows before them (``streams.pcg64_ahead``), and the stream
-then skips all n J outputs (``streams.catch_up``); a uniform draw therefore
-needs a PCG64 stream, and anything else raises ``TypeError`` before the
-stream moves. A normal draw takes a variable number of outputs, so normal
-rows outside the ones asked for are drawn and dropped.
+Every row of a draw comes from one source, ``_row_blocks``: consecutive
+blocks of the n x width draw of the first ``width`` coefficients (all J by
+default), about 1 MB each at any width (``_block_rows``), after which the
+stream stands where that whole draw leaves it. Columns are independent, so
+the n x width draw has the law of the first width columns of the n x J one;
+a caller that reads fewer columns draws only those. A uniform double takes
+exactly one 64-bit output of a PCG64 stream, so uniform rows are drawn from
+a copy of the stream advanced past the rows before them
+(``streams.pcg64_ahead``), and the stream then skips all n width outputs
+(``streams.catch_up``); a uniform draw therefore needs a PCG64 stream, and
+anything else raises ``TypeError`` before the stream moves. A normal draw
+takes a variable number of outputs, so normal rows outside the ones asked
+for are drawn and dropped.
 
-``sample_design`` has the rows it keeps drawn in place, as blocks that are
-views of its sample, so a held draw allocates the sample alone (and, for
-normal rows it drops, the buffer). ``stream_moments`` returns the sums a
-study replication reads of its designs C and the n normals eps after them
-(``DesignMoments``: rows of C^T C and C^T eps), without the n x J sample,
-in one of two ways:
+``sample_design`` has the rows it keeps drawn in place, all J columns wide,
+as blocks that are views of its sample, so a held draw allocates the sample
+alone (and, for normal rows it drops, the buffer). ``stream_moments``
+returns the sums a study replication reads of its designs C and the n
+normals eps after them (``DesignMoments``: rows of C^T C and C^T eps over
+the first ``width`` columns), without the n x J sample, in one of two ways:
 
 * basis-expansion designs fold every block of ``_row_blocks``, drawn into
   one reused buffer and while it is still in cache, into the sums, and take
   the normals block by block from a copy of the stream advanced past the
-  n J uniform outputs, so a replication holds O(J^2 + block) numbers and
-  the sums equal the held draw's up to the order of the additions;
+  n width uniform outputs, so a replication holds O(width^2 + block)
+  numbers and the sums equal the held n x width draw's up to the order of
+  the additions;
 * integrated-Gaussian designs draw the sums from their joint law
-  (``_wishart_moments``). With C = G Lambda^(1/2), G the n x J standard
+  (``_wishart_moments``). With C = G Lambda^(1/2), G the n x width standard
   normals, the lead columns G_k of G give G_k^T G_k = L L^T, a Wishart
   matrix with the Bartlett factor L, and, given G_k, G_k^T G[:, k:] = L Z
-  and G_k^T eps = L z with Z and z standard normals. So O(lead J) random
-  numbers stand in for n J, whatever n is, and the stream moves by those
-  alone.
+  and G_k^T eps = L z with Z and z standard normals. So O(lead width)
+  random numbers stand in for n J, whatever n is, and the stream moves by
+  those alone.
+
+A cutoff fit reads its designs only through the columns up to its cutoff
+and the last nonzero coordinate of its test functions, so its replications
+pass that ``width``. Drawing only those columns changes the bits of the
+draw, not its law: skipping the unread columns of each row with the bits
+kept would take a PCG64 jump per row, which costs more than drawing them.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import CovOperator, empirical_eigenvalues
-from .errors import ResolutionError, SpecValidationError
+from .errors import SpecValidationError
 from .estimators import power_lambda_profile
 from .function_space import (
     DEFAULT_GRID_SIZE,
@@ -71,13 +81,12 @@ from .function_space import (
 from .streams import as_generator, catch_up, pcg64_ahead
 
 DEFAULT_MAX_EXPANSION = 128
-# Rows per block of ``_row_blocks``: a 1 MB buffer at J = 128. On 2 vCPU
+# Numbers per block of ``_row_blocks``: 1 MB, 1024 rows at J = 128. On 2 vCPU
 # (OpenBLAS 0.3.31, one BLAS thread) the sums of a data-driven replication at
 # n = 1e4 took a median of 15.0 ms with 1024-row blocks, 15.5 ms with 512,
 # 16.4 ms with 2048 and 16.8 ms with 256, against 15.7 ms for the held
-# n x J draw and its Gram products. Wider designs take fewer rows, so that a
-# block stays near BLOCK_DOUBLES numbers (1 MB).
-BLOCK_ROWS = 1024
+# n x J draw and its Gram products. A block of any width holds about as
+# many numbers, so narrower draws take more rows per block.
 BLOCK_DOUBLES = 2**17
 
 KIND_BASIS = "basis-expansion"
@@ -94,10 +103,10 @@ def _centered(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _block_rows(j: int) -> int:
-    """Rows per block of designs with J = j coordinates: ``BLOCK_ROWS``, or
-    fewer when that would exceed ``BLOCK_DOUBLES`` numbers."""
-    return max(min(BLOCK_ROWS, BLOCK_DOUBLES // j), 1)
+def _block_rows(width: int) -> int:
+    """Rows per block of a draw ``width`` columns wide: about
+    ``BLOCK_DOUBLES`` numbers (1 MB), and at least one row."""
+    return max(BLOCK_DOUBLES // width, 1)
 
 
 @dataclass(frozen=True)
@@ -108,8 +117,9 @@ class DesignSpec:
     coupling: a Brownian design's J is min(2n, grid_size - 1), because the
     trapezoid rule keeps only the first grid_size - 1 sine functions
     orthonormal on that grid (``function_space.sine_matrix``). A
-    basis-expansion draw only checks that the grid can render its J Fourier
-    functions (grid_size >= 2J).
+    basis-expansion draw does not read the grid at all: rendering its J
+    Fourier functions needs grid_size >= 2J, and ``DesignSample.values``
+    raises ``ResolutionError`` on a coarser grid.
     """
 
     kind: str = KIND_BASIS
@@ -217,16 +227,11 @@ def _brownian_profile(ks) -> np.ndarray:
 
 
 def _truncation(spec: DesignSpec, n: int) -> int:
-    """J for n designs of the spec, checked against its grid: D nodes resolve
-    at most D/2 Fourier functions (Brownian designs take J <= D - 1 sine
-    functions by construction)."""
+    """J for n designs of the spec. The draw never reads the grid, so J is
+    not checked against it; rendering is (``function_space``)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    j = spec.resolved_truncation(n)
-    if spec.kind == KIND_BASIS and spec.grid_size < 2 * j:
-        raise ResolutionError(
-            f"grid of {spec.grid_size} nodes cannot resolve {j} Fourier functions")
-    return j
+    return spec.resolved_truncation(n)
 
 
 def _scales(spec: DesignSpec, j: int) -> np.ndarray:
@@ -239,34 +244,35 @@ def _scales(spec: DesignSpec, j: int) -> np.ndarray:
     return np.sqrt(_brownian_profile(ks))
 
 
-def _row_blocks(spec: DesignSpec, n: int, rng: np.random.Generator, rows: range,
+def _row_blocks(spec: DesignSpec, n: int, width: int, rng: np.random.Generator, rows: range,
                 out: np.ndarray | None = None):
-    """The rows ``rows`` (a step-1 range inside range(n)) of n designs drawn
-    from ``rng``, as (start, block) pairs: ``block`` holds the coefficients
-    lambda_k^(1/2) G_k of rows start..start + len(block) with the bits of the
-    whole n x J draw. Without ``out`` each block is a view of one reused
-    buffer of about 1 MB that the next block overwrites; with ``out``
-    (len(rows) x J, C-contiguous) it is a view of that block's rows of
-    ``out``, drawn in place. Once the blocks run out, ``rng`` stands where
-    the whole draw leaves it.
+    """The rows ``rows`` (a step-1 range inside range(n)) of the n x width
+    draw of n designs' first ``width`` coefficients (``width`` <= J) from
+    ``rng``, as (start, block) pairs: ``block`` holds the coefficients
+    lambda_k^(1/2) G_k, k <= width, of rows start..start + len(block) with
+    the bits of the whole n x width draw. Without ``out`` each block is a
+    view of one reused buffer of about 1 MB that the next block overwrites;
+    with ``out`` (len(rows) x width, C-contiguous) it is a view of that
+    block's rows of ``out``, drawn in place. Once the blocks run out,
+    ``rng`` stands where the whole n x width draw leaves it, n width
+    outputs on for uniform designs.
 
     Uniform rows come from a copy of the PCG64 stream advanced past the rows
     before ``rows``; any other stream raises ``TypeError`` and does not
     move. Normal rows outside ``rows`` are drawn into the reused buffer and
     dropped.
     """
-    j = _truncation(spec, n)
     uniform = spec.kind == KIND_BASIS
     if uniform:
-        source, spans = pcg64_ahead(rng, rows.start * j), [(rows, True)]
+        source, spans = pcg64_ahead(rng, rows.start * width), [(rows, True)]
     else:
         source = rng
         spans = [(range(rows.start), False), (rows, True), (range(rows.stop, n), False)]
-    scales = _scales(spec, j)
-    size = _block_rows(j)
+    scales = _scales(spec, width)
+    size = _block_rows(width)
     # the reused buffer takes the dropped rows, and the kept ones without ``out``
     buffered = max((len(span) for span, kept in spans if not kept or out is None), default=0)
-    buffer = np.empty((min(size, buffered), j))
+    buffer = np.empty((min(size, buffered), width))
     for span, kept in spans:
         for lo in range(span.start, span.stop, size):
             hi = min(lo + size, span.stop)
@@ -282,7 +288,7 @@ def _row_blocks(spec: DesignSpec, n: int, rng: np.random.Generator, rows: range,
                 block *= scales
                 yield lo, block
     if uniform:
-        catch_up(rng, pcg64_ahead(rng, n * j))
+        catch_up(rng, pcg64_ahead(rng, n * width))
 
 
 def _sample(spec: DesignSpec, n: int, seed, rows: slice) -> DesignSample:
@@ -292,8 +298,9 @@ def _sample(spec: DesignSpec, n: int, seed, rows: slice) -> DesignSample:
     if span.step != 1:
         raise ValueError("rows must be a contiguous slice")
     rng = as_generator(seed)
-    coeffs = np.empty((len(span), _truncation(spec, n)))
-    for _ in _row_blocks(spec, n, rng, span, out=coeffs):
+    j = _truncation(spec, n)
+    coeffs = np.empty((len(span), j))
+    for _ in _row_blocks(spec, n, j, rng, span, out=coeffs):
         pass
     return DesignSample(coeffs=coeffs, spec=spec)
 
@@ -328,13 +335,14 @@ def sample_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> 
 @dataclass(frozen=True)
 class DesignMoments:
     """Sums over n designs with coefficients C (n x J) and the n normals eps
-    drawn after them, the first m rows fitted and rows m..n kept for
-    training:
+    drawn after them, over the first ``width`` columns of C, the first m
+    rows fitted and rows m..n kept for training:
 
-    * ``gram`` = C[:m, :lead]^T C[:m], the first ``lead`` rows of m Gamma-hat
-      over the fitted rows (all J rows without a lead);
+    * ``gram`` = C[:m, :lead]^T C[:m, :width], the first ``lead`` rows of
+      m Gamma-hat over the fitted rows, ``width`` columns wide (all J rows
+      and columns by default);
     * ``noise`` = C[:m, :lead]^T eps[:m];
-    * ``train`` = C[m:]^T C[m:], or None when m = n.
+    * ``train`` = C[m:, :width]^T C[m:, :width], or None when m = n.
 
     Integrated-Gaussian designs hold a draw of their joint law, with m = n
     and no ``train``.
@@ -347,18 +355,22 @@ class DesignMoments:
     train: np.ndarray | None
 
 
-def _parts(spec: DesignSpec, n: int, j: int, lead: int | None,
-           split: int | None) -> tuple[int, int]:
-    """(m, lead) of n designs with J = j coordinates, checked: m defaults to
-    n and lead to j. Integrated-Gaussian designs take no split, since their
-    sums are drawn from the law of the fitted rows alone, and need
+def _parts(spec: DesignSpec, n: int, j: int, lead: int | None, width: int | None,
+           split: int | None) -> tuple[int, int, int]:
+    """(m, lead, width) of n designs with J = j coordinates, checked: m
+    defaults to n, width to j and is capped at j, and lead defaults to width
+    and must not exceed it. Integrated-Gaussian designs take no split, since
+    their sums are drawn from the law of the fitted rows alone, and need
     lead <= n, the most columns whose Gram matrix has a Bartlett factor."""
     m = n if split is None else int(split)
-    lead = j if lead is None else int(lead)
+    width = j if width is None else min(int(width), j)
+    lead = width if lead is None else int(lead)
     if not 1 <= m <= n:
         raise ValueError(f"the split must lie in 1..{n}, got {m}")
-    if not 1 <= lead <= j:
-        raise ValueError(f"the lead must lie in 1..{j}, got {lead}")
+    if width < 1:
+        raise ValueError(f"the width must be >= 1, got {width}")
+    if not 1 <= lead <= width:
+        raise ValueError(f"the lead must lie in 1..{width}, got {lead}")
     if spec.kind == KIND_GAUSSIAN:
         if split is not None:
             raise ValueError("integrated-gaussian designs take no split: their moments are "
@@ -366,18 +378,19 @@ def _parts(spec: DesignSpec, n: int, j: int, lead: int | None,
         if lead > n:
             raise ValueError(f"the lead must not exceed the {n} designs, got {lead}: the Gram "
                              f"matrix of {lead} columns over {n} rows has no Bartlett factor")
-    return m, lead
+    return m, lead, width
 
 
-def _wishart_moments(spec: DesignSpec, n: int, j: int, lead: int,
+def _wishart_moments(spec: DesignSpec, n: int, width: int, lead: int,
                      rng: np.random.Generator) -> DesignMoments:
-    """The ``DesignMoments`` of n integrated-Gaussian designs, drawn from
-    their joint law. With G the n x J standard normals of the designs, G_k
-    their first k = ``lead`` columns and Lambda the spectrum:
+    """The ``DesignMoments`` of n integrated-Gaussian designs over their
+    first ``width`` columns, drawn from their joint law. With G the n x width
+    standard normals of the designs, G_k their first k = ``lead`` columns
+    and Lambda the spectrum:
 
     * L, the Bartlett factor of G_k^T G_k: L_ii^2 ~ chi^2 with n - i + 1
       degrees of freedom (i = 1..k), standard normals below the diagonal;
-    * Z, k x (J - k) standard normals, and z, k standard normals;
+    * Z, k x (width - k) standard normals, and z, k standard normals;
 
     then gram = Lambda_k^(1/2) [L L^T, L Z] Lambda^(1/2) and
     noise = Lambda_k^(1/2) L z. ``rng`` gives, in this order, the k
@@ -386,11 +399,11 @@ def _wishart_moments(spec: DesignSpec, n: int, j: int, lead: int,
     """
     factor = np.diag(np.sqrt(rng.chisquare(n - np.arange(lead, dtype=float))))
     factor[np.tril_indices(lead, -1)] = rng.standard_normal(lead * (lead - 1) // 2)
-    rows = np.empty((lead, j))
+    rows = np.empty((lead, width))
     rows[:, :lead] = factor @ factor.T
-    rows[:, lead:] = factor @ rng.standard_normal((lead, j - lead))
+    rows[:, lead:] = factor @ rng.standard_normal((lead, width - lead))
     noise = factor @ rng.standard_normal(lead)
-    scales = _scales(spec, j)
+    scales = _scales(spec, width)
     rows *= scales
     rows *= scales[:lead, None]
     noise *= scales[:lead]
@@ -398,32 +411,36 @@ def _wishart_moments(spec: DesignSpec, n: int, j: int, lead: int,
 
 
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
-                   lead: int | None = None, split: int | None = None) -> DesignMoments:
+                   lead: int | None = None, width: int | None = None,
+                   split: int | None = None) -> DesignMoments:
     """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
-    after them, without the n x J sample. ``lead`` (default J) rows of the
-    Gram sum are formed, over the first ``split`` (default all n) designs.
+    after them, without the n x J sample. Only the first ``width`` columns
+    of the designs are drawn: the ones the caller reads (default J, and
+    capped at J). ``lead`` (default ``width``) rows of the Gram sum are
+    formed, over the first ``split`` (default all n) designs.
 
-    Basis-expansion designs give the products of ``sample_design(spec, n,
-    rng)`` and ``rng.standard_normal(n)``, up to the order of the additions,
-    and ``rng`` ends where that draw and those normals leave it: each block
-    of ``_row_blocks`` is folded into the sums as it comes, and the normals
-    come from a copy of the stream advanced past the n J uniform outputs,
-    block by block, so ``rng`` must be a PCG64 Generator, and anything else
-    raises ``TypeError`` (there is no fallback).
+    Basis-expansion designs give the products of the n x width uniform draw
+    (``sample_design(spec, n, rng)`` when width = J) and
+    ``rng.standard_normal(n)``, up to the order of the additions, and
+    ``rng`` ends where that draw and those normals leave it: each block of
+    ``_row_blocks`` is folded into the sums as it comes, and the normals
+    come from a copy of the stream advanced past the n width uniform
+    outputs, block by block, so ``rng`` must be a PCG64 Generator, and
+    anything else raises ``TypeError`` (there is no fallback).
 
     Integrated-Gaussian designs draw the sums from their exact joint law
-    (``_wishart_moments``), from O(lead J) random numbers. They take no
+    (``_wishart_moments``), from O(lead width) random numbers. They take no
     ``split`` and need ``lead`` <= n (``ValueError`` otherwise).
     """
     j = _truncation(spec, n)
-    m, lead = _parts(spec, n, j, lead, split)
+    m, lead, width = _parts(spec, n, j, lead, width, split)
     if spec.kind == KIND_GAUSSIAN:
-        return _wishart_moments(spec, n, j, lead, rng)
-    sums = DesignMoments(n, m, np.zeros((lead, j)), np.zeros(lead),
-                         np.zeros((j, j)) if m < n else None)
-    normals = pcg64_ahead(rng, n * j)
-    eps = np.empty(min(_block_rows(j), n))
-    for start, c in _row_blocks(spec, n, rng, range(n)):
+        return _wishart_moments(spec, n, width, lead, rng)
+    sums = DesignMoments(n, m, np.zeros((lead, width)), np.zeros(lead),
+                         np.zeros((width, width)) if m < n else None)
+    normals = pcg64_ahead(rng, n * width)
+    eps = np.empty(min(_block_rows(width), n))
+    for start, c in _row_blocks(spec, n, width, rng, range(n)):
         cut = min(max(m - start, 0), c.shape[0])
         fit, train = c[:cut], c[cut:]
         # every row's normal is drawn, so the copy keeps pace with the rows

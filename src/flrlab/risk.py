@@ -26,17 +26,21 @@ By the finite-sample equivalence, a replication reads its m fitted designs C
 and their noise eps only through Gamma-hat = C^T C / m and the noise moment
 C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
-model's data, at J x r work per Pinsker fit and k x J per cutoff fit, with
+model's data, at J x r work per Pinsker fit and k x L per cutoff fit, with
 no pass over the designs. A replication that never holds the n x J sample
 takes these sums from ``designs.stream_moments``: basis-expansion designs are
 drawn block by block and each block folded into the sums, which equal the
 held sample's up to the order of the additions; Brownian designs have the
 sums drawn from their exact joint law (a Bartlett-factored Wishart matrix),
 from O(k J) random numbers instead of m J. A cutoff fit reads only the
-first k rows of Gamma-hat and the noise moment, so its m designs are always
-summed this way, of either kind: a basis-expansion replication then holds
-O(J^2 + block) numbers, and a Brownian one O(k J), whatever m is. A
-Pinsker fit reads the whole Gram matrix (an
+first k rows of Gamma-hat, applied to theta, and the noise moment, so its m
+designs are always summed this way, of either kind, and only over the
+design columns it reads: width L = max(k, the last nonzero coordinate of
+any test function in n's panel, ``_cutoff_width``), 64 for the worst-case
+panel and max(k, K_n) for the least-favorable theta of support K_n. A
+basis-expansion replication then draws m L uniforms and holds
+O(L^2 + block) numbers, and a Brownian one draws O(k L) normals, whatever m
+is. A Pinsker fit reads the whole Gram matrix (an
 ``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
 one rule (``_streamed``) sums it only on basis-expansion designs whose
 fitted rows (and the data-driven level's training rows) number more than J.
@@ -52,8 +56,11 @@ from that eigenproblem without building an operator. A replication's stream
 therefore gives, on basis-expansion designs, the m pilot designs, their m
 normals, then the second sample; on Brownian designs, the pilot's law draw
 (k chi-squares, the k (k - 1) / 2 normals below its Bartlett factor's
-diagonal, k (J - k) normals, then k), then the second sample. The
-gamma-consistency study draws only the training rows its selector reads.
+diagonal, k (J - k) normals, then k), then the second sample. The pilot
+passes no width and draws all J columns: its boundary theta is dense over
+the 64 coefficients of the budget, so a narrower draw would save at most
+half of it. The gamma-consistency study draws only the training rows its
+selector reads.
 
 A study first builds what the replications at each n share (the oracle
 level, the test-function panel, the cutoff's split and true operator, the
@@ -74,8 +81,10 @@ over 10 runs) to 41.8 MB (41.3-43.3 MB). One loop over the whole grid on the
 persistent pool, with the cutoff's true operator built once per n rather
 than in every replication, then took the median wall time from 0.364 s to
 0.307 s (CPU 0.619 s to 0.553 s, 10 alternating pairs on a busier host than
-the figures before). Worker processes were measured and rejected (see
-``parallel``).
+the figures before). Drawing only the design columns the fit reads, 5 to 8
+of J = 128 at the least-favorable theta, then took it from 0.205 s to
+0.079 s (CPU 0.363 s to 0.100 s, 10 alternating pairs, better in all 10).
+Worker processes were measured and rejected (see ``parallel``).
 """
 
 from __future__ import annotations
@@ -288,7 +297,7 @@ def mise_monte_carlo(
         oracle = None if estimator.kind == "cutoff" else oracle_level(model, n)
         panel = _theta_panel(model, estimator, n, seed, oracle)
         errs = np.empty((len(panel), reps))
-        replicate = _replication(model, estimator, n, seed, oracle)
+        replicate = _replication(model, estimator, n, seed, oracle, panel)
 
         def run(rep: int) -> None:
             score = replicate(rep)
@@ -332,14 +341,15 @@ def _tail_sq(theta: np.ndarray, k: int) -> float:
     return float(np.sum(theta[k:] ** 2))
 
 
-def _replication(model, estimator, n, master_seed, oracle):
-    """n's replication: rep -> that replication's scorer of test functions,
-    closed over its data so every test function reuses it. What every
-    replication at n shares (the split, the true operator, the oracle
-    level's weights in ``oracle``) is built here or before, once."""
+def _replication(model, estimator, n, master_seed, oracle, panel):
+    """n's replication: rep -> that replication's scorer of the test
+    functions of ``panel``, closed over its data so every test function
+    reuses it. What every replication at n shares (the split, the true
+    operator, the oracle level's weights in ``oracle``, the design columns
+    a cutoff fit reads) is built here or before, once."""
     if model.kind == "sequence":
         return _sequence_replication(model, estimator, n, master_seed, oracle)
-    return _flr_replication(model, estimator, n, master_seed, oracle)
+    return _flr_replication(model, estimator, n, master_seed, oracle, panel)
 
 
 def _sequence_replication(model, estimator, n, master_seed, oracle):
@@ -382,12 +392,24 @@ def _streamed(spec: DesignSpec, n: int, m: int) -> bool:
     return spec.kind == KIND_BASIS and min(parts) > j
 
 
+def _cutoff_width(panel, k: int) -> int:
+    """The design columns a cutoff fit with cutoff k reads when it scores
+    ``panel``: max(k, the last nonzero coordinate of any test function).
+    The fit reads k rows of Gamma-hat applied to theta, so no column beyond
+    both enters an estimate, and a replication draws only these
+    (``stream_moments`` caps them at J)."""
+    support = max((int(np.flatnonzero(theta)[-1]) + 1 for _, theta in panel if np.any(theta)),
+                  default=0)
+    return max(k, support)
+
+
 def _cutoff_fit(moments, sigma, true_cov, k):
     """The cutoff fit on m designs and their m noise values, as a function of
     theta. It reads the first k coordinates of X^T y / m = Gamma-hat theta
     + sigma C^T eps / m: the k rows C[:, :k]^T C / m of Gamma-hat and the
     noise moment sigma C[:, :k]^T eps / m, from the sums of ``moments``
-    (``DesignMoments`` with lead k)."""
+    (``DesignMoments`` with lead k). theta is cut or zero-padded to the
+    sums' width, so they must span its support (``_cutoff_width``)."""
     m = moments.m
     gram_rows = moments.gram / m
     noise_moment = sigma * moments.noise / m
@@ -420,7 +442,7 @@ def _pinsker_statistics(spec: DesignSpec, n: int, m: int, rng):
     return fit, train, fit.cross_moment(noise[:m])
 
 
-def _flr_replication(model, estimator, n, master_seed, oracle):
+def _flr_replication(model, estimator, n, master_seed, oracle, panel):
     spec = model.design
     alpha, sigma = model.alpha, model.sigma
 
@@ -430,9 +452,11 @@ def _flr_replication(model, estimator, n, master_seed, oracle):
     if estimator.kind == "cutoff":
         m, k = cutoff_split(n, alpha, model.theta_class.beta)
         true_cov = true_covariance(spec, k)
+        width = _cutoff_width(panel, k)
 
         def replicate(rep):
-            fit = _cutoff_fit(stream_moments(spec, m, stream(rep), lead=k), sigma, true_cov, k)
+            sums = stream_moments(spec, m, stream(rep), lead=k, width=width)
+            fit = _cutoff_fit(sums, sigma, true_cov, k)
 
             def run(theta):
                 return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)

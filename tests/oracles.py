@@ -111,26 +111,29 @@ def operator_matrix(op) -> np.ndarray:
     return (op.coeff_vectors * op.eigenvalues) @ op.coeff_vectors.T
 
 
-def design_draw(spec, n, rng) -> np.ndarray:
-    """The whole n x J coefficient draw of ``designs.sample_design``, written
-    out in numpy: uniform G_k on [-sqrt3, sqrt3] scaled by k^(-alpha/2) for
-    basis-expansion designs, N(0, 1) G_k scaled by lambda_k^(1/2),
-    lambda_k = 1/(pi^2 (k - 1/2)^2), for Brownian ones."""
+def design_draw(spec, n, rng, width=None) -> np.ndarray:
+    """The whole n x width coefficient draw of the first ``width`` (default
+    and at most J) coordinates, ``designs.sample_design``'s at width J,
+    written out in numpy: uniform G_k on [-sqrt3, sqrt3] scaled by
+    k^(-alpha/2) for basis-expansion designs, N(0, 1) G_k scaled by
+    lambda_k^(1/2), lambda_k = 1/(pi^2 (k - 1/2)^2), for Brownian ones."""
     j = spec.resolved_truncation(n)
+    j = j if width is None else min(width, j)
     k = np.arange(1, j + 1, dtype=float)
     if spec.kind == "basis-expansion":
         return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n, j)) * k ** (-spec.alpha / 2.0)
     return rng.standard_normal((n, j)) * np.sqrt(1.0 / (math.pi**2 * (k - 0.5) ** 2))
 
 
-def held_moments(spec, n, rng, *, lead=None, split=None):
+def held_moments(spec, n, rng, *, lead=None, width=None, split=None):
     """The sums ``designs.stream_moments`` forms, from the held draw:
-    ``design_draw(spec, n, rng)``, then ``rng.standard_normal(n)``, then the
-    direct products of the first ``split`` rows (default all n) on the first
-    ``lead`` columns (default J)."""
+    ``design_draw(spec, n, rng, width)``, n x width, then
+    ``rng.standard_normal(n)``, then the direct products of the first
+    ``split`` rows (default all n) on the first ``lead`` columns (default
+    all)."""
     from flrlab.designs import DesignMoments
 
-    c = design_draw(spec, n, rng)
+    c = design_draw(spec, n, rng, width)
     eps = rng.standard_normal(n)
     m = n if split is None else split
     fit = c[:m]
@@ -139,16 +142,18 @@ def held_moments(spec, n, rng, *, lead=None, split=None):
     return DesignMoments(n, m, lead_cols.T @ fit, lead_cols.T @ eps[:m], train)
 
 
-def law_moments(spec, n, rng, lead):
+def law_moments(spec, n, rng, lead, width=None):
     """The sums ``designs.stream_moments`` draws for n integrated-Gaussian
-    designs, from the same stream in the same order, written out: the
-    Bartlett factor L (lead x lead; diagonal sqrt(chi^2_{n - i + 1}), then
-    the normals below it row by row), Z (lead x (J - lead), row by row) and
-    z (lead); gram_ab = sqrt(lambda_a lambda_b) (L [L^T, Z])_ab and
+    designs over their first ``width`` (default and at most J) columns, from
+    the same stream in the same order, written out: the Bartlett factor L
+    (lead x lead; diagonal sqrt(chi^2_{n - i + 1}), then the normals below
+    it row by row), Z (lead x (width - lead), row by row) and z (lead);
+    gram_ab = sqrt(lambda_a lambda_b) (L [L^T, Z])_ab and
     noise_a = sqrt(lambda_a) (L z)_a."""
     from flrlab.designs import DesignMoments
 
     j = spec.resolved_truncation(n)
+    j = j if width is None else min(width, j)
     diag = np.sqrt(rng.chisquare([n - i for i in range(lead)]))
     below = iter(rng.standard_normal(lead * (lead - 1) // 2))
     factor = np.zeros((lead, lead))

@@ -41,11 +41,24 @@ class TestBasisDesign:
         g = s.coeffs[0, 0]
         assert grid_norm(s.values[0]) == pytest.approx(abs(g), rel=1e-10)
 
-    def test_grid_too_coarse_for_the_expansion_is_rejected_at_the_draw(self):
+    def test_grid_too_coarse_for_the_expansion_is_rejected_at_render(self):
+        # the draw never reads the grid; rendering J = 52 Fourier functions
+        # on 100 nodes does, and raises
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=100)
-        assert sample_basis_design(spec, 25, 1).coeffs.shape == (25, 50)
+        assert sample_basis_design(spec, 25, 1).values.shape == (25, 100)
+        sample = sample_basis_design(spec, 26, 1)
+        assert sample.coeffs.shape == (26, 52)
         with pytest.raises(ResolutionError):
-            sample_basis_design(spec, 26, 1)
+            sample.values
+
+    def test_streamed_sums_ignore_the_grid(self):
+        # J = 600 Fourier functions need 1200 nodes to render, but the
+        # streamed sums never render them
+        from flrlab.designs import stream_moments
+
+        spec = DesignSpec(kind="basis-expansion", j_truncation=600, grid_size=1024)
+        sums = stream_moments(spec, 2000, np.random.default_rng(0), lead=5)
+        assert sums.gram.shape == (5, 600) and np.all(np.isfinite(sums.gram))
 
     def test_reproducible(self, small_spec):
         a = sample_basis_design(small_spec, 10, 99).values
@@ -390,8 +403,9 @@ class TestStreamMoments:
                                       "3 blocks + 17"])
     @pytest.mark.parametrize("lead, split", [(None, None), (3, None), (None, "inside a block")])
     def test_sums_equal_the_held_samples(self, rows, lead, split):
-        from flrlab.designs import BLOCK_ROWS, stream_moments
+        from flrlab.designs import _block_rows, stream_moments
 
+        BLOCK_ROWS = _block_rows(128)       # 1024 rows of J = 128
         # J = min(2n, 128): fewer designs than coordinates at n = 50
         n = {"fewer than J": 50, "J + 1": 129, "one block": BLOCK_ROWS,
              "one block + 1": BLOCK_ROWS + 1, "3 blocks + 17": 3 * BLOCK_ROWS + 17}[rows]
@@ -463,7 +477,8 @@ class TestStreamMoments:
 
         brownian = DesignSpec(kind="integrated-gaussian", grid_size=256)    # J = 255 at n = 300
         for spec, j in ((self.SPEC, 128), (brownian, 255)):
-            for kw in ({"split": 0}, {"split": 301}, {"lead": 0}, {"lead": j + 1}):
+            for kw in ({"split": 0}, {"split": 301}, {"lead": 0}, {"lead": j + 1},
+                       {"width": 0}, {"lead": 5, "width": 4}):
                 with pytest.raises(ValueError):
                     stream_moments(spec, 300, np.random.default_rng(0), **kw)
 
@@ -538,6 +553,40 @@ class TestStreamMoments:
             return c[:, rows] * c[:, cols]
 
         within_3_se(products(law), products(held))
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    @pytest.mark.parametrize("n, lead, width, split", [(300, 3, 7, None), (300, 5, 5, None),
+                                                       (2500, 4, 9, 2300), (40, 2, 200, None)])
+    def test_narrow_sums_equal_the_held_narrow_draw(self, kind, n, lead, width, split):
+        # only the first L = min(width, J) columns are drawn (J = 80 at
+        # n = 40): uniform designs give the direct products of the held
+        # n x L draw and its n normals, and the stream ends n L outputs on,
+        # then past the normals; Brownian designs, which take no split, give
+        # the law construction with Z lead x (L - lead)
+        from flrlab.designs import stream_moments
+        from flrlab.streams import pcg64_ahead
+
+        from oracles import law_moments
+
+        spec = self.SPEC if kind == "basis-expansion" else self.BROWNIAN
+        cols = min(width, spec.resolved_truncation(n))
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        if kind == "basis-expansion":
+            got = stream_moments(spec, n, rng, lead=lead, width=width, split=split)
+            ref = held_moments(spec, n, ref_rng, lead=lead, width=width, split=split)
+            ahead = pcg64_ahead(np.random.default_rng(17), n * cols)
+            ahead.standard_normal(n)
+            np.testing.assert_equal(rng.bit_generator.state, ahead.bit_generator.state)
+            if split is not None:
+                assert got.train.shape == (cols, cols)
+                self.assert_close(got.train, ref.train)
+        else:
+            got = stream_moments(spec, n, rng, lead=lead, width=width)
+            ref = law_moments(spec, n, ref_rng, lead, width)
+        assert got.gram.shape == ref.gram.shape == (lead, cols)
+        self.assert_close(got.gram, ref.gram)
+        self.assert_close(got.noise, ref.noise)
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
     def test_normal_law_rejects_a_lead_beyond_n_and_a_split(self):
         from flrlab.designs import stream_moments

@@ -179,6 +179,89 @@ class TestMiseMonteCarlo:
         held = mise_monte_carlo(model, est, reps, 4)
         assert abs(law.mise[0] - held.mise[0]) <= 3.0 * math.hypot(law.stderr[0], held.stderr[0])
 
+    @pytest.mark.parametrize("spec", [
+        SPEC, DesignSpec(kind="integrated-gaussian", grid_size=256)], ids=["basis", "brownian"])
+    def test_narrow_cutoff_mise_matches_the_full_width_draw(self, spec, monkeypatch):
+        # least-favorable theta at n = 1200 (m = 600, k = 3, K_n = 4 or 3):
+        # each replication draws 4 or 3 of J = 128 (Brownian: 255) columns;
+        # the reference reads every column of the held n x J draw, and the
+        # MISE agrees within 3 standard errors
+        import flrlab.risk
+
+        from oracles import held_moments
+
+        model = flr_model(mode="least-favorable", n_grid=(1200,), spec=spec)
+        est, reps = EstimatorConfig(kind="cutoff"), 200
+        widths, streamed = set(), flrlab.risk.stream_moments
+
+        def recording(*args, width=None, **kw):
+            widths.add(width)
+            return streamed(*args, width=width, **kw)
+
+        def full_width(spec, n, rng, *, lead=None, width=None, split=None):
+            return held_moments(spec, n, rng, lead=lead, split=split)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(flrlab.risk, "stream_moments", recording)
+            narrow = mise_monte_carlo(model, est, reps, 4)
+        assert len(widths) == 1 and widths.pop() <= 4
+        monkeypatch.setattr(flrlab.risk, "stream_moments", full_width)
+        full = mise_monte_carlo(model, est, reps, 5)
+        assert abs(narrow.mise[0] - full.mise[0]) <= 3.0 * math.hypot(narrow.stderr[0],
+                                                                     full.stderr[0])
+
+    @pytest.mark.parametrize("mode, sigma, at_512", [("worst-case", 1.0, 64),
+                                                     ("least-favorable", 3.0, 3),
+                                                     ("least-favorable", 0.3, 5)])
+    def test_cutoff_draws_the_columns_its_panel_reads(self, mode, sigma, at_512, monkeypatch):
+        # width = max(k, the panel's last nonzero coordinate): 64 for the
+        # worst-case panel (boundary and random members fill the coefficient
+        # budget), max(k, K_n) for the least-favorable theta, K_n its support;
+        # at n = 512 (m = 256, k = 3) sigma = 3 gives K_n = 2, so k sets the
+        # width, and sigma = 0.3 gives K_n = 5
+        import flrlab.risk
+        from flrlab.estimators import cutoff_split
+
+        widths, streamed = {}, flrlab.risk.stream_moments
+
+        def recording(spec, n, rng, *, width=None, **kw):
+            widths.setdefault(n, set()).add(width)
+            return streamed(spec, n, rng, width=width, **kw)
+
+        monkeypatch.setattr(flrlab.risk, "stream_moments", recording)
+        n_grid = (128, 512, 4096)
+        mise_monte_carlo(flr_model(mode=mode, sigma=sigma, n_grid=n_grid),
+                         EstimatorConfig(kind="cutoff"), 2, 1)
+        expected = {}
+        for n in n_grid:
+            m, k = cutoff_split(n, 2.0, TC.beta)
+            support = np.count_nonzero(sample_theta(TC, mode, SPEC.lambda_profile(), sigma, n,
+                                                    0)) if mode != "worst-case" else 64
+            expected[m] = {max(k, support)}
+        assert widths == expected and widths[256] == {at_512}
+
+    @pytest.mark.parametrize("kind, mode", [("cutoff", "worst-case"),
+                                            ("cutoff", "least-favorable"),
+                                            ("pinsker-oracle", "worst-case"),
+                                            ("pinsker-data-driven", "worst-case")])
+    def test_study_depends_on_sigma_and_c_theta_through_their_ratio(self, kind, mode):
+        # (sigma, c_theta) and (2 sigma, 4 c_theta) share sigma^2 / c_theta:
+        # every test function doubles, so does the noise, and each error is
+        # four times as large; the Pinsker levels and a_n's shape stay put.
+        # The cutoff's width reads only theta's support, so it stays too.
+        def study(sigma, c_theta):
+            model = ModelConfig(kind="flr", alpha=2.0,
+                                theta_class=ThetaClass(beta=2.0, c_theta=c_theta),
+                                theta_mode=mode, sigma=sigma, n_grid=(64, 300), design=SPEC)
+            return mise_monte_carlo(model, EstimatorConfig(kind=kind, rho=default_rho(2.0)),
+                                    3, 6)
+
+        base, scaled = study(0.7, 1.5), study(1.4, 6.0)
+        assert scaled.worst_labels == base.worst_labels
+        np.testing.assert_allclose(scaled.mise / 4.0, base.mise, rtol=1e-12)
+        if kind != "cutoff":
+            np.testing.assert_allclose(scaled.sharp_ratio, base.sharp_ratio, rtol=1e-12)
+
     def test_brownian_cutoff_rate_at_criterion_6(self):
         # criterion 6's study on Brownian designs, 30 replications: the law
         # draw takes it from about 10 s to a tenth of a second, on the rate
@@ -322,7 +405,7 @@ class TestMiseMonteCarlo:
         model = flr_model(n_grid=(64,))
         est = EstimatorConfig(kind="cutoff")
         theta = sample_theta(TC, "boundary", power_lambda_profile(2.0), 1.0, 64, 0)
-        ctx_val = _replication(model, est, 64, 11, None)(0)(theta)
+        ctx_val = _replication(model, est, 64, 11, None, [("boundary", theta)])(0)(theta)
 
         rng = derive_rng(11, "flr-n64", 0)
         m = 32
