@@ -24,35 +24,50 @@ blocks of the n x width draw of the first ``width`` coefficients (all J by
 default), about 1 MB each at any width (``_block_rows``), after which the
 stream stands where that whole draw leaves it. Columns are independent, so
 the n x width draw has the law of the first width columns of the n x J one;
-a caller that reads fewer columns draws only those. A uniform double takes
-exactly one 64-bit output of a PCG64 stream, so uniform rows are drawn from
-a copy of the stream advanced past the rows before them
-(``streams.pcg64_ahead``), and the stream then skips all n width outputs
-(``streams.catch_up``); a uniform draw therefore needs a PCG64 stream, and
-anything else raises ``TypeError`` before the stream moves. A normal draw
-takes a variable number of outputs, so normal rows outside the ones asked
-for are drawn and dropped.
+a caller that reads fewer columns draws only those. The blocks hold the raw
+draw, before the coefficient scales s_k (``_scales``):
 
-``sample_design`` has the rows it keeps drawn in place, all J columns wide,
-as blocks that are views of its sample, so a held draw allocates the sample
-alone (and, for normal rows it drops, the buffer). ``stream_moments``
-returns the sums a study replication reads of its designs C and the n
-normals eps after them (``DesignMoments``: rows of C^T C and C^T eps over
-the first ``width`` columns), without the n x J sample, in one of two ways:
+* a uniform entry is R - 1/2, R = ``rng.random()``. R is a multiple of
+  2^-53 in [0, 1), so R - 1/2 is exact in binary64 and exactly centred;
+  G_k = sqrt(12) (R - 1/2), and s_k = sqrt(12) k^(-alpha/2);
+* a normal entry is ``rng.standard_normal()`` = G_k, and s_k = lambda_k^(1/2).
 
-* basis-expansion designs fold every block of ``_row_blocks``, drawn into
-  one reused buffer and while it is still in cache, into the sums, and take
-  the normals block by block from a copy of the stream advanced past the
-  n width uniform outputs, so a replication holds O(width^2 + block)
-  numbers and the sums equal the held n x width draw's up to the order of
-  the additions;
-* integrated-Gaussian designs draw the sums from their joint law
-  (``_wishart_moments``). With C = G Lambda^(1/2), G the n x width standard
-  normals, the lead columns G_k of G give G_k^T G_k = L L^T, a Wishart
-  matrix with the Bartlett factor L, and, given G_k, G_k^T G[:, k:] = L Z
-  and G_k^T eps = L z with Z and z standard normals. So O(lead width)
-  random numbers stand in for n J, whatever n is, and the stream moves by
-  those alone.
+Where uniform rows come from: a uniform double takes exactly one 64-bit
+output of a PCG64 stream, so rows from row 0 on are drawn from the stream
+itself, and rows that start later from a copy of it advanced past the rows
+before them (``streams.pcg64_ahead``). A draw that stops short of row n,
+or that ran on a copy, then moves the stream to a copy n width outputs on
+(``streams.catch_up``). So a draw of all n rows makes no copy, and one
+with either end inside makes one or two. A uniform draw needs a PCG64
+stream, and anything else raises ``TypeError`` before the stream moves. A
+normal draw takes a variable number of outputs, so normal rows outside the
+ones asked for are drawn and dropped.
+
+Each consumer applies the scales once, to what it keeps. ``sample_design``
+has the rows it keeps drawn in place, all J columns wide, as blocks that
+are views of its sample, and scales each block while it is still in cache,
+so a held draw allocates the sample alone (and, for normal rows it drops,
+the buffer). ``stream_moments`` returns the sums a study replication reads
+of its designs C and the n normals eps after them (``DesignMoments``: rows
+of C^T C and C^T eps over the first ``width`` columns), without the n x J
+sample, in one of two ways:
+
+* basis-expansion designs fold every raw block of ``_row_blocks``, drawn
+  into one reused buffer and while it is still in cache, into the sums of
+  the raw draw, and take the normals block by block from a copy of the
+  stream advanced past the n width uniform outputs. Only then are the sums
+  scaled, entry (i, l) of a Gram sum by s_i s_l and entry i of the noise
+  sum by s_i (``_scaled``), so each design number is touched once by the
+  fold, a replication holds O(width^2 + block) numbers, and the sums equal
+  the held n x width draw's up to rounding: the order of the additions,
+  and the scales applied to the sums instead of to each entry;
+* integrated-Gaussian designs draw the sums of their standard normals from
+  their joint law (``_wishart_moments``) and scale them the same way. With
+  G the n x width standard normals, the lead columns G_k of G give
+  G_k^T G_k = L L^T, a Wishart matrix with the Bartlett factor L, and,
+  given G_k, G_k^T G[:, k:] = L Z and G_k^T eps = L z with Z and z
+  standard normals. So O(lead width) random numbers stand in for n J,
+  whatever n is, and the stream moves by those alone.
 
 A cutoff fit reads its designs only through the columns up to its cutoff
 and the last nonzero coordinate of its test functions, so its replications
@@ -78,29 +93,21 @@ from .function_space import (
     basis_matrix,
     pad_coefficients,
 )
-from .streams import as_generator, catch_up, pcg64_ahead
+from .streams import as_generator, catch_up, pcg64_ahead, pcg64_stream
 
 DEFAULT_MAX_EXPANSION = 128
 # Numbers per block of ``_row_blocks``: 1 MB, 1024 rows at J = 128. On 2 vCPU
 # (OpenBLAS 0.3.31, one BLAS thread) the sums of a data-driven replication at
-# n = 1e4 took a median of 15.0 ms with 1024-row blocks, 15.5 ms with 512,
-# 16.4 ms with 2048 and 16.8 ms with 256, against 15.7 ms for the held
-# n x J draw and its Gram products. A block of any width holds about as
-# many numbers, so narrower draws take more rows per block.
+# n = 1e4 (``stream_moments(split=m)``, raw blocks scaled on the sums) took
+# medians of 9.5-9.7 ms with 1024-row blocks, 9.6 ms with 2048, 10.3-10.5 ms
+# with 512 and 11.5-12.1 ms with 256, against 10.7-11.1 ms for the held
+# n x J draw and its Gram products (three rounds of 150 calls). A block of
+# any width holds about as many numbers, so narrower draws take more rows
+# per block.
 BLOCK_DOUBLES = 2**17
 
 KIND_BASIS = "basis-expansion"
 KIND_GAUSSIAN = "integrated-gaussian"
-
-
-def _centered(u: np.ndarray) -> np.ndarray:
-    """Uniforms on [0, 1) turned, in place, into draws uniform on
-    [-sqrt3, sqrt3] (mean 0, variance 1)."""
-    r = math.sqrt(3.0)
-    # Same bits as rng.uniform(-r, r, shape), without its temporaries.
-    u *= 2.0 * r
-    u += -r
-    return u
 
 
 def _block_rows(width: int) -> int:
@@ -235,21 +242,23 @@ def _truncation(spec: DesignSpec, n: int) -> int:
 
 
 def _scales(spec: DesignSpec, j: int) -> np.ndarray:
-    """lambda_k^(1/2), k <= j: the coefficient scales of the spec's designs.
-    Basis-expansion designs take k^(-alpha/2), which rounds differently from
-    sqrt(k^-alpha)."""
+    """s_k, k <= j: what turns the raw draw of ``_row_blocks`` into the
+    coefficients lambda_k^(1/2) G_k. Basis-expansion designs take
+    sqrt(12) k^(-alpha/2) (the raw R - 1/2 has variance 1/12; k^(-alpha/2)
+    rounds differently from sqrt(k^-alpha)), Brownian ones lambda_k^(1/2)."""
     ks = np.arange(1, j + 1, dtype=float)
     if spec.kind == KIND_BASIS:
-        return ks ** (-spec.alpha / 2.0)
+        return math.sqrt(12.0) * ks ** (-spec.alpha / 2.0)
     return np.sqrt(_brownian_profile(ks))
 
 
 def _row_blocks(spec: DesignSpec, n: int, width: int, rng: np.random.Generator, rows: range,
                 out: np.ndarray | None = None):
-    """The rows ``rows`` (a step-1 range inside range(n)) of the n x width
+    """The rows ``rows`` (a step-1 range inside range(n)) of the raw n x width
     draw of n designs' first ``width`` coefficients (``width`` <= J) from
-    ``rng``, as (start, block) pairs: ``block`` holds the coefficients
-    lambda_k^(1/2) G_k, k <= width, of rows start..start + len(block) with
+    ``rng``, as (start, block) pairs: ``block`` holds rows
+    start..start + len(block) of that draw, R - 1/2 for uniform designs and
+    standard normals for Brownian ones, not yet scaled (``_scales``), with
     the bits of the whole n x width draw. Without ``out`` each block is a
     view of one reused buffer of about 1 MB that the next block overwrites;
     with ``out`` (len(rows) x width, C-contiguous) it is a view of that
@@ -257,18 +266,20 @@ def _row_blocks(spec: DesignSpec, n: int, width: int, rng: np.random.Generator, 
     ``rng`` stands where the whole n x width draw leaves it, n width
     outputs on for uniform designs.
 
-    Uniform rows come from a copy of the PCG64 stream advanced past the rows
-    before ``rows``; any other stream raises ``TypeError`` and does not
-    move. Normal rows outside ``rows`` are drawn into the reused buffer and
+    Uniform rows come from ``rng`` itself when they start at row 0, and
+    otherwise from a copy of the PCG64 stream advanced past the rows before
+    them; rows that end before row n are followed by a copy advanced to row
+    n. Any stream but a PCG64 raises ``TypeError`` and does not move.
+    Normal rows outside ``rows`` are drawn into the reused buffer and
     dropped.
     """
     uniform = spec.kind == KIND_BASIS
     if uniform:
-        source, spans = pcg64_ahead(rng, rows.start * width), [(rows, True)]
+        source = pcg64_ahead(rng, rows.start * width) if rows.start else pcg64_stream(rng)
+        spans = [(rows, True)]
     else:
         source = rng
         spans = [(range(rows.start), False), (rows, True), (range(rows.stop, n), False)]
-    scales = _scales(spec, width)
     size = _block_rows(width)
     # the reused buffer takes the dropped rows, and the kept ones without ``out``
     buffered = max((len(span) for span, kept in spans if not kept or out is None), default=0)
@@ -281,27 +292,32 @@ def _row_blocks(spec: DesignSpec, n: int, width: int, rng: np.random.Generator, 
             else:
                 block = buffer[:hi - lo]
             if uniform:
-                _centered(source.random(out=block))
+                source.random(out=block)
+                block -= 0.5
             else:
                 source.standard_normal(out=block)
             if kept:
-                block *= scales
                 yield lo, block
     if uniform:
-        catch_up(rng, pcg64_ahead(rng, n * width))
+        if rows.stop < n:
+            source = pcg64_ahead(source, (n - rows.stop) * width)
+        if source is not rng:
+            catch_up(rng, source)
 
 
 def _sample(spec: DesignSpec, n: int, seed, rows: slice) -> DesignSample:
     """Designs ``rows`` of n drawn from ``seed``: ``_row_blocks`` draws them
-    in place into the sample's coefficients."""
+    in place into the sample's coefficients, and each block is scaled as it
+    comes."""
     span = range(n)[rows]
     if span.step != 1:
         raise ValueError("rows must be a contiguous slice")
     rng = as_generator(seed)
     j = _truncation(spec, n)
+    scales = _scales(spec, j)
     coeffs = np.empty((len(span), j))
-    for _ in _row_blocks(spec, n, j, rng, span, out=coeffs):
-        pass
+    for _, block in _row_blocks(spec, n, j, rng, span, out=coeffs):
+        block *= scales
     return DesignSample(coeffs=coeffs, spec=spec)
 
 
@@ -403,11 +419,22 @@ def _wishart_moments(spec: DesignSpec, n: int, width: int, lead: int,
     rows[:, :lead] = factor @ factor.T
     rows[:, lead:] = factor @ rng.standard_normal((lead, width - lead))
     noise = factor @ rng.standard_normal(lead)
-    scales = _scales(spec, width)
-    rows *= scales
-    rows *= scales[:lead, None]
-    noise *= scales[:lead]
-    return DesignMoments(n, n, rows, noise, None)
+    return _scaled(DesignMoments(n, n, rows, noise, None), _scales(spec, width))
+
+
+def _scaled(sums: DesignMoments, scales: np.ndarray) -> DesignMoments:
+    """``sums`` of the raw draw (``_row_blocks``, ``_wishart_moments``) turned,
+    in place, into those of the coefficients: entry (i, l) of the Gram sums
+    times s_i s_l and entry i of the noise sum times s_i, with s = ``scales``
+    over the sums' ``width`` columns."""
+    lead = sums.noise.size
+    sums.gram[...] *= scales
+    sums.gram[...] *= scales[:lead, None]
+    sums.noise[...] *= scales[:lead]
+    if sums.train is not None:
+        sums.train[...] *= scales
+        sums.train[...] *= scales[:, None]
+    return sums
 
 
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
@@ -421,12 +448,13 @@ def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
 
     Basis-expansion designs give the products of the n x width uniform draw
     (``sample_design(spec, n, rng)`` when width = J) and
-    ``rng.standard_normal(n)``, up to the order of the additions, and
-    ``rng`` ends where that draw and those normals leave it: each block of
-    ``_row_blocks`` is folded into the sums as it comes, and the normals
-    come from a copy of the stream advanced past the n width uniform
-    outputs, block by block, so ``rng`` must be a PCG64 Generator, and
-    anything else raises ``TypeError`` (there is no fallback).
+    ``rng.standard_normal(n)``, up to rounding, and ``rng`` ends where that
+    draw and those normals leave it: each raw block of ``_row_blocks`` is
+    folded into the sums as it comes, the sums are scaled once at the end
+    (``_scaled``), and the normals come from the one copy of the stream,
+    advanced past the n width uniform outputs, block by block. So ``rng``
+    must be a PCG64 Generator, and anything else raises ``TypeError``
+    (there is no fallback).
 
     Integrated-Gaussian designs draw the sums from their exact joint law
     (``_wishart_moments``), from O(lead width) random numbers. They take no
@@ -438,6 +466,7 @@ def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
         return _wishart_moments(spec, n, width, lead, rng)
     sums = DesignMoments(n, m, np.zeros((lead, width)), np.zeros(lead),
                          np.zeros((width, width)) if m < n else None)
+    # the one copy of the stream: the normals after the n width uniform outputs
     normals = pcg64_ahead(rng, n * width)
     eps = np.empty(min(_block_rows(width), n))
     for start, c in _row_blocks(spec, n, width, rng, range(n)):
@@ -451,7 +480,7 @@ def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
         if train.shape[0]:
             sums.train[...] += train.T @ train
     catch_up(rng, normals)
-    return sums
+    return _scaled(sums, _scales(spec, width))
 
 
 def true_covariance(spec: DesignSpec, count: int):

@@ -59,6 +59,23 @@ grid in one loop, and the cutoff's true operator built once per n, took the
 median wall time from 0.364 s to 0.307 s (better in 10 of 10 pairs) and the
 CPU time from 0.619 s to 0.553 s.
 
+The table predates the cutoff replications that draw only the 5 to 8
+design columns they read and fold the raw centred uniforms. Re-measured
+since then the same way (three processes, each the median of nine
+alternating runs), the pool no longer pays on criterion 6:
+
+==================================================  =============  =============
+criterion 6, re-measured                            wall           CPU
+==================================================  =============  =============
+``threads=1``                                       0.035-0.038 s  0.035-0.039 s
+``threads=2``, one persistent pool, caller joins    0.048-0.049 s  0.061 s
+==================================================  =============  =============
+
+A replication there now takes about 0.2 ms in some 110 Python-level calls
+(cProfile), on arrays of a few columns: it spends its time mostly in the
+interpreter, under its lock, so a second thread adds contention and no
+speed. The pool policy is unchanged: ``threads`` is the caller's choice.
+
 The cap itself was measured when the criterion-6 replications still solved
 a J x J eigenproblem: at ``threads=1`` the study took 0.58-0.65 s (CPU
 0.95-1.05 s) with the default BLAS and 0.60-0.66 s (CPU 0.53 s) with one

@@ -29,18 +29,18 @@ X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
 model's data, at J x r work per Pinsker fit and k x L per cutoff fit, with
 no pass over the designs. A replication that never holds the n x J sample
 takes these sums from ``designs.stream_moments``: basis-expansion designs are
-drawn block by block and each block folded into the sums, which equal the
-held sample's up to the order of the additions; Brownian designs have the
-sums drawn from their exact joint law (a Bartlett-factored Wishart matrix),
-from O(k J) random numbers instead of m J. A cutoff fit reads only the
-first k rows of Gamma-hat, applied to theta, and the noise moment, so its m
-designs are always summed this way, of either kind, and only over the
-design columns it reads: width L = max(k, the last nonzero coordinate of
-any test function in n's panel, ``_cutoff_width``), 64 for the worst-case
-panel and max(k, K_n) for the least-favorable theta of support K_n. A
-basis-expansion replication then draws m L uniforms and holds
-O(L^2 + block) numbers, and a Brownian one draws O(k L) normals, whatever m
-is. A Pinsker fit reads the whole Gram matrix (an
+drawn block by block, each raw block folded into the sums and the sums
+scaled once, so they equal the held sample's up to rounding; Brownian
+designs have the sums drawn from their exact joint law (a Bartlett-factored
+Wishart matrix), from O(k J) random numbers instead of m J. A cutoff fit
+reads only the first k rows of Gamma-hat, applied to theta, and the noise
+moment, so its m designs are always summed this way, of either kind, and
+only over the design columns it reads: width L = max(k, the last nonzero
+coordinate of any test function in n's panel, ``_cutoff_width``), 64 for
+the worst-case panel and max(k, K_n) for the least-favorable theta of
+support K_n. A basis-expansion replication then draws m L uniforms and
+holds O(L^2 + block) numbers, and a Brownian one draws O(k L) normals,
+whatever m is. A Pinsker fit reads the whole Gram matrix (an
 ``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
 one rule (``_streamed``) sums it only on basis-expansion designs whose
 fitted rows (and the data-driven level's training rows) number more than J.
@@ -84,6 +84,14 @@ than in every replication, then took the median wall time from 0.364 s to
 the figures before). Drawing only the design columns the fit reads, 5 to 8
 of J = 128 at the least-favorable theta, then took it from 0.205 s to
 0.079 s (CPU 0.363 s to 0.100 s, 10 alternating pairs, better in all 10).
+Folding the raw centred uniforms R - 1/2 and scaling the sums once
+(``designs``), where each block was scaled and shifted in three passes,
+and drawing rows from row 0 from the replication's stream itself, took the
+criterion-7 MISE study (300 data-driven replications at n = 1e4, seed 7,
+in-process, 4 alternating rounds) from 4.21-4.49 s to 3.97-4.07 s. In
+the benchmark (10 alternating 25 s pairs) dd-pinsker-flr's median wall
+time went from 4.70 s to 4.41 s (better in 9 of 10 pairs) and
+cutoff-flr's from 0.074 s to 0.061 s (10 of 10).
 Worker processes were measured and rejected (see ``parallel``).
 """
 

@@ -9,8 +9,8 @@ row a of an n x cols uniform block is what the stream advanced by a * cols
 outputs draws first, and what follows the block can be read before the
 block is drawn. ``pcg64_ahead`` copies a stream that many outputs ahead, and
 ``catch_up`` moves the stream to where such a copy stopped. The design draw
-(``designs._row_blocks``) reads uniform rows from such a copy, and
-``designs.stream_moments`` the normals after them.
+(``designs._row_blocks``) reads uniform rows that start after row 0 from
+such a copy, and ``designs.stream_moments`` the normals after them.
 """
 
 from __future__ import annotations
@@ -39,14 +39,20 @@ def as_generator(seed) -> np.random.Generator:
     raise TypeError(f"seed must be an int or numpy Generator, got {type(seed).__name__}")
 
 
-def pcg64_ahead(rng: np.random.Generator, outputs: int = 0) -> np.random.Generator:
-    """A new Generator on a copy of ``rng``'s PCG64 stream, ``outputs`` 64-bit
-    outputs ahead: what ``rng`` draws after that many doubles. ``rng`` does
-    not move. Any other bit generator raises ``TypeError``: only a PCG64 is
-    copied and advanced this way."""
+def pcg64_stream(rng: np.random.Generator) -> np.random.Generator:
+    """``rng`` itself, once its bit generator is known to be a PCG64; any other
+    raises ``TypeError``: only a PCG64 is copied and advanced this way."""
     bg = rng.bit_generator
     if type(bg) is not np.random.PCG64:
         raise TypeError(f"need a PCG64 stream, got {type(bg).__name__}")
+    return rng
+
+
+def pcg64_ahead(rng: np.random.Generator, outputs: int = 0) -> np.random.Generator:
+    """A new Generator on a copy of ``rng``'s PCG64 stream, ``outputs`` 64-bit
+    outputs ahead: what ``rng`` draws after that many doubles. ``rng`` does
+    not move, and must be a PCG64 stream (``pcg64_stream``)."""
+    bg = pcg64_stream(rng).bit_generator
     copy = np.random.PCG64(0)
     copy.state = bg.state
     return np.random.Generator(copy.advance(outputs) if outputs else copy)

@@ -114,14 +114,15 @@ def operator_matrix(op) -> np.ndarray:
 def design_draw(spec, n, rng, width=None) -> np.ndarray:
     """The whole n x width coefficient draw of the first ``width`` (default
     and at most J) coordinates, ``designs.sample_design``'s at width J,
-    written out in numpy: uniform G_k on [-sqrt3, sqrt3] scaled by
-    k^(-alpha/2) for basis-expansion designs, N(0, 1) G_k scaled by
+    written out in numpy: centred uniforms R - 1/2 (exact in binary64)
+    scaled by sqrt(12) k^(-alpha/2), so G_k = sqrt(12) (R - 1/2) is uniform
+    on [-sqrt3, sqrt3], for basis-expansion designs; N(0, 1) G_k scaled by
     lambda_k^(1/2), lambda_k = 1/(pi^2 (k - 1/2)^2), for Brownian ones."""
     j = spec.resolved_truncation(n)
     j = j if width is None else min(width, j)
     k = np.arange(1, j + 1, dtype=float)
     if spec.kind == "basis-expansion":
-        return rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), (n, j)) * k ** (-spec.alpha / 2.0)
+        return (rng.random((n, j)) - 0.5) * (math.sqrt(12.0) * k ** (-spec.alpha / 2.0))
     return rng.standard_normal((n, j)) * np.sqrt(1.0 / (math.pi**2 * (k - 0.5) ** 2))
 
 

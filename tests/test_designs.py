@@ -82,7 +82,7 @@ class TestBasisDesign:
 
 
     def test_uniform_sampler_matches_rng_uniform_bits(self, small_spec):
-        # rng.uniform(-sqrt3, sqrt3) draws times k^(-alpha/2), one block and three
+        # rng.random() - 1/2 times sqrt(12) k^(-alpha/2), one block and three
         for n in (7, 50, 1500, 3000):
             rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
             a = sample_basis_design(small_spec, n, rng_a).coeffs
@@ -427,16 +427,62 @@ class TestStreamMoments:
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_sums_are_the_products_they_name(self):
+        # each entry within 1e-13 of the sum of its products' magnitudes, the
+        # scale of a dot product's rounding: the sums scale the raw draw's
+        # sums and the sample scales each entry, so an entry whose products
+        # cancel differs from the sample's at rounding of that scale, which
+        # can be far more than of the entry itself
         from flrlab.designs import sample_design, stream_moments
+
+        def assert_products(got, a, b):
+            assert np.all(np.abs(got - a.T @ b) <= 1e-13 * (np.abs(a).T @ np.abs(b)))
 
         rng = np.random.default_rng(2)
         sample = sample_design(self.SPEC, 300, rng)
         eps = rng.standard_normal(300)
         c = sample.coeffs
         got = stream_moments(self.SPEC, 300, np.random.default_rng(2), lead=4, split=250)
-        np.testing.assert_allclose(got.gram, c[:250, :4].T @ c[:250], rtol=1e-13)
-        np.testing.assert_allclose(got.noise, c[:250, :4].T @ eps[:250], rtol=1e-13)
-        np.testing.assert_allclose(got.train, c[250:].T @ c[250:], rtol=1e-13)
+        assert_products(got.gram, c[:250, :4], c[:250])
+        assert_products(got.noise, c[:250, :4], eps[:250])
+        assert_products(got.train, c[250:], c[250:])
+
+    @pytest.mark.parametrize("rows, held", [(range(0, 2100), False), (range(0, 700), True),
+                                            (range(700, 2100), False), (range(1030, 1040), True)])
+    def test_uniform_blocks_are_centred_rng_random_bits(self, rows, held):
+        # the raw blocks, before any scale: rng.random() - 1/2, bit for bit,
+        # and the stream ends n J outputs on
+        from flrlab.designs import _row_blocks
+
+        n, j = 2100, 128
+        rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+        ref = ref_rng.random((n, j)) - 0.5
+        out = np.empty((len(rows), j)) if held else None
+        for start, block in _row_blocks(self.SPEC, n, j, rng, rows, out):
+            assert block.tobytes() == ref[start:start + block.shape[0]].tobytes()
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
+
+    def test_pcg64_copies_per_draw(self, monkeypatch):
+        # a PCG64 copy costs about 13 us, 9 of them seeding PCG64(0): a basis
+        # stream_moments call makes one, for its normals, and a whole held
+        # draw none; rows off either end of the draw take one each
+        import flrlab.designs as designs
+        from flrlab import streams
+
+        copies = []
+
+        def counted(rng, outputs=0):
+            copies.append(outputs)
+            return streams.pcg64_ahead(rng, outputs)
+
+        monkeypatch.setattr(designs, "pcg64_ahead", counted)
+        designs.stream_moments(self.SPEC, 2100, np.random.default_rng(0), split=1900)
+        assert copies == [2100 * 128]
+        for rows, expected in ((slice(None), []), (slice(0, 700), [1400 * 128]),
+                               (slice(700, None), [700 * 128]),
+                               (slice(700, 1400), [700 * 128, 700 * 128])):
+            copies.clear()
+            sample_design(self.SPEC, 2100, np.random.default_rng(0), rows)
+            assert copies == expected, rows
 
     def test_stream_state_matches_the_held_path_bit_for_bit(self):
         from flrlab.designs import sample_design, stream_moments

@@ -141,8 +141,9 @@ class TestMiseMonteCarlo:
                                              grid_size=256), id="cutoff-2-k-equals-j"),
     ])
     def test_streamed_replications_agree_with_held_samples(self, kind, n, spec, monkeypatch):
-        # block sums change only the order of the additions; the held
-        # reference keeps each Pinsker sample, and takes each cutoff fit's
+        # block sums change only the rounding (the order of the additions,
+        # and the scales applied to the sums); the held reference keeps each
+        # Pinsker sample, and takes each cutoff fit's
         # sums as the direct products of its held draw
         import flrlab.risk
 
