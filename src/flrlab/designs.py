@@ -93,7 +93,7 @@ from .function_space import (
     basis_matrix,
     pad_coefficients,
 )
-from .streams import as_generator, catch_up, pcg64_ahead, pcg64_stream
+from .streams import as_generator, catch_up, pcg64_ahead
 
 DEFAULT_MAX_EXPANSION = 128
 # Numbers per block of ``_row_blocks``: 1 MB, 1024 rows at J = 128. On 2 vCPU
@@ -275,7 +275,10 @@ def _row_blocks(spec: DesignSpec, n: int, width: int, rng: np.random.Generator, 
     """
     uniform = spec.kind == KIND_BASIS
     if uniform:
-        source = pcg64_ahead(rng, rows.start * width) if rows.start else pcg64_stream(rng)
+        bg = rng.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise TypeError(f"need a PCG64 stream, got {type(bg).__name__}")
+        source = pcg64_ahead(rng, rows.start * width) if rows.start else rng
         spans = [(rows, True)]
     else:
         source = rng

@@ -39,20 +39,14 @@ def as_generator(seed) -> np.random.Generator:
     raise TypeError(f"seed must be an int or numpy Generator, got {type(seed).__name__}")
 
 
-def pcg64_stream(rng: np.random.Generator) -> np.random.Generator:
-    """``rng`` itself, once its bit generator is known to be a PCG64; any other
-    raises ``TypeError``: only a PCG64 is copied and advanced this way."""
-    bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64:
-        raise TypeError(f"need a PCG64 stream, got {type(bg).__name__}")
-    return rng
-
-
 def pcg64_ahead(rng: np.random.Generator, outputs: int = 0) -> np.random.Generator:
     """A new Generator on a copy of ``rng``'s PCG64 stream, ``outputs`` 64-bit
     outputs ahead: what ``rng`` draws after that many doubles. ``rng`` does
-    not move, and must be a PCG64 stream (``pcg64_stream``)."""
-    bg = pcg64_stream(rng).bit_generator
+    not move. Any other bit generator raises ``TypeError``: only a PCG64 is
+    copied and advanced this way."""
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64:
+        raise TypeError(f"need a PCG64 stream, got {type(bg).__name__}")
     copy = np.random.PCG64(0)
     copy.state = bg.state
     return np.random.Generator(copy.advance(outputs) if outputs else copy)

@@ -427,21 +427,26 @@ class TestStreamMoments:
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_sums_are_the_products_they_name(self):
-        # each entry within 1e-13 of the sum of its products' magnitudes, the
-        # scale of a dot product's rounding: the sums scale the raw draw's
-        # sums and the sample scales each entry, so an entry whose products
-        # cancel differs from the sample's at rounding of that scale, which
-        # can be far more than of the entry itself
         from flrlab.designs import sample_design, stream_moments
 
-        def assert_products(got, a, b):
-            assert np.all(np.abs(got - a.T @ b) <= 1e-13 * (np.abs(a).T @ np.abs(b)))
-
+        # the raw draw R - 1/2, its products, then entry (i, l) times s_i s_l
         rng = np.random.default_rng(2)
-        sample = sample_design(self.SPEC, 300, rng)
+        r = rng.random((300, 128)) - 0.5
         eps = rng.standard_normal(300)
-        c = sample.coeffs
+        s = math.sqrt(12.0) * np.arange(1, 129, dtype=float) ** (-self.SPEC.alpha / 2.0)
         got = stream_moments(self.SPEC, 300, np.random.default_rng(2), lead=4, split=250)
+        np.testing.assert_allclose(got.gram, (r[:250, :4].T @ r[:250]) * s * s[:4, None],
+                                   rtol=1e-13)
+        np.testing.assert_allclose(got.noise, (r[:250, :4].T @ eps[:250]) * s[:4], rtol=1e-13)
+        np.testing.assert_allclose(got.train, (r[250:].T @ r[250:]) * s * s[:, None], rtol=1e-13)
+
+        # and the held sample's products, each entry within 1e-13 of the sum of
+        # its products' magnitudes: the sample scales each entry before the
+        # product, so an entry whose products cancel rounds apart at that scale
+        def assert_products(sums, a, b):
+            assert np.all(np.abs(sums - a.T @ b) <= 1e-13 * (np.abs(a).T @ np.abs(b)))
+
+        c = sample_design(self.SPEC, 300, np.random.default_rng(2)).coeffs
         assert_products(got.gram, c[:250, :4], c[:250])
         assert_products(got.noise, c[:250, :4], eps[:250])
         assert_products(got.train, c[250:], c[250:])
