@@ -60,6 +60,8 @@ class ModelConfig:
                 f"{self.design.alpha}, which sets its spectrum", "alpha")
         if len(self.n_grid) < 1 or any(n < 2 for n in self.n_grid):
             raise SpecValidationError("n_grid must hold sample sizes >= 2", "n_grid")
+        if len(set(self.n_grid)) < len(self.n_grid):
+            raise SpecValidationError(f"n_grid repeats a sample size: {self.n_grid}", "n_grid")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise SpecValidationError(f"sigma must be finite and > 0, got {self.sigma}", "sigma")
 

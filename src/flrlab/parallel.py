@@ -119,13 +119,9 @@ OpenBLAS is found among the shared objects mapped into the process (Linux
 ``/proc/self/maps``) and its thread count is set through ``ctypes``. Only
 libraries already loaded when the first holder enters are capped; a library
 first loaded while the cap is held keeps its default count until a later
-holder enters with none outstanding. scipy's OpenBLAS is mapped by any scipy
-import that loads its compiled modules, ``scipy.special`` included, and
-scipy is imported only by the KS battery (``risk.two_sample_equivalence_test``,
-for ``scipy.special.smirnov``), inside the subcommand's cap, so that
-OpenBLAS is not capped there; no CLI path calls into it, so nothing runs on
-it. Where none is found, for example with another BLAS or on another
-platform, the cap does nothing.
+holder enters with none outstanding. The package imports no scipy, so a
+CLI process maps numpy's OpenBLAS alone. Where none is found, for example
+with another BLAS or on another platform, the cap does nothing.
 
 Results do not depend on the worker count, nor, under the CLI, on the
 BLAS thread count. This includes integrated-Gaussian

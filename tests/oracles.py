@@ -10,7 +10,8 @@ white-noise route of the cutoff fit reads z = A^T y through the empirical
 eigenbasis. The design draw is numpy's own uniform and normal draws times
 the coefficient scales, and the design sums are the direct products of that
 draw. The law draw of Brownian design sums is the Bartlett construction
-written out entry by entry.
+written out entry by entry. The two-sample KS law for equal sizes is
+Gnedenko and Korolyuk's alternating binomial sum in exact rationals.
 """
 
 from __future__ import annotations
@@ -252,3 +253,12 @@ def ols_slope(x, y):
     y = np.asarray(y, dtype=float)
     xc = x - x.mean()
     return float(np.dot(xc, y) / np.dot(xc, xc))
+
+
+def ks_equal_sizes_sf(n: int, h: int) -> Fraction:
+    """P(D_{n,n} >= h / n) for two samples of n draws, exactly: Gnedenko and
+    Korolyuk's 2 sum_{j >= 1} (-1)^(j+1) C(2n, n - j h) / C(2n, n), with 1 at h = 0."""
+    if h == 0:
+        return Fraction(1)
+    total = sum((-1) ** (j + 1) * math.comb(2 * n, n - j * h) for j in range(1, n // h + 1))
+    return Fraction(2 * total, math.comb(2 * n, n))

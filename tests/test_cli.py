@@ -125,6 +125,7 @@ class TestConfigParsing:
             (BASE.replace("seed = 7\n", ""), "[run]"),
             (BASE.replace("sigma = 1.0", "sigma = 0"), "sigma = 0"),
             (data_driven.replace("n_grid = 25", "n_grid = 5,10,20"), "n_grid = 5,10,20"),
+            (BASE.replace("n_grid = 25", "n_grid = 256,256,256"), "n_grid = 256,256,256"),
             (data_driven.replace("kind = flr", "kind = sequence"), "kind = pinsker-data-driven"),
             (BASE.replace("kind = basis-expansion",
                           "kind = integrated-gaussian\nj_truncation = 8"), "j_truncation = 8"),
@@ -269,6 +270,20 @@ class TestCliExitCodes:
         assert "j_truncation >= n" in err
         assert "numerically rank deficient" not in err
 
+
+    def test_two_draws_reject_no_coordinate(self, tmp_path):
+        # the two routes share their law, and the exact KS law of two draws
+        # against two rejects nothing at the Bonferroni level
+        text = (BASE.replace("n_grid = 25", "n_grid = 64,128").replace("reps = 5", "reps = 2")
+                + "draws = 2\n")
+        out = tmp_path / "o"
+        assert main(["equivalence", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "equivalence.json").read_text(encoding="utf-8"))
+        assert meta["draws"] == 2 and meta["ks_rejection_rate"] == 0.0
+        ks = np.loadtxt(out / "ks.csv", delimiter=",", skiprows=1)
+        assert ks.shape == (64, 4) and not ks[:, 3].any()
+        assert set(ks[:, 1]) <= {0.5, 1.0}
 
     def test_linear_algebra_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, yet it is a numerical failure; eigh

@@ -1,6 +1,6 @@
-"""A fresh interpreter loads scipy only for the KS battery, and then only
-``scipy.special`` (the battery's ``kolmogorov.kstwo_sf`` calls ``smirnov``),
-never ``scipy.stats``.
+"""A fresh interpreter loads no scipy: importing the package and running
+the ``risk`` and ``equivalence`` subcommands, KS battery included, need only
+numpy (scipy is a test dependency).
 
 Each check runs in its own interpreter, because this test process has loaded
 scipy long before (the test oracles use it).
@@ -93,7 +93,7 @@ def test_risk_subcommand_loads_no_scipy(tmp_path):
     assert loaded == []
 
 
-def test_equivalence_subcommand_loads_no_scipy_stats(tmp_path):
+def test_equivalence_subcommand_loads_no_scipy(tmp_path):
     (tmp_path / "exp.ini").write_text(FLR_CONFIG, encoding="utf-8")
     out = fresh(
         "import json, sys\n"
@@ -104,13 +104,13 @@ def test_equivalence_subcommand_loads_no_scipy_stats(tmp_path):
     rc, loaded = json.loads(out.strip().splitlines()[-1])
     assert rc == 0
     assert (tmp_path / "out" / "ks.csv").exists()
-    assert [m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]] == []
+    assert loaded == []
 
 
 def test_battery_in_a_fresh_interpreter_matches_this_process(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.standard_normal((300, 6))
-    b = rng.standard_normal((250, 6)) + np.linspace(0.0, 0.4, 6)
+    b = rng.standard_normal((300, 6)) + np.linspace(0.0, 0.4, 6)
     np.save(tmp_path / "a.npy", a)
     np.save(tmp_path / "b.npy", b)
     fresh(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,14 @@ class TestRateRegression:
         with pytest.raises(ValueError):
             rate_regression([10, 20], [1.0, 0.5])
 
+    def test_needs_three_distinct_points(self):
+        # a repeated n leaves log n no spread to regress on
+        for ns in ([256, 256, 256], [100, 100, 200, 200]):
+            with pytest.raises(ValueError, match="3 distinct grid points"):
+                rate_regression(ns, np.linspace(1.0, 0.5, len(ns)))
+        slope, _ = rate_regression([100, 100, 200, 400], [1.0, 1.0, 0.5, 0.25])
+        assert slope == pytest.approx(-1.0, abs=1e-12)
+
 
 class TestTwoSampleBattery:
     def test_identical_samples_have_zero_statistics(self):
@@ -730,7 +739,7 @@ class TestTwoSampleBattery:
             rejections += int(report.rejected[1])
         assert rejections == 20
 
-    @pytest.mark.parametrize("case", ["equal-draws", "unequal-draws", "ties", "vectors"])
+    @pytest.mark.parametrize("case", ["equal-draws", "ties", "vectors"])
     def test_bits_are_those_of_ks_2samp_per_coordinate(self, case):
         from scipy import stats
 
@@ -738,18 +747,45 @@ class TestTwoSampleBattery:
         a, b = {
             "equal-draws": lambda: (rng.standard_normal((400, 12)),
                                     rng.standard_normal((400, 12))),
-            "unequal-draws": lambda: (rng.standard_normal((301, 9)),
-                                      rng.standard_normal((173, 9)) + 0.2),
             # rounded data: many ties within and across the two samples
             "ties": lambda: (np.round(rng.standard_normal((250, 7)), 1),
-                             np.round(rng.standard_normal((320, 7)), 1)),
-            "vectors": lambda: (rng.standard_normal(500), rng.standard_normal(37)),
+                             np.round(rng.standard_normal((250, 7)) + 0.2, 1)),
+            "vectors": lambda: (rng.standard_normal(500), rng.standard_normal(500)),
         }[case]()
         report = two_sample_equivalence_test(a, b)
         cols_a, cols_b = np.atleast_2d(a.T), np.atleast_2d(b.T)
-        ref = [stats.ks_2samp(x, y, method="asymp") for x, y in zip(cols_a, cols_b)]
+        with warnings.catch_warnings():
+            # a fallback to scipy's asymptotic law would warn
+            warnings.simplefilter("error", RuntimeWarning)
+            ref = [stats.ks_2samp(x, y, method="exact") for x, y in zip(cols_a, cols_b)]
         assert np.array_equal(report.statistics, [r.statistic for r in ref])
         assert np.array_equal(report.p_values, [r.pvalue for r in ref])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1000, 2000])
+    def test_p_values_are_the_exact_rational_law(self, n):
+        from oracles import ks_equal_sizes_sf
+
+        # column c holds 0..n-1 against 0..n-1 shifted by h_c - 1/2 (or not at
+        # all for h_c = 0), whose largest count difference is h_c
+        hs = sorted({h for h in (0, 1, 2, 3, n // 10, n // 4, n // 2, n) if h <= n})
+        a = np.repeat(np.arange(n, dtype=float)[:, None], len(hs), axis=1)
+        b = a + np.array([h - 0.5 if h else 0.0 for h in hs])
+        report = two_sample_equivalence_test(a, b)
+        assert np.array_equal(report.statistics, np.array(hs) / n)
+        for h, p in zip(hs, report.p_values):
+            assert p == pytest.approx(float(ks_equal_sizes_sf(n, h)), rel=1e-12, abs=0.0), h
+
+    def test_p_values_never_exceed_one(self):
+        # at n = 7, h = 1 the recurrence rounds to 1 + 2 ulps; the law is 1
+        a = np.arange(7.0)
+        report = two_sample_equivalence_test(a, a + 0.5)
+        assert report.statistics[0] == 1 / 7 and report.p_values[0] == 1.0
+
+    def test_unequal_draw_counts_raise(self):
+        with pytest.raises(ValueError, match="equal draw counts, got 301 and 173"):
+            two_sample_equivalence_test(np.zeros((301, 9)), np.zeros((173, 9)))
+        with pytest.raises(ValueError, match="got 500 and 37"):
+            two_sample_equivalence_test(np.zeros(500), np.zeros(37))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -778,13 +814,12 @@ class TestTwoSampleBattery:
         with pytest.raises(ValueError, match="matrix b has no draws"):
             two_sample_equivalence_test(np.zeros((5, 3)), np.zeros((0, 3)))
 
-    def test_one_draw_against_one_is_rejected(self):
-        # n1 n2 / (n1 + n2) = 1/2 rounds to 0, where every p-value is nan;
-        # one draw against two (2/3 rounds to 1) still runs
-        with pytest.raises(ValueError, match="n1 = 1 and n2 = 1"):
-            two_sample_equivalence_test(np.ones((1, 2)), np.zeros((1, 2)))
-        report = two_sample_equivalence_test(np.ones((1, 2)), np.zeros((2, 2)))
-        assert np.all(np.isfinite(report.p_values)) and np.all(report.statistics == 1.0)
+    def test_one_draw_against_one_has_p_value_one(self):
+        # two distinct single draws differ by one count: D = 1, which the
+        # null law reaches with probability 1
+        report = two_sample_equivalence_test(np.ones((1, 2)), np.zeros((1, 2)))
+        assert np.all(report.statistics == 1.0) and np.all(report.p_values == 1.0)
+        assert report.rejection_rate == 0.0
 
     def test_direct_route_draws_are_simulate_empirical_wn(self, monkeypatch):
         # the response mean and the drift are computed once per call, and the
