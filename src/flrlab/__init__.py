@@ -8,7 +8,6 @@ from .designs import (
     sample_basis_design,
     sample_design,
     sample_gaussian_design,
-    true_covariance,
     verify_condition_x,
 )
 from .equivalence import (

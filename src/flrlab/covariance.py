@@ -1,4 +1,9 @@
-"""Covariance operators on L2([0,1]): construction, spectra, square roots.
+"""Empirical covariance operators on L2([0,1]): construction, spectra, square roots.
+
+The known design law needs no operator here: its covariance is
+diag(lambda_k) in the design's own eigenbasis, so its callers hold it as
+the eigenvalues of ``DesignSpec.lambda_profile`` (``estimators.
+cutoff_estimator``, ``risk.delta56_study``).
 
 An operator is held as its eigenvalues and its (J, r) eigenvectors U in the
 coordinates of its design's orthonormal eigenbasis (``function_space``: the
@@ -38,9 +43,9 @@ n x n branch.
 Eigenvector signs follow a fixed convention (largest-magnitude coefficient
 among the first 64 positive), and for full-rank empirical operators the last
 eigenvector is flipped if needed so the whitening matrix V has determinant
-+1. A caller that needs only Gamma-hat^(1/2) f passes the sample itself to
-``sqrt_apply``, which uses the same eigenproblem and retained rank but
-builds no operator, so none of U, the sign convention or the determinant is
++1. Gamma-hat^(1/2) f comes from ``sqrt_apply``, which takes the sample
+itself and uses the same eigenproblem and retained rank but builds no
+operator, so none of U, the sign convention or the determinant is
 computed.
 
 ``eigh`` returns its eigenpairs ascending; they are read descending through
@@ -67,7 +72,8 @@ class CovOperator:
     (``function_space.FOURIER`` or ``SINE``) of ``grid_size`` nodes, so
     phi_k = coeff_vectors[:, k] @ basis_matrix(basis, J, D). Both bases are
     nested, so two views of different lengths J meet exactly on their first
-    min(J) rows.
+    min(J) rows. ``n_samples`` is the number of designs whose empirical
+    covariance the operator is (``empirical_covariance``), None otherwise.
     """
 
     def __init__(
@@ -77,7 +83,6 @@ class CovOperator:
         coeff_vectors: np.ndarray,
         basis: str,
         grid_size: int,
-        kind: str = "custom",
         n_samples: int | None = None,
     ):
         lam = np.asarray(eigenvalues, dtype=float)
@@ -91,7 +96,6 @@ class CovOperator:
         if np.any(lam < -1e-10 * max(top, 1.0)):
             raise ValueError("operator is not positive semidefinite")
         self.eigenvalues = np.maximum(lam, 0.0)
-        self.kind = kind
         self.n_samples = n_samples
         self.basis = basis
         self.grid_size = int(grid_size)
@@ -249,35 +253,31 @@ def empirical_covariance(sample) -> CovOperator:
         coeff_vectors=u,
         basis=sample.basis,
         grid_size=sample.grid_size,
-        kind="empirical",
         n_samples=n,
     )
     op._whitening = whitening
     return op
 
 
-def sqrt_apply(op, f) -> np.ndarray:
-    """Square root of the operator applied to f over the retained rank: the
-    J coefficients U diag(sqrt(lambda)) U^T f in the operator's basis, f as
-    in ``CovOperator.coefficients``.
+def sqrt_apply(sample, f) -> np.ndarray:
+    """Gamma-hat^(1/2) f for the empirical operator Gamma-hat = C^T C / n of
+    a design sample, over its retained rank: J coefficients in the sample's
+    basis, f a coefficient vector there, truncated or zero-padded to J.
 
-    ``op`` is a ``CovOperator``, or a design sample, whose empirical operator
-    Gamma-hat = C^T C / n is applied from the eigenpairs (lambda, V) of the
-    same Gram matrix and retained rank as ``empirical_covariance``, without
-    building the operator (no U, no sign or determinant convention):
-    C^T V diag(1 / (n sqrt(lambda))) V^T C f on the dual branch and
-    V diag(sqrt(lambda)) V^T f on the J x J one.
+    It reads the eigenpairs (lambda, V) of the same Gram matrix and retained
+    rank as ``empirical_covariance``, without building the operator (no U,
+    no sign or determinant convention): C^T V diag(1 / (n sqrt(lambda)))
+    V^T C f on the dual branch and V diag(sqrt(lambda)) V^T f on the J x J
+    one.
     """
-    if isinstance(op, CovOperator):
-        return op.coeff_vectors @ (np.sqrt(op.eigenvalues) * op.eigen_coefficients(f))
-    lam, v, dual = _gram_eigen(op)
+    lam, v, dual = _gram_eigen(sample)
     # The sums do not depend on the order of the eigenpairs: eigh's own
     # ascending order is a view with positive strides, which BLAS reads
     # directly, where the descending view would take numpy's slower loops.
     lam, v = lam[::-1], v[:, ::-1]
-    c = op.coeffs
+    c = sample.coeffs
     g = pad_coefficients(np.asarray(f, dtype=float), c.shape[1])
     if dual:
-        return c.T @ (v @ ((v.T @ (c @ g)) / (op.n * np.sqrt(lam))))
+        return c.T @ (v @ ((v.T @ (c @ g)) / (sample.n * np.sqrt(lam))))
     return v @ (np.sqrt(lam) * (v.T @ g))
 

@@ -1,9 +1,11 @@
-"""Random design generators with known ground-truth covariance operators.
+"""Random designs of known law, drawn in their covariance eigenbasis.
 
 Every design is drawn from its Karhunen-Loeve expansion
 X = sum_{k <= J} lambda_k^(1/2) G_k b_k over its covariance eigenbasis b_k,
-and a sample holds the n x J coefficients lambda_k^(1/2) G_k. The design kind
-names the basis (``DesignSpec.basis``), and only there:
+and a sample holds the n x J coefficients lambda_k^(1/2) G_k. So the true
+covariance operator is diag(lambda_1, ..., lambda_J) in those coordinates,
+and it is held as its eigenvalues, ``DesignSpec.lambda_profile``. The design
+kind names the basis (``DesignSpec.basis``), and only there:
 
 * basis-expansion designs use the Fourier basis, lambda_k = k^-alpha and
   i.i.d. G_k uniform on [-sqrt3, sqrt3] (centered, unit variance, compact
@@ -83,7 +85,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovOperator, empirical_eigenvalues
+from .covariance import empirical_eigenvalues
 from .errors import SpecValidationError
 from .estimators import power_lambda_profile
 from .function_space import (
@@ -137,6 +139,9 @@ class DesignSpec:
     def __post_init__(self):
         if self.kind not in (KIND_BASIS, KIND_GAUSSIAN):
             raise SpecValidationError(f"unknown design kind {self.kind!r}", "kind")
+        if self.grid_size < 2:
+            raise SpecValidationError(f"grid_size must be >= 2, got {self.grid_size}",
+                                      "grid_size")
         if not (math.isfinite(self.alpha) and self.alpha >= 2.0):
             raise SpecValidationError(
                 f"eigenvalue decay exponent must be finite and >= 2, got {self.alpha}", "alpha")
@@ -484,25 +489,6 @@ def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
             sums.train[...] += train.T @ train
     catch_up(rng, normals)
     return _scaled(sums, _scales(spec, width))
-
-
-def true_covariance(spec: DesignSpec, count: int):
-    """Ground-truth covariance operator with its leading ``count`` eigenpairs."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if spec.kind == KIND_BASIS:
-        j = spec.j_truncation if spec.j_truncation is not None else DEFAULT_MAX_EXPANSION
-        if count > j:
-            raise SpecValidationError(
-                f"requested {count} eigenpairs but the expansion has {j} terms"
-            )
-        vectors, kind = np.eye(j)[:, :count], "analytic-basis"
-    else:
-        vectors, kind = np.eye(count), "analytic-brownian"
-    lam = spec.lambda_profile()(np.arange(1, count + 1, dtype=float))
-    # The identity on the first ``count`` coordinates of the design's eigenbasis.
-    return CovOperator(eigenvalues=lam, coeff_vectors=vectors, basis=spec.basis,
-                       grid_size=spec.grid_size, kind=kind)
 
 
 @dataclass(frozen=True)

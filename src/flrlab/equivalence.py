@@ -86,7 +86,7 @@ def build_gram_transform(sample, cov: CovOperator) -> GramTransform:
     operator of other designs leaves it off-diagonal, and one with mis-scaled
     eigenvalues misses its diagonal.
     """
-    if cov.kind != "empirical" or cov.n_samples != sample.n:
+    if cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
     j = sample.coeffs.shape[1]
@@ -156,7 +156,7 @@ def empirical_wn_drift(theta: np.ndarray, sample, cov: CovOperator) -> np.ndarra
     in the operator's basis (see ``CovOperator.coefficients``). It depends on
     the design sample and theta only, so repeated draws at a fixed pair
     compute it once."""
-    if cov.kind != "empirical" or cov.n_samples != sample.n:
+    if cov.n_samples != sample.n:
         raise ValueError("cov must be the empirical covariance of this sample")
     n = sample.n
     r = cov.rank

@@ -92,18 +92,18 @@ def cutoff_split(n: int, alpha: float, beta: float) -> tuple[int, int]:
     return m, select_cutoff(m, alpha, beta)
 
 
-def cutoff_estimator(obs, cov: CovOperator | None, cutoff: int) -> np.ndarray:
+def cutoff_estimator(obs, lam: np.ndarray | None, cutoff: int) -> np.ndarray:
     """Projection estimator on the first ``cutoff`` coordinates of the true eigenbasis.
 
     Two kinds of observation are read:
 
-    * a SeqObservation: theta-hat_k = y_k / sqrt(lambda_k), and ``cov`` is
-      not used;
+    * a SeqObservation: theta-hat_k = y_k / sqrt(lambda_k), from the
+      observation's own lambdas, and ``lam`` is not used (pass None);
     * the cross moment X^T y / m of m regression pairs, an array of
       coefficients in the design's eigenbasis (``DesignSample.cross_moment``),
-      with ``cov`` the true operator (lambda_k, phi_k): theta-hat_k =
-      <X^T y / m, phi_k> / lambda_k, which is ``xty[:cutoff] /
-      cov.eigenvalues[:cutoff]`` for ``designs.true_covariance``.
+      with ``lam`` the true eigenvalues lambda_1..lambda_K. Under the known
+      design law the covariance operator is diag(lambda) in that basis, so
+      theta-hat_k = (X^T y / m)_k / lambda_k.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -111,19 +111,20 @@ def cutoff_estimator(obs, cov: CovOperator | None, cutoff: int) -> np.ndarray:
     if isinstance(obs, SeqObservation):
         if cutoff > obs.count:
             raise ValueError(f"cutoff {cutoff} exceeds the {obs.count} observed frequencies")
-        lam = obs.lambdas[:cutoff]
-        return obs.y[:cutoff] / np.sqrt(lam)
+        return obs.y[:cutoff] / np.sqrt(obs.lambdas[:cutoff])
 
     if not isinstance(obs, np.ndarray):
         raise TypeError(f"unsupported observation type {type(obs).__name__}")
-    if cov is None:
-        raise ValueError("cross-moment observations need the true operator")
-    if cutoff > cov.eigenvalues.size:
+    if lam is None:
+        raise ValueError("cross-moment observations need the true eigenvalues")
+    if cutoff > lam.size:
         raise ValueError("cutoff exceeds the available true spectrum")
-    lam = cov.eigenvalues[:cutoff]
+    if cutoff > obs.size:
+        raise ValueError(f"cutoff {cutoff} exceeds the {obs.size} observed coefficients")
+    lam = lam[:cutoff]
     if np.any(lam <= 0.0):
         raise ValueError("true eigenvalues must be positive up to the cutoff")
-    return cov.eigen_coefficients(obs, count=cutoff) / lam
+    return obs[:cutoff] / lam
 
 
 def pinsker_weights(gamma: float, theta_class: ThetaClass, count: int | None = None) -> np.ndarray:

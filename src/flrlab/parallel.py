@@ -1,24 +1,20 @@
-"""Replication loops: independent Monte Carlo replications, serial or on one
-persistent pool of helper threads that the calling thread joins; and the cap
-that holds OpenBLAS at one thread while they, or a CLI subcommand, run.
+"""Replication loops: independent Monte Carlo replications, serial or on a
+pool of helper threads that the calling thread joins; and the cap that holds
+OpenBLAS at one thread while they, or a CLI subcommand, run.
 
 Each replication writes its own slot of a result array and spends its time in
 numpy's linear algebra, which releases the interpreter lock, so threads run
-replications in parallel. A loop with ``threads > 1`` runs on one
-process-wide ``ThreadPoolExecutor`` of helper threads, created by the first
-pooled loop and replaced by a larger one only when a loop asks for more
-helpers than it holds; its threads persist from loop to loop. The loop
-submits ``threads - 1`` helpers, each of which drains a shared iterator of
-indices, and the calling thread drains the same iterator instead of waiting,
-so ``threads`` threads run replications. When the iterator runs out, the
-caller cancels every helper that has not started and waits for the others to
-finish the index they hold. So a loop nested in a replication, which runs on
-a pool thread, never waits for a helper that the busy pool cannot start: its
-caller runs every index itself. The studies in ``risk`` hand their whole
-n x reps grid to one loop, largest n first, so the cores stay busy across
-the n boundaries, where a pool per n drained to one thread and the caller
-sat idle. Helpers go through ``ThreadPoolExecutor.submit``, so a tracer that
-wraps it sees their work as a continuation of the caller's.
+replications in parallel. A loop with ``threads > 1`` opens its own
+``ThreadPoolExecutor`` of ``threads - 1`` helper threads, each of which
+drains a shared iterator of indices, and the calling thread drains the same
+iterator instead of waiting, so ``threads`` threads run replications. When
+the iterator runs out, the loop waits for its helpers to finish the index
+they hold and shuts its pool down, so no helper outlives the loop, and a
+loop nested in a replication opens a pool of its own rather than waiting
+for a busy one. The studies in ``risk`` hand their whole n x reps grid to
+one loop, largest n first, so the cores stay busy across the n boundaries.
+Helpers go through ``ThreadPoolExecutor.submit``, so a tracer that wraps it
+sees their work as a continuation of the caller's.
 
 OpenBLAS, however, also starts its own threads inside every call:
 ``threads`` workers, each driving a BLAS with nproc threads, oversubscribe
@@ -39,55 +35,26 @@ processes of three runs each) the CPU time of ``simulate`` went from
 The holders share one counter, so a loop inside a subcommand, or loops on
 several threads at once, nest.
 
-Measured on 2 vCPU of a shared host (OpenBLAS 0.3.31 from the numpy 2.4.6
-and scipy 1.17.1 wheels, Python 3.11.7), in-process after a warm-up, with
-every OpenBLAS at one thread. Criterion 6 is the benchmark's cutoff study on
-basis designs (n = 2^9..2^14, 30 replications, seed 7); each range spans
-five processes, each the median of nine alternating runs:
-
-==================================================  ===========  ===========
-criterion 6                                         wall         CPU
-==================================================  ===========  ===========
-``threads=1``                                       0.32-0.51 s  0.32-0.51 s
-``threads=2``, a new two-thread pool per n          0.28-0.33 s  0.46-0.56 s
-``threads=2``, one persistent pool, caller joins    0.21-0.27 s  0.38-0.51 s
-==================================================  ===========  ===========
-
-In the benchmark's cutoff-flr workload (the same study in a fresh
-interpreter, 10 alternating 25 s pairs), the persistent pool with the whole
-grid in one loop, and the cutoff's true operator built once per n, took the
-median wall time from 0.364 s to 0.307 s (better in 10 of 10 pairs) and the
-CPU time from 0.619 s to 0.553 s.
-
-The table predates the cutoff replications that draw only the 5 to 8
-design columns they read and fold the raw centred uniforms. Re-measured
-since then the same way (three processes, each the median of nine
-alternating runs), the pool no longer pays on criterion 6:
-
-==================================================  =============  =============
-criterion 6, re-measured                            wall           CPU
-==================================================  =============  =============
-``threads=1``                                       0.035-0.038 s  0.035-0.039 s
-``threads=2``, one persistent pool, caller joins    0.048-0.049 s  0.061 s
-==================================================  =============  =============
-
-A replication there now takes about 0.2 ms in some 110 Python-level calls
+Whether a pool pays depends on the replication. On 2 vCPU of a shared host
+(OpenBLAS 0.3.31 from the numpy 2.4.6 and scipy 1.17.1 wheels, Python
+3.11.7), in-process after a warm-up, the benchmark's criterion-6 cutoff
+study on basis designs (n = 2^9..2^14, 30 replications, seed 7) took
+0.035-0.038 s wall at ``threads=1`` and 0.048-0.049 s (CPU 0.061 s) at
+``threads=2`` (three processes, each the median of nine alternating runs).
+A replication there takes about 0.2 ms in some 110 Python-level calls
 (cProfile), on arrays of a few columns: it spends its time mostly in the
 interpreter, under its lock, so a second thread adds contention and no
-speed. The pool policy is unchanged: ``threads`` is the caller's choice.
+speed. ``threads`` stays the caller's choice.
 
-The cap itself was measured when the criterion-6 replications still solved
-a J x J eigenproblem: at ``threads=1`` the study took 0.58-0.65 s (CPU
-0.95-1.05 s) with the default BLAS and 0.60-0.66 s (CPU 0.53 s) with one
-BLAS thread, and two pool workers each driving a two-thread BLAS took it
-1.78 s (CPU 3.45 s) against 0.64 s with the cap. The cap used to cover
-pools only, because the serial criterion-7 study (the data-driven Pinsker
-workload: a 20-replication gamma study and 300 MISE replications at
-n = 1e4, seed 7) then ran faster with the default BLAS (5.8-6.2 s against
-6.5-6.8 s) while every replication rendered a 10000 x 1024 grid; since its
-replications fit from (Gamma-hat, X^T y / n), one BLAS thread costs no wall
-time and half the CPU there (5.97 s and 5.6 s of CPU against 6.18 s and
-11.5 s, medians of nine alternating runs).
+The cap pays wherever the replications solve linear algebra. When the
+criterion-6 replications still solved a J x J eigenproblem, two pool
+workers each driving a two-thread BLAS took that study 1.78 s (CPU 3.45 s)
+against 0.64 s with the cap; and on the serial criterion-7 study (the
+data-driven Pinsker workload: a 20-replication gamma study and 300 MISE
+replications at n = 1e4, seed 7), whose replications fit from
+(Gamma-hat, X^T y / n), one BLAS thread costs no wall time and half the
+CPU (5.97 s and 5.6 s of CPU against 6.18 s and 11.5 s, medians of nine
+alternating runs).
 
 Three other uses of the cores were measured and rejected:
 
@@ -140,7 +107,7 @@ import ctypes
 import functools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -227,39 +194,18 @@ def one_blas_thread():
                 _cap_saved = []
 
 
-# One process-wide pool of helper threads, created on the first pooled loop
-# and grown when a loop asks for more helpers than it has. Its threads persist
-# between loops, so a study pays for starting them once.
-_pool_lock = threading.Lock()
-_pool: ThreadPoolExecutor | None = None
-_pool_size = 0
-
-
-def _submit_helpers(task: Callable[[], None], count: int) -> list[Future]:
-    """Submit ``count`` copies of ``task`` to the helper pool, grown to at least that size."""
-    global _pool, _pool_size
-    with _pool_lock:
-        if count > _pool_size:
-            if _pool is not None:
-                _pool.shutdown(wait=False)      # its threads finish what they hold, then exit
-            _pool = ThreadPoolExecutor(max_workers=count, thread_name_prefix="flrlab-helper")
-            _pool_size = count
-        return [_pool.submit(task) for _ in range(count)]
-
-
 def foreach(fn: Callable[[int], object], count: int, threads: int) -> None:
     """Run fn(0), ..., fn(count - 1); each call stores its own result by index.
 
     Every loaded OpenBLAS is held at one thread until the loop has finished,
-    serial or not. With ``threads > 1`` the calling thread and ``threads - 1``
-    helpers of the process's pool take indices from one shared iterator; when
-    it runs out, helpers that have not started are cancelled, so a loop
-    nested in a replication never waits for a pool thread it occupies. The
-    first exception a call raises stops the others taking new indices and
+    serial or not. With ``threads > 1`` the calling thread and the
+    ``threads - 1`` helpers of a pool opened for this loop alone take indices
+    from one shared iterator; the pool is shut down before the loop returns.
+    The first exception a call raises stops the others taking new indices and
     propagates once every running call has returned.
     """
     with one_blas_thread():
-        if threads <= 1:
+        if min(threads, count) <= 1:
             for i in range(count):
                 fn(i)
             return
@@ -278,10 +224,10 @@ def foreach(fn: Callable[[int], object], count: int, threads: int) -> None:
                         failures.append(exc)
                     return
 
-        helpers = _submit_helpers(drain, min(threads, count) - 1)
-        drain()
-        for helper in helpers:
-            if not helper.cancel():     # started: wait for it to run out of indices
-                helper.result()
+        helpers = min(threads, count) - 1
+        with ThreadPoolExecutor(helpers, thread_name_prefix="flrlab-helper") as pool:
+            for _ in range(helpers):
+                pool.submit(drain)
+            drain()
         if failures:
             raise failures[0]

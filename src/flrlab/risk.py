@@ -63,11 +63,12 @@ half of it. The gamma-consistency study draws only the training rows its
 selector reads.
 
 A study first builds what the replications at each n share (the oracle
-level, the test-function panel, the cutoff's split and true operator, the
-result arrays), then runs every (n, rep) replication of its grid in one
-``parallel.foreach`` (``_replicate_grid``), largest n first: serial or, with
-``threads > 1``, on the persistent pool that the calling thread joins;
-either way every OpenBLAS is held at one thread while they run.
+level, the test-function panel, the cutoff's split and the true eigenvalues
+up to its cutoff, the result arrays), then runs every (n, rep) replication
+of its grid in one ``parallel.foreach`` (``_replicate_grid``), largest n
+first: serial or, with ``threads > 1``, on a pool of helper threads that
+the calling thread joins; either way every OpenBLAS is held at one thread
+while they run.
 Replications are independent given their named streams and each writes its
 own slot, so results depend neither on the worker count nor on the order.
 On 2 vCPU (OpenBLAS 0.3.31), the benchmark's criterion-6 cutoff study (30
@@ -77,13 +78,10 @@ time of 2.23 s with each worker driving a two-thread BLAS to 0.71 s (CPU
 J x J Gram matrix and its eigh, then took it from 0.59 s to 0.29 s (CPU
 1.10 s to 0.51 s). Summing the designs block by block kept those times and
 took the benchmark process's peak RSS from a median of 56.3 MB (56.1-78.9 MB
-over 10 runs) to 41.8 MB (41.3-43.3 MB). One loop over the whole grid on the
-persistent pool, with the cutoff's true operator built once per n rather
-than in every replication, then took the median wall time from 0.364 s to
-0.307 s (CPU 0.619 s to 0.553 s, 10 alternating pairs on a busier host than
-the figures before). Drawing only the design columns the fit reads, 5 to 8
-of J = 128 at the least-favorable theta, then took it from 0.205 s to
-0.079 s (CPU 0.363 s to 0.100 s, 10 alternating pairs, better in all 10).
+over 10 runs) to 41.8 MB (41.3-43.3 MB). Drawing only the design columns the
+fit reads, 5 to 8 of J = 128 at the least-favorable theta, later took its
+median wall time from 0.205 s to 0.079 s (CPU 0.363 s to 0.100 s, 10
+alternating pairs, better in all 10).
 Folding the raw centred uniforms R - 1/2 and scaling the sums once
 (``designs``), where each block was scaled and shifted in three passes,
 and drawing rows from row 0 from the replication's stream itself, took the
@@ -104,7 +102,7 @@ import numpy as np
 
 from .config import EstimatorConfig, ModelConfig
 from .covariance import EmpiricalGram, empirical_covariance, empirical_eigenvalues, sqrt_apply
-from .designs import KIND_BASIS, DesignSpec, sample_design, stream_moments, true_covariance
+from .designs import KIND_BASIS, DesignSpec, sample_design, stream_moments
 from .equivalence import (
     WnCoefficients,
     empirical_wn_drift,
@@ -355,8 +353,8 @@ def _replication(model, estimator, n, master_seed, oracle, panel):
     """n's replication: rep -> that replication's scorer of the test
     functions of ``panel``, closed over its data so every test function
     reuses it. What every replication at n shares (the split, the true
-    operator, the oracle level's weights in ``oracle``, the design columns
-    a cutoff fit reads) is built here or before, once."""
+    eigenvalues, the oracle level's weights in ``oracle``, the design
+    columns a cutoff fit reads) is built here or before, once."""
     if model.kind == "sequence":
         return _sequence_replication(model, estimator, n, master_seed, oracle)
     return _flr_replication(model, estimator, n, master_seed, oracle, panel)
@@ -413,20 +411,21 @@ def _cutoff_width(panel, k: int) -> int:
     return max(k, support)
 
 
-def _cutoff_fit(moments, sigma, true_cov, k):
+def _cutoff_fit(moments, sigma, lam, k):
     """The cutoff fit on m designs and their m noise values, as a function of
     theta. It reads the first k coordinates of X^T y / m = Gamma-hat theta
     + sigma C^T eps / m: the k rows C[:, :k]^T C / m of Gamma-hat and the
     noise moment sigma C[:, :k]^T eps / m, from the sums of ``moments``
-    (``DesignMoments`` with lead k). theta is cut or zero-padded to the
-    sums' width, so they must span its support (``_cutoff_width``)."""
+    (``DesignMoments`` with lead k), and divides them by the true
+    eigenvalues ``lam`` (at least k of them). theta is cut or zero-padded
+    to the sums' width, so they must span its support (``_cutoff_width``)."""
     m = moments.m
     gram_rows = moments.gram / m
     noise_moment = sigma * moments.noise / m
 
     def fit(theta):
         xty = gram_rows @ pad_coefficients(theta, gram_rows.shape[1]) + noise_moment
-        return cutoff_estimator(xty, true_cov, k)
+        return cutoff_estimator(xty, lam, k)
 
     return fit
 
@@ -461,12 +460,12 @@ def _flr_replication(model, estimator, n, master_seed, oracle, panel):
 
     if estimator.kind == "cutoff":
         m, k = cutoff_split(n, alpha, model.theta_class.beta)
-        true_cov = true_covariance(spec, k)
+        lam = spec.lambda_profile()(np.arange(1, k + 1, dtype=float))
         width = _cutoff_width(panel, k)
 
         def replicate(rep):
             sums = stream_moments(spec, m, stream(rep), lead=k, width=width)
-            fit = _cutoff_fit(sums, sigma, true_cov, k)
+            fit = _cutoff_fit(sums, sigma, lam, k)
 
             def run(theta):
                 return float(np.sum((fit(theta) - theta[:k]) ** 2)) + _tail_sq(theta, k)
@@ -571,11 +570,14 @@ def delta56_study(
     """Monte Carlo size of the operator-square-root perturbation
     sqrt(n - m) (Gamma^(1/2) - Gamma2-hat^(1/2))(theta - theta1-hat), m = n//2.
 
-    Square roots act on the span of the retained true eigenfunctions plus the
-    empirical range. The companion column reports the induced total-variation
-    surrogate. theta, the pilot theta1-hat and every operator share the
-    design's eigenbasis, so the whole perturbation is computed in those
-    coefficients and its norm by Parseval.
+    Gamma is diag(lambda) in the design's eigenbasis, so Gamma^(1/2) scales
+    the first min(64, J) coordinates by sqrt(lambda_k): the coefficient
+    budget, or all J of a shorter expansion, whose further eigenvalues are
+    zero. Gamma2-hat^(1/2) acts on the empirical range. The companion
+    column reports the induced total-variation surrogate. theta, the pilot
+    theta1-hat and every operator share the design's eigenbasis, so the
+    whole perturbation is computed in those coefficients and its norm by
+    Parseval.
 
     Each replication takes the pilot's sums over m designs s1 and m normals
     eps from its stream (``stream_moments``), then the n - m designs s2. The
@@ -604,7 +606,9 @@ def delta56_study(
     tc, sigma = model.theta_class, model.sigma
     theta = sample_theta(tc, model.drawn_theta_mode, model.lambda_profile(), sigma,
                          max(n_grid), 0)
-    true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
+    budget = min(DEFAULT_COEFF_BUDGET, spec.j_truncation or DEFAULT_COEFF_BUDGET)
+    lam = spec.lambda_profile()(np.arange(1, budget + 1, dtype=float))
+    root_lam = np.sqrt(lam)
 
     def setup(n):
         m, k = cutoff_split(n, model.alpha, tc.beta)
@@ -614,11 +618,11 @@ def delta56_study(
             # One stream per replication across the whole n grid: the shared
             # leading draws couple the per-n estimates, tightening trend tests.
             rng = derive_rng(seed, "delta", rep)
-            theta1 = _cutoff_fit(stream_moments(spec, m, rng, lead=k), sigma, true_cov, k)(theta)
+            theta1 = _cutoff_fit(stream_moments(spec, m, rng, lead=k), sigma, lam, k)(theta)
             s2 = sample_design(spec, n - m, rng)
             width = max(theta.size, theta1.size)
             g = pad_coefficients(theta, width) - pad_coefficients(theta1, width)
-            a, b = sqrt_apply(true_cov, g), sqrt_apply(s2, g)
+            a, b = root_lam * pad_coefficients(g, budget), sqrt_apply(s2, g)
             width = max(a.size, b.size)
             sq = float(np.sum((pad_coefficients(a, width) - pad_coefficients(b, width)) ** 2))
             vals[rep] = (n - m) * sq

@@ -6,8 +6,11 @@ level is a generic bracketing root search, and the kernel eigen-solver
 diagonalizes the quadrature-symmetrized kernel directly. The grid references
 are the trapezoid rule written out, with the projection of grid values onto
 a basis and the rendering of an operator's eigenfunctions and kernel. The
-white-noise route of the cutoff fit reads z = A^T y through the empirical
-eigenbasis. The design draw is numpy's own uniform and normal draws times
+known design law's covariance is built as an operator with identity
+eigenvectors, and an operator's square root is applied from its eigenpairs,
+where the package holds the law as its eigenvalues and applies the empirical
+square root from a sample's Gram eigenproblem. The white-noise route of the
+cutoff fit reads z = A^T y through the empirical eigenbasis. The design draw is numpy's own uniform and normal draws times
 the coefficient scales, and the design sums are the direct products of that
 draw. The law draw of Brownian design sums is the Bartlett construction
 written out entry by entry. The two-sample KS law for equal sizes is
@@ -94,6 +97,32 @@ def white_noise_cutoff(z, cov, emp_cov, cutoff: int, m: int | None = None) -> np
     overlap = u[:j, :r].T @ v[:j, :cutoff]     # <phi-hat_j, phi_k>, (r, cutoff)
     weighted = np.sqrt(emp_cov.eigenvalues[:r])[:, None] * overlap
     return (z.z[:r] @ weighted) / (math.sqrt(m) * lam)
+
+
+def true_operator(spec, count: int):
+    """The known design law's covariance with its leading ``count`` eigenpairs,
+    as an operator: eigenvalues lambda_1..lambda_count of
+    ``DesignSpec.lambda_profile`` and, as eigenvectors, the first ``count``
+    columns of the identity over the expansion's J = ``j_truncation``
+    (default 128) Fourier coordinates, or over ``count`` sine ones."""
+    from flrlab.covariance import CovOperator
+    from flrlab.designs import DEFAULT_MAX_EXPANSION
+
+    if spec.kind == "basis-expansion":
+        j = spec.j_truncation or DEFAULT_MAX_EXPANSION
+        if count > j:
+            raise ValueError(f"{count} eigenpairs of an expansion of {j} terms")
+    else:
+        j = count
+    lam = spec.lambda_profile()(np.arange(1, count + 1, dtype=float))
+    return CovOperator(eigenvalues=lam, coeff_vectors=np.eye(j)[:, :count], basis=spec.basis,
+                       grid_size=spec.grid_size)
+
+
+def operator_sqrt_apply(op, f) -> np.ndarray:
+    """U diag(sqrt(lambda)) U^T f over an operator's eigenpairs, f a
+    coefficient vector in its basis, truncated or zero-padded to its J."""
+    return op.coeff_vectors @ (np.sqrt(op.eigenvalues) * op.eigen_coefficients(f))
 
 
 def grid_norm(values) -> float:

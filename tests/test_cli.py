@@ -285,6 +285,19 @@ class TestCliExitCodes:
         assert ks.shape == (64, 4) and not ks[:, 3].any()
         assert set(ks[:, 1]) <= {0.5, 1.0}
 
+    def test_equivalence_on_a_short_expansion(self, tmp_path):
+        # J = 32 Fourier terms: the true operator is diag(lambda_1..lambda_32),
+        # so the perturbation study takes its truth over those 32 coordinates
+        # instead of asking the expansion for 64 eigenpairs
+        text = (BASE.replace("alpha = 2.0", "alpha = 2.0\nj_truncation = 32")
+                .replace("n_grid = 25", "n_grid = 16,24,32").replace("reps = 5", "reps = 2")
+                + "draws = 40\n")
+        out = tmp_path / "o"
+        assert main(["equivalence", "--config", str(write_config(tmp_path, text)),
+                     "--out", str(out)]) == 0
+        delta = np.loadtxt(out / "delta.csv", delimiter=",", skiprows=1)
+        assert delta.shape[0] == 3 and np.all(np.isfinite(delta))
+
     def test_linear_algebra_failure_exits_3(self, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, yet it is a numerical failure; eigh
         # fails in the perturbation study, after ks.csv has been written

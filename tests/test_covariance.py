@@ -10,7 +10,6 @@ from flrlab import (
     sample_design,
     sample_gaussian_design,
     sqrt_apply,
-    true_covariance,
 )
 from flrlab.covariance import (
     CovOperator,
@@ -24,7 +23,7 @@ from flrlab.estimators import cutoff_estimator
 from flrlab.function_space import FOURIER, basis_function, fourier_matrix, same_coordinates
 
 from oracles import (eigenfunctions, grid_inner, grid_norm, grid_project, kernel,
-                     operator_matrix, trapezoid_weights)
+                     operator_matrix, operator_sqrt_apply, trapezoid_weights, true_operator)
 
 
 def quadrature_apply(sample, f: np.ndarray) -> np.ndarray:
@@ -154,8 +153,7 @@ class TestEmpiricalGram:
         c = sample.coeffs
         gram = EmpiricalGram(c.T @ c / 500, 500, sample.basis, sample.grid_size)
         a, b = empirical_covariance(gram), empirical_covariance(sample)
-        assert (a.n_samples, a.basis, a.grid_size, a.kind) == (500, b.basis, b.grid_size,
-                                                                "empirical")
+        assert (a.n_samples, a.basis, a.grid_size) == (500, b.basis, b.grid_size)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.coeff_vectors, b.coeff_vectors)
         assert np.array_equal(empirical_eigenvalues(gram), empirical_eigenvalues(sample))
@@ -205,20 +203,20 @@ class TestCoefficientView:
         sine_op = empirical_covariance(gaussian)
         assert fourier_op.coeff_vectors.shape == sine_op.coeff_vectors.shape == (40, 20)
         for call in (lambda: fourier_op.design_products(gaussian, 5),
-                     lambda: same_coordinates(sine_op, true_covariance(small_spec, 4))):
+                     lambda: same_coordinates(sine_op, true_operator(small_spec, 4))):
             with pytest.raises(DimensionError, match="sine coefficients cannot meet fourier|"
                                                      "fourier coefficients cannot meet sine"):
                 call()
         assert sine_op.design_products(gaussian, 5).shape == (20, 5)
-        same_coordinates(sine_op, true_covariance(gaussian_spec, 4))
+        same_coordinates(sine_op, true_operator(gaussian_spec, 4))
 
     def test_coefficient_route_survives_a_cold_fourier_cache(self, small_spec, monkeypatch):
-        # The operators answer from what they hold, not from which cached
+        # The fits answer from the coefficients, not from which cached
         # Fourier matrix object they were built with, and render nothing.
         s = sample_basis_design(small_spec, 100, 31)           # J = 128
         emp = empirical_covariance(s)
         fourier_matrix.cache_clear()
-        truth = true_covariance(small_spec, 4)
+        lam = small_spec.lambda_profile()(np.arange(1, 5, dtype=float))
         y = np.random.default_rng(0).standard_normal(s.n)
 
         def no_grid(*args):
@@ -227,9 +225,8 @@ class TestCoefficientView:
         # every rendering reads these two through ``basis_matrix``
         for name in ("fourier_matrix", "sine_matrix"):
             monkeypatch.setattr(function_space, name, no_grid)
-        assert cutoff_estimator(s.cross_moment(y), truth, 4).shape == (4,)
-        assert sqrt_apply(emp, s.cross_moment(y)).shape == (128,)
-        assert truth.design_products(s, 4).shape == (s.n, 4)
+        assert cutoff_estimator(s.cross_moment(y), lam, 4).shape == (4,)
+        assert sqrt_apply(s, s.cross_moment(y)).shape == (128,)
         assert emp.design_products(s, s.n).shape == (s.n, s.n)
 
     def test_shorter_expansion_meets_the_truth_in_coefficients(self, small_spec):
@@ -237,7 +234,7 @@ class TestCoefficientView:
         # rows make the coefficient route agree with the grid route.
         s = sample_basis_design(small_spec, 20, 37)
         emp = empirical_covariance(s)
-        truth = true_covariance(small_spec, 6)
+        truth = true_operator(small_spec, 6)
         assert emp.coeff_vectors.shape[0] == 40 and truth.coeff_vectors.shape[0] == 128
         r = emp.rank
         grid = grid_inner(eigenfunctions(emp)[:r], eigenfunctions(truth))
@@ -252,22 +249,22 @@ class TestCoefficientView:
 
 
 class TestSqrtApply:
-    def test_eigenfunction_scaling(self, cov25):
+    def test_eigenfunction_scaling(self, sample25, cov25):
         # a rendered eigenfunction, projected back onto the basis, comes back
         # scaled, as coefficients
         j = cov25.coeff_vectors.shape[0]
         for k in (0, 3, 10):
-            out = sqrt_apply(cov25, grid_project(eigenfunctions(cov25)[k], FOURIER, j))
+            out = sqrt_apply(sample25, grid_project(eigenfunctions(cov25)[k], FOURIER, j))
             expect = math.sqrt(cov25.eigenvalues[k]) * cov25.coeff_vectors[:, k]
             assert np.max(np.abs(out - expect)) <= 1e-8
 
-    def test_annihilates_orthogonal_complement(self, cov25):
+    def test_annihilates_orthogonal_complement(self, sample25, cov25):
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cov25.grid_size)
         w = trapezoid_weights(cov25.grid_size)
         phi = eigenfunctions(cov25)
         f = f - (phi * w) @ f @ phi          # project out the range
-        out = sqrt_apply(cov25, grid_project(f, FOURIER, cov25.coeff_vectors.shape[0]))
+        out = sqrt_apply(sample25, grid_project(f, FOURIER, cov25.coeff_vectors.shape[0]))
         assert np.linalg.norm(out) <= 1e-8 * np.linalg.norm(f)
 
     def test_coefficient_vector_matches_grid(self, small_spec):
@@ -278,9 +275,9 @@ class TestSqrtApply:
         rng = np.random.default_rng(4)
         for size in (10, op.coeff_vectors.shape[0], 100):
             f = rng.standard_normal(size)
-            coeffs = sqrt_apply(op, f)
+            coeffs = sqrt_apply(s, f)
             rendered = basis_function(f, FOURIER, small_spec.grid_size)
-            grid = sqrt_apply(op, grid_project(rendered.values, FOURIER, op.coeff_vectors.shape[0]))
+            grid = sqrt_apply(s, grid_project(rendered.values, FOURIER, op.coeff_vectors.shape[0]))
             assert coeffs.shape == grid.shape == (op.coeff_vectors.shape[0],)
             assert np.max(np.abs(coeffs - grid)) <= 1e-12 * np.max(np.abs(grid))
 
@@ -291,7 +288,7 @@ class TestSqrtApply:
         for _ in range(100):
             f = grid_project(rng.standard_normal(small_spec.grid_size), FOURIER,
                              op.coeff_vectors.shape[0])
-            twice = sqrt_apply(op, sqrt_apply(op, f))
+            twice = sqrt_apply(s, sqrt_apply(s, f))
             direct = op.apply(f)
             denom = max(np.linalg.norm(direct), 1e-12)
             assert np.linalg.norm(twice - direct) / denom <= 1e-6
@@ -306,14 +303,14 @@ class TestSqrtApply:
         built, init = [], CovOperator.__init__
 
         def counting(self, **kwargs):
-            built.append(kwargs["kind"])
+            built.append(kwargs)
             init(self, **kwargs)
 
         monkeypatch.setattr(CovOperator, "__init__", counting)
         rng = np.random.default_rng(6)
         for f in (rng.standard_normal(s.coeffs.shape[1]), rng.standard_normal(7),
                   grid_project(rng.standard_normal(256), s.basis, s.coeffs.shape[1])):
-            direct, via_op = sqrt_apply(s, f), sqrt_apply(op, f)
+            direct, via_op = sqrt_apply(s, f), operator_sqrt_apply(op, f)
             assert direct.shape == via_op.shape
             assert np.linalg.norm(direct - via_op) <= 1e-12 * np.linalg.norm(via_op)
         assert built == []
@@ -323,7 +320,7 @@ class TestHsDistance:
     def test_one_over_n_scaling(self):
         # E || emp - true ||_HS^2 halves four-fold when n quadruples
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, j_truncation=64, grid_size=256)
-        truth = operator_matrix(true_covariance(spec, 64))
+        truth = np.diag(spec.lambda_profile()(np.arange(1, 65, dtype=float)))
         sums = {}
         for n in (50, 200):
             acc = 0.0

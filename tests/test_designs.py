@@ -14,7 +14,6 @@ from flrlab import (
     sample_basis_design,
     sample_design,
     sample_gaussian_design,
-    true_covariance,
     verify_condition_x,
 )
 from flrlab.covariance import RANK_TOL
@@ -32,6 +31,15 @@ class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(SpecValidationError):
             DesignSpec(kind="mystery")
+
+    @pytest.mark.parametrize("kind", ["basis-expansion", "integrated-gaussian"])
+    def test_grid_of_fewer_than_two_nodes(self, kind):
+        # a Brownian design on one node would have J = D - 1 = 0 sine terms
+        for size in (1, 0, -3):
+            with pytest.raises(SpecValidationError, match="grid_size") as err:
+                DesignSpec(kind=kind, grid_size=size)
+            assert err.value.field == "grid_size"
+        assert DesignSpec(kind=kind, grid_size=2).grid_size == 2
 
 
 class TestBasisDesign:
@@ -124,7 +132,7 @@ class TestGaussianDesign:
     def test_coefficient_variances_are_the_brownian_spectrum(self):
         spec = DesignSpec(kind="integrated-gaussian", grid_size=256)
         s = sample_gaussian_design(spec, 4000, 6)
-        lam = true_covariance(spec, 8).eigenvalues
+        lam = spec.lambda_profile()(np.arange(1, 9, dtype=float))
         emp_var = s.coeffs[:, :8].var(axis=0)
         se = lam * math.sqrt(2.0 / (s.n - 1))
         assert np.all(np.abs(emp_var - lam) <= 4 * se)
@@ -253,28 +261,33 @@ class TestDesignRows:
             sample_gaussian_design(basis, 10, 0)
 
 
+def true_eigenvalues(spec, count):
+    return spec.lambda_profile()(np.arange(1, count + 1, dtype=float))
+
+
 class TestTrueCovariance:
+    """The known design law's covariance, diag(lambda) in the design's
+    eigenbasis, held as ``DesignSpec.lambda_profile``."""
+
     def test_basis_eigenvalues_exact(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
-        op = true_covariance(spec, 6)
-        assert np.allclose(op.eigenvalues, [1, 1 / 4, 1 / 9, 1 / 16, 1 / 25, 1 / 36])
+        assert np.allclose(true_eigenvalues(spec, 6), [1, 1 / 4, 1 / 9, 1 / 16, 1 / 25, 1 / 36])
 
     def test_brownian_top_eigenvalue(self):
         # Independent oracle: eigen-solve the discretized min(s,t) kernel.
         spec = DesignSpec(kind="integrated-gaussian", grid_size=512)
-        op = true_covariance(spec, 4)
-        assert op.eigenvalues[0] == pytest.approx(4.0 / math.pi**2, abs=1e-12)
+        lam = true_eigenvalues(spec, 4)
+        assert lam[0] == pytest.approx(4.0 / math.pi**2, abs=1e-12)
         t = grid_nodes(512)
         kernel = np.minimum.outer(t, t)
         vals, _ = eigh_quadrature_kernel(kernel, trapezoid_weights(512), 4)
         assert abs(vals[0] - 4.0 / math.pi**2) <= 1e-3
-        assert np.max(np.abs(vals - op.eigenvalues)) <= 1e-3
+        assert np.max(np.abs(vals - lam)) <= 1e-3
 
     def test_eigenvalues_strictly_decreasing(self):
         for spec in (DesignSpec(kind="basis-expansion", alpha=2.5, grid_size=256),
                      DesignSpec(kind="integrated-gaussian", grid_size=256)):
-            lam = true_covariance(spec, 8).eigenvalues
-            assert np.all(np.diff(lam) < 0)
+            assert np.all(np.diff(true_eigenvalues(spec, 8)) < 0)
 
     def test_lambda_profile_is_the_true_spectrum(self):
         # One rule for every model: k^-alpha on basis-expansion designs and in
@@ -292,13 +305,11 @@ class TestTrueCovariance:
                           sigma=1.0, n_grid=(100,), design=basis)
         for profile in (basis.lambda_profile(), seq.lambda_profile(), flr.lambda_profile()):
             assert np.array_equal(profile(ks), power_lambda_profile(3.0)(ks))
-        for spec in (basis, gaussian):
-            lam = true_covariance(spec, 8).eigenvalues
-            assert np.array_equal(spec.lambda_profile()(ks[:8]), lam)
+        assert np.array_equal(gaussian.lambda_profile()(ks), 1.0 / (math.pi**2 * (ks - 0.5) ** 2))
 
         for n, ratio in ((256, 2.23), (1024, 2.33)):
             sharp = sharp_risk_constant(gaussian.lambda_profile(), tc, 1.0, n)
-            truth = true_covariance(gaussian, 64).eigenvalues
+            truth = gaussian.lambda_profile()(ks)    # the first 64 as an array
             assert sharp == pytest.approx(sharp_risk_constant(truth, tc, 1.0, n), rel=1e-12)
             k2 = sharp_risk_constant(power_lambda_profile(2.0), tc, 1.0, n)
             assert sharp / k2 == pytest.approx(ratio, abs=0.005)

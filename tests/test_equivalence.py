@@ -73,7 +73,7 @@ class TestGramTransform:
     def test_orthogonality_failures_name_the_matrix_and_defect(self, sample25, cov25):
         def operator(eigenvalues, vectors):
             return CovOperator(eigenvalues=eigenvalues, coeff_vectors=vectors, basis=cov25.basis,
-                               grid_size=cov25.grid_size, kind="empirical", n_samples=25)
+                               grid_size=cov25.grid_size, n_samples=25)
 
         # eigenvalues twice too large: Q^T Q stays diagonal, at half of n lambda
         bad_scale = operator(2.0 * cov25.eigenvalues, cov25.coeff_vectors)
@@ -169,7 +169,7 @@ class TestDirectSimulation:
         phi = eigenfunctions(cov)
         g = g - (phi * w) @ g @ phi
         g /= np.linalg.norm(g)
-        drift = basis_function(sqrt_apply(cov, theta), FOURIER, small_spec.grid_size)
+        drift = basis_function(sqrt_apply(s, theta), FOURIER, small_spec.grid_size)
         assert abs(np.dot(w * g, drift.values)) <= 1e-10
 
 

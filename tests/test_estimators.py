@@ -25,14 +25,14 @@ from flrlab import (
     sharp_risk_constant,
     simulate_flr_responses,
     simulate_sequence,
-    true_covariance,
 )
 from flrlab.covariance import empirical_eigenvalues
 from flrlab.estimators import cutoff_split, pinsker_sequence_estimator, validate_rho
 from flrlab.function_space import basis_function
 
 from oracles import (brute_force_linear_minimax, eigenfunctions, ellipsoid_sum, grid_norm,
-                     ols_slope, pinsker_level_brentq, sharp_risk_exact, white_noise_cutoff)
+                     ols_slope, pinsker_level_brentq, sharp_risk_exact, true_operator,
+                     white_noise_cutoff)
 
 TOY = ThetaClass(beta=1.0, c_theta=1.0)   # single-coefficient closed forms
 
@@ -97,18 +97,18 @@ class TestCutoffEstimator:
     def test_true_operator_recovers_exactly(self):
         # sigma = 0 and the true operator in place of the empirical one
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=16)
-        truth = true_covariance(spec, 8)
+        lam = spec.lambda_profile()(np.arange(1, 17, dtype=float))
         theta_coeffs = np.concatenate([[1.0], np.zeros(15)])
-        # the noiseless cross moment with Gamma in place of Gamma-hat
-        est = cutoff_estimator(truth.apply(theta_coeffs), truth, 3)
+        # the noiseless cross moment with Gamma = diag(lambda) in place of Gamma-hat
+        est = cutoff_estimator(lam * theta_coeffs, lam[:8], 3)
         assert np.max(np.abs(est - theta_coeffs[:3])) <= 1e-10
 
     def test_orthogonal_target_gives_zero(self):
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=16)
-        truth = true_covariance(spec, 8)
+        lam = spec.lambda_profile()(np.arange(1, 17, dtype=float))
         theta_coeffs = np.zeros(16)
         theta_coeffs[10] = 1.0     # beyond the cutoff
-        est = cutoff_estimator(truth.apply(theta_coeffs), truth, 4)
+        est = cutoff_estimator(lam * theta_coeffs, lam[:8], 4)
         assert np.max(np.abs(est)) <= 1e-10
 
     @pytest.mark.parametrize("kind,n", [
@@ -134,17 +134,37 @@ class TestCutoffEstimator:
             r = emp.rank
             z = (y @ emp.design_products(s, r)) / np.sqrt(n * emp.eigenvalues[:r])
         k = 4
-        truth = true_covariance(spec, k)
-        old = white_noise_cutoff(WnCoefficients(z), truth, emp, k, n)
-        new = cutoff_estimator(s.cross_moment(y), truth, k)
+        old = white_noise_cutoff(WnCoefficients(z), true_operator(spec, k), emp, k, n)
+        lam = spec.lambda_profile()(np.arange(1, k + 1, dtype=float))
+        new = cutoff_estimator(s.cross_moment(y), lam, k)
         assert np.linalg.norm(new - old) <= 1e-10 * np.linalg.norm(old)
-        assert np.array_equal(new, s.cross_moment(y)[:k] / truth.eigenvalues)
+        assert np.array_equal(new, s.cross_moment(y)[:k] / lam)
 
     def test_cutoff_beyond_spectrum(self):
         lam = np.arange(1, 4, dtype=float) ** -2.0
         obs = simulate_sequence(np.zeros(3), lam, 10, 1.0, 0)
         with pytest.raises(ValueError):
             cutoff_estimator(obs, None, 5)
+        with pytest.raises(ValueError, match="true spectrum"):
+            cutoff_estimator(np.ones(8), lam, 5)
+
+    def test_short_cross_moment_is_rejected(self):
+        # a cross moment of 3 coefficients cannot fill a cutoff of 5: no
+        # coordinate is zero-padded
+        lam = np.arange(1, 9, dtype=float) ** -2.0
+        with pytest.raises(ValueError, match="cutoff 5 exceeds the 3 observed coefficients"):
+            cutoff_estimator(np.ones(3), lam, 5)
+        assert np.array_equal(cutoff_estimator(np.ones(5), lam, 5), 1.0 / lam[:5])
+
+    def test_non_positive_eigenvalues_are_rejected(self):
+        for bad in (0.0, -0.25):
+            lam = np.array([1.0, 0.5, bad, 0.1])
+            with pytest.raises(ValueError, match="positive up to the cutoff"):
+                cutoff_estimator(np.ones(4), lam, 3)
+            # eigenvalues beyond the cutoff are not read
+            assert cutoff_estimator(np.ones(4), lam, 2).shape == (2,)
+        with pytest.raises(ValueError, match="need the true eigenvalues"):
+            cutoff_estimator(np.ones(4), None, 2)
 
 
 class TestPinskerWeights:

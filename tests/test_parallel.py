@@ -1,5 +1,5 @@
 """Replication loops: one BLAS thread per replication while they run, counts restored
-after; pooled loops share one persistent pool that the calling thread joins."""
+after; a pooled loop opens its own helper pool, which the calling thread joins."""
 
 import sys
 import threading
@@ -166,10 +166,9 @@ def test_first_failure_stops_the_loop_and_propagates():
 
 
 def test_nested_loop_in_a_pooled_replication_finishes():
-    # every pool thread runs an outer call at once, so the inner loops' helpers
-    # find no free thread: their callers run every inner index themselves and
-    # cancel the helpers that never started
-    workers = max(parallel._pool_size, 2) + 1
+    # every outer call runs at once, each on its own thread, and each opens
+    # a pool of its own for its inner loop: no loop waits for a busy helper
+    workers = 3
     gate = threading.Barrier(workers, timeout=30)
     out = np.zeros((workers, 10))
     errors = []
@@ -195,30 +194,20 @@ def test_nested_loop_in_a_pooled_replication_finishes():
     assert np.array_equal(out, 10 * np.arange(workers)[:, None] + np.arange(10))
 
 
-def test_a_wider_loop_grows_the_pool_under_a_running_one():
-    # an inner loop wider than the pool replaces it while outer calls still
-    # run on the old pool's threads; both loops finish every index
-    workers = max(parallel._pool_size, 2) + 1
-    out = np.zeros((workers, 10))
-
-    def outer(i):
-        def inner(j):
-            out[i, j] = 10 * i + j
-
-        foreach(inner, 10, workers + 2 * i)
-
-    foreach(outer, workers, workers)
-    assert np.array_equal(out, 10 * np.arange(workers)[:, None] + np.arange(10))
-    assert parallel._pool_size > workers - 1     # it grew
-
-
-def test_repeated_loops_start_no_new_threads():
-    # a loop whose calls wait for each other fills the pool; after that,
-    # loops of the same width reuse its threads
-    workers = max(parallel._pool_size, 2) + 1
+def test_pooled_loop_leaves_no_helper_alive():
+    # the calls wait for each other, so every helper runs one; once the loop
+    # has returned, none of its helper threads is left
+    workers = 3
     gate = threading.Barrier(workers, timeout=30)
-    foreach(lambda i: gate.wait(), workers, workers)
+    ran_on = set()
+
+    def record(i):
+        ran_on.add(threading.current_thread())
+        gate.wait()
+
     before = set(threading.enumerate())
-    for _ in range(30):
-        foreach(lambda i: np.linalg.eigvalsh(np.eye(8) * (i + 1)), 16, workers)
+    foreach(record, workers, workers)
+    helpers = ran_on - {threading.current_thread()}
+    assert len(helpers) == workers - 1
+    assert not any(t.is_alive() for t in helpers)
     assert set(threading.enumerate()) <= before

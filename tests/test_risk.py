@@ -400,7 +400,7 @@ class TestMiseMonteCarlo:
     def test_flr_cutoff_matches_module_ops(self):
         # the shared-replication fast path reproduces the composed operations:
         # the first k coordinates of X^T y / m = G_k theta + sigma C_k^T eps / m
-        from flrlab import cutoff_estimator, sample_design, select_cutoff, true_covariance
+        from flrlab import cutoff_estimator, sample_design, select_cutoff
         from flrlab.risk import _replication
         from flrlab.streams import derive_rng
 
@@ -415,7 +415,8 @@ class TestMiseMonteCarlo:
         noise = rng.standard_normal(m)
         k = select_cutoff(m, 2.0, 2.0)
         xty = sample.cross_moment(sample.inner_products(theta)) + 1.0 * sample.cross_moment(noise)
-        est_coeffs = cutoff_estimator(xty[:k], true_covariance(SPEC, k), k)
+        lam = SPEC.lambda_profile()(np.arange(1, k + 1, dtype=float))
+        est_coeffs = cutoff_estimator(xty[:k], lam, k)
         expected = float(np.sum((est_coeffs - theta[:k]) ** 2) + np.sum(theta[k:] ** 2))
         assert ctx_val == pytest.approx(expected, rel=1e-10)
 
@@ -449,11 +450,10 @@ class TestMiseMonteCarlo:
             empirical_covariance,
             sample_design,
             select_cutoff,
-            true_covariance,
         )
         from flrlab.streams import derive_rng
 
-        from oracles import white_noise_cutoff
+        from oracles import true_operator, white_noise_cutoff
 
         # J = 64 < m keeps the reference's J x J eigenproblems cheap
         spec = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256, j_truncation=64)
@@ -464,7 +464,7 @@ class TestMiseMonteCarlo:
         for i, n in enumerate(n_grid):
             m = n // 2
             k = select_cutoff(m, 2.0, TC.beta)
-            truth = true_covariance(spec, k)
+            truth = true_operator(spec, k)
             errs = np.empty(reps)
             for rep in range(reps):
                 rng = derive_rng(seed, f"flr-n{n}", rep)
@@ -577,15 +577,14 @@ class TestDeltaStudy:
             sample_design,
             select_cutoff,
             simulate_flr_responses,
-            sqrt_apply,
-            true_covariance,
         )
         from flrlab.estimators import DEFAULT_COEFF_BUDGET
         from flrlab import function_space
         from flrlab.function_space import basis_function, basis_matrix
         from flrlab.streams import derive_rng
 
-        from oracles import grid_inner, grid_norm, grid_project, law_moments
+        from oracles import (grid_inner, grid_norm, grid_project, law_moments,
+                             operator_sqrt_apply, true_operator)
 
         built = []
         with monkeypatch.context() as m:
@@ -601,7 +600,7 @@ class TestDeltaStudy:
 
         theta_grid = render(sample_theta(TC, "boundary", spec.lambda_profile(), sigma,
                                          max(n_grid), 0))
-        true_cov = true_covariance(spec, DEFAULT_COEFF_BUDGET)
+        true_cov = true_operator(spec, DEFAULT_COEFF_BUDGET)
         for i, n in enumerate(n_grid):
             m = n // 2
             k = select_cutoff(m, 2.0, TC.beta)
@@ -623,11 +622,11 @@ class TestDeltaStudy:
                     s1 = sample_design(spec, m, rng)
                     theta_j = grid_project(theta_grid.values, spec.basis, s1.coeffs.shape[1])
                     xty = s1.cross_moment(simulate_flr_responses(s1, theta_j, sigma, rng))
-                theta1 = cutoff_estimator(xty, true_cov, k)
+                theta1 = cutoff_estimator(xty, true_cov.eigenvalues, k)
                 g = theta_grid.values - render(theta1).values
                 cov2 = empirical_covariance(sample_design(spec, n - m, rng))
-                a, b = (render(sqrt_apply(op, grid_project(g, spec.basis,
-                                                           op.coeff_vectors.shape[0])))
+                a, b = (render(operator_sqrt_apply(op, grid_project(g, spec.basis,
+                                                                    op.coeff_vectors.shape[0])))
                         for op in (true_cov, cov2))
                 vals.append((n - m) * grid_norm(a.values - b.values) ** 2)
             assert report.mean_sq[i] == pytest.approx(np.mean(vals), rel=1e-12)
