@@ -298,16 +298,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     with rejecting_in("theta"):
         theta_class.check_against_alpha(alpha, plug_in=est_kind == "pinsker-data-driven")
     if design is not None:
-        # Every Fourier function in play (theta's coefficients, the expansion)
-        # must stay below the grid's Nyquist limit; the same bound leaves the
-        # grid room for theta's sine coefficients on Brownian designs.
-        j = (design.j_truncation or DEFAULT_MAX_EXPANSION) if design.kind == KIND_BASIS else 0
-        need = 2 * max(DEFAULT_COEFF_BUDGET, j)
+        # Every basis function in play must be resolved by the grid: on
+        # basis-expansion designs every Fourier function (theta's
+        # coefficients, the expansion) stays below the grid's Nyquist limit;
+        # on Brownian designs theta's sine coefficients are among the first
+        # grid_size - 1 sine functions, which the trapezoid rule keeps
+        # orthonormal (the design takes at most those by construction).
+        if design.kind == KIND_BASIS:
+            need = 2 * max(DEFAULT_COEFF_BUDGET, design.j_truncation or DEFAULT_MAX_EXPANSION)
+            short = (f"cannot resolve {need // 2} Fourier functions; need at least "
+                     f"{need} = 2 max({DEFAULT_COEFF_BUDGET}, J)")
+        else:
+            need = DEFAULT_COEFF_BUDGET + 1
+            short = (f"cannot resolve {DEFAULT_COEFF_BUDGET} sine functions; need at least "
+                     f"{need} = {DEFAULT_COEFF_BUDGET} + 1")
         if design.grid_size < need:
-            raise ConfigError(
-                f"design.grid_size = {design.grid_size} cannot resolve {need // 2} Fourier "
-                f"functions; need at least {need} = 2 max({DEFAULT_COEFF_BUDGET}, J)",
-                str(path), line_of("design", "grid_size"))
+            raise ConfigError(f"design.grid_size = {design.grid_size} {short}",
+                              str(path), line_of("design", "grid_size"))
     rho = get("estimator", "rho")
     if rho is None and est_kind.startswith("pinsker"):
         rho = default_rho(alpha)

@@ -50,26 +50,35 @@ has the rows it keeps drawn in place, all J columns wide, as blocks that
 are views of its sample, and scales each block while it is still in cache,
 so a held draw allocates the sample alone (and, for normal rows it drops,
 the buffer). ``stream_moments`` returns the sums a study replication reads
-of its designs C and the n normals eps after them (``DesignMoments``: rows
-of C^T C and C^T eps over the first ``width`` columns), without the n x J
-sample, in one of two ways:
+of its designs C and their noise eps (``DesignMoments``: rows of C^T C over
+the first ``width`` columns, and C_k^T eps over the first k = ``lead``),
+without the n x J sample and without eps. Given C, the noise moment
+C_k^T eps is exactly N(0, C_k^T C_k), the paper's finite-sample
+equivalence, so one rule draws it for both kinds (``_noise_sum``): F z, with
+F a lower-triangular factor of the lead Gram block, F F^T = C_k^T C_k, and
+z the ``lead`` standard normals the stream gives after the Gram sums. Those
+sums come in one of two ways:
 
 * basis-expansion designs fold every raw block of ``_row_blocks``, drawn
   into one reused buffer and while it is still in cache, into the sums of
-  the raw draw, and take the normals block by block from a copy of the
-  stream advanced past the n width uniform outputs. Only then are the sums
-  scaled, entry (i, l) of a Gram sum by s_i s_l and entry i of the noise
-  sum by s_i (``_scaled``), so each design number is touched once by the
-  fold, a replication holds O(width^2 + block) numbers, and the sums equal
-  the held n x width draw's up to rounding: the order of the additions,
-  and the scales applied to the sums instead of to each entry;
+  the raw draw; F is the Cholesky factor of their lead block
+  (``_lead_factor``), so the stream gives the n width uniforms, then z.
+  Only then are the sums scaled, entry (i, l) of a Gram sum by s_i s_l and
+  entry i of the noise sum by s_i (``_scaled``), so each design number is
+  touched once by the fold, a replication holds O(width^2 + block)
+  numbers, and the Gram sums equal the held n x width draw's up to
+  rounding: the order of the additions, and the scales applied to the sums
+  instead of to each entry;
 * integrated-Gaussian designs draw the sums of their standard normals from
   their joint law (``_wishart_moments``) and scale them the same way. With
   G the n x width standard normals, the lead columns G_k of G give
   G_k^T G_k = L L^T, a Wishart matrix with the Bartlett factor L, and,
-  given G_k, G_k^T G[:, k:] = L Z and G_k^T eps = L z with Z and z
-  standard normals. So O(lead width) random numbers stand in for n J,
-  whatever n is, and the stream moves by those alone.
+  given G_k, G_k^T G[:, k:] = L Z with Z standard normals; F = L. So
+  O(lead width) random numbers stand in for n J, whatever n is, and the
+  stream moves by those alone.
+
+Either way the noise moment needs lead <= m, the fitted rows: the Gram
+matrix of more columns than rows is singular and has no such factor.
 
 A cutoff fit reads its designs only through the columns up to its cutoff
 and the last nonzero coordinate of its test functions, so its replications
@@ -358,14 +367,15 @@ def sample_design(spec: DesignSpec, n: int, seed, rows: slice = slice(None)) -> 
 
 @dataclass(frozen=True)
 class DesignMoments:
-    """Sums over n designs with coefficients C (n x J) and the n normals eps
-    drawn after them, over the first ``width`` columns of C, the first m
-    rows fitted and rows m..n kept for training:
+    """Sums over n designs with coefficients C (n x J) and their n noise
+    values eps, over the first ``width`` columns of C, the first m rows
+    fitted and rows m..n kept for training:
 
     * ``gram`` = C[:m, :lead]^T C[:m, :width], the first ``lead`` rows of
       m Gamma-hat over the fitted rows, ``width`` columns wide (all J rows
       and columns by default);
-    * ``noise`` = C[:m, :lead]^T eps[:m];
+    * ``noise`` = C[:m, :lead]^T eps[:m], drawn from its law given ``gram``,
+      N(0, gram[:, :lead]), without eps (``_noise_sum``);
     * ``train`` = C[m:, :width]^T C[m:, :width], or None when m = n.
 
     Integrated-Gaussian designs hold a draw of their joint law, with m = n
@@ -383,9 +393,10 @@ def _parts(spec: DesignSpec, n: int, j: int, lead: int | None, width: int | None
            split: int | None) -> tuple[int, int, int]:
     """(m, lead, width) of n designs with J = j coordinates, checked: m
     defaults to n, width to j and is capped at j, and lead defaults to width
-    and must not exceed it. Integrated-Gaussian designs take no split, since
-    their sums are drawn from the law of the fitted rows alone, and need
-    lead <= n, the most columns whose Gram matrix has a Bartlett factor."""
+    and must not exceed it, nor m: the Gram matrix of more columns than
+    fitted rows is singular, and the noise moment's law has no factor
+    (``_noise_sum``). Integrated-Gaussian designs take no split, since their
+    sums are drawn from the law of the fitted rows alone."""
     m = n if split is None else int(split)
     width = j if width is None else min(int(width), j)
     lead = width if lead is None else int(lead)
@@ -395,13 +406,13 @@ def _parts(spec: DesignSpec, n: int, j: int, lead: int | None, width: int | None
         raise ValueError(f"the width must be >= 1, got {width}")
     if not 1 <= lead <= width:
         raise ValueError(f"the lead must lie in 1..{width}, got {lead}")
-    if spec.kind == KIND_GAUSSIAN:
-        if split is not None:
-            raise ValueError("integrated-gaussian designs take no split: their moments are "
-                             "drawn from the law of the fitted designs, with no training rows")
-        if lead > n:
-            raise ValueError(f"the lead must not exceed the {n} designs, got {lead}: the Gram "
-                             f"matrix of {lead} columns over {n} rows has no Bartlett factor")
+    if spec.kind == KIND_GAUSSIAN and split is not None:
+        raise ValueError("integrated-gaussian designs take no split: their moments are "
+                         "drawn from the law of the fitted designs, with no training rows")
+    if lead > m:
+        raise ValueError(f"the lead must not exceed the {m} designs it is summed over, got "
+                         f"{lead}: the Gram matrix of {lead} columns over {m} rows is singular "
+                         f"and has no factor to draw the noise moment from")
     return m, lead, width
 
 
@@ -417,17 +428,38 @@ def _wishart_moments(spec: DesignSpec, n: int, width: int, lead: int,
     * Z, k x (width - k) standard normals, and z, k standard normals;
 
     then gram = Lambda_k^(1/2) [L L^T, L Z] Lambda^(1/2) and
-    noise = Lambda_k^(1/2) L z. ``rng`` gives, in this order, the k
-    chi-squares, the k (k - 1) / 2 normals below the diagonal row by row,
-    Z row by row, then z.
+    noise = Lambda_k^(1/2) L z (``_noise_sum`` with F = L). ``rng`` gives,
+    in this order, the k chi-squares, the k (k - 1) / 2 normals below the
+    diagonal row by row, Z row by row, then z.
     """
     factor = np.diag(np.sqrt(rng.chisquare(n - np.arange(lead, dtype=float))))
     factor[np.tril_indices(lead, -1)] = rng.standard_normal(lead * (lead - 1) // 2)
     rows = np.empty((lead, width))
     rows[:, :lead] = factor @ factor.T
     rows[:, lead:] = factor @ rng.standard_normal((lead, width - lead))
-    noise = factor @ rng.standard_normal(lead)
+    noise = _noise_sum(factor, rng)
     return _scaled(DesignMoments(n, n, rows, noise, None), _scales(spec, width))
+
+
+def _lead_factor(gram: np.ndarray, m: int) -> np.ndarray:
+    """The Cholesky factor of ``gram``, the lead block C_k^T C_k of the raw
+    Gram sums over m fitted rows; ``ValueError`` where the block is
+    numerically not positive definite, so that the noise moment has no law
+    to draw from."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        raise ValueError(f"the Gram matrix of the {gram.shape[0]} lead columns over {m} "
+                         f"designs is numerically not positive definite: the noise moment "
+                         f"has no Cholesky factor to be drawn from") from None
+
+
+def _noise_sum(factor: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """C_k^T eps given the designs, from its law N(0, C_k^T C_k): F z, with F
+    lower triangular, F F^T = C_k^T C_k (raw sums, before ``_scaled``), and
+    z the next k standard normals of ``rng``. The one noise rule of both
+    design kinds."""
+    return factor @ rng.standard_normal(factor.shape[0])
 
 
 def _scaled(sums: DesignMoments, scales: np.ndarray) -> DesignMoments:
@@ -448,47 +480,43 @@ def _scaled(sums: DesignMoments, scales: np.ndarray) -> DesignMoments:
 def stream_moments(spec: DesignSpec, n: int, rng: np.random.Generator, *,
                    lead: int | None = None, width: int | None = None,
                    split: int | None = None) -> DesignMoments:
-    """The ``DesignMoments`` of n designs drawn from ``rng`` and the n normals
-    after them, without the n x J sample. Only the first ``width`` columns
-    of the designs are drawn: the ones the caller reads (default J, and
-    capped at J). ``lead`` (default ``width``) rows of the Gram sum are
-    formed, over the first ``split`` (default all n) designs.
+    """The ``DesignMoments`` of n designs drawn from ``rng``, without the
+    n x J sample. Only the first ``width`` columns of the designs are drawn:
+    the ones the caller reads (default J, and capped at J). ``lead``
+    (default ``width``) rows of the Gram sum are formed, over the first
+    ``split`` (default all n) designs, and the noise moment over those rows
+    is drawn from its law given them (``_noise_sum``), from ``lead``
+    standard normals. ``lead`` must not exceed the fitted rows, and a lead
+    Gram block that is numerically not positive definite has no factor:
+    both raise ``ValueError``.
 
-    Basis-expansion designs give the products of the n x width uniform draw
-    (``sample_design(spec, n, rng)`` when width = J) and
-    ``rng.standard_normal(n)``, up to rounding, and ``rng`` ends where that
-    draw and those normals leave it: each raw block of ``_row_blocks`` is
-    folded into the sums as it comes, the sums are scaled once at the end
-    (``_scaled``), and the normals come from the one copy of the stream,
-    advanced past the n width uniform outputs, block by block. So ``rng``
-    must be a PCG64 Generator, and anything else raises ``TypeError``
-    (there is no fallback).
+    Basis-expansion designs give the Gram sums of the n x width uniform draw
+    (``sample_design(spec, n, rng)`` when width = J), up to rounding: each
+    raw block of ``_row_blocks`` is folded into the sums as it comes, and
+    the sums are scaled once at the end (``_scaled``). The noise moment is
+    the Cholesky factor of the raw lead block times the ``lead`` normals
+    ``rng`` gives after the n width uniform outputs, where it ends. So
+    ``rng`` must be a PCG64 Generator, and anything else raises
+    ``TypeError`` (there is no fallback).
 
     Integrated-Gaussian designs draw the sums from their exact joint law
     (``_wishart_moments``), from O(lead width) random numbers. They take no
-    ``split`` and need ``lead`` <= n (``ValueError`` otherwise).
+    ``split``.
     """
     j = _truncation(spec, n)
     m, lead, width = _parts(spec, n, j, lead, width, split)
     if spec.kind == KIND_GAUSSIAN:
         return _wishart_moments(spec, n, width, lead, rng)
-    sums = DesignMoments(n, m, np.zeros((lead, width)), np.zeros(lead),
-                         np.zeros((width, width)) if m < n else None)
-    # the one copy of the stream: the normals after the n width uniform outputs
-    normals = pcg64_ahead(rng, n * width)
-    eps = np.empty(min(_block_rows(width), n))
+    gram = np.zeros((lead, width))
+    train = np.zeros((width, width)) if m < n else None
     for start, c in _row_blocks(spec, n, width, rng, range(n)):
         cut = min(max(m - start, 0), c.shape[0])
-        fit, train = c[:cut], c[cut:]
-        # every row's normal is drawn, so the copy keeps pace with the rows
-        block_eps = normals.standard_normal(out=eps[:c.shape[0]])
         if cut:
-            sums.gram[...] += fit[:, :lead].T @ fit
-            sums.noise[...] += fit[:, :lead].T @ block_eps[:cut]
-        if train.shape[0]:
-            sums.train[...] += train.T @ train
-    catch_up(rng, normals)
-    return _scaled(sums, _scales(spec, width))
+            gram += c[:cut, :lead].T @ c[:cut]
+        if cut < c.shape[0]:
+            train += c[cut:].T @ c[cut:]
+    noise = _noise_sum(_lead_factor(gram[:, :lead], m), rng)
+    return _scaled(DesignMoments(n, m, gram, noise, train), _scales(spec, width))
 
 
 @dataclass(frozen=True)

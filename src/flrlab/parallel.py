@@ -38,13 +38,15 @@ several threads at once, nest.
 Whether a pool pays depends on the replication. On 2 vCPU of a shared host
 (OpenBLAS 0.3.31 from the numpy 2.4.6 and scipy 1.17.1 wheels, Python
 3.11.7), in-process after a warm-up, the benchmark's criterion-6 cutoff
-study on basis designs (n = 2^9..2^14, 30 replications, seed 7) took
-0.035-0.038 s wall at ``threads=1`` and 0.048-0.049 s (CPU 0.061 s) at
-``threads=2`` (three processes, each the median of nine alternating runs).
-A replication there takes about 0.2 ms in some 110 Python-level calls
-(cProfile), on arrays of a few columns: it spends its time mostly in the
-interpreter, under its lock, so a second thread adds contention and no
-speed. ``threads`` stays the caller's choice.
+study on basis designs (n = 2^9..2^14, 30 replications, seed 7), with each
+replication's noise moment drawn from k normals, took process medians of
+24.0-53.8 ms wall at ``threads=1`` and 26.3-46.5 ms (CPU 34.8-60.9 ms) at
+``threads=2``: six processes each, of 15 runs, alternating; the host's load
+moved a median by up to 2x, and the quietest processes read 24.0 ms and
+26.3 ms. A replication there takes about 0.13 ms (24 ms over 180), on
+arrays of a few columns: it spends its time mostly in the interpreter,
+under its lock, so a second thread adds CPU and contention and no speed.
+``threads`` stays the caller's choice.
 
 The cap pays wherever the replications solve linear algebra. When the
 criterion-6 replications still solved a J x J eigenproblem, two pool

@@ -28,19 +28,22 @@ C^T eps / m: each test function's cross moment is then
 X^T y / m = Gamma-hat theta + sigma C^T eps / m, the empirical white-noise
 model's data, at J x r work per Pinsker fit and k x L per cutoff fit, with
 no pass over the designs. A replication that never holds the n x J sample
-takes these sums from ``designs.stream_moments``: basis-expansion designs are
-drawn block by block, each raw block folded into the sums and the sums
-scaled once, so they equal the held sample's up to rounding; Brownian
-designs have the sums drawn from their exact joint law (a Bartlett-factored
-Wishart matrix), from O(k J) random numbers instead of m J. A cutoff fit
-reads only the first k rows of Gamma-hat, applied to theta, and the noise
-moment, so its m designs are always summed this way, of either kind, and
-only over the design columns it reads: width L = max(k, the last nonzero
-coordinate of any test function in n's panel, ``_cutoff_width``), 64 for
-the worst-case panel and max(k, K_n) for the least-favorable theta of
-support K_n. A basis-expansion replication then draws m L uniforms and
-holds O(L^2 + block) numbers, and a Brownian one draws O(k L) normals,
-whatever m is. A Pinsker fit reads the whole Gram matrix (an
+takes these sums from ``designs.stream_moments``, which draws the noise
+moment from its law given the Gram sums, N(0, C_k^T C_k) over the k lead
+columns the fit reads (k for a cutoff fit, J for a Pinsker fit), from k
+normals instead of m. Basis-expansion designs are drawn block by block,
+each raw block folded into the Gram sums and the sums scaled once, so they
+equal the held sample's up to rounding; Brownian designs have the Gram sums
+drawn from their exact joint law (a Bartlett-factored Wishart matrix), from
+O(k J) random numbers instead of m J. A cutoff fit reads only the first k
+rows of Gamma-hat, applied to theta, and the noise moment, so its m designs
+are always summed this way, of either kind, and only over the design
+columns it reads: width L = max(k, the last nonzero coordinate of any test
+function in n's panel, ``_cutoff_width``), 64 for the worst-case panel and
+max(k, K_n) for the least-favorable theta of support K_n. A basis-expansion
+replication then draws m L uniforms and k normals and holds
+O(L^2 + block) numbers, and a Brownian one draws O(k L) normals, whatever
+m is. A Pinsker fit reads the whole Gram matrix (an
 ``EmpiricalGram`` for ``empirical_covariance``) and the training rows', and
 one rule (``_streamed``) sums it only on basis-expansion designs whose
 fitted rows (and the data-driven level's training rows) number more than J.
@@ -53,10 +56,11 @@ same fit (``_cutoff_fit``) of its m summed designs, so each replication
 there holds one design sample and solves one eigenproblem, for its second
 sample's Gamma2-hat, whose square root ``covariance.sqrt_apply`` applies
 from that eigenproblem without building an operator. A replication's stream
-therefore gives, on basis-expansion designs, the m pilot designs, their m
-normals, then the second sample; on Brownian designs, the pilot's law draw
-(k chi-squares, the k (k - 1) / 2 normals below its Bartlett factor's
-diagonal, k (J - k) normals, then k), then the second sample. The pilot
+therefore gives, on basis-expansion designs, the m pilot designs, the k
+normals of their noise moment, then the second sample; on Brownian designs,
+the pilot's law draw (k chi-squares, the k (k - 1) / 2 normals below its
+Bartlett factor's diagonal, k (J - k) normals, then k), then the second
+sample. The pilot
 passes no width and draws all J columns: its boundary theta is dense over
 the 64 coefficients of the budget, so a narrower draw would save at most
 half of it. The gamma-consistency study draws only the training rows its
@@ -89,7 +93,11 @@ criterion-7 MISE study (300 data-driven replications at n = 1e4, seed 7,
 in-process, 4 alternating rounds) from 4.21-4.49 s to 3.97-4.07 s. In
 the benchmark (10 alternating 25 s pairs) dd-pinsker-flr's median wall
 time went from 4.70 s to 4.41 s (better in 9 of 10 pairs) and
-cutoff-flr's from 0.074 s to 0.061 s (10 of 10).
+cutoff-flr's from 0.074 s to 0.061 s (10 of 10). Drawing each basis
+replication's noise moment from k normals given its Gram sums, instead of
+m normals from a copy of the stream, then took cutoff-flr's median wall
+time from 0.046 s to 0.032 s (better in 10 of 10 alternating 25 s pairs)
+and dd-pinsker-flr's from 3.63 s to 3.48 s (8 of 10).
 Worker processes were measured and rejected (see ``parallel``).
 """
 
@@ -431,11 +439,13 @@ def _cutoff_fit(moments, sigma, lam, k):
 
 
 def _pinsker_statistics(spec: DesignSpec, n: int, m: int, rng):
-    """(fit, train, C[:m]^T eps[:m] / m) of a replication's n designs and the
-    n normals after them: ``fit`` and ``train`` are the rows :m and m:n
-    (``train`` None when m = n) as ``empirical_covariance`` reads them, an
-    ``EmpiricalGram`` when the designs were drawn block by block and the
-    held sample's rows otherwise."""
+    """(fit, train, C[:m]^T eps[:m] / m) of a replication's n designs and
+    their noise: ``fit`` and ``train`` are the rows :m and m:n (``train``
+    None when m = n) as ``empirical_covariance`` reads them. Designs drawn
+    block by block give ``EmpiricalGram`` sums, and the noise moment drawn
+    from its law given them, from J normals (``stream_moments``); a held
+    sample gives its rows, and the n normals drawn after it, because the
+    dual route reads rows."""
     if _streamed(spec, n, m):
         sums = stream_moments(spec, n, rng, split=m)
 
@@ -579,13 +589,14 @@ def delta56_study(
     whole perturbation is computed in those coefficients and its norm by
     Parseval.
 
-    Each replication takes the pilot's sums over m designs s1 and m normals
-    eps from its stream (``stream_moments``), then the n - m designs s2. The
-    pilot is the cutoff fit of ``_cutoff_fit``: it reads
+    Each replication takes the pilot's sums over m designs s1 and their
+    noise eps from its stream (``stream_moments``: the noise moment drawn
+    from its law given s1's sums, from k normals), then the n - m designs
+    s2. The pilot is the cutoff fit of ``_cutoff_fit``: it reads
     (Gamma1-hat[:k, :], sigma C1[:, :k]^T eps / m), the first k coordinates
-    of X^T y1 / m with y1 = C1 theta + sigma eps, summed block by block on
-    basis-expansion designs and drawn from their joint law on Brownian ones,
-    so s1 is never held, and solves no eigenproblem. Gamma2-hat is read only
+    of X^T y1 / m with y1 = C1 theta + sigma eps, its Gram rows summed block
+    by block on basis-expansion designs and drawn from their joint law on
+    Brownian ones, so s1 is never held, and solves no eigenproblem. Gamma2-hat is read only
     through its square root, which ``sqrt_apply`` applies from s2's Gram
     eigenpairs without building an operator (no J x r eigenvectors, sign
     convention or determinant). On the cli-gaussian model

@@ -10,7 +10,9 @@ outputs draws first, and what follows the block can be read before the
 block is drawn. ``pcg64_ahead`` copies a stream that many outputs ahead, and
 ``catch_up`` moves the stream to where such a copy stopped. The design draw
 (``designs._row_blocks``) reads uniform rows that start after row 0 from
-such a copy, and ``designs.stream_moments`` the normals after them.
+such a copy, and rows from row 0 from the stream itself. So
+``designs.stream_moments``, which draws every row and then the ``lead``
+normals of its noise moment, makes no copy.
 """
 
 from __future__ import annotations

@@ -10,11 +10,13 @@ known design law's covariance is built as an operator with identity
 eigenvectors, and an operator's square root is applied from its eigenpairs,
 where the package holds the law as its eigenvalues and applies the empirical
 square root from a sample's Gram eigenproblem. The white-noise route of the
-cutoff fit reads z = A^T y through the empirical eigenbasis. The design draw is numpy's own uniform and normal draws times
-the coefficient scales, and the design sums are the direct products of that
-draw. The law draw of Brownian design sums is the Bartlett construction
-written out entry by entry. The two-sample KS law for equal sizes is
-Gnedenko and Korolyuk's alternating binomial sum in exact rationals.
+cutoff fit reads z = A^T y through the empirical eigenbasis. The design draw
+is numpy's own uniform and normal draws times the coefficient scales, and the
+design sums are the direct products of that draw, with the noise moment
+either drawn from the Cholesky factor of their lead block or formed from n
+held noise values. The law draw of Brownian design sums is the Bartlett
+construction written out entry by entry. The two-sample KS law for equal
+sizes is Gnedenko and Korolyuk's alternating binomial sum in exact rationals.
 """
 
 from __future__ import annotations
@@ -156,21 +158,41 @@ def design_draw(spec, n, rng, width=None) -> np.ndarray:
     return rng.standard_normal((n, j)) * np.sqrt(1.0 / (math.pi**2 * (k - 0.5) ** 2))
 
 
-def held_moments(spec, n, rng, *, lead=None, width=None, split=None):
-    """The sums ``designs.stream_moments`` forms, from the held draw:
-    ``design_draw(spec, n, rng, width)``, n x width, then
-    ``rng.standard_normal(n)``, then the direct products of the first
-    ``split`` rows (default all n) on the first ``lead`` columns (default
-    all)."""
-    from flrlab.designs import DesignMoments
-
+def _held_sums(spec, n, rng, lead, width, split):
+    """(m, the held draw's lead Gram rows over its first m = ``split``
+    rows, the lead columns of those rows, its training Gram matrix)."""
     c = design_draw(spec, n, rng, width)
-    eps = rng.standard_normal(n)
     m = n if split is None else split
     fit = c[:m]
     lead_cols = fit if lead is None else fit[:, :lead]
     train = c[m:].T @ c[m:] if m < n else None
-    return DesignMoments(n, m, lead_cols.T @ fit, lead_cols.T @ eps[:m], train)
+    return m, lead_cols.T @ fit, lead_cols, train
+
+
+def held_moments(spec, n, rng, *, lead=None, width=None, split=None):
+    """The sums ``designs.stream_moments`` forms, from the held draw:
+    ``design_draw(spec, n, rng, width)``, n x width, the direct products of
+    its first ``split`` rows (default all n) on its first ``lead`` columns
+    (default all), and the noise moment F z, F the Cholesky factor of the
+    lead block of those products and z the ``lead`` normals drawn next."""
+    from flrlab.designs import DesignMoments
+
+    m, gram, lead_cols, train = _held_sums(spec, n, rng, lead, width, split)
+    factor = np.linalg.cholesky(gram[:, :lead_cols.shape[1]])
+    return DesignMoments(n, m, gram, factor @ rng.standard_normal(factor.shape[0]), train)
+
+
+def held_products(spec, n, rng, *, lead=None, width=None, split=None):
+    """The sums over the held draw and its n noise values, all direct
+    products: ``design_draw(spec, n, rng, width)``, then
+    ``rng.standard_normal(n)``, and the noise moment C[:m, :lead]^T eps[:m].
+    The law that ``held_moments`` and ``stream_moments`` draw the noise
+    moment from, given the designs."""
+    from flrlab.designs import DesignMoments
+
+    m, gram, lead_cols, train = _held_sums(spec, n, rng, lead, width, split)
+    eps = rng.standard_normal(n)
+    return DesignMoments(n, m, gram, lead_cols.T @ eps[:m], train)
 
 
 def law_moments(spec, n, rng, lead, width=None):

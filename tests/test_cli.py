@@ -176,9 +176,17 @@ class TestConfigParsing:
             assert f"grid.ini:{text.splitlines().index(key) + 1}:" in str(err.value)
         text = BASE.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 256")
         assert load_config(write_config(tmp_path, text)).model.design.grid_size == 256
+        # Brownian designs and theta are sine coefficients: the grid resolves
+        # theta's 64 of them from 65 nodes, and Fourier functions play no part
         gaussian = BASE.replace("kind = basis-expansion", "kind = integrated-gaussian")
-        assert load_config(write_config(tmp_path, gaussian.replace(
-            "alpha = 2.0", "alpha = 2.0\ngrid_size = 128")))
+        text = gaussian.replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 64")
+        path = write_config(tmp_path, text, "sine.ini")
+        with pytest.raises(ConfigError, match="cannot resolve 64 sine functions") as err:
+            load_config(path)
+        assert f"sine.ini:{text.splitlines().index('grid_size = 64') + 1}:" in str(err.value)
+        for grid_size in (65, 100, 128):
+            text = gaussian.replace("alpha = 2.0", f"alpha = 2.0\ngrid_size = {grid_size}")
+            assert load_config(write_config(tmp_path, text)).model.design.grid_size == grid_size
 
     def test_cutoff_beyond_the_expansion_is_line_referenced(self, tmp_path):
         # k = 3 at the largest n = 2048 (m = 1024), more than J = 2
@@ -284,6 +292,18 @@ class TestCliExitCodes:
         ks = np.loadtxt(out / "ks.csv", delimiter=",", skiprows=1)
         assert ks.shape == (64, 4) and not ks[:, 3].any()
         assert set(ks[:, 1]) <= {0.5, 1.0}
+
+    def test_every_subcommand_runs_on_a_sine_grid_below_the_fourier_bound(self, tmp_path):
+        # 65 nodes resolve theta's 64 sine coefficients and a Brownian
+        # design's J = min(2n, 64); the Fourier bound of 128 nodes rejected them
+        text = (BASE.replace("kind = basis-expansion", "kind = integrated-gaussian")
+                .replace("alpha = 2.0", "alpha = 2.0\ngrid_size = 65")
+                .replace("n_grid = 25", "n_grid = 32,48,100").replace("reps = 5", "reps = 2")
+                + "draws = 40\n")
+        config, out = str(write_config(tmp_path, text)), str(tmp_path / "o")
+        for command in ("simulate", "transform", "estimate", "risk", "equivalence"):
+            assert main([command, "--config", config, "--out", out]) == 0, command
+        assert main(["report", "--out", out]) == 0
 
     def test_equivalence_on_a_short_expansion(self, tmp_path):
         # J = 32 Fourier terms: the true operator is diag(lambda_1..lambda_32),

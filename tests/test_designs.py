@@ -20,7 +20,7 @@ from flrlab.covariance import RANK_TOL
 from flrlab.function_space import grid_nodes, sine_matrix
 
 from oracles import (design_draw, eigh_quadrature_kernel, grid_inner, grid_norm, held_moments,
-                     trapezoid_weights)
+                     held_products, trapezoid_weights)
 
 
 class TestSpecValidation:
@@ -394,14 +394,16 @@ class TestConditionX:
 
 
 class TestStreamMoments:
-    """Block-by-block sums against the held sample and its normals, and the
-    law draw of Brownian sums against its construction and the held law."""
+    """Block-by-block Gram sums against the held sample, the noise moment
+    drawn from the Cholesky factor of their lead block, and the law draw of
+    Brownian sums against its construction and the held law."""
 
     SPEC = DesignSpec(kind="basis-expansion", alpha=2.0, grid_size=256)
 
     @staticmethod
     def held(spec, n, seed, **kw):
-        """The n x J sample, then n normals, and their direct products."""
+        """The n x J sample, its direct products, then the noise moment from
+        the lead normals drawn after it."""
         rng = np.random.default_rng(seed)
         return held_moments(spec, n, rng, **kw), rng
 
@@ -423,32 +425,48 @@ class TestStreamMoments:
         # a data-driven style split that is not a block boundary
         m = None if split is None else n - max(n // 7, 1) - 5
         assert m is None or m % BLOCK_ROWS
+        fitted = n if m is None else m
         rng = np.random.default_rng(11)
+        if (lead or self.SPEC.resolved_truncation(n)) > fitted:
+            # the default lead J exceeds the fitted rows: the held lead Gram
+            # block has rank m only, so it has no Cholesky factor for the
+            # noise moment, and the stream rejects the case without moving
+            ref = held_products(self.SPEC, n, np.random.default_rng(11), lead=lead, split=m)
+            lead_block = ref.gram[:, :ref.gram.shape[0]]
+            assert np.linalg.matrix_rank(lead_block) == fitted < lead_block.shape[0]
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match=f"must not exceed the {fitted} designs"):
+                stream_moments(self.SPEC, n, rng, lead=lead, split=m)
+            np.testing.assert_equal(rng.bit_generator.state, state)
+            return
         got = stream_moments(self.SPEC, n, rng, lead=lead, split=m)
         ref, ref_rng = self.held(self.SPEC, n, 11, lead=lead, split=m)
-        assert (got.n, got.m) == (ref.n, ref.m) == (n, n if m is None else m)
+        assert (got.n, got.m) == (ref.n, ref.m) == (n, fitted)
         self.assert_close(got.gram, ref.gram)
         self.assert_close(got.noise, ref.noise)
         if m is None:
             assert got.train is None and ref.train is None
         else:
             self.assert_close(got.train, ref.train)
-        # the stream ends where the sample and the normals leave it
+        # the stream ends where the sample and the lead normals leave it
         assert rng.random() == ref_rng.random()
         assert rng.standard_normal() == ref_rng.standard_normal()
 
     def test_sums_are_the_products_they_name(self):
         from flrlab.designs import sample_design, stream_moments
 
-        # the raw draw R - 1/2, its products, then entry (i, l) times s_i s_l
+        # the raw draw R - 1/2, its products, then entry (i, l) times s_i s_l;
+        # the noise sum is the Cholesky factor of the raw lead block times the
+        # 4 normals after the draw, then entry i times s_i
         rng = np.random.default_rng(2)
         r = rng.random((300, 128)) - 0.5
-        eps = rng.standard_normal(300)
+        z = rng.standard_normal(4)
         s = math.sqrt(12.0) * np.arange(1, 129, dtype=float) ** (-self.SPEC.alpha / 2.0)
         got = stream_moments(self.SPEC, 300, np.random.default_rng(2), lead=4, split=250)
         np.testing.assert_allclose(got.gram, (r[:250, :4].T @ r[:250]) * s * s[:4, None],
                                    rtol=1e-13)
-        np.testing.assert_allclose(got.noise, (r[:250, :4].T @ eps[:250]) * s[:4], rtol=1e-13)
+        factor = np.linalg.cholesky(r[:250, :4].T @ r[:250, :4])
+        np.testing.assert_allclose(got.noise, (factor @ z) * s[:4], rtol=1e-13)
         np.testing.assert_allclose(got.train, (r[250:].T @ r[250:]) * s * s[:, None], rtol=1e-13)
 
         # and the held sample's products, each entry within 1e-13 of the sum of
@@ -459,7 +477,7 @@ class TestStreamMoments:
 
         c = sample_design(self.SPEC, 300, np.random.default_rng(2)).coeffs
         assert_products(got.gram, c[:250, :4], c[:250])
-        assert_products(got.noise, c[:250, :4], eps[:250])
+        assert_products(got.noise, np.linalg.cholesky(c[:250, :4].T @ c[:250, :4]).T, z)
         assert_products(got.train, c[250:], c[250:])
 
     @pytest.mark.parametrize("rows, held", [(range(0, 2100), False), (range(0, 700), True),
@@ -478,9 +496,9 @@ class TestStreamMoments:
         np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
 
     def test_pcg64_copies_per_draw(self, monkeypatch):
-        # a PCG64 copy costs about 13 us, 9 of them seeding PCG64(0): a basis
-        # stream_moments call makes one, for its normals, and a whole held
-        # draw none; rows off either end of the draw take one each
+        # a PCG64 copy costs about 13 us, 9 of them seeding PCG64(0): a
+        # streamed draw and a whole held draw, both from row 0, make none;
+        # rows off either end of a held draw take one each
         import flrlab.designs as designs
         from flrlab import streams
 
@@ -492,7 +510,7 @@ class TestStreamMoments:
 
         monkeypatch.setattr(designs, "pcg64_ahead", counted)
         designs.stream_moments(self.SPEC, 2100, np.random.default_rng(0), split=1900)
-        assert copies == [2100 * 128]
+        assert copies == []
         for rows, expected in ((slice(None), []), (slice(0, 700), [1400 * 128]),
                                (slice(700, None), [700 * 128]),
                                (slice(700, 1400), [700 * 128, 700 * 128])):
@@ -514,7 +532,7 @@ class TestStreamMoments:
             a, b = make(), make()
             stream_moments(self.SPEC, 2100, a, split=1900)
             sample_design(self.SPEC, 2100, b)
-            b.standard_normal(2100)
+            b.standard_normal(128)          # the lead normals
             np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
             assert a.random(3).tobytes() == b.random(3).tobytes()
             assert a.standard_normal(5).tobytes() == b.standard_normal(5).tobytes()
@@ -583,11 +601,20 @@ class TestStreamMoments:
             assert kstest(diag[:, i], "chi2", args=(n,)).pvalue > 1e-3, i
 
     def test_normal_law_moments_match_the_held_draw(self):
+        self.law_moments_match_the_held_draw("integrated-gaussian")
+
+    def test_uniform_law_moments_match_the_held_draw(self):
+        self.law_moments_match_the_held_draw("basis-expansion")
+
+    @staticmethod
+    def law_moments_match_the_held_draw(kind):
         # means and covariances of Gram entries inside and beyond the lead
         # block and of the noise, against the direct products of held draws
+        # and their n noise values: the noise moment of either kind, and the
+        # Brownian Gram sums, are drawn from their law
         from flrlab.designs import stream_moments
 
-        spec = DesignSpec(kind="integrated-gaussian", grid_size=64)   # J = 63 at n = 40
+        spec = DesignSpec(kind=kind, grid_size=64)   # J = 80 (basis) or 63 at n = 40
         n, lead, draws = 40, 3, 2000
 
         def entries(sums):
@@ -597,7 +624,7 @@ class TestStreamMoments:
         law_rng, held_rng = np.random.default_rng(21), np.random.default_rng(22)
         law = np.array([entries(stream_moments(spec, n, law_rng, lead=lead))
                         for _ in range(draws)])
-        held = np.array([entries(held_moments(spec, n, held_rng, lead=lead))
+        held = np.array([entries(held_products(spec, n, held_rng, lead=lead))
                          for _ in range(draws)])
 
         def mean_and_se(x):
@@ -622,8 +649,8 @@ class TestStreamMoments:
     def test_narrow_sums_equal_the_held_narrow_draw(self, kind, n, lead, width, split):
         # only the first L = min(width, J) columns are drawn (J = 80 at
         # n = 40): uniform designs give the direct products of the held
-        # n x L draw and its n normals, and the stream ends n L outputs on,
-        # then past the normals; Brownian designs, which take no split, give
+        # n x L draw and the noise moment from its lead normals, and the
+        # stream ends n L outputs on, then past those normals; Brownian designs, which take no split, give
         # the law construction with Z lead x (L - lead)
         from flrlab.designs import stream_moments
         from flrlab.streams import pcg64_ahead
@@ -637,7 +664,7 @@ class TestStreamMoments:
             got = stream_moments(spec, n, rng, lead=lead, width=width, split=split)
             ref = held_moments(spec, n, ref_rng, lead=lead, width=width, split=split)
             ahead = pcg64_ahead(np.random.default_rng(17), n * cols)
-            ahead.standard_normal(n)
+            ahead.standard_normal(lead)
             np.testing.assert_equal(rng.bit_generator.state, ahead.bit_generator.state)
             if split is not None:
                 assert got.train.shape == (cols, cols)
@@ -663,6 +690,40 @@ class TestStreamMoments:
             stream_moments(self.BROWNIAN, 300, rng, lead=3, split=200)
         np.testing.assert_equal(rng.bit_generator.state, state)
         assert stream_moments(self.BROWNIAN, 5, rng, lead=5).gram.shape == (5, 10)
+
+    def test_uniform_law_rejects_a_lead_beyond_the_fitted_rows(self):
+        # the lead Gram block of more columns than fitted rows is singular,
+        # so the noise moment has no factor; the stream does not move
+        from flrlab.designs import stream_moments
+
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="must not exceed the 50 designs"):
+            stream_moments(self.SPEC, 50, rng)               # lead J = 100 by default
+        with pytest.raises(ValueError, match="must not exceed the 4 designs"):
+            stream_moments(self.SPEC, 300, rng, lead=5, split=4)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+        assert stream_moments(self.SPEC, 300, rng, lead=4, split=4).noise.shape == (4,)
+
+    def test_a_singular_lead_gram_is_rejected(self):
+        # a PCG64 state whose first output is 2^63, so R = 1/2 and the one
+        # design's centred coefficient R - 1/2 is 0: its 1 x 1 lead Gram
+        # block is 0, which has no Cholesky factor. PCG64 steps its 128-bit
+        # state s to a s + c and outputs the xor of the new state's halves,
+        # rotated by its top 6 bits: the new state 2^63 outputs 2^63.
+        from flrlab.designs import stream_moments
+
+        multiplier, inc = 0x2360ED051FC65DA44385DF649FCCF645, 1
+
+        def centre_first():
+            bits = np.random.PCG64(0)
+            bits.state = {**bits.state, "state": {
+                "state": (2**63 - inc) * pow(multiplier, -1, 2**128) % 2**128, "inc": inc}}
+            return np.random.Generator(bits)
+
+        assert centre_first().random() == 0.5
+        with pytest.raises(ValueError, match="numerically not positive definite"):
+            stream_moments(self.SPEC, 1, centre_first(), width=1)
 
     def test_normal_law_holds_the_lead_columns_only(self):
         # the sample would be 5000 x 1023 doubles, 41 MB, and at n = 1e9 far

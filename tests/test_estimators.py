@@ -76,8 +76,9 @@ class TestSelectCutoff:
 
 
 class TestCutoffSplitProperties:
-    # The Brownian law draw of the cutoff's sums needs its lead k <= m rows
-    # (designs.stream_moments), which the split keeps on the whole range.
+    # The design draw of the cutoff's sums, of either kind, needs its lead
+    # k <= m rows (designs.stream_moments), which the split keeps on the
+    # whole range.
     @given(log_n=st.floats(math.log10(2.0), 12.0), alpha=st.floats(2.0, 50.0),
            excess=st.floats(0.0, 50.0, exclude_min=True))
     def test_cutoff_lies_in_one_to_m(self, log_n, alpha, excess):
@@ -336,6 +337,20 @@ class TestGammaOracleProperties:
         spectrum = np.arange(1, 129, dtype=float) ** -alpha
         sel = data_driven_gamma(spectrum, n, tc, 10.0**log_sigma, default_rho(alpha), alpha=alpha)
         assert math.isfinite(sel.gamma_tilde) and sel.gamma_tilde > 0.0
+
+
+class TestSelectCutoffProperties:
+    @given(log_m=st.floats(0.0, 12.0), log_m2=st.floats(0.0, 12.0), alpha=ADMISSIBLE["alpha"],
+           excess=ADMISSIBLE["excess"])
+    def test_admissible_scan(self, log_m, log_m2, alpha, excess):
+        # over the admissible range and m up to 1e12: an int in [1, m], the
+        # most lead columns a design draw of m fitted rows takes
+        # (designs.stream_moments), and non-decreasing in m
+        beta = (alpha + 1.0) / 2.0 + excess
+        m1, m2 = sorted(max(1, round(10.0**e)) for e in (log_m, log_m2))
+        k1, k2 = (select_cutoff(m, alpha, beta) for m in (m1, m2))
+        assert type(k1) is int and 1 <= k1 <= m1
+        assert 1 <= k2 <= m2 and k1 <= k2
 
 
 class TestSharpRiskConstant:

@@ -143,9 +143,10 @@ class TestMiseMonteCarlo:
     ])
     def test_streamed_replications_agree_with_held_samples(self, kind, n, spec, monkeypatch):
         # block sums change only the rounding (the order of the additions,
-        # and the scales applied to the sums); the held reference keeps each
-        # Pinsker sample, and takes each cutoff fit's
-        # sums as the direct products of its held draw
+        # and the scales applied to the sums); the held reference takes
+        # every fit's sums as the direct products of its held draw, and the
+        # noise moment from the Cholesky factor of their lead block and the
+        # lead normals drawn after it
         import flrlab.risk
 
         from oracles import held_moments
@@ -158,7 +159,7 @@ class TestMiseMonteCarlo:
         with monkeypatch.context() as patch:
             patch.setattr(flrlab.risk, "sample_design", no_sample)
             streamed = mise_monte_carlo(model, est, 3, 4)
-        monkeypatch.setattr(flrlab.risk, "_streamed", lambda *args: False)
+        monkeypatch.setattr(flrlab.risk, "sample_design", no_sample)
         monkeypatch.setattr(flrlab.risk, "stream_moments", held_moments)
         held = mise_monte_carlo(model, est, 3, 4)
         assert streamed.worst_labels == held.worst_labels
@@ -168,16 +169,49 @@ class TestMiseMonteCarlo:
     def test_brownian_cutoff_mise_matches_the_held_draw(self, monkeypatch):
         # Brownian cutoff sums are drawn from their law, not from the m
         # designs: m = 600, J = 255, k = 3; the MISE agrees with that of held
-        # draws within 3 standard errors
+        # draws and their m normals within 3 standard errors
         import flrlab.risk
 
-        from oracles import held_moments
+        from oracles import held_products
 
         model = flr_model(n_grid=(1200,), spec=DesignSpec(kind="integrated-gaussian",
                                                           grid_size=256))
         est, reps = EstimatorConfig(kind="cutoff"), 200
         law = mise_monte_carlo(model, est, reps, 4)
-        monkeypatch.setattr(flrlab.risk, "stream_moments", held_moments)
+        monkeypatch.setattr(flrlab.risk, "stream_moments", held_products)
+        held = mise_monte_carlo(model, est, reps, 4)
+        assert abs(law.mise[0] - held.mise[0]) <= 3.0 * math.hypot(law.stderr[0], held.stderr[0])
+
+    @pytest.mark.parametrize("mode", ["worst-case", "least-favorable"])
+    def test_basis_cutoff_mise_matches_the_held_draw(self, mode, monkeypatch):
+        # basis cutoff sums fold the m designs, and their noise moment is
+        # drawn from its law given them, from k normals: m = 600, J = 128,
+        # k = 3; the MISE agrees with that of the same designs and their m
+        # normals within 3 standard errors
+        import flrlab.risk
+
+        from oracles import held_products
+
+        model = flr_model(mode=mode, n_grid=(1200,))
+        est, reps = EstimatorConfig(kind="cutoff"), 200
+        law = mise_monte_carlo(model, est, reps, 4)
+        monkeypatch.setattr(flrlab.risk, "stream_moments", held_products)
+        held = mise_monte_carlo(model, est, reps, 4)
+        assert abs(law.mise[0] - held.mise[0]) <= 3.0 * math.hypot(law.stderr[0], held.stderr[0])
+
+    def test_streamed_data_driven_mise_matches_the_held_draw(self, monkeypatch):
+        # a data-driven replication at n = 3000 sums its designs block by
+        # block (m = 2625 fitted and 375 training rows, both more than
+        # J = 128) and draws its noise moment from 128 normals given their
+        # sums; the held path keeps the sample and its n normals, and the
+        # MISE agrees within 3 standard errors
+        import flrlab.risk
+
+        model = flr_model(mode="worst-case", n_grid=(3000,), spec=SPEC)
+        est, reps = EstimatorConfig(kind="pinsker-data-driven", rho=default_rho(2.0)), 100
+        assert flrlab.risk._streamed(SPEC, 3000, flrlab.risk.fitted_rows(est, 3000))
+        law = mise_monte_carlo(model, est, reps, 4)
+        monkeypatch.setattr(flrlab.risk, "_streamed", lambda *args: False)
         held = mise_monte_carlo(model, est, reps, 4)
         assert abs(law.mise[0] - held.mise[0]) <= 3.0 * math.hypot(law.stderr[0], held.stderr[0])
 
@@ -190,7 +224,7 @@ class TestMiseMonteCarlo:
         # MISE agrees within 3 standard errors
         import flrlab.risk
 
-        from oracles import held_moments
+        from oracles import held_products
 
         model = flr_model(mode="least-favorable", n_grid=(1200,), spec=spec)
         est, reps = EstimatorConfig(kind="cutoff"), 200
@@ -201,7 +235,7 @@ class TestMiseMonteCarlo:
             return streamed(*args, width=width, **kw)
 
         def full_width(spec, n, rng, *, lead=None, width=None, split=None):
-            return held_moments(spec, n, rng, lead=lead, split=split)
+            return held_products(spec, n, rng, lead=lead, split=split)
 
         with monkeypatch.context() as patch:
             patch.setattr(flrlab.risk, "stream_moments", recording)
@@ -399,7 +433,9 @@ class TestMiseMonteCarlo:
 
     def test_flr_cutoff_matches_module_ops(self):
         # the shared-replication fast path reproduces the composed operations:
-        # the first k coordinates of X^T y / m = G_k theta + sigma C_k^T eps / m
+        # the first k coordinates of X^T y / m = G_k theta + sigma C_k^T eps / m,
+        # C_k^T eps drawn from its law given the designs: the Cholesky factor
+        # of C_k^T C_k times the k normals drawn after them
         from flrlab import cutoff_estimator, sample_design, select_cutoff
         from flrlab.risk import _replication
         from flrlab.streams import derive_rng
@@ -412,9 +448,10 @@ class TestMiseMonteCarlo:
         rng = derive_rng(11, "flr-n64", 0)
         m = 32
         sample = sample_design(SPEC, m, rng)
-        noise = rng.standard_normal(m)
         k = select_cutoff(m, 2.0, 2.0)
-        xty = sample.cross_moment(sample.inner_products(theta)) + 1.0 * sample.cross_moment(noise)
+        c_k = sample.coeffs[:, :k]
+        noise = np.linalg.cholesky(c_k.T @ c_k) @ rng.standard_normal(k)
+        xty = sample.cross_moment(sample.inner_products(theta))[:k] + 1.0 * noise / m
         lam = SPEC.lambda_profile()(np.arange(1, k + 1, dtype=float))
         est_coeffs = cutoff_estimator(xty[:k], lam, k)
         expected = float(np.sum((est_coeffs - theta[:k]) ** 2) + np.sum(theta[k:] ** 2))
@@ -576,14 +613,13 @@ class TestDeltaStudy:
             empirical_covariance,
             sample_design,
             select_cutoff,
-            simulate_flr_responses,
         )
         from flrlab.estimators import DEFAULT_COEFF_BUDGET
         from flrlab import function_space
         from flrlab.function_space import basis_function, basis_matrix
         from flrlab.streams import derive_rng
 
-        from oracles import (grid_inner, grid_norm, grid_project, law_moments,
+        from oracles import (grid_inner, grid_norm, grid_project, held_moments, law_moments,
                              operator_sqrt_apply, true_operator)
 
         built = []
@@ -606,22 +642,23 @@ class TestDeltaStudy:
             k = select_cutoff(m, 2.0, TC.beta)
             vals = []
             for rep in range(reps):
-                # the pilot fits X^T y1 / m of y1 = C1 theta + sigma eps, eps the
-                # m normals drawn after the m designs s1; then s2 is drawn.
-                # Brownian designs draw the pilot's sums from their law, so
-                # the reference projects theta on the sine basis and applies
-                # the law draw of the oracle.
+                # the pilot fits X^T y1 / m of y1 = C1 theta + sigma eps: the
+                # products of the m designs s1, and C1_k^T eps drawn from its
+                # law given them, the Cholesky factor of C1_k^T C1_k times
+                # the k normals drawn after s1; then s2 is drawn. Brownian
+                # designs draw the pilot's sums from their law, so the
+                # reference projects theta on the sine basis and applies the
+                # law draw of the oracle.
                 rng = derive_rng(seed, "delta", rep)
                 if spec.kind == "integrated-gaussian":
                     sums = law_moments(spec, m, rng, k)
                     j = spec.resolved_truncation(m)
                     theta_j = grid_inner(basis_matrix(spec.basis, j, spec.grid_size),
                                          theta_grid.values)[:, 0]
-                    xty = (sums.gram @ theta_j + sigma * sums.noise) / m
                 else:
-                    s1 = sample_design(spec, m, rng)
-                    theta_j = grid_project(theta_grid.values, spec.basis, s1.coeffs.shape[1])
-                    xty = s1.cross_moment(simulate_flr_responses(s1, theta_j, sigma, rng))
+                    sums = held_moments(spec, m, rng, lead=k)
+                    theta_j = grid_project(theta_grid.values, spec.basis, sums.gram.shape[1])
+                xty = (sums.gram @ theta_j + sigma * sums.noise) / m
                 theta1 = cutoff_estimator(xty, true_cov.eigenvalues, k)
                 g = theta_grid.values - render(theta1).values
                 cov2 = empirical_covariance(sample_design(spec, n - m, rng))
